@@ -1,9 +1,9 @@
 """The district-heating hydraulic model.
 
 A plant pumps at constant differential pressure through a tree of pipes with
-quadratic losses (counted on supply and return) into consumer valves.  The
-Newton solver returns the consumer flows; the tree structure also admits an
-exact inverse from flows back to valve positions.
+quadratic losses (counted on supply and return) into consumer valves.  Two
+passes over the tree give the consumer flows exactly; the tree structure also
+admits an exact inverse from flows back to valve positions.
 """
 
 import numpy as np
@@ -24,7 +24,8 @@ net, bld, agents = cp.build_dhn_scenario()
 sol = cp.solve_flows(net, np.ones(22), full_output=True)
 print(f"fully open: total {sol.q.sum():.1f} m3/h, per-consumer "
       f"{sol.q.min():.2f}..{sol.q.max():.2f}, "
-      f"{sol.iterations} Newton iterations, mass residual {sol.mass_residual:.1e}")
+      f"pressure residual {sol.pressure_residual:.1e}, "
+      f"mass residual {sol.mass_residual:.1e}")
 
 # heat rate delivered to the buildings: coefficient c_pw*rho_w*delta/c
 coef = bld.heat_coefficient(22)[0]

@@ -704,13 +704,16 @@ def verify_global_convergence(
     box_scale: float = 10.0,
     force: bool = False,
     solver_opts=None,
+    equilibrium: Optional[EquilibriumReport] = None,
 ) -> VerificationVerdict:
     """Integrate from random initial states and check they all land on the
     computed equilibrium, with the decrease monitor silent throughout.
 
-    Initial states are drawn from the box |.|_inf <= box_scale * equilibrium
-    magnitude.  Coordinating systems also check that the trailing 20% of
-    each run stays unsaturated when the disturbance is rejectable.
+    ``equilibrium`` takes the system's equilibrium when the caller has
+    already solved for it; otherwise it is solved here.  Initial states are
+    drawn from the box |.|_inf <= box_scale * equilibrium magnitude.
+    Coordinating systems also check that the trailing 20% of each run stays
+    unsaturated when the disturbance is rejectable.
     """
     from .sim import SolverOptions, integrate  # deferred: sim imports this module
 
@@ -718,7 +721,9 @@ def verify_global_convergence(
     if not report.passed and not force:
         raise TuningError("tuning rule violated; use force=True to verify anyway:\n"
                           + report.summary())
-    if sys.gains.mode == DECENTRALIZED:
+    if equilibrium is not None:
+        eq = equilibrium
+    elif sys.gains.mode == DECENTRALIZED:
         eq = find_equilibrium_decentralized(sys)
     else:
         eq = find_equilibrium_coordinating(sys)

@@ -18,7 +18,9 @@ class TuningError(CapnetError):
 
 
 class FlowSolverError(CapnetError):
-    """The hydraulic Newton solver failed to produce a valid flow vector."""
+    """A hydraulic flow solve produced no valid flow vector: a switched-off
+    pump, valves outside [-1, 1], non-positive flow, a failed pressure-balance
+    check, or a partial-flow solve that did not converge."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

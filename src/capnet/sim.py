@@ -505,6 +505,12 @@ def run_scenario(sc: Scenario) -> RunArtifacts:
         arts = _run_closed_loop(sc)
     else:
         arts = _run_oracle_policy(sc)
+    if sc.hydraulic_stats is not None:
+        arts.summary.update({
+            "flow_solves": sc.hydraulic_stats.n_solves,
+            "max_mass_residual": sc.hydraulic_stats.max_mass_residual,
+            "max_newton_iterations": sc.hydraulic_stats.max_iterations,
+        })
     if sc.out_dir is not None:
         out = Path(sc.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -552,12 +558,6 @@ def _run_closed_loop(sc: Scenario) -> RunArtifacts:
         "field_evaluations": traj.stats.n_field_evals,
     }
     summary.update(_deviation_stats(traj.times, traj.x, sc.temperature))
-    if sc.hydraulic_stats is not None:
-        summary.update({
-            "flow_solves": sc.hydraulic_stats.n_solves,
-            "max_mass_residual": sc.hydraulic_stats.max_mass_residual,
-            "max_newton_iterations": sc.hydraulic_stats.max_iterations,
-        })
     return RunArtifacts(policy=sc.policy, trajectory=traj, times=traj.times,
                         x=traj.x, v=traj.v, summary=summary)
 
@@ -596,11 +596,5 @@ def _run_oracle_policy(sc: Scenario) -> RunArtifacts:
         "resolve_interval": dt,
     }
     summary.update(_deviation_stats(times, xs, sc.temperature))
-    if sc.hydraulic_stats is not None:
-        summary.update({
-            "flow_solves": sc.hydraulic_stats.n_solves,
-            "max_mass_residual": sc.hydraulic_stats.max_mass_residual,
-            "max_newton_iterations": sc.hydraulic_stats.max_iterations,
-        })
     return RunArtifacts(policy=sc.policy, trajectory=None, times=times,
                         x=xs, v=vs, summary=summary)

@@ -183,3 +183,14 @@ def test_criterion_8_case_study_comparison(dhn_study):
           f"{coord_max:.2f} K < decentralized {dec_max:.2f} K and decentralized sum "
           f"{dec_sum:.1f} K <= coordinated {coord_sum:.1f} K; four policies in "
           f"{dhn_study['elapsed']:.0f}s")
+
+
+def test_dhn_headline_converged(dhn_study):
+    # 13.05301 K and 9.28455 K: both PI loops integrated by scipy's DOP853
+    # at rtol 1e-10, apart from capnet's integrator (perfbench/reference.py)
+    summary = dhn_study["summary"]
+    for policy, reference in (("decentralized", 13.05301), ("coordinating", 9.28455)):
+        value = float(summary[f"{policy}.max_deviation_at_coldest"])
+        assert abs(value - reference) < 5e-4, (policy, value, reference)
+    print("\n[PASS] headline: coldest-hour max deviations match the solve_ivp "
+          "reference within 5e-4 K")

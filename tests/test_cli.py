@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet import cli
+from capnet import cli, equilibria
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -178,6 +178,25 @@ class TestVerifyCommand:
         assert cli.main(["verify", str(path), "--optimality", "--samples", "50",
                          "--report-dir", str(report_dir)]) == 0
         assert (report_dir / "verdict_optimality.txt").exists()
+
+    @pytest.mark.parametrize("name, finder", [
+        ("linear2_decentralized.cfg", "find_equilibrium_decentralized"),
+        ("linear2_coordinating.cfg", "find_equilibrium_coordinating"),
+    ])
+    def test_optimality_and_stability_solve_equilibrium_once(self, monkeypatch, name,
+                                                             finder):
+        solves = []
+        solve = getattr(equilibria, finder)
+
+        def counted(sys, *args, **kwargs):
+            solves.append(1)
+            return solve(sys, *args, **kwargs)
+
+        monkeypatch.setattr(equilibria, finder, counted)
+        assert cli.main(["verify", str(cli.shipped_config_path(name)), "--optimality",
+                         "--stability", "--samples", "50", "--starts", "3",
+                         "--seed", "0"]) == 0
+        assert len(solves) == 1
 
 
 class TestReproduceDhn:

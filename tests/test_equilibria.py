@@ -95,6 +95,24 @@ class TestCoordinatingEquilibrium:
         assert isinstance(out, NoEquilibrium)
         assert out.best_residual > 1.0
 
+    def test_dhn_capacity_bound_equalizes_errors(self):
+        # calibrated DHN at -26.5 degC with tuning-compliant gains; the
+        # equalized level 9.31561 is the L-infinity allocator's optimum
+        net, bld, agents = cp.build_dhn_scenario(T_o=-26.5,
+                                                 capacity_scale=cp.CALIBRATED_CAPACITY_SCALE)
+        ic = cp.dhn_interconnection(net, bld)
+        n = net.n_consumers
+        gains = cp.ControllerGains(kP=np.ones(n), kI=np.full(n, 0.4), mode="coordinating",
+                                   alpha=0.5, kC=0.9 * 2 / n)
+        sysc = cp.ClosedLoopSystem(agents=agents, ic=ic, gains=gains,
+                                   bounds=cp.SaturationBounds.symmetric(1.0, n))
+        rep = cp.find_equilibrium_coordinating(sysc)
+        assert isinstance(rep, cp.EquilibriumReport), rep.message
+        assert rep.x0.max() - rep.x0.min() < 1e-9
+        allocation = cp.solve_linf_allocation(ic, agents)
+        assert rep.cost_linf == pytest.approx(allocation.cost, rel=1e-7)
+        assert rep.cost_linf == pytest.approx(9.31561, abs=1e-5)
+
     def test_uneven_disturbance_infeasible_by_scan(self, ic2):
         # equal errors demand (b1+w1) == (b2+w2); a box scan shows the gap
         # never closes, confirming the stall is genuine

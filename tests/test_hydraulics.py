@@ -2,15 +2,68 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capnet as cp
+from capnet import hydraulics
 from capnet.errors import FlowSolverError
-from capnet.hydraulics import (solve_flows_partial, valve_positions_for_flows)
+from capnet.hydraulics import (DhnAllocator, solve_flows_partial,
+                               valve_positions_for_flows)
 
 
 def single_consumer_net(pump_dp=0.6e6):
     return cp.HydraulicNetwork("23", [cp.Pipe("23", "A", 0.9)],
                                [cp.Consumer("A", 2.5)], pump_dp)
+
+
+def reference_newton(net, v, tol=1e-13, max_iter=100):
+    """Independent oracle for any tree: damped Newton on the consumer flows
+    of the path pressure balances dp - sum_path 2 s Q|Q| - r q|q| = 0."""
+    E = net.path_matrix
+    s2 = 2.0 * np.array([p.s for p in net.pipes])
+    r = np.array([c.resistance(vi) for c, vi in zip(net.consumers, v)])
+    dp = net.pump_dp
+
+    def residual(q):
+        Q = E @ q
+        return dp - (s2 * np.abs(Q) * Q) @ E - r * np.abs(q) * q
+
+    q = np.sqrt(dp / (s2 @ E + r)) / np.sqrt(net.n_consumers)
+    F = residual(q)
+    for _ in range(max_iter):
+        if np.max(np.abs(F)) <= tol * dp:
+            return q
+        H = (E.T * (2.0 * s2 * np.abs(E @ q))) @ E + np.diag(2.0 * r * np.abs(q))
+        step = np.linalg.solve(H, F)
+        t = 1.0
+        while float(residual(q + t * step) @ residual(q + t * step)) >= float(F @ F):
+            t *= 0.5
+            assert t > 1e-12, "reference Newton line search stalled"
+        q = q + t * step
+        F = residual(q)
+    raise AssertionError("reference Newton did not converge")
+
+
+@st.composite
+def random_trees(draw):
+    """A plant, up to 6 junctions at depth <= 4, 1-8 consumers anywhere
+    (the plant node included), and valve positions for them."""
+    depth = {"P": 0}
+    pipes = []
+    for k in range(draw(st.integers(0, 6))):
+        parent = draw(st.sampled_from(sorted(m for m in depth if depth[m] < 4)))
+        depth[f"J{k}"] = depth[parent] + 1
+        pipes.append(cp.Pipe(parent, f"J{k}", draw(st.floats(0.01, 2.0))))
+    consumers = [
+        cp.Consumer(draw(st.sampled_from(sorted(depth))), s_c=draw(st.floats(0.5, 5.0)),
+                    valve_base=draw(st.floats(1.0, 10.0)),
+                    valve_span=draw(st.floats(5.0, 50.0)))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    net = cp.HydraulicNetwork("P", pipes, consumers, draw(st.floats(1e2, 1e6)))
+    v = np.array([draw(st.floats(-1.0, 1.0)) for _ in consumers])
+    return net, v
 
 
 def scalar_balance_bisect(v, s=0.9, s_c=2.5, dp=0.6e6):
@@ -81,14 +134,16 @@ class TestNetworkSolver:
         q2 = cp.solve_flows(net, v)
         np.testing.assert_array_equal(q1, q2)
 
-    def test_warm_start_converges_fast(self):
-        net = cp.build_dhn_network()
+    def test_results_independent_of_call_history(self):
+        net, bld, _ = cp.build_dhn_scenario()
         v = np.full(net.n_consumers, 0.2)
-        sol0 = cp.solve_flows(net, v, full_output=True)
-        v2 = v + 0.01
-        sol1 = cp.solve_flows(net, v2, warm_start=sol0.q, full_output=True)
-        assert sol1.iterations <= 5
-        np.testing.assert_allclose(sol1.q, cp.solve_flows(net, v2), rtol=1e-9)
+        fresh = cp.dhn_interconnection(net, bld)(v)
+        used = cp.dhn_interconnection(net, bld)
+        for w in (np.ones(22), -np.ones(22), np.linspace(-1, 1, 22)):
+            used(w)
+        np.testing.assert_array_equal(used(v), fresh)
+        np.testing.assert_array_equal(used.jacobian(v),
+                                      cp.dhn_interconnection(net, bld).jacobian(v))
 
     def test_pressure_scaling_sqrt(self):
         base = cp.build_dhn_network(1.0)
@@ -139,6 +194,24 @@ class TestNetworkSolver:
             vp[j] += eps
             fd = (cp.solve_flows(net, vp) - q0) / eps
             np.testing.assert_allclose(J[:, j], fd, atol=1e-4 * np.max(np.abs(fd)))
+
+
+class TestTreeSolveProperties:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(random_trees())
+    def test_matches_reference_newton(self, tree):
+        net, v = tree
+        q = cp.solve_flows(net, v)
+        np.testing.assert_allclose(q, reference_newton(net, v), rtol=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(random_trees())
+    def test_valve_inversion_round_trip(self, tree):
+        net, v = tree
+        sol = cp.solve_flows(net, v, full_output=True)
+        assert sol.iterations == 0 and sol.pressure_residual <= 1e-10
+        assert sol.mass_residual <= 1e-12 * sol.q.sum()
+        np.testing.assert_allclose(valve_positions_for_flows(net, sol.q), v, atol=1e-7)
 
 
 class TestInverseMaps:
@@ -242,3 +315,41 @@ class TestAllocatorsOnSmallNetwork:
         res = cp.solve_linf_allocation(ic, agents)
         assert res.x.max() - res.x.min() < 1e-6
         assert np.any(res.v >= 1.0 - 1e-9)
+
+
+def linf_full_bisection(alloc, a, w):
+    """DhnAllocator.linf's equalization branch with all 100 halvings run."""
+    x_full = (alloc.coef * cp.solve_flows(alloc.net, np.ones(len(a))) + w) / a
+    tau_lo, tau_hi = float(np.min(x_full)), 0.0
+    while np.max(alloc._valves_for_level(a, w, tau_lo)) > 1.0:
+        tau_lo -= max(1.0, 0.1 * abs(tau_lo))
+    for _ in range(100):
+        tau_mid = 0.5 * (tau_lo + tau_hi)
+        if np.max(alloc._valves_for_level(a, w, tau_mid)) <= 1.0:
+            tau_lo = tau_mid
+        else:
+            tau_hi = tau_mid
+    v = np.clip(alloc._valves_for_level(a, w, tau_lo), -1.0, 1.0)
+    return v, (alloc.coef * cp.solve_flows(alloc.net, v) + w) / a
+
+
+class TestDhnAllocator:
+    def test_linf_bisection_stops_when_interval_collapses(self, monkeypatch):
+        net = cp.build_dhn_network(cp.CALIBRATED_CAPACITY_SCALE)
+        bld = cp.BuildingParams()
+        a, w = bld.rates(22), bld.disturbance(22, -26.5)
+        alloc = DhnAllocator(net, bld.heat_coefficient(22))
+        v_ref, x_ref = linf_full_bisection(alloc, a, w)
+        calls = []
+        inverse = hydraulics.valve_positions_for_flows
+
+        def counted(net, q):
+            calls.append(1)
+            return inverse(net, q)
+
+        monkeypatch.setattr(hydraulics, "valve_positions_for_flows", counted)
+        v, x, method = alloc.linf(a, w)
+        assert method == "dhn-equalization"
+        assert len(calls) <= 60
+        np.testing.assert_array_equal(v, v_ref)
+        np.testing.assert_array_equal(x, x_ref)
