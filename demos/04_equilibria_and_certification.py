@@ -54,5 +54,5 @@ print(f"  coordinating (rejectable w): passed={v2.passed}")
 # no equilibrium exists when the disturbance is too uneven for equal sharing
 uneven = cp.AgentEnsemble(a=[1.0, 1.0], w=[-100.0, 0.0])
 coord_bad = cp.ClosedLoopSystem(agents=uneven, ic=ic, bounds=bounds, gains=coord.gains)
-out = cp.find_equilibrium_coordinating(coord_bad, max_iter=40_000)
+out = cp.find_equilibrium_coordinating(coord_bad)
 print(f"  uneven disturbance: {type(out).__name__} ({out.message})")

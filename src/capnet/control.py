@@ -12,7 +12,7 @@ monitors that flag any step on which a certificate increased beyond slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -1,8 +1,17 @@
 """Closed-loop equilibria, open-loop optimal allocations, and verification.
 
-The closed-loop equilibria are computed by damped fixed-point iteration on
-the stationary control input.  The open-loop optima that certify them come
-from two independent routes:
+Both closed-loop equilibria are zeros of a normal map on the control input,
+
+    N(u) = b(sat u) + r + c*(u - sat u),
+
+found by one semismooth Newton method (Qi & Sun 1993) with Armijo
+backtracking on 0.5*|N|^2, inside a budget of Newton steps and backtracks
+fixed before it starts.  The decentralized loop is N with r = w and
+c = a*kA.  The coordinating loop couples every agent through the shared
+excess sum S = sum(u - sat u); for a fixed S it is N with r = w + a*kC*S and
+c = a*kC, and S is the root of a scalar slack found by a bracketed search.
+
+The open-loop optima that certify them come from two independent routes:
 
 * a derivative-free direct search (coarse grid or Latin hypercube, then a
   Nelder-Mead polish) used as the oracle of record for verification, and
@@ -10,25 +19,25 @@ from two independent routes:
   equalization conditions) used where many re-solves are needed, e.g. the
   benchmark policies of the district-heating scenario.
 
-Neither route touches the controller equations, so agreement with the
-closed-loop equilibrium is a genuine cross-check.
+The closed-loop solves call neither route, and neither route touches the
+controller equations, so agreement between them is a genuine cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
-                      DecentralizedMonitor, control_input, field as loop_field,
-                      from_zeta_u, rejectable_disturbance, to_zeta_u)
+                      DecentralizedMonitor, field as loop_field,
+                      rejectable_disturbance)
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, saturate,
                    validate_tuning)
 from .errors import CapnetError, EquilibriumError, TuningError
-from .interconnect import Interconnection
+from .interconnect import Interconnection, eval_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +46,10 @@ from .interconnect import Interconnection
 
 @dataclass
 class EquilibriumReport:
-    """A converged closed-loop equilibrium with both cost readings."""
+    """A converged closed-loop equilibrium with both cost readings.
+
+    ``iterations`` counts the Newton steps the solve took.
+    """
 
     mode: str
     u0: np.ndarray
@@ -48,14 +60,18 @@ class EquilibriumReport:
     cost_l1w: float
     cost_linf: float
     iterations: int
-    relax: float
 
 
 @dataclass
 class NoEquilibrium:
-    """Diagnostics of a stalled coordinating fixed-point iteration.
+    """Why the coordinating loop has no equilibrium.
 
-    Reports the best residual reached; it does not prove infeasibility.
+    Every equilibrium equalizes the errors at -kC*S and leaves the reduced
+    solve at that excess sum S free of excess.  None exists when the reduced
+    solve at S = 0 carries excess of both signs, when no S up to the bound
+    set by aggregate monotonicity clears the excess, or when the S that
+    clears it leaves excess of the other sign.  ``best_u`` is the reduced
+    solution with the smallest coordinating residual ``best_residual``.
     """
 
     best_u: np.ndarray
@@ -78,219 +94,188 @@ def open_loop_state(ic: Interconnection, agents: AgentEnsemble, v) -> np.ndarray
     return (ic(v) + agents.w) / agents.a
 
 
-def lipschitz_estimate(ic: Interconnection, n_pairs: int = 64, seed: int = 0) -> float:
-    """Sampled max-norm Lipschitz constant of the interconnection."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
-        v1 = ic.bounds.sample(rng)
-        v2 = ic.bounds.sample(rng)
-        dv = float(np.max(np.abs(v2 - v1)))
-        if dv < 1e-12:
-            continue
-        worst = max(worst, float(np.max(np.abs(ic(v2) - ic(v1)))) / dv)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # closed-loop equilibria
 
+#: step halvings the Armijo line search may take within one Newton step
+MAX_BACKTRACKS = 30
+_ARMIJO = 1e-4
+
+
+def _unconverged(reason, residual, tol, steps, u, bounds) -> EquilibriumError:
+    saturated = int(np.count_nonzero((u <= bounds.lower) | (u >= bounds.upper)))
+    return EquilibriumError(
+        f"{reason}: residual {residual:.3e} against tolerance {tol:.1e} after "
+        f"{steps} Newton steps, {saturated} of {len(u)} agents saturated",
+        residual=residual, iterations=steps, saturated=saturated)
+
+
+def _solve_normal_map(ic: Interconnection, a, r, c, u, tol, steps, max_steps):
+    """Semismooth Newton for N(u) = b(sat u) + r + c*(u - sat u) = 0.
+
+    The generalized Jacobian keeps the columns of J_b(sat u) for agents
+    strictly inside the box and puts c_j on the diagonal for the others.
+    Stops once max|N/a| < tol.  ``steps`` is the running count of Newton
+    steps, carried over from earlier solves; returns (u, steps).  Raises
+    EquilibriumError when ``max_steps`` is reached, the line search uses up
+    MAX_BACKTRACKS halvings, or the Jacobian is singular.
+    """
+    lo, hi = ic.bounds.lower, ic.bounds.upper
+
+    def normal_map(u):
+        v = np.clip(u, lo, hi)
+        return ic(v) + r + c * (u - v)
+
+    def fail(reason):
+        return _unconverged(f"Newton solve stopped ({reason})",
+                            float(np.max(np.abs(n_u / a))), tol, steps, u, ic.bounds)
+
+    n_u = normal_map(u)
+    while float(np.max(np.abs(n_u / a))) >= tol:
+        if steps >= max_steps:
+            raise fail(f"budget of {max_steps} steps used up")
+        steps += 1
+        inside = (u > lo) & (u < hi)
+        J = np.where(inside[None, :], eval_jacobian(ic, np.clip(u, lo, hi)), np.diag(c))
+        try:
+            d = np.linalg.solve(J, -n_u)
+        except np.linalg.LinAlgError:
+            raise fail("singular generalized Jacobian") from None
+        phi = float(n_u @ n_u)
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS + 1):
+            u_try = u + t * d
+            n_try = normal_map(u_try)
+            if float(n_try @ n_try) <= (1.0 - 2.0 * _ARMIJO * t) * phi:
+                break
+            t *= 0.5
+        else:
+            raise fail(f"no sufficient decrease in {MAX_BACKTRACKS} backtracks")
+        u, n_u = u_try, n_try
+    return u, steps
+
 
 def _finish_report(sys: ClosedLoopSystem, u0: np.ndarray, iterations: int,
-                   relax: float) -> EquilibriumReport:
+                   tol: float) -> EquilibriumReport:
+    """The report at u0, whose stationarity residual max(|dx|, |dz|) must be
+    below tol."""
     v0 = saturate(u0, sys.bounds)
     x0 = (sys.ic(v0) + sys.agents.w) / sys.agents.a
     z0 = -(u0 + sys.gains.kP * x0) / sys.gains.kI
     s0 = ClosedLoopState(x0, z0)
     dx, dz = loop_field(sys, s0, 0.0)
     residual = float(max(np.max(np.abs(dx)), np.max(np.abs(dz))))
+    if not residual < tol:
+        raise _unconverged(f"{sys.gains.mode} equilibrium above tolerance", residual,
+                           tol, iterations, u0, sys.bounds)
     return EquilibriumReport(
         mode=sys.gains.mode, u0=u0, x0=x0, z0=z0, zeta0=-sys.gains.kI * z0,
         residual=residual,
         cost_l1w=weighted_l1_cost(sys.ic.eta, sys.agents.a, x0),
-        cost_linf=linf_cost(x0), iterations=iterations, relax=relax)
+        cost_linf=linf_cost(x0), iterations=iterations)
 
 
 def find_equilibrium_decentralized(
     sys: ClosedLoopSystem,
-    relax: Optional[float] = None,
     tol: float = 1e-12,
-    max_iter: int = 200_000,
+    max_iter: int = 100,
 ) -> EquilibriumReport:
-    """Fixed-point iteration u <- u - relax*(b(sat(u)) + w + a*kA*dz(u)).
+    """The unique decentralized equilibrium: b(sat u) + w + a*kA*dz(u) = 0.
 
-    ``relax`` defaults to 0.5/(L + max(a*kA)) with L a sampled Lipschitz
-    estimate of the interconnection, and is halved whenever the iteration
-    diverges.  The returned stationarity residual is max(|dx|, |dz|).
+    Semismooth Newton from the middle of the box, at most ``max_iter``
+    steps, until the stationarity residual max(|dx|, |dz|) is below ``tol``.
+    Raises EquilibriumError with the residual reached, the step count and
+    the number of saturated agents when it does not get there.
     """
     if sys.gains.mode != DECENTRALIZED:
         raise ValueError("system gains are not decentralized")
     if not sys.agents.w_is_constant:
         raise ValueError("equilibria are defined for constant disturbances")
-    w = sys.agents.w
-    awk = sys.agents.a * sys.gains.kA
-
-    def g(u):
-        v = saturate(u, sys.bounds)
-        return sys.ic(v) + w + awk * (u - v)
-
-    if relax is None:
-        relax = 0.5 / (lipschitz_estimate(sys.ic) + float(np.max(awk)))
-    u = 0.5 * (sys.bounds.lower + sys.bounds.upper)
-    u_start = u.copy()
-    res0 = float(np.max(np.abs(g(u))))
-    best = np.inf
-    iterations = 0
-    for halving in range(60):
-        diverged = False
-        for _ in range(max_iter):
-            iterations += 1
-            gu = g(u)
-            res = float(np.max(np.abs(gu / sys.agents.a)))
-            best = min(best, res)
-            if res < tol and float(np.max(np.abs(relax * gu))) < tol:
-                return _finish_report(sys, u, iterations, relax)
-            if not np.all(np.isfinite(gu)) or res > 1e6 * (1.0 + res0):
-                diverged = True
-                break
-            u = u - relax * gu
-        if not diverged:
-            break
-        relax *= 0.5
-        u = u_start.copy()
-    raise EquilibriumError(
-        f"decentralized fixed point did not converge (best residual {best:.3e})")
-
-
-def _coordinating_newton_polish(sys, g, u, tol, max_iter=60):
-    """Semismooth Newton on the coordinating stationarity residual, used when
-    the damped fixed point stalls near a saturation boundary.  Returns the
-    refined u or None."""
-    kC = sys.gains.kC
     a = sys.agents.a
-    n = sys.n
-    for _ in range(max_iter):
-        gu = g(u)
-        res = float(np.max(np.abs(gu / a)))
-        if res < tol:
-            return u
-        v = saturate(u, sys.bounds)
-        inside = ((u > sys.bounds.lower) & (u < sys.bounds.upper)).astype(float)
-        try:
-            Jb = _ic_jacobian(sys.ic, v)
-        except CapnetError:
-            return None
-        # saturated coordinates all contribute through the same rank-1 sum, so
-        # the system is singular along the split of their excess: take the
-        # minimum-norm least-squares step
-        J = Jb * inside[None, :] + kC * np.outer(a, 1.0 - inside)
-        step, *_ = np.linalg.lstsq(J, -gu, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return None
-        t = 1.0
-        base = float(gu @ gu)
-        for _ in range(20):
-            u_try = u + t * step
-            if float(g(u_try) @ g(u_try)) < base:
-                break
-            t *= 0.5
-        else:
-            return None
-        u = u_try
-    return None
-
-
-def _coordinating_from_equalization(sys, g, tol):
-    """Construct a saturated coordinating equilibrium from the equalized
-    allocation: the stationarity conditions force equal errors, fully open
-    valves on the binding agents, and only the SUM of their excesses, so any
-    split (taken equal here) is an equilibrium.  Verified via the residual."""
-    scale = float(np.max(np.abs(sys.agents.w))) + 1.0
-    hi = sys.bounds.upper
-    v, x, ok = _equalize(sys.ic, sys.agents, hi.copy(), 1e-9 * scale, 60)
-    if not ok:
-        return None
-    tau = float(np.median(x))
-    if tau >= 0.0:
-        return None  # rejectable regime: the damped iteration handles it
-    sat_set = v >= hi - 1e-9
-    if not sat_set.any():
-        return None
-    excess_sum = -tau / sys.gains.kC
-    u = v.copy()
-    u[sat_set] += excess_sum / int(sat_set.sum())
-    if float(np.max(np.abs(g(u) / sys.agents.a))) < max(tol, 1e-8 * scale):
-        return u
-    return None
+    u, steps = _solve_normal_map(sys.ic, a, sys.agents.w, a * sys.gains.kA,
+                                 0.5 * (sys.bounds.lower + sys.bounds.upper),
+                                 tol, 0, max_iter)
+    return _finish_report(sys, u, steps, tol)
 
 
 def find_equilibrium_coordinating(
     sys: ClosedLoopSystem,
     tol: float = 1e-10,
-    relax: Optional[float] = None,
-    max_iter: int = 200_000,
+    max_iter: int = 2000,
 ):
-    """Damped fixed point for the coordinating stationarity conditions.
+    """An equilibrium of the coordinating loop: b(sat u) + w + a*kC*S = 0
+    with S = sum(dz(u)), so every error equals -kC*S.
 
-    Solves b_i(sat(u)) + w_i + a_i*kC*sum(dz(u)) = 0 for all i.  A stalled
-    iteration is polished by a semismooth Newton step before giving up.
-    Equilibria need not exist for strongly uneven disturbances; a genuine
-    stall returns :class:`NoEquilibrium` with the best residual reached.
+    In the reduced variable S, u(S) solves b(sat u) + w + a*kC*(S + dz(u)) = 0
+    by the semismooth Newton of the decentralized loop, warm-started from the
+    previous S.  When u(0) carries no excess it is the equilibrium (the
+    disturbance is rejectable).  Otherwise S is the root of a slack that is
+    the largest excess while one remains and minus the smallest distance to
+    the saturating bound after, bracketed by brentq between 0 and the largest
+    |S| that aggregate monotonicity allows; S is then put on the agents at
+    that bound.  Returns :class:`NoEquilibrium` with the reason when the
+    reduced problem shows there is none.  ``max_iter`` bounds the Newton
+    steps of all reduced solves together; exhausting it, or a stationarity
+    residual max(|dx|, |dz|) not below ``tol`` at the end, raises
+    EquilibriumError.
     """
     if sys.gains.mode != COORDINATING:
         raise ValueError("system gains are not coordinating")
     if not sys.agents.w_is_constant:
         raise ValueError("equilibria are defined for constant disturbances")
-    w = sys.agents.w
-    kC = sys.gains.kC
+    ic, a, w, kC = sys.ic, sys.agents.a, sys.agents.w, sys.gains.kC
+    lo, hi = sys.bounds.lower, sys.bounds.upper
+    c = a * kC
+    u = 0.5 * (lo + hi)
+    steps = 0
+    solved = {}  # S -> u(S)
 
-    def g(u):
-        v = saturate(u, sys.bounds)
-        return sys.ic(v) + w + sys.agents.a * kC * float(np.sum(u - v))
+    def solve_at(S):
+        nonlocal u, steps
+        if S not in solved:
+            # inner tolerance leaves room for the excess left at the root
+            u, steps = _solve_normal_map(ic, a, w + c * S, c, u, 0.01 * tol,
+                                         steps, max_iter)
+            solved[S] = u
+        return solved[S]
 
-    if relax is None:
-        relax = 0.5 / (lipschitz_estimate(sys.ic)
-                       + float(np.max(sys.agents.a)) * kC * sys.n)
-    u = 0.5 * (sys.bounds.lower + sys.bounds.upper)
-    best_res = np.inf
-    best_u = u.copy()
-    iterations = 0
-    stall_window = 2000
-    last_best = np.inf
-    while iterations < max_iter:
-        for _ in range(stall_window):
-            iterations += 1
-            gu = g(u)
-            res = float(np.max(np.abs(gu / sys.agents.a)))
-            if res < best_res:
-                best_res, best_u = res, u.copy()
-            if res < tol:
-                return _finish_report(sys, u, iterations, relax)
-            if not np.all(np.isfinite(gu)):
-                return NoEquilibrium(best_u, best_res, iterations,
-                                     "iteration left the finite domain")
-            u = u - relax * gu
-            if iterations >= max_iter:
-                break
-        if best_res > 0.99 * last_best:
-            # no meaningful progress over a whole window: first try a smaller
-            # step, then report the stall
-            if relax > 1e-6:
-                relax *= 0.5
-                u = best_u.copy()
-            else:
-                break
-        last_best = best_res
-    if best_res < tol:
-        return _finish_report(sys, best_u, iterations, relax)
-    u_polished = _coordinating_newton_polish(sys, g, best_u.copy(), tol)
-    if u_polished is not None:
-        return _finish_report(sys, u_polished, iterations, relax)
-    u_built = _coordinating_from_equalization(sys, g, tol)
-    if u_built is not None:
-        return _finish_report(sys, u_built, iterations, relax)
-    return NoEquilibrium(best_u, best_res, iterations,
-                         f"residual stalled at {best_res:.3e} (tolerance {tol:.1e})")
+    def no_equilibrium(message):
+        def residual(u):
+            v = np.clip(u, lo, hi)
+            return float(np.max(np.abs((ic(v) + w) / a + kC * np.sum(u - v))))
+        best = min(solved.values(), key=residual)
+        return NoEquilibrium(best, residual(best), steps, message)
+
+    u0 = solve_at(0.0)
+    excess = u0 - np.clip(u0, lo, hi)
+    if not np.any(excess):
+        return _finish_report(sys, u0, steps, tol)
+    if np.any(excess > 0) and np.any(excess < 0):
+        return no_equilibrium("excess of both signs at S = 0")
+    sgn = 1.0 if np.any(excess > 0) else -1.0
+    bound = hi if sgn > 0 else lo
+
+    def slack(s):
+        return float(np.max(sgn * (solve_at(sgn * s) - bound)))
+
+    # an equilibrium has eta.(b(v) + w) = -kC*S*eta.a with eta.b increasing on
+    # the box, so |S| cannot exceed the value at the opposite corner
+    corner = lo if sgn > 0 else hi
+    s_max = -sgn * float(ic.eta @ (ic(corner) + w)) / (kC * float(ic.eta @ a))
+    if not s_max > 0.0 or slack(s_max) > 0.0:
+        return no_equilibrium(f"no excess sum up to {max(s_max, 0.0):.6g} clears "
+                              f"the excess")
+    s_root = brentq(slack, 0.0, s_max, xtol=4 * np.finfo(float).eps * s_max)
+    S = sgn * s_root
+    u_S = solve_at(S)
+    v = np.clip(u_S, lo, hi)
+    if np.any(sgn * (u_S - v) < 0):
+        return no_equilibrium(f"excess of both signs at S = {S:.6g}")
+    distance = sgn * (bound - v)
+    binding = distance <= np.min(distance)
+    u = v.copy()
+    u[binding] = bound[binding] + S / np.count_nonzero(binding)
+    return _finish_report(sys, u, steps, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +372,6 @@ class AllocationResult:
     method: str
 
 
-def _ic_jacobian(ic: Interconnection, v: np.ndarray) -> np.ndarray:
-    if ic.jacobian is not None:
-        return np.asarray(ic.jacobian(v), dtype=float)
-    eps = 1e-6
-    b0 = ic(v)
-    J = np.empty((ic.n, ic.n))
-    for j in range(ic.n):
-        vp = v.copy()
-        vp[j] = min(vp[j] + eps, ic.bounds.upper[j])
-        step = vp[j] - v[j]
-        if step <= 0:
-            vp[j] = v[j] - eps
-            step = -eps
-        J[:, j] = (ic(vp) - b0) / step
-    return J
-
-
 def _solve_pinned_targets(ic, agents, targets, free, v, tol, max_iter=40):
     """Newton for b_free(v) = targets on the free coordinates, v clamped to
     the box; pinned coordinates stay fixed.  Returns (v, ok)."""
@@ -412,7 +380,7 @@ def _solve_pinned_targets(ic, agents, targets, free, v, tol, max_iter=40):
         r = ic(v)[free] - targets[free]
         if float(np.max(np.abs(r), initial=0.0)) < tol:
             return v, True
-        J = _ic_jacobian(ic, v)[np.ix_(free, free)]
+        J = eval_jacobian(ic, v)[np.ix_(free, free)]
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -534,7 +502,7 @@ def _equalize(ic, agents, v_start, tol, max_outer):
         if len(work) == 0:
             stalled = True
             continue
-        J = _ic_jacobian(ic, v) / agents.a[:, None]
+        J = eval_jacobian(ic, v) / agents.a[:, None]
         Jw = J[np.ix_(work, work)] - np.tile(J[ref, work], (len(work), 1))
         try:
             step = np.linalg.solve(Jw, -err[work])

@@ -38,7 +38,16 @@ class IntegrationError(CapnetError):
 
 
 class EquilibriumError(CapnetError):
-    """Fixed-point iteration for a closed-loop equilibrium did not converge."""
+    """The Newton solve for a closed-loop equilibrium ended without one: its
+    step or backtracking budget ran out, its Jacobian was singular, or the
+    residual stayed above tolerance.  Carries the residual reached, the
+    Newton steps taken and the number of saturated agents."""
+
+    def __init__(self, message, residual=None, iterations=None, saturated=None):
+        super().__init__(message)
+        self.residual = residual
+        self.iterations = iterations
+        self.saturated = saturated
 
 
 class ConfigError(CapnetError):

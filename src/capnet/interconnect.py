@@ -87,6 +87,24 @@ def eval_interconnection(ic: Interconnection, v) -> np.ndarray:
     return np.asarray(ic.fn(np.clip(v, lo, hi)), dtype=float)
 
 
+def eval_jacobian(ic: Interconnection, v) -> np.ndarray:
+    """d b / d v at v in the box: the interconnection's own ``jacobian`` when
+    it has one, otherwise one-sided finite differences (forward, or backward
+    where a forward step would leave the box)."""
+    v = np.asarray(v, dtype=float)
+    if ic.jacobian is not None:
+        return np.asarray(ic.jacobian(v), dtype=float)
+    eps = 1e-6
+    b0 = ic(v)
+    J = np.empty((ic.n, ic.n))
+    for j in range(ic.n):
+        vp = v.copy()
+        step = eps if v[j] + eps <= ic.bounds.upper[j] else -eps
+        vp[j] += step
+        J[:, j] = (ic(vp) - b0) / step
+    return J
+
+
 # ---------------------------------------------------------------------------
 # linear special case
 
@@ -311,18 +329,6 @@ def check_lemma1(
                            tuple(bad), tuple(grazing))
 
 
-def _fd_jacobian(ic: Interconnection, v: np.ndarray) -> np.ndarray:
-    eps = 1e-6
-    b0 = ic(v)
-    J = np.empty((ic.n, ic.n))
-    for j in range(ic.n):
-        vp = v.copy()
-        step = eps if v[j] + eps <= ic.bounds.upper[j] else -eps
-        vp[j] += step
-        J[:, j] = (ic(vp) - b0) / step
-    return J
-
-
 def _lemma2_proposal(ic, rng, v_low):
     """Candidate partner likely (but not certain) to order the outputs.
 
@@ -336,9 +342,8 @@ def _lemma2_proposal(ic, rng, v_low):
     n = ic.n
     mode = rng.random()
     if mode < 0.5 and (ic.jacobian is not None or n <= 8):
-        J = ic.jacobian(v_low) if ic.jacobian is not None else _fd_jacobian(ic, v_low)
         try:
-            dv = np.linalg.solve(np.asarray(J, dtype=float), rng.uniform(0.1, 1.0, n))
+            dv = np.linalg.solve(eval_jacobian(ic, v_low), rng.uniform(0.1, 1.0, n))
         except np.linalg.LinAlgError:
             return None
         m = float(np.max(np.abs(dv)))

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
-                      DecentralizedMonitor, LyapunovMonitor, control_input, field as loop_field,
+                      DecentralizedMonitor, LyapunovMonitor, field as loop_field,
                       rejectable_disturbance)
 from .core import DECENTRALIZED, AgentEnsemble
 from .errors import ConfigError, IntegrationError, TuningError

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import capnet as cp
+from capnet import equilibria
 from capnet.equilibria import NoEquilibrium
 from tests.conftest import B_REF, W_REF
 
@@ -20,6 +22,82 @@ def scalar_stationarity_bisect(w=-2.0, a=1.0, kA=0.4, lim=1.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def damped_decentralized_reference(B, a, w, kA, max_iter=200_000):
+    """Independent reference for the linear decentralized equilibrium: the
+    damped fixed point u <- u - relax*(B sat(u) + w + a*kA*dz(u)) on [-1, 1]^n.
+    For column-diagonally-dominant B every linear piece of the map is a
+    contraction in the 1-norm at this step, so the iteration converges."""
+    c = a * kA
+    relax = 1.0 / max(float(np.max(np.sum(np.abs(B), axis=0))), float(np.max(c)))
+    u = np.zeros(len(w))
+    for _ in range(max_iter):
+        v = np.clip(u, -1.0, 1.0)
+        step = relax * (B @ v + w + c * (u - v))
+        u = u - step
+        if float(np.max(np.abs(step))) < 1e-15 * (1.0 + float(np.max(np.abs(u)))):
+            return u
+    raise AssertionError("damped reference iteration did not converge")
+
+
+def random_linear_instance(seed, n, regime):
+    """Column- and row-diagonally-dominant M-matrix coupling on [-1, 1]^n
+    with a disturbance that the network can reject, that leaves every agent
+    in deficit even fully open, or that asks some agents for more than a
+    fully open valve and others for less."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 2.0, n)
+    B = np.diag(d) - rng.uniform(0.0, 0.8 * float(d.min()) / (n - 1), (n, n)) * (1 - np.eye(n))
+    bounds = cp.SaturationBounds.symmetric(1.0, n)
+    if regime == "rejectable":
+        w = -B @ rng.uniform(-0.9, 0.9, n)
+    elif regime == "deficit":
+        w = -B @ np.ones(n) - rng.uniform(0.05, 2.0, n)
+    else:
+        w = -B @ rng.uniform(-0.9, 1.5, n)
+    return B, cp.LinearMMatrix(B).as_interconnection(bounds), w, rng.uniform(0.5, 2.0, n)
+
+
+SOLVERS = {"decentralized": cp.find_equilibrium_decentralized,
+           "coordinating": cp.find_equilibrium_coordinating}
+
+
+def dhn_system(mode, ic=None):
+    """The calibrated DHN at -26.5 degC with tuning-compliant gains."""
+    net, bld, agents = cp.build_dhn_scenario(T_o=-26.5,
+                                             capacity_scale=cp.CALIBRATED_CAPACITY_SCALE)
+    ic = ic or cp.dhn_interconnection(net, bld)
+    n = net.n_consumers
+    if mode == "decentralized":
+        gains = cp.ControllerGains(kP=np.ones(n), kI=np.full(n, 0.4), mode=mode,
+                                   kA=np.full(n, 0.9))
+    else:
+        gains = cp.ControllerGains(kP=np.ones(n), kI=np.full(n, 0.4), mode=mode,
+                                   alpha=0.5, kC=0.9 * 2 / n)
+    return cp.ClosedLoopSystem(agents=agents, ic=ic, gains=gains,
+                               bounds=cp.SaturationBounds.symmetric(1.0, n))
+
+
+class CountingInterconnection:
+    """A DHN interconnection whose fn and jacobian calls are counted."""
+
+    def __init__(self):
+        net, bld, _ = cp.build_dhn_scenario(T_o=-26.5,
+                                            capacity_scale=cp.CALIBRATED_CAPACITY_SCALE)
+        base = cp.dhn_interconnection(net, bld)
+        self.calls = 0
+
+        def counted(f):
+            def wrapper(v):
+                self.calls += 1
+                return f(v)
+            return wrapper
+
+        self.ic = cp.Interconnection(fn=counted(base.fn), eta=base.eta, bounds=base.bounds,
+                                     jacobian=counted(base.jacobian), name="dhn",
+                                     allocator=base.allocator)
+        self.calls = 0  # construction probes fn
 
 
 class TestDecentralizedEquilibrium:
@@ -46,10 +124,36 @@ class TestDecentralizedEquilibrium:
         np.testing.assert_allclose(rep.u0, 0.0, atol=1e-10)
         np.testing.assert_allclose(rep.x0, 0.0, atol=1e-10)
 
-    def test_relax_independent(self, sys_dec2):
-        r1 = cp.find_equilibrium_decentralized(sys_dec2, relax=0.05)
-        r2 = cp.find_equilibrium_decentralized(sys_dec2, relax=0.22)
-        np.testing.assert_allclose(r1.u0, r2.u0, atol=1e-9)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           regime=st.sampled_from(["rejectable", "deficit", "mixed"]))
+    def test_matches_damped_reference_and_allocators(self, seed, n, regime):
+        B, ic, w, a = random_linear_instance(seed, n, regime)
+        agents = cp.AgentEnsemble(a=a, w=w)
+        kA = np.random.default_rng(seed + 1).uniform(0.2, 1.0, n)
+        dec = cp.ClosedLoopSystem(
+            agents=agents, ic=ic, bounds=ic.bounds,
+            gains=cp.ControllerGains(kP=np.ones(n), kI=np.full(n, 0.5),
+                                     mode="decentralized", kA=kA))
+        rep = cp.find_equilibrium_decentralized(dec)
+        assert rep.residual < 1e-12
+        np.testing.assert_allclose(rep.u0, damped_decentralized_reference(B, a, w, kA),
+                                   rtol=0.0, atol=1e-8)
+        alloc = cp.solve_l1_allocation(ic, agents)
+        assert rep.cost_l1w == pytest.approx(alloc.cost, rel=1e-8, abs=1e-8)
+        coord = cp.ClosedLoopSystem(
+            agents=agents, ic=ic, bounds=ic.bounds,
+            gains=cp.ControllerGains(kP=np.ones(n), kI=np.full(n, 0.5), mode="coordinating",
+                                     kC=float(np.random.default_rng(seed + 2).uniform(0.1, 1.0)),
+                                     alpha=1.0))
+        out = cp.find_equilibrium_coordinating(coord)
+        linf = cp.solve_linf_allocation(ic, agents)
+        if linf.x.max() - linf.x.min() < 1e-9:
+            assert isinstance(out, cp.EquilibriumReport), out.message
+            assert out.cost_linf == pytest.approx(linf.cost, rel=1e-8, abs=1e-8)
+        if isinstance(out, cp.EquilibriumReport):
+            assert out.residual < 1e-10
+            assert out.x0.max() - out.x0.min() < 1e-9
 
     def test_sign_complementarity(self, sys_dec2):
         rep = cp.find_equilibrium_decentralized(sys_dec2)
@@ -98,18 +202,11 @@ class TestCoordinatingEquilibrium:
     def test_dhn_capacity_bound_equalizes_errors(self):
         # calibrated DHN at -26.5 degC with tuning-compliant gains; the
         # equalized level 9.31561 is the L-infinity allocator's optimum
-        net, bld, agents = cp.build_dhn_scenario(T_o=-26.5,
-                                                 capacity_scale=cp.CALIBRATED_CAPACITY_SCALE)
-        ic = cp.dhn_interconnection(net, bld)
-        n = net.n_consumers
-        gains = cp.ControllerGains(kP=np.ones(n), kI=np.full(n, 0.4), mode="coordinating",
-                                   alpha=0.5, kC=0.9 * 2 / n)
-        sysc = cp.ClosedLoopSystem(agents=agents, ic=ic, gains=gains,
-                                   bounds=cp.SaturationBounds.symmetric(1.0, n))
+        sysc = dhn_system("coordinating")
         rep = cp.find_equilibrium_coordinating(sysc)
         assert isinstance(rep, cp.EquilibriumReport), rep.message
         assert rep.x0.max() - rep.x0.min() < 1e-9
-        allocation = cp.solve_linf_allocation(ic, agents)
+        allocation = cp.solve_linf_allocation(sysc.ic, sysc.agents)
         assert rep.cost_linf == pytest.approx(allocation.cost, rel=1e-7)
         assert rep.cost_linf == pytest.approx(9.31561, abs=1e-5)
 
@@ -123,6 +220,61 @@ class TestCoordinatingEquilibrium:
                 b = B_REF @ np.array([v1, v2])
                 best = min(best, abs((b[0] - 100.0) - (b[1] + 0.0)))
         assert best > 90.0
+
+
+class TestNewtonBudget:
+    """On the calibrated DHN both equilibria take a handful of Newton steps,
+    each one Jacobian and one evaluation of b per trial point."""
+
+    @pytest.mark.parametrize("mode, limit", [("decentralized", 50), ("coordinating", 2000)])
+    def test_dhn_evaluation_count(self, mode, limit):
+        counting = CountingInterconnection()
+        rep = SOLVERS[mode](dhn_system(mode, counting.ic))
+        assert isinstance(rep, cp.EquilibriumReport)
+        assert counting.calls <= limit
+        assert rep.iterations <= counting.calls
+
+    @pytest.mark.parametrize("mode", ["decentralized", "coordinating"])
+    def test_exhausted_budget_raises_with_residual(self, mode):
+        with pytest.raises(cp.EquilibriumError, match=r"residual \d\.\d+e[+-]\d+") as info:
+            SOLVERS[mode](dhn_system(mode), max_iter=1)
+        assert info.value.iterations == 1
+        assert info.value.residual > 0.0
+        assert info.value.saturated is not None
+
+
+class TestIndependentOfOpenLoopRoute:
+    """The closed-loop solves must not lean on the open-loop optima they are
+    certified against."""
+
+    @pytest.fixture
+    def no_open_loop_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed-loop solve used the open-loop route")
+
+        for name in ("_equalize", "_solve_pinned_targets", "_direct_search",
+                     "solve_l1_allocation", "solve_linf_allocation",
+                     "oracle_weighted_l1", "oracle_linf"):
+            monkeypatch.setattr(equilibria, name, refuse)
+
+        class RefusingAllocator:
+            l1 = linf = staticmethod(refuse)
+
+        return RefusingAllocator()
+
+    def test_dhn(self, no_open_loop_route):
+        base = dhn_system("decentralized").ic
+        ic = cp.Interconnection(fn=base.fn, eta=base.eta, bounds=base.bounds,
+                                jacobian=base.jacobian, name="dhn",
+                                allocator=no_open_loop_route)
+        dec = cp.find_equilibrium_decentralized(dhn_system("decentralized", ic))
+        coord = cp.find_equilibrium_coordinating(dhn_system("coordinating", ic))
+        assert dec.residual < 1e-12
+        assert isinstance(coord, cp.EquilibriumReport) and coord.residual < 1e-10
+
+    def test_linear(self, no_open_loop_route, sys_dec2, sys_coord2):
+        assert cp.find_equilibrium_decentralized(sys_dec2).residual < 1e-12
+        assert cp.find_equilibrium_coordinating(sys_coord2).residual < 1e-10
 
 
 class TestOracles:
@@ -192,7 +344,7 @@ class TestVerifyOptimality:
         fake = cp.EquilibriumReport(
             mode=rep.mode, u0=wrong_u, x0=x, z0=rep.z0, zeta0=rep.zeta0,
             residual=0.0, cost_l1w=float(np.sum(np.abs(x))),
-            cost_linf=float(np.max(np.abs(x))), iterations=0, relax=0.0)
+            cost_linf=float(np.max(np.abs(x))), iterations=0)
         verdict = cp.verify_optimality(sys_dec2, fake, "l1w", n_samples=200, seed=0)
         assert not verdict.passed
 
