@@ -12,9 +12,9 @@ simulation pipeline with a CLI.
 from .core import (AgentEnsemble, ControllerGains, SaturationBounds, TuningReport,
                    deadzone, saturate, sign, validate_coordinating_tuning,
                    validate_decentralized_tuning, validate_tuning)
-from .interconnect import (Interconnection, LinearMMatrix, PropertyVerdict,
-                           check_assumption1, check_lemma1, check_lemma2,
-                           eval_interconnection, positive_left_weight)
+from .interconnect import (Interconnection, LinearAllocator, LinearMMatrix,
+                           PropertyVerdict, check_assumption1, check_lemma1,
+                           check_lemma2, eval_interconnection, positive_left_weight)
 from .hydraulics import (CALIBRATED_CAPACITY_SCALE, BuildingParams, Consumer,
                          FlowSolution, HydraulicNetwork, HydraulicStats, Pipe,
                          build_dhn_network, build_dhn_scenario, dhn_interconnection,
@@ -35,8 +35,8 @@ from .equilibria import (AllocationResult, EquilibriumReport, NoEquilibrium,
                          solve_l1_allocation, solve_linf_allocation,
                          verify_global_convergence, verify_optimality,
                          weighted_l1_cost)
-from .errors import (CapnetError, ConfigError, DimensionError, DomainError,
-                     EquilibriumError, FlowSolverError, IntegrationError,
-                     TuningError)
+from .errors import (AllocationError, CapnetError, ConfigError, DimensionError,
+                     DomainError, EquilibriumError, FlowSolverError,
+                     IntegrationError, TuningError)
 
 __version__ = "0.1.0"

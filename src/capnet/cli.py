@@ -2,7 +2,8 @@
 
 Configuration files are JSON with a versioned schema; unknown keys are
 rejected so typos in scientific configs fail loudly.  Exit codes: 0 success,
-1 counterexample/verdict failure, 2 configuration error, 3 solver error.
+1 counterexample/verdict failure, 2 configuration or tuning error, 3 solver
+error; ``main`` maps each error to its code through ``ERROR_EXITS``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from . import equilibria, hydraulics, sim
 from .control import ClosedLoopSystem
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, ControllerGains,
                    SaturationBounds, validate_tuning)
-from .errors import (CapnetError, ConfigError, EquilibriumError, FlowSolverError,
-                     IntegrationError, TuningError)
+from .errors import (AllocationError, CapnetError, ConfigError, EquilibriumError,
+                     FlowSolverError, IntegrationError, TuningError)
 from .interconnect import Interconnection, LinearMMatrix, check_assumption1, \
     check_lemma1, check_lemma2
 
@@ -34,6 +35,16 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+#: exit code and stderr prefix of each error a subcommand may raise
+ERROR_EXITS = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    TuningError: (EXIT_CONFIG, "tuning error"),
+    FlowSolverError: (EXIT_SOLVER, "solver error"),
+    IntegrationError: (EXIT_SOLVER, "solver error"),
+    EquilibriumError: (EXIT_SOLVER, "solver error"),
+    AllocationError: (EXIT_SOLVER, "solver error"),
+}
 
 SCHEMA_VERSION = 1
 
@@ -264,23 +275,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> BuiltSc
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = ScenarioConfig.load(args.config)
-        built = build_scenario(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FlowSolverError, IntegrationError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        arts = sim.run_scenario(built.scenario)
-    except TuningError as exc:
-        print(f"tuning error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FlowSolverError, IntegrationError, EquilibriumError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    arts = sim.run_scenario(build_scenario(ScenarioConfig.load(args.config)).scenario)
     print(f"wrote {arts.csv_path}" if arts.csv_path else "run complete (no output dir)")
     for key in sorted(arts.summary):
         print(f"  {key}={arts.summary[key]}")
@@ -288,16 +283,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        cfg = ScenarioConfig.load(args.config)
-        built = build_scenario(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FlowSolverError, IntegrationError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    system = built.system
+    system = build_scenario(ScenarioConfig.load(args.config)).system
     wanted = [name for name, on in (("assumption1", args.assumption1),
                                     ("lemma1", args.lemma1),
                                     ("lemma2", args.lemma2),
@@ -305,60 +291,41 @@ def cmd_check(args) -> int:
     if not wanted:
         wanted = ["assumption1", "lemma1", "lemma2", "tuning"]
     failed = False
-    try:
-        for name in wanted:
-            if name == "tuning":
-                report = validate_tuning(system.agents, system.gains)
-                print(report.summary())
-                failed = failed or not report.passed
-                continue
-            checker = {"assumption1": check_assumption1, "lemma1": check_lemma1,
-                       "lemma2": check_lemma2}[name]
-            verdict = checker(system.ic, args.samples, rng_seed=args.seed)
-            print(verdict.summary())
-            failed = failed or not verdict.passed
-    except (FlowSolverError, IntegrationError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    for name in wanted:
+        if name == "tuning":
+            report = validate_tuning(system.agents, system.gains)
+            print(report.summary())
+            failed = failed or not report.passed
+            continue
+        checker = {"assumption1": check_assumption1, "lemma1": check_lemma1,
+                   "lemma2": check_lemma2}[name]
+        verdict = checker(system.ic, args.samples, rng_seed=args.seed)
+        print(verdict.summary())
+        failed = failed or not verdict.passed
     return EXIT_FAIL if failed else EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = ScenarioConfig.load(args.config)
-        built = build_scenario(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FlowSolverError, IntegrationError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    built = build_scenario(ScenarioConfig.load(args.config))
     system = built.system
     verdicts = []
     rep = None
-    try:
-        if args.optimality or not args.stability:
-            if system.gains.mode == DECENTRALIZED:
-                rep = equilibria.find_equilibrium_decentralized(system)
-                mode = "l1w"
-            else:
-                rep = equilibria.find_equilibrium_coordinating(system)
-                if isinstance(rep, equilibria.NoEquilibrium):
-                    print(f"no equilibrium: {rep.message}", file=sys.stderr)
-                    return EXIT_FAIL
-                mode = "linf"
-            verdicts.append(equilibria.verify_optimality(
-                system, rep, mode, n_samples=args.samples, seed=args.seed))
-        if args.stability:
-            verdicts.append(equilibria.verify_global_convergence(
-                system, n_starts=args.starts, seed=args.seed, t_max=args.t_max,
-                tol=args.tol, force=built.tuning_forced, equilibrium=rep))
-    except TuningError as exc:
-        print(f"tuning error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FlowSolverError, IntegrationError, EquilibriumError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if args.optimality or not args.stability:
+        if system.gains.mode == DECENTRALIZED:
+            rep = equilibria.find_equilibrium_decentralized(system)
+            mode = "l1w"
+        else:
+            rep = equilibria.find_equilibrium_coordinating(system)
+            if isinstance(rep, equilibria.NoEquilibrium):
+                print(f"no equilibrium: {rep.message}", file=sys.stderr)
+                return EXIT_FAIL
+            mode = "linf"
+        verdicts.append(equilibria.verify_optimality(
+            system, rep, mode, n_samples=args.samples, seed=args.seed))
+    if args.stability:
+        verdicts.append(equilibria.verify_global_convergence(
+            system, n_starts=args.starts, seed=args.seed, t_max=args.t_max,
+            tol=args.tol, force=built.tuning_forced, equilibrium=rep))
     for verdict in verdicts:
         print(verdict.report())
         if args.report_dir:
@@ -403,17 +370,13 @@ def _dhn_scenario(policy: str, capacity_scale: float, out_dir, t_end: float,
 def cmd_reproduce_dhn(args) -> int:
     policies = list(sim.POLICIES) if args.policy == "all" else [args.policy]
     out_dir = Path(args.out)
-    try:
-        scenarios = [_dhn_scenario(p, args.capacity_scale, out_dir, args.t_end,
-                                   args.output_dt) for p in policies]
-        if len(scenarios) > 1:
-            with ThreadPoolExecutor(max_workers=len(scenarios)) as pool:
-                artifacts = list(pool.map(sim.run_scenario, scenarios))
-        else:
-            artifacts = [sim.run_scenario(scenarios[0])]
-    except (FlowSolverError, IntegrationError, EquilibriumError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    scenarios = [_dhn_scenario(p, args.capacity_scale, out_dir, args.t_end,
+                               args.output_dt) for p in policies]
+    if len(scenarios) > 1:
+        with ThreadPoolExecutor(max_workers=len(scenarios)) as pool:
+            artifacts = list(pool.map(sim.run_scenario, scenarios))
+    else:
+        artifacts = [sim.run_scenario(scenarios[0])]
     lines = ["policy,time,max_deviation,sum_deviation"]
     for arts in artifacts:
         for k, t in enumerate(arts.times):
@@ -487,7 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(ERROR_EXITS) as exc:
+        code, prefix = next(v for k, v in ERROR_EXITS.items() if isinstance(exc, k))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

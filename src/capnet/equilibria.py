@@ -15,9 +15,10 @@ The open-loop optima that certify them come from two independent routes:
 
 * a derivative-free direct search (coarse grid or Latin hypercube, then a
   Nelder-Mead polish) used as the oracle of record for verification, and
-* structured allocation solvers (active-set Newton on the complementarity /
-  equalization conditions) used where many re-solves are needed, e.g. the
-  benchmark policies of the district-heating scenario.
+* the exact allocators an interconnection carries (a linear program for
+  b(v) = B v, tree inversion for the district-heating network) used where
+  many re-solves are needed, e.g. the benchmark policies of the
+  district-heating scenario; without one the allocation is the oracle's.
 
 The closed-loop solves call neither route, and neither route touches the
 controller equations, so agreement between them is a genuine cross-check.
@@ -36,7 +37,7 @@ from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       rejectable_disturbance)
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, saturate,
                    validate_tuning)
-from .errors import CapnetError, EquilibriumError, TuningError
+from .errors import EquilibriumError, TuningError
 from .interconnect import Interconnection, eval_jacobian
 
 
@@ -364,6 +365,9 @@ def oracle_linf(ic: Interconnection, agents: AgentEnsemble,
 
 @dataclass
 class AllocationResult:
+    """An open-loop optimum.  ``iterations`` is 1 for a structural allocator
+    and the number of evaluations of b for the direct search."""
+
     v: np.ndarray
     x: np.ndarray
     cost: float
@@ -372,214 +376,47 @@ class AllocationResult:
     method: str
 
 
-def _solve_pinned_targets(ic, agents, targets, free, v, tol, max_iter=40):
-    """Newton for b_free(v) = targets on the free coordinates, v clamped to
-    the box; pinned coordinates stay fixed.  Returns (v, ok)."""
-    lo, hi = ic.bounds.lower, ic.bounds.upper
-    for _ in range(max_iter):
-        r = ic(v)[free] - targets[free]
-        if float(np.max(np.abs(r), initial=0.0)) < tol:
-            return v, True
-        J = eval_jacobian(ic, v)[np.ix_(free, free)]
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            return v, False
-        # damped update, clipped to the box
-        t = 1.0
-        base = float(r @ r)
-        improved = False
-        for _ in range(10):
-            v_try = v.copy()
-            v_try[free] = np.clip(v[free] + t * step, lo[free], hi[free])
-            if np.array_equal(v_try, v):
-                break
-            r_try = ic(v_try)[free] - targets[free]
-            if float(r_try @ r_try) < base:
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            # stuck against the box or a flat direction: report what we have
-            return v, float(np.max(np.abs(r))) < tol
-        v = v_try
-    r = ic(v)[free] - targets[free]
-    return v, float(np.max(np.abs(r), initial=0.0)) < tol
+def _allocate(ic, agents, warm_start, name, cost_of_x, oracle) -> AllocationResult:
+    if ic.allocator is None:
+        res = oracle(ic, agents)
+        return AllocationResult(v=res.v, x=res.x, cost=res.cost,
+                                iterations=res.n_evaluations, converged=True,
+                                method="oracle:" + res.method)
+    v, x, method = getattr(ic.allocator, name)(agents.a, agents.w, warm_start)
+    return AllocationResult(v=v, x=x, cost=cost_of_x(x), iterations=1,
+                            converged=True, method=method)
 
 
 def solve_l1_allocation(
     ic: Interconnection,
     agents: AgentEnsemble,
     warm_start: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
-    max_outer: int = 40,
 ) -> AllocationResult:
-    """Weighted-L1-optimal open-loop allocation via its complementarity
-    structure: each agent either rests at zero error or holds its valve at
-    the upper limit while in deficit (lower limit while in surplus).
+    """The open-loop allocation minimizing sum_i eta_i*a_i*|x_i| over the box.
 
-    Interconnections carrying a structural allocator (e.g. the invertible
-    tree hydraulics) take that path; otherwise an active-set Newton runs on
-    the interconnection directly, with the direct-search oracle as the final
-    fallback.
+    Solved by the interconnection's allocator when it carries one (a linear
+    program for b(v) = B v, tree inversion for the DHN), whose errors
+    propagate; otherwise by the direct-search oracle.  ``warm_start`` is
+    passed to the allocator.
     """
-    if ic.allocator is not None:
-        try:
-            v, x, method = ic.allocator.l1(agents.a, agents.w, warm_start)
-            return AllocationResult(v=v, x=x,
-                                    cost=weighted_l1_cost(ic.eta, agents.a, x),
-                                    iterations=1, converged=True, method=method)
-        except CapnetError:
-            pass
-    n = ic.n
-    lo, hi = ic.bounds.lower, ic.bounds.upper
-    v = np.clip(warm_start.copy(), lo, hi) if warm_start is not None else hi.copy()
-    scale = float(np.max(np.abs(agents.w))) + 1.0
-    for outer in range(1, max_outer + 1):
-        x = (ic(v) + agents.w) / agents.a
-        at_hi = np.isclose(v, hi, rtol=0.0, atol=1e-12)
-        at_lo = np.isclose(v, lo, rtol=0.0, atol=1e-12)
-        # complementarity residual: interior agents must sit at x = 0, agents
-        # at the upper limit may be in deficit, at the lower limit in surplus
-        comp = np.where(at_hi, np.maximum(x, 0.0), x)
-        comp = np.where(at_lo, np.minimum(x, 0.0), comp)
-        if float(np.max(np.abs(comp))) < tol * scale:
-            cost = weighted_l1_cost(ic.eta, agents.a, x)
-            return AllocationResult(v=v, x=x, cost=cost, iterations=outer,
-                                    converged=True, method="complementarity")
-        # re-solve zero-error targets on the currently interior agents
-        free = np.nonzero(~(at_hi & (x < 0)) & ~(at_lo & (x > 0)))[0]
-        if len(free) == 0:
-            # fully saturated allocation but residual above tolerance: retry
-            # with everything free so clamping can re-assign the active set
-            free = np.arange(n)
-        targets = -np.asarray(agents.w, dtype=float)
-        v, _ = _solve_pinned_targets(ic, agents, targets, free, v, tol * scale)
-    res = oracle_weighted_l1(ic, agents)
-    return AllocationResult(v=res.v, x=res.x, cost=res.cost, iterations=max_outer,
-                            converged=True, method="fallback:" + res.method)
-
-
-def _equalize(ic, agents, v_start, tol, max_outer):
-    """Solve x_i(v) = x_ref(v) with the most disadvantaged agent pinned fully
-    open.  Returns (v, x, converged)."""
-    n = ic.n
-    lo, hi = ic.bounds.lower, ic.bounds.upper
-    v = v_start.copy()
-    # pin the agent worst off when everything is fully open; a warm start
-    # point has equalized errors and cannot rank the agents
-    ref = int(np.argmin((ic(hi) + agents.w) / agents.a))
-    swaps = 0
-    outer = 0
-    stalled = False
-    def masked_error(vv, xx):
-        # agents pinned fully open may sit below the common level; everyone
-        # else must match it exactly
-        e = xx - xx[ref]
-        e = np.where(vv >= hi - 1e-12, np.maximum(e, 0.0), e)
-        e[ref] = 0.0
-        return e
-
-    while outer < max_outer and not stalled:
-        outer += 1
-        v[ref] = hi[ref]
-        x = (ic(v) + agents.w) / agents.a
-        tau = x[ref]
-        err = x - tau
-        err_ok = masked_error(v, x)
-        if float(np.max(np.abs(err_ok))) < tol:
-            worst = int(np.argmin(x))
-            if x[worst] < tau - tol and swaps < n:
-                ref = worst
-                swaps += 1
-                continue
-            return v, x, True
-        # working set: everyone except the reference and the agents that are
-        # legitimately pinned fully open below the level; a pinned agent whose
-        # error turns positive rejoins and gets closed
-        pinned = (v >= hi - 1e-12) & (err <= tol)
-        work = np.array([i for i in range(n) if i != ref and not pinned[i]])
-        if len(work) == 0:
-            stalled = True
-            continue
-        J = eval_jacobian(ic, v) / agents.a[:, None]
-        Jw = J[np.ix_(work, work)] - np.tile(J[ref, work], (len(work), 1))
-        try:
-            step = np.linalg.solve(Jw, -err[work])
-        except np.linalg.LinAlgError:
-            break
-        t = 1.0
-        base = float(err_ok @ err_ok)
-        improved = False
-        for _ in range(10):
-            v_try = v.copy()
-            v_try[work] = np.clip(v[work] + t * step, lo[work], hi[work])
-            if np.array_equal(v_try, v):
-                break
-            x_try = (ic(v_try) + agents.w) / agents.a
-            e_try = masked_error(v_try, x_try)
-            if float(e_try @ e_try) < base:
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            stalled = True  # judged below on the residual actually reached
-        else:
-            v = v_try
-    x = (ic(v) + agents.w) / agents.a
-    err_ok = masked_error(v, x)
-    ok = float(np.max(np.abs(err_ok))) < tol and float(np.min(x)) >= x[ref] - tol
-    return v, x, ok
+    eta, a = ic.eta, agents.a
+    return _allocate(ic, agents, warm_start, "l1",
+                     lambda x: weighted_l1_cost(eta, a, x), oracle_weighted_l1)
 
 
 def solve_linf_allocation(
     ic: Interconnection,
     agents: AgentEnsemble,
     warm_start: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
-    max_outer: int = 60,
 ) -> AllocationResult:
-    """Min-max-optimal allocation by error equalization.
+    """The open-loop allocation minimizing max_i |x_i| over the box.
 
-    Solves the equalized system x_i(v) = tau with the most disadvantaged
-    agent pinned at its upper limit.  When the common level comes out at or
-    above zero the disturbance is rejectable, and an exact-rejection solve
-    (all errors zero, valves interior) replaces it.  Falls back to the
-    direct-search oracle whenever the structured solves do not converge.
+    Solved by the interconnection's allocator when it carries one (a linear
+    program for b(v) = B v, a bisection on the common error level for the
+    DHN), whose errors propagate; otherwise by the direct-search oracle.
+    ``warm_start`` is passed to the allocator.
     """
-    if ic.allocator is not None:
-        try:
-            v, x, method = ic.allocator.linf(agents.a, agents.w, warm_start)
-            return AllocationResult(v=v, x=x, cost=linf_cost(x), iterations=1,
-                                    converged=True, method=method)
-        except CapnetError:
-            pass
-    n = ic.n
-    lo, hi = ic.bounds.lower, ic.bounds.upper
-    scale = float(np.max(np.abs(agents.w))) + 1.0
-    v0 = np.clip(warm_start.copy(), lo, hi) if warm_start is not None else hi.copy()
-
-    v_eq, x_eq, ok_eq = _equalize(ic, agents, v0, tol * scale, max_outer)
-    if ok_eq and float(np.min(x_eq)) < -tol * scale:
-        # genuine deficit: the equalized allocation is the min-max optimum
-        return AllocationResult(v=v_eq, x=x_eq, cost=linf_cost(x_eq), iterations=1,
-                                converged=True, method="equalization")
-    # rejectable (or equalization failed): try zero error on every agent
-    targets = -np.asarray(agents.w, dtype=float)
-    start = v_eq if ok_eq else v0
-    v_rej, ok_rej = _solve_pinned_targets(ic, agents, targets, np.arange(n),
-                                          start.copy(), tol * scale)
-    if ok_rej and np.all(v_rej >= lo) and np.all(v_rej <= hi):
-        x = (ic(v_rej) + agents.w) / agents.a
-        if float(np.max(np.abs(x))) < tol * scale:
-            return AllocationResult(v=v_rej, x=x, cost=linf_cost(x), iterations=1,
-                                    converged=True, method="rejection")
-    if ok_eq:
-        return AllocationResult(v=v_eq, x=x_eq, cost=linf_cost(x_eq), iterations=1,
-                                converged=True, method="equalization")
-    res = oracle_linf(ic, agents)
-    return AllocationResult(v=res.v, x=res.x, cost=res.cost, iterations=max_outer,
-                            converged=True, method="fallback:" + res.method)
+    return _allocate(ic, agents, warm_start, "linf", linf_cost, oracle_linf)
 
 
 # ---------------------------------------------------------------------------

@@ -50,5 +50,15 @@ class EquilibriumError(CapnetError):
         self.saturated = saturated
 
 
+class AllocationError(CapnetError):
+    """A linear-program allocation ended without an optimum (infeasible,
+    unbounded or out of iterations).  Carries the solver's status code; the
+    message is the solver's own."""
+
+    def __init__(self, message, status=None):
+        super().__init__(message)
+        self.status = status
+
+
 class ConfigError(CapnetError):
     """A scenario/network configuration file is malformed or inconsistent."""

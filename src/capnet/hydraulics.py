@@ -387,9 +387,11 @@ class DhnAllocator:
 
     Valve positions follow in closed form from any prescribed consumer flow
     pattern, so the weighted-L1 optimum reduces to an active-set iteration
-    over reduced flow solves, and the min-max optimum to a scalar bisection
-    on the common error level.  Used by the benchmark policies; the generic
-    direct-search oracles remain the independent reference.
+    over reduced flow solves, with the valves of agents that need no heat
+    (w_i >= 0) shut, and the min-max optimum to a scalar bisection on the
+    common error level.  Errors raise FlowSolverError.  Used by the
+    benchmark policies; the generic direct-search oracles remain the
+    independent reference.
     """
 
     def __init__(self, net: HydraulicNetwork, coef: np.ndarray):
@@ -436,30 +438,32 @@ class DhnAllocator:
     def l1(self, a, w, warm_v=None):
         net = self.net
         n = net.n_consumers
-        hi = np.ones(n)
-        lo = -np.ones(n)
-        q_zero_error = -np.asarray(w, dtype=float) / self.coef
-        if np.any(q_zero_error <= 0.0):
-            raise FlowSolverError("allocation shortcut needs strictly heating demands")
+        w = np.asarray(w, dtype=float)
+        # an agent with w_i >= 0 is in surplus at every opening; by lemma 1,
+        # closing its valve alone lowers a_i*|x_i| by more than it changes
+        # everyone else's cost, so it stays shut and out of the active set
+        shut = w >= 0.0
+        valves = np.where(shut, -1.0, 1.0)
+        q_zero_error = -w / self.coef
         if warm_v is not None:
-            pinned = np.asarray(warm_v) >= 1.0 - 1e-9
+            pinned = (np.asarray(warm_v) >= 1.0 - 1e-9) & ~shut
         else:
-            pinned = np.ones(n, dtype=bool)
+            pinned = ~shut
         scale = float(np.max(np.abs(w))) + 1.0
         q = None
         for _ in range(2 * n):
-            fixed_q = np.where(pinned, np.nan, q_zero_error)
-            q = solve_flows_partial(net, hi, fixed_q, warm_start=q)
+            fixed_q = np.where(pinned | shut, np.nan, q_zero_error)
+            q = solve_flows_partial(net, valves, fixed_q, warm_start=q)
             x = (self.coef * q + w) / a
             v_needed = valve_positions_for_flows(net, q)
             release = pinned & (x > 1e-9 * scale)
-            grab = (~pinned) & (v_needed > 1.0)
+            grab = ~(pinned | shut) & (v_needed > 1.0)
             if not release.any() and not grab.any():
                 break
             pinned = (pinned & ~release) | grab
         else:
             raise FlowSolverError("allocation active set did not settle")
-        v = np.where(pinned, 1.0, np.clip(v_needed, lo, hi))
+        v = np.where(pinned | shut, valves, np.clip(v_needed, -1.0, 1.0))
         x = (self.coef * solve_flows(net, v) + w) / a
         return v, x, "dhn-complementarity"
 

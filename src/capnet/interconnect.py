@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .core import SaturationBounds, as_vector
-from .errors import DimensionError, DomainError
+from .errors import AllocationError, DimensionError, DomainError
 
 #: strict inequalities are checked with this margin; violations smaller than
 #: the margin are reported as "marginal" rather than failures
@@ -35,8 +36,11 @@ class Interconnection:
     """A map from the actuator box into resource space, with weight eta.
 
     ``fn`` must be pure and finite on the box (spot-checked at construction).
-    ``jacobian`` optionally returns d(fn)/dv at an interior point; it is used
-    by the structured allocation solvers and never required for simulation.
+    ``jacobian`` optionally returns d(fn)/dv at an interior point; without it
+    the equilibrium Newton and the lemma-2 proposals use finite differences.
+    ``allocator`` optionally provides ``l1(a, w, warm_v)`` and
+    ``linf(a, w, warm_v)``, each returning the exact open-loop optimum as
+    (v, x, method).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -44,7 +48,7 @@ class Interconnection:
     bounds: SaturationBounds
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
-    allocator: Optional[object] = None  # structural fast path, see equilibria
+    allocator: Optional[object] = None  # exact open-loop optima, see equilibria
 
     def __post_init__(self):
         object.__setattr__(self, "eta", as_vector(self.eta, "eta"))
@@ -137,11 +141,52 @@ def positive_left_weight(B, max_iter: int = 10_000, tol: float = 1e-13) -> np.nd
     return eta
 
 
+class LinearAllocator:
+    """Exact open-loop optima of b(v) = B v over the box, each one linear
+    program solved by HiGHS.
+
+    ``l1`` minimizes sum_i eta_i*a_i*|x_i| = sum_i eta_i*t_i subject to
+    t >= +-(B v + w); ``linf`` minimizes s subject to |(B v + w)_i/a_i| <= s.
+    Both return (v, x, method) with x = (B v + w)/a recomputed from the
+    returned v, never read from the program's auxiliary variables.  A solve
+    that ends without an optimum raises AllocationError with HiGHS' message.
+    """
+
+    def __init__(self, B: np.ndarray, eta: np.ndarray, bounds: SaturationBounds):
+        self.B = B
+        self.eta = eta
+        self.bounds = bounds
+
+    def _solve(self, a, w, row_scale, slack, cost, method):
+        """min cost.t over (v, t) with |row_scale*(B v + w)| <= slack @ t."""
+        A = row_scale[:, None] * self.B
+        r = row_scale * w
+        lo, hi = self.bounds.lower, self.bounds.upper
+        res = linprog(np.concatenate([np.zeros(len(w)), cost]),
+                      A_ub=np.block([[A, -slack], [-A, -slack]]),
+                      b_ub=np.concatenate([-r, r]),
+                      bounds=list(zip(lo, hi)) + [(0.0, None)] * len(cost),
+                      method="highs")
+        if res.status != 0:
+            raise AllocationError(f"{method} allocation: {res.message}", status=res.status)
+        v = np.clip(res.x[:len(w)], lo, hi)
+        return v, (self.B @ v + w) / a, method
+
+    def l1(self, a, w, warm_v=None):
+        n = len(w)
+        return self._solve(a, w, np.ones(n), np.eye(n), self.eta, "lp-l1")
+
+    def linf(self, a, w, warm_v=None):
+        return self._solve(a, w, 1.0 / a, np.ones((len(w), 1)), np.ones(1), "lp-linf")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearMMatrix:
     """Linear interconnection b(v) = B v with non-positive off-diagonals.
 
-    eta defaults to a positive left weight computed by power iteration.
+    eta defaults to a positive left weight computed by power iteration.  Its
+    interconnection carries a :class:`LinearAllocator`, so both open-loop
+    optima are exact linear programs.
     """
 
     B: np.ndarray
@@ -174,6 +219,7 @@ class LinearMMatrix:
             bounds=bounds,
             jacobian=lambda v: B,
             name="linear",
+            allocator=LinearAllocator(B, self.eta, bounds),
         )
 
 

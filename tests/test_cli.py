@@ -93,12 +93,23 @@ class TestSimulateCommand:
         header = csv.read_text(encoding="utf-8").splitlines()[0]
         assert header == "t,x1,x2,u1,u2,v1,v2,V"
 
-    def test_malformed_config_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("command", ["simulate", "check", "verify"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, command):
         path = tmp_path / "bad.json"
         path.write_text("{nope", encoding="utf-8")
-        assert cli.main(["simulate", str(path)]) == 2
+        assert cli.main([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
-    def test_dhn_zero_capacity_exit_3(self, tmp_path):
+    @pytest.mark.parametrize("argv", [["simulate"], ["verify", "--stability"]])
+    def test_tuning_violation_exit_2(self, tmp_path, capsys, argv):
+        cfg = linear_cfg()
+        cfg["agents"]["a"] = [0.3, 0.3]
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(argv[:1] + [str(path)] + argv[1:]) == 2
+        assert capsys.readouterr().err.startswith("tuning error: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "verify"])
+    def test_dhn_zero_capacity_exit_3(self, tmp_path, capsys, command):
         cfg = {
             "schema_version": 1,
             "system": {"type": "dhn", "network": "builtin:dhn_fig1",
@@ -109,7 +120,8 @@ class TestSimulateCommand:
             "sim": {"t_span": [0.0, 1.0], "output_dt": 0.5},
         }
         path = write_cfg(tmp_path, cfg)
-        assert cli.main(["simulate", str(path)]) == 3
+        assert cli.main([command, str(path)]) == 3
+        assert capsys.readouterr().err.startswith("solver error: ")
 
     def test_dhn_csv_has_22_state_columns(self, tmp_path):
         out = tmp_path / "out"

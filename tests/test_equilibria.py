@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult
 
 import capnet as cp
-from capnet import equilibria
+from capnet import equilibria, interconnect
 from capnet.equilibria import NoEquilibrium
 from tests.conftest import B_REF, W_REF
 
@@ -45,7 +46,7 @@ def random_linear_instance(seed, n, regime):
     """Column- and row-diagonally-dominant M-matrix coupling on [-1, 1]^n
     with a disturbance that the network can reject, that leaves every agent
     in deficit even fully open, or that asks some agents for more than a
-    fully open valve and others for less."""
+    fully open valve and others for more than a shut one or less."""
     rng = np.random.default_rng(seed)
     d = rng.uniform(0.5, 2.0, n)
     B = np.diag(d) - rng.uniform(0.0, 0.8 * float(d.min()) / (n - 1), (n, n)) * (1 - np.eye(n))
@@ -55,7 +56,7 @@ def random_linear_instance(seed, n, regime):
     elif regime == "deficit":
         w = -B @ np.ones(n) - rng.uniform(0.05, 2.0, n)
     else:
-        w = -B @ rng.uniform(-0.9, 1.5, n)
+        w = -B @ rng.uniform(-1.5, 1.5, n)
     return B, cp.LinearMMatrix(B).as_interconnection(bounds), w, rng.uniform(0.5, 2.0, n)
 
 
@@ -141,6 +142,7 @@ class TestDecentralizedEquilibrium:
                                    rtol=0.0, atol=1e-8)
         alloc = cp.solve_l1_allocation(ic, agents)
         assert rep.cost_l1w == pytest.approx(alloc.cost, rel=1e-8, abs=1e-8)
+        assert alloc.cost <= cp.oracle_weighted_l1(ic, agents).cost + 1e-9
         coord = cp.ClosedLoopSystem(
             agents=agents, ic=ic, bounds=ic.bounds,
             gains=cp.ControllerGains(kP=np.ones(n), kI=np.full(n, 0.5), mode="coordinating",
@@ -148,12 +150,13 @@ class TestDecentralizedEquilibrium:
                                      alpha=1.0))
         out = cp.find_equilibrium_coordinating(coord)
         linf = cp.solve_linf_allocation(ic, agents)
+        assert linf.cost <= cp.oracle_linf(ic, agents).cost + 1e-9
         if linf.x.max() - linf.x.min() < 1e-9:
             assert isinstance(out, cp.EquilibriumReport), out.message
-            assert out.cost_linf == pytest.approx(linf.cost, rel=1e-8, abs=1e-8)
         if isinstance(out, cp.EquilibriumReport):
             assert out.residual < 1e-10
             assert out.x0.max() - out.x0.min() < 1e-9
+            assert out.cost_linf == pytest.approx(linf.cost, rel=1e-8, abs=1e-8)
 
     def test_sign_complementarity(self, sys_dec2):
         rep = cp.find_equilibrium_decentralized(sys_dec2)
@@ -252,8 +255,7 @@ class TestIndependentOfOpenLoopRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("closed-loop solve used the open-loop route")
 
-        for name in ("_equalize", "_solve_pinned_targets", "_direct_search",
-                     "solve_l1_allocation", "solve_linf_allocation",
+        for name in ("_direct_search", "solve_l1_allocation", "solve_linf_allocation",
                      "oracle_weighted_l1", "oracle_linf"):
             monkeypatch.setattr(equilibria, name, refuse)
 
@@ -273,8 +275,16 @@ class TestIndependentOfOpenLoopRoute:
         assert isinstance(coord, cp.EquilibriumReport) and coord.residual < 1e-10
 
     def test_linear(self, no_open_loop_route, sys_dec2, sys_coord2):
-        assert cp.find_equilibrium_decentralized(sys_dec2).residual < 1e-12
-        assert cp.find_equilibrium_coordinating(sys_coord2).residual < 1e-10
+        base = sys_dec2.ic
+        ic = cp.Interconnection(fn=base.fn, eta=base.eta, bounds=base.bounds,
+                                jacobian=base.jacobian, name="linear",
+                                allocator=no_open_loop_route)
+        dec = cp.ClosedLoopSystem(agents=sys_dec2.agents, ic=ic, gains=sys_dec2.gains,
+                                  bounds=sys_dec2.bounds)
+        coord = cp.ClosedLoopSystem(agents=sys_coord2.agents, ic=ic,
+                                    gains=sys_coord2.gains, bounds=sys_coord2.bounds)
+        assert cp.find_equilibrium_decentralized(dec).residual < 1e-12
+        assert cp.find_equilibrium_coordinating(coord).residual < 1e-10
 
 
 class TestOracles:
@@ -323,6 +333,38 @@ class TestStructuredAllocators:
         l1 = cp.solve_l1_allocation(ic2, agents)
         ref = cp.oracle_weighted_l1(ic2, agents)
         assert l1.cost == pytest.approx(ref.cost, abs=1e-7)
+
+    def test_linf_surplus_even_when_shut(self):
+        # one agent is in surplus even with its valve shut; error equalization
+        # returned cost 1.1116 here
+        _, ic, w, a = random_linear_instance(2, 2, "mixed")
+        agents = cp.AgentEnsemble(a=a, w=w)
+        li = cp.solve_linf_allocation(ic, agents)
+        assert li.cost == pytest.approx(cp.oracle_linf(ic, agents).cost, rel=0.0, abs=1e-9)
+        assert li.cost == pytest.approx(0.1593, abs=1e-4)
+
+    def test_linf_six_agent_deficit(self):
+        # the equalization and rejection solves both failed here, and the
+        # Latin-hypercube fallback returned 1.7044
+        _, ic, w, a = random_linear_instance(0, 6, "deficit")
+        assert cp.solve_linf_allocation(ic, cp.AgentEnsemble(a=a, w=w)).cost <= 1.69377
+
+    def test_without_allocator_uses_oracle(self, ic2, agents2):
+        bare = cp.Interconnection(fn=ic2.fn, eta=ic2.eta, bounds=ic2.bounds)
+        for solve, cost in ((cp.solve_l1_allocation, 1.5), (cp.solve_linf_allocation, 1.05)):
+            res = solve(bare, agents2)
+            assert res.method.startswith("oracle:")
+            assert res.cost == pytest.approx(cost, abs=1e-8)
+
+    @pytest.mark.parametrize("solve", [cp.solve_l1_allocation, cp.solve_linf_allocation])
+    def test_solver_failure_raises(self, monkeypatch, ic2, agents2, solve):
+        def failed(*args, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(interconnect, "linprog", failed)
+        with pytest.raises(cp.AllocationError, match="numerical difficulties") as info:
+            solve(ic2, agents2)
+        assert info.value.status == 4
 
 
 class TestVerifyOptimality:

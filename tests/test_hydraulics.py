@@ -309,6 +309,16 @@ class TestAllocatorsOnSmallNetwork:
         slow = cp.oracle_linf(ic, agents, cp.OracleOptions(grid_points=41))
         assert fast.cost <= slow.cost + 1e-6 * (1 + slow.cost)
 
+    @pytest.mark.parametrize("w", [[0.5, -5.0], [-5.0, 0.5], [0.0, -20.0], [3.0, -1.0]])
+    def test_l1_shuts_agents_without_demand(self, dhn_small, w):
+        net, bld, ic = dhn_small
+        agents = cp.AgentEnsemble(a=bld.rates(2), w=w)
+        fast = cp.solve_l1_allocation(ic, agents)
+        slow = cp.oracle_weighted_l1(ic, agents, cp.OracleOptions(grid_points=41))
+        assert fast.method == "dhn-complementarity"
+        np.testing.assert_array_equal(fast.v[np.asarray(w) >= 0.0], -1.0)
+        assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
+
     def test_deep_deficit_equalizes(self, dhn_small):
         net, bld, ic = dhn_small
         agents = cp.AgentEnsemble(a=bld.rates(2), w=bld.disturbance(2, -26.5))
@@ -334,6 +344,15 @@ def linf_full_bisection(alloc, a, w):
 
 
 class TestDhnAllocator:
+    @pytest.mark.parametrize("T_o, cost", [(20.0, 3.0596817753551195),
+                                           (25.0, 69.05968177535513)])
+    def test_l1_without_heating_demand_shuts_every_valve(self, T_o, cost):
+        net, bld, agents = cp.build_dhn_scenario(
+            T_o=T_o, capacity_scale=cp.CALIBRATED_CAPACITY_SCALE)
+        res = cp.solve_l1_allocation(cp.dhn_interconnection(net, bld), agents)
+        np.testing.assert_array_equal(res.v, -np.ones(22))
+        assert res.cost == pytest.approx(cost, rel=1e-12)
+
     def test_linf_bisection_stops_when_interval_collapses(self, monkeypatch):
         net = cp.build_dhn_network(cp.CALIBRATED_CAPACITY_SCALE)
         bld = cp.BuildingParams()
