@@ -20,7 +20,7 @@ import numpy as np
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, ControllerGains,
                    SaturationBounds, as_vector, deadzone, saturate)
 from .errors import DimensionError, TuningError
-from .interconnect import Interconnection
+from .interconnect import Interconnection, eval_jacobian
 
 #: multiplicative slack for the certificate-decrease monitors; discrete
 #: integration may produce increases of this order without meaning anything
@@ -115,6 +115,25 @@ def field(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
     if sys.gains.mode == DECENTRALIZED:
         return field_decentralized(sys, s, t)
     return field_coordinating(sys, s, t)
+
+
+def field_jacobian(sys: ClosedLoopSystem, s: ClosedLoopState) -> np.ndarray:
+    """d(dx, dz)/d(x, z) of either loop, as a 2n x 2n matrix.  Agents strictly
+    inside the box pass du to b(v), saturated ones to the anti-windup term."""
+    n = sys.n
+    u = control_input(sys.gains, s)
+    free = (u > sys.bounds.lower) & (u < sys.bounds.upper)
+    du = np.hstack([np.diag(-sys.gains.kP), np.diag(-sys.gains.kI)])  # du/d(x, z)
+    excess = (~free)[:, None] * du                                      # d(u - v)/d(x, z)
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, :n] = np.diag(-sys.agents.a)
+    J[:n] += (eval_jacobian(sys.ic, saturate(u, sys.bounds)) * free) @ du
+    J[n:, :n] = np.eye(n)
+    if sys.gains.mode == DECENTRALIZED:
+        J[n:] += sys.gains.kA[:, None] * excess
+    else:
+        J[n:] += sys.gains.kC * excess.sum(axis=0)
+    return J
 
 
 # ---------------------------------------------------------------------------

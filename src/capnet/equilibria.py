@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       DecentralizedMonitor, field as loop_field,
@@ -266,6 +265,8 @@ def find_equilibrium_coordinating(
     if not s_max > 0.0 or slack(s_max) > 0.0:
         return no_equilibrium(f"no excess sum up to {max(s_max, 0.0):.6g} clears "
                               f"the excess")
+    from scipy.optimize import brentq  # deferred: scipy is slow to import
+
     s_root = brentq(slack, 0.0, s_max, xtol=4 * np.finfo(float).eps * s_max)
     S = sgn * s_root
     u_S = solve_at(S)
@@ -335,6 +336,8 @@ def _direct_search(ic, agents, cost_of_x, opts: Optional[OracleOptions]):
     v_best, c_best = candidates[best_idx].copy(), float(costs[best_idx])
     method = "grid" if bounds.n <= opts.grid_dim_limit else "lhs"
     if opts.polish:
+        from scipy.optimize import minimize  # deferred: scipy is slow to import
+
         res = minimize(cost, v_best, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
                                 "maxiter": 4000 * bounds.n, "maxfev": 8000 * bounds.n})

@@ -387,52 +387,65 @@ class DhnAllocator:
 
     Valve positions follow in closed form from any prescribed consumer flow
     pattern, so the weighted-L1 optimum reduces to an active-set iteration
-    over reduced flow solves, with the valves of agents that need no heat
-    (w_i >= 0) shut, and the min-max optimum to a scalar bisection on the
-    common error level.  Errors raise FlowSolverError.  Used by the
-    benchmark policies; the generic direct-search oracles remain the
-    independent reference.
+    over reduced flow solves and the min-max optimum to a scalar bisection
+    on the common error level of the agents in deficit; in both, the valves
+    of agents that need no heat (w_i >= 0) stay shut.  Errors raise
+    FlowSolverError.  Used by the benchmark policies; the generic
+    direct-search oracles remain the independent reference.
     """
 
     def __init__(self, net: HydraulicNetwork, coef: np.ndarray):
         self.net = net
         self.coef = coef
 
-    def _valves_for_level(self, a, w, tau):
-        """Valve positions putting every agent exactly at error level tau."""
-        q_target = (a * tau - w) / self.coef
-        return valve_positions_for_flows(self.net, q_target)
+    def _level(self, a, w, tau):
+        """Valves and flows with agents in deficit (w_i < 0) at error tau, others shut."""
+        q = (a * tau - w) / self.coef
+        shut = w >= 0.0
+        if not shut.any():
+            return valve_positions_for_flows(self.net, q), q
+        q = solve_flows_partial(self.net, np.where(shut, -1.0, 1.0), np.where(shut, np.nan, q))
+        return np.where(shut, -1.0, valve_positions_for_flows(self.net, q)), q
 
     def linf(self, a, w, warm_v=None):
-        net = self.net
-        n = net.n_consumers
-        hi = np.ones(n)
-        lo = -np.ones(n)
-        v_reject = self._valves_for_level(a, w, 0.0)
-        if np.max(v_reject) <= 1.0:
-            v = np.clip(v_reject, lo, hi)
+        w = np.asarray(w, dtype=float)
+        # agents with w_i >= 0 are in surplus at any opening and stay shut; the
+        # level tau binds the others, and above 0 only below the shut errors
+        shut = w >= 0.0
+
+        def shut_error(q):
+            return float(np.max((self.coef * q + w)[shut] / a[shut]))
+
+        def reachable(tau):
+            v, q = self._level(a, w, tau)
+            return v.max() <= 1.0 and (tau < 0.0 or tau < shut_error(q))
+
+        v, q = self._level(a, w, 0.0)
+        if np.max(v) <= 1.0 and not shut.any():
             method = "dhn-rejection"
         else:
-            q_full = solve_flows(net, hi)
-            x_full = (self.coef * q_full + w) / a
-            tau_lo = float(np.min(x_full))
-            tau_hi = 0.0
+            if np.max(v) <= 1.0:
+                tau_lo, tau_hi = 0.0, shut_error(q)
+            else:
+                x_full = (self.coef * solve_flows(self.net, np.where(shut, -1.0, 1.0)) + w) / a
+                tau_lo, tau_hi = float(np.min(x_full[~shut])), 0.0
             # the worst fully-open agent pins the achievable common level
             for _ in range(200):
-                if np.max(self._valves_for_level(a, w, tau_lo)) <= 1.0:
+                if reachable(tau_lo):
                     break
                 tau_lo -= max(1.0, 0.1 * abs(tau_lo))
             for _ in range(100):
                 tau_mid = 0.5 * (tau_lo + tau_hi)
                 if tau_mid == tau_lo or tau_mid == tau_hi:
                     break  # the interval is down to adjacent floats
-                if np.max(self._valves_for_level(a, w, tau_mid)) <= 1.0:
+                if reachable(tau_mid):
                     tau_lo = tau_mid
                 else:
                     tau_hi = tau_mid
-            v = np.clip(self._valves_for_level(a, w, tau_lo), lo, hi)
+            v = self._level(a, w, tau_lo)[0]
             method = "dhn-equalization"
-        x = (self.coef * solve_flows(net, v) + w) / a
+        v = np.clip(v, -1.0, 1.0)
+        x = (self.coef * solve_flows(self.net, v) + w) / a
         return v, x, method
 
     def l1(self, a, w, warm_v=None):

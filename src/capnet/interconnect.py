@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import SaturationBounds, as_vector
 from .errors import AllocationError, DimensionError, DomainError
@@ -139,6 +138,13 @@ def positive_left_weight(B, max_iter: int = 10_000, tol: float = 1e-13) -> np.nd
     if not np.all(eta > 0) or not np.all(eta @ B > 0):
         raise ValueError("no strictly positive left weight found; supply eta explicitly")
     return eta
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call: scipy is slow to import."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 class LinearAllocator:

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 import capnet as cp
+from capnet import cli
 
 # reference two-agent instance used throughout: symmetric M-matrix coupling,
 # one agent under a disturbance too large to reject
@@ -64,3 +67,18 @@ def dhn_small():
         [cp.Consumer("A", 2.5), cp.Consumer("B", 2.5)], 0.6e6 * 2e-5)
     bld = cp.BuildingParams()
     return net, bld, cp.dhn_interconnection(net, bld)
+
+
+@pytest.fixture(scope="session")
+def dhn_study(tmp_path_factory):
+    """One full four-policy case-study run, shared by every test that reads it."""
+    out = tmp_path_factory.mktemp("dhn_study")
+    t0 = time.monotonic()
+    rc = cli.main(["reproduce-dhn", "--policy", "all", "--out", str(out)])
+    elapsed = time.monotonic() - t0
+    assert rc == 0
+    summary = {}
+    for line in (out / "dhn_summary.txt").read_text(encoding="utf-8").splitlines():
+        key, _, val = line.partition("=")
+        summary[key] = val
+    return {"out": out, "elapsed": elapsed, "summary": summary}

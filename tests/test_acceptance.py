@@ -11,23 +11,7 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet import cli
 from tests.conftest import B_REF
-
-
-@pytest.fixture(scope="module")
-def dhn_study(tmp_path_factory):
-    """One full four-policy case-study run shared by criteria 7 and 8."""
-    out = tmp_path_factory.mktemp("dhn_study")
-    t0 = time.monotonic()
-    rc = cli.main(["reproduce-dhn", "--policy", "all", "--out", str(out)])
-    elapsed = time.monotonic() - t0
-    assert rc == 0
-    summary = {}
-    for line in (out / "dhn_summary.txt").read_text(encoding="utf-8").splitlines():
-        key, _, val = line.partition("=")
-        summary[key] = val
-    return {"out": out, "elapsed": elapsed, "summary": summary}
 
 
 def test_criterion_1_nonlinearity_identities():

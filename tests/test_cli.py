@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +101,19 @@ class TestSimulateCommand:
         path.write_text("{nope", encoding="utf-8")
         assert cli.main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("sim_cfg", [{"method": "implicit_euler"}, {"dt_fixed": 0.01}])
+    def test_removed_solver_settings_exit_2(self, tmp_path, capsys, sim_cfg):
+        cfg = linear_cfg()
+        cfg["sim"].update(sim_cfg)
+        assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_rosenbrock_method(self, tmp_path):
+        cfg = linear_cfg(out_dir=tmp_path / "out")
+        cfg["sim"]["method"] = "rosenbrock"
+        assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 0
+        assert (tmp_path / "out" / "t_decentralized.csv").exists()
 
     @pytest.mark.parametrize("argv", [["simulate"], ["verify", "--stability"]])
     def test_tuning_violation_exit_2(self, tmp_path, capsys, argv):
@@ -212,6 +227,23 @@ class TestVerifyCommand:
 
 
 class TestReproduceDhn:
+    def test_all_policies_match_single_policy_bytes(self, dhn_study, tmp_path):
+        out = tmp_path / "dec"
+        assert cli.main(["reproduce-dhn", "--policy", "decentralized", "--out", str(out)]) == 0
+        for name in ("dhn_decentralized.csv", "dhn_decentralized_summary.txt"):
+            assert (out / name).read_bytes() == (dhn_study["out"] / name).read_bytes(), name
+
+    def test_closed_loop_run_never_imports_scipy(self, tmp_path):
+        src = str(Path(cp.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import capnet.cli as cli; "
+                "assert cli.main(['reproduce-dhn', '--policy', 'decentralized', "
+                "'--t-end', '1', '--out', sys.argv[2]]) == 0; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code, src, str(tmp_path)],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
+
     def test_single_policy_short(self, tmp_path):
         out = tmp_path / "dhn"
         rc = cli.main(["reproduce-dhn", "--policy", "oracle-l1", "--out", str(out),

@@ -319,6 +319,27 @@ class TestAllocatorsOnSmallNetwork:
         np.testing.assert_array_equal(fast.v[np.asarray(w) >= 0.0], -1.0)
         assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
 
+    @pytest.mark.parametrize("w", [[3.0, -1.0], [0.5, -5.0]])
+    def test_linf_with_surplus_agent_matches_oracle(self, dhn_small, w):
+        # the surplus agent's valve stays shut; the other agent is supplied
+        # up to the common level, here above zero error
+        net, bld, ic = dhn_small
+        agents = cp.AgentEnsemble(a=bld.rates(2), w=w)
+        fast = cp.solve_linf_allocation(ic, agents)
+        slow = cp.oracle_linf(ic, agents)
+        assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
+        np.testing.assert_allclose(fast.v, slow.v, atol=1e-5)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.floats(0.0, 6.0), st.floats(-30.0, -0.1), st.booleans())
+    def test_linf_mixed_signs_matches_oracle(self, dhn_small, surplus, deficit, swap):
+        net, bld, ic = dhn_small
+        w = [deficit, surplus] if swap else [surplus, deficit]
+        agents = cp.AgentEnsemble(a=bld.rates(2), w=w)
+        fast = cp.solve_linf_allocation(ic, agents)
+        slow = cp.oracle_linf(ic, agents)
+        assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
+
     def test_deep_deficit_equalizes(self, dhn_small):
         net, bld, ic = dhn_small
         agents = cp.AgentEnsemble(a=bld.rates(2), w=bld.disturbance(2, -26.5))
@@ -331,15 +352,15 @@ def linf_full_bisection(alloc, a, w):
     """DhnAllocator.linf's equalization branch with all 100 halvings run."""
     x_full = (alloc.coef * cp.solve_flows(alloc.net, np.ones(len(a))) + w) / a
     tau_lo, tau_hi = float(np.min(x_full)), 0.0
-    while np.max(alloc._valves_for_level(a, w, tau_lo)) > 1.0:
+    while np.max(alloc._level(a, w, tau_lo)[0]) > 1.0:
         tau_lo -= max(1.0, 0.1 * abs(tau_lo))
     for _ in range(100):
         tau_mid = 0.5 * (tau_lo + tau_hi)
-        if np.max(alloc._valves_for_level(a, w, tau_mid)) <= 1.0:
+        if np.max(alloc._level(a, w, tau_mid)[0]) <= 1.0:
             tau_lo = tau_mid
         else:
             tau_hi = tau_mid
-    v = np.clip(alloc._valves_for_level(a, w, tau_lo), -1.0, 1.0)
+    v = np.clip(alloc._level(a, w, tau_lo)[0], -1.0, 1.0)
     return v, (alloc.coef * cp.solve_flows(alloc.net, v) + w) / a
 
 

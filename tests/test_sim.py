@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import capnet as cp
+from capnet import cli, sim
+from capnet.control import field, field_jacobian
+from capnet.errors import IntegrationError
 from capnet.sim import (Scenario, SolverOptions, make_temperature_profile,
                         run_scenario, write_trajectory_csv)
 
@@ -80,12 +83,11 @@ class TestIntegrate:
                             SolverOptions(output_dt=0.5))
         np.testing.assert_allclose(traj.times, np.arange(0.0, 10.5, 0.5))
 
-    def test_implicit_euler_agrees(self, sys_dec2):
+    def test_rosenbrock_agrees_with_rk45(self, sys_dec2):
         s0 = cp.ClosedLoopState.zero(2)
         ref = cp.integrate(sys_dec2, s0, (0.0, 50.0), SolverOptions())
-        ie = cp.integrate(sys_dec2, s0, (0.0, 50.0),
-                          SolverOptions(method="implicit_euler", dt_fixed=0.01))
-        assert np.max(np.abs(ref.x[-1] - ie.x[-1])) < 2e-3
+        ros = cp.integrate(sys_dec2, s0, (0.0, 50.0), SolverOptions(method="rosenbrock"))
+        assert np.max(np.abs(ref.x[-1] - ros.x[-1])) < 2e-3
 
     def test_time_varying_disturbance_disables_monitor(self, ic2, gains_dec2, bounds2):
         prof = cp.DisturbanceProfile.piecewise([0.0, 100.0], [[-2.0, -1.0], [-1.0, -0.5]])
@@ -103,6 +105,122 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.v, np.clip(traj.u, -1.0, 1.0))
         for k in range(traj.n_points):
             np.testing.assert_allclose(traj.b[k], sys_dec2.ic(traj.v[k]))
+
+
+def _rosenbrock(fun, jac, t1, y0, opts, dfdt):
+    """Integrate fun from 0 to t1 with RODAS4; the final state and the stats."""
+    rec = sim._StepRecorder(0.0, t1, None)
+    stats = sim._integrate_rosenbrock(fun, jac, 0.0, t1, np.asarray(y0, dtype=float), opts,
+                                      None, rec, [t1], dfdt)
+    return rec.ys[-1], stats
+
+
+class TestRosenbrock:
+    # p' = -p + t and q' = p*q from p = q = 1: p = t - 1 + 2exp(-t) and
+    # q = exp(t^2/2 - t + 2(1 - exp(-t)))
+    @staticmethod
+    def _fun(t, y):
+        return np.array([-y[0] + t, y[0] * y[1]])
+
+    @staticmethod
+    def _jac(t, y):
+        return np.array([[-1.0, 0.0], [y[1], y[0]]])
+
+    def test_fourth_order_on_fixed_steps(self):
+        exact = np.array([2 * np.exp(-1.0), np.exp(-0.5 + 2 * (1 - np.exp(-1.0)))])
+        errors = []
+        for h in (0.1, 0.05):
+            # tolerances so loose that every step is accepted at dt_max
+            opts = SolverOptions(method="rosenbrock", atol=1e6, rtol=1e6, dt_init=h, dt_max=h)
+            y1, stats = _rosenbrock(self._fun, self._jac, 1.0, [1.0, 1.0], opts,
+                                    lambda ta, tb: np.array([1.0, 0.0]))
+            assert stats.rejected == 0
+            assert stats.accepted == pytest.approx(1.0 / h)
+            errors.append(np.max(np.abs(y1 - exact)))
+        assert errors[0] / errors[1] >= 12.0, errors
+
+    def test_singular_iteration_matrix_raises(self):
+        h = 0.1
+        opts = SolverOptions(method="rosenbrock", dt_init=h, dt_max=h)
+        with pytest.raises(IntegrationError, match="singular"):
+            _rosenbrock(self._fun, lambda t, y: np.eye(2) / (h * sim._RO_GAMMA), 1.0,
+                        [1.0, 1.0], opts, lambda ta, tb: np.array([1.0, 0.0]))
+
+    def test_step_underflow_raises(self):
+        with pytest.raises(IntegrationError, match="underflow"):
+            _rosenbrock(lambda t, y: np.full(2, np.nan), self._jac, 1.0, [1.0, 1.0],
+                        SolverOptions(method="rosenbrock"), lambda ta, tb: np.zeros(2))
+
+    def test_step_budget_raises(self):
+        with pytest.raises(IntegrationError, match="budget"):
+            _rosenbrock(self._fun, self._jac, 1.0, [1.0, 1.0],
+                        SolverOptions(method="rosenbrock", max_steps=3),
+                        lambda ta, tb: np.array([1.0, 0.0]))
+
+    def test_steps_end_on_profile_breakpoints(self, ic2, gains_dec2, bounds2):
+        times = [0.0, 0.7, 1.3, 2.9, 4.1, 6.0]
+        values = [[-2.0, -1.0], [-0.5, 0.3], [-3.0, -2.0], [-1.0, -1.5], [0.2, -0.4],
+                  [-2.0, -1.0]]
+        agents = cp.AgentEnsemble(a=[1.0, 1.0],
+                                  w=cp.DisturbanceProfile.piecewise(times, values))
+        sysd = cp.ClosedLoopSystem(agents=agents, ic=ic2, gains=gains_dec2, bounds=bounds2)
+        traj = cp.integrate(sysd, cp.ClosedLoopState.zero(2), (0.2, 5.0),
+                            SolverOptions(method="rosenbrock"))
+        assert traj.times[0] == 0.2 and traj.times[-1] == 5.0
+        for tb in (0.7, 1.3, 2.9, 4.1):
+            assert tb in traj.times
+
+    def test_dhn_field_evaluation_budget(self, dhn_study):
+        # RK45 needed about 19000 per policy, held at its stability limit
+        for policy in ("decentralized", "coordinating"):
+            assert int(dhn_study["summary"][f"{policy}.field_evaluations"]) <= 8000, policy
+
+    def test_dhn_headline_converged_in_tolerance(self, dhn_study, tmp_path):
+        # at rtol = atol = 1e-8 the decentralized run takes about 15000
+        # field evaluations, three times the shipped tolerance's
+        sc = cli._dhn_scenario("decentralized", cp.CALIBRATED_CAPACITY_SCALE, tmp_path,
+                               96.0, 0.25)
+        sc.opts.rtol /= 100.0
+        sc.opts.atol /= 100.0
+        tight = run_scenario(sc).summary["max_deviation_at_coldest"]
+        shipped = float(dhn_study["summary"]["decentralized.max_deviation_at_coldest"])
+        assert abs(shipped - tight) < 5e-4, (shipped, tight)
+
+
+def _closed_loop(ic, a, w, mode):
+    n = ic.n
+    if mode == "decentralized":
+        gains = cp.ControllerGains(kP=np.full(n, 2.0), kI=np.full(n, 1.0), mode=mode,
+                                   kA=np.linspace(0.3, 0.5, n))
+    else:
+        gains = cp.ControllerGains(kP=np.full(n, 1.0), kI=np.full(n, 0.5), mode=mode,
+                                   kC=0.5, alpha=1.0)
+    return cp.ClosedLoopSystem(agents=cp.AgentEnsemble(a=a, w=w), ic=ic, gains=gains,
+                               bounds=ic.bounds)
+
+
+class TestFieldJacobian:
+    @pytest.mark.parametrize("mode", ["decentralized", "coordinating"])
+    @pytest.mark.parametrize("network", ["linear", "dhn"])
+    @pytest.mark.parametrize("u", [[0.3, -0.6], [1.4, -0.2], [-1.7, 2.5]],
+                             ids=["free", "one-saturated", "both-saturated"])
+    def test_matches_central_differences(self, ic2, dhn_small, mode, network, u):
+        ic = ic2 if network == "linear" else dhn_small[2]
+        w = [-2.0, -1.0] if network == "linear" else [-8.0, -12.0]
+        sys_ = _closed_loop(ic, [1.0, 0.6], w, mode)
+        # a state with u = -kP*x - kI*z as given, away from every kink
+        z = np.array([0.2, -0.1])
+        x = -(np.asarray(u) + sys_.gains.kI * z) / sys_.gains.kP
+        y = np.concatenate([x, z])
+
+        def f(y):
+            return np.concatenate(field(sys_, cp.ClosedLoopState(y[:2], y[2:])))
+
+        J = field_jacobian(sys_, cp.ClosedLoopState(x, z))
+        eps = 1e-6
+        J_fd = np.column_stack([(f(y + eps * e) - f(y - eps * e)) / (2 * eps)
+                                for e in np.eye(4)])
+        np.testing.assert_allclose(J, J_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(J)))
 
 
 class TestCsv:
