@@ -117,6 +117,36 @@ def field(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
     return field_coordinating(sys, s, t)
 
 
+def field_stack(sys: ClosedLoopSystem, x, z, t=0.0):
+    """Time derivatives (dx, dz) of either loop for a stack of states.
+
+    x and z are (m, n) arrays holding one state per row; t is one time for
+    every row or an (m,) array of them.  u is clipped into the box once for
+    the whole stack, so b(v) comes from the raw ``ic.fn`` row by row without
+    the per-call domain check of ``eval_interconnection``.  Each row equals
+    :func:`field` of that state.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if x.ndim != 2 or x.shape != z.shape or x.shape[1] != sys.n:
+        raise DimensionError(f"x and z must both have shape (m, {sys.n})")
+    gains, agents = sys.gains, sys.agents
+    u = -gains.kP * x - gains.kI * z
+    v = np.clip(u, sys.bounds.lower, sys.bounds.upper)
+    fn = sys.ic.fn
+    b = np.array([fn(row) for row in v], dtype=float)
+    if agents.w_is_constant:
+        w = agents.w
+    else:
+        w = np.array([agents.w_at(tk) for tk in np.broadcast_to(t, len(x))])
+    dx = -agents.a * x + b + w
+    if gains.mode == DECENTRALIZED:
+        dz = x + gains.kA * (u - v)
+    else:
+        dz = x + gains.kC * np.sum(u - v, axis=1, keepdims=True)
+    return dx, dz
+
+
 def field_jacobian(sys: ClosedLoopSystem, s: ClosedLoopState) -> np.ndarray:
     """d(dx, dz)/d(x, z) of either loop, as a 2n x 2n matrix.  Agents strictly
     inside the box pass du to b(v), saturated ones to the anti-windup term."""

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
-                      DecentralizedMonitor, field as loop_field,
+                      DecentralizedMonitor, control_input, field as loop_field,
                       rejectable_disturbance)
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, saturate,
                    validate_tuning)
@@ -503,6 +503,28 @@ def verify_optimality(
     return VerificationVerdict("optimality", not failures, details, tuple(failures))
 
 
+def _terminal_errors(sys: ClosedLoopSystem, eq: EquilibriumReport, s: ClosedLoopState):
+    """Distance of s from the equilibria that eq stands for, and whether s
+    saturates the same agents as eq.
+
+    The decentralized equilibrium is unique, so the distance is pointwise in
+    (x, z).  Coordinating equilibria form a set: each member shares eq's
+    errors x, applied inputs v, saturated agents, the unsaturated agents' z
+    and the excess sum S = sum(u - v), while the saturated agents' z only
+    have to carry S between them, so theirs are not compared.
+    """
+    if sys.gains.mode == DECENTRALIZED:
+        return max(float(np.max(np.abs(s.x - eq.x0))),
+                   float(np.max(np.abs(s.z - eq.z0)))), True
+    u = control_input(sys.gains, s)
+    v, v0 = saturate(u, sys.bounds), saturate(eq.u0, sys.bounds)
+    free = v0 == eq.u0
+    err = max(float(np.max(np.abs(s.x - eq.x0))), float(np.max(np.abs(v - v0))),
+              float(np.max(np.abs(s.z - eq.z0)[free], initial=0.0)),
+              abs(float(np.sum(u - v)) - float(np.sum(eq.u0 - v0))))
+    return err, bool(np.array_equal(v == u, free))
+
+
 def verify_global_convergence(
     sys: ClosedLoopSystem,
     n_starts: int = 20,
@@ -519,11 +541,15 @@ def verify_global_convergence(
 
     ``equilibrium`` takes the system's equilibrium when the caller has
     already solved for it; otherwise it is solved here.  Initial states are
-    drawn from the box |.|_inf <= box_scale * equilibrium magnitude.
-    Coordinating systems also check that the trailing 20% of each run stays
-    unsaturated when the disturbance is rejectable.
+    drawn from the box |.|_inf <= box_scale * equilibrium magnitude, and all
+    of them are stepped together by one stacked integration.  A coordinating
+    run may end on any member of the equilibrium set (see
+    ``_terminal_errors``).  Coordinating systems also check that the
+    trailing 20% of each run stays unsaturated when the disturbance is
+    rejectable.  The details sum the integrator's steps and field
+    evaluations over all starts.
     """
-    from .sim import SolverOptions, integrate  # deferred: sim imports this module
+    from .sim import SolverOptions, integrate_many  # deferred: sim imports this module
 
     report = validate_tuning(sys.agents, sys.gains)
     if not report.passed and not force:
@@ -546,25 +572,28 @@ def verify_global_convergence(
     half_width = box_scale * (magnitude if magnitude > 0 else 1.0)
     opts = solver_opts or SolverOptions(output_dt=t_max / 50.0)
     rng = np.random.default_rng(seed)
-    failures = []
-    worst_terminal = 0.0
-    monitor_violations = 0
-    monitored = 0
-    for start in range(n_starts):
-        s0 = ClosedLoopState(rng.uniform(-half_width, half_width, sys.n),
-                             rng.uniform(-half_width, half_width, sys.n))
+    starts, monitors = [], []
+    for _ in range(n_starts):
+        starts.append(ClosedLoopState(rng.uniform(-half_width, half_width, sys.n),
+                                      rng.uniform(-half_width, half_width, sys.n)))
         monitor = None
         if sys.gains.mode == DECENTRALIZED and np.all(sys.d_margin > 0):
             monitor = DecentralizedMonitor(sys, eq.zeta0, eq.u0)
         elif sys.gains.mode == COORDINATING and rejectable and np.all(sys.d_margin > 0):
             monitor = CoordinatingMonitor(sys)
-        traj = integrate(sys, s0, (0.0, t_max), opts, monitor=monitor)
-        term = traj.terminal_state()
-        err = max(float(np.max(np.abs(term.x - eq.x0))),
-                  float(np.max(np.abs(term.z - eq.z0))))
+        monitors.append(monitor)
+    trajs = integrate_many(sys, starts, (0.0, t_max), opts, monitors)
+    failures = []
+    worst_terminal = 0.0
+    monitor_violations = 0
+    monitored = 0
+    for start, (traj, monitor) in enumerate(zip(trajs, monitors)):
+        err, same_saturation = _terminal_errors(sys, eq, traj.terminal_state())
         worst_terminal = max(worst_terminal, err)
         if err > tol:
             failures.append(f"start {start}: terminal error {err:.3e} > {tol:.1e}")
+        if not same_saturation:
+            failures.append(f"start {start}: saturates other agents than the equilibrium")
         if monitor is not None:
             monitored += 1
             monitor_violations += len(monitor.violations)
@@ -588,5 +617,8 @@ def verify_global_convergence(
         "monitor_violations": monitor_violations,
         "equilibrium_residual": eq.residual,
         "seed": seed,
+        "steps_accepted": sum(traj.stats.accepted for traj in trajs),
+        "steps_rejected": sum(traj.stats.rejected for traj in trajs),
+        "field_evaluations": sum(traj.stats.n_field_evals for traj in trajs),
     }
     return VerificationVerdict("global-convergence", not failures, details, tuple(failures))

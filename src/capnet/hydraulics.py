@@ -158,10 +158,8 @@ class FlowSolution:
     """Solved flows plus their checks."""
 
     q: np.ndarray
-    iterations: int           # always 0: the tree solve is exact, not iterative
     pressure_residual: float  # max |balance residual| / pump_dp
     mass_residual: float      # m^3/h
-    converged: bool
 
 
 def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10, full_output: bool = False):
@@ -217,8 +215,8 @@ def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10, full_output: bool 
             f"(relative residual {pressure_residual:.3e})", residual=pressure_residual)
     if not full_output:
         return q
-    return FlowSolution(q=q, iterations=0, pressure_residual=pressure_residual,
-                        mass_residual=net.mass_residual(q), converged=True)
+    return FlowSolution(q=q, pressure_residual=pressure_residual,
+                        mass_residual=net.mass_residual(q))
 
 
 def solve_flows_partial(
@@ -371,13 +369,11 @@ class HydraulicStats:
     """Accumulated diagnostics across all flow solves of one scenario."""
 
     n_solves: int = 0
-    max_iterations: int = 0
     max_mass_residual: float = 0.0
     max_pressure_residual: float = 0.0
 
     def update(self, sol: FlowSolution):
         self.n_solves += 1
-        self.max_iterations = max(self.max_iterations, sol.iterations)
         self.max_mass_residual = max(self.max_mass_residual, sol.mass_residual)
         self.max_pressure_residual = max(self.max_pressure_residual, sol.pressure_residual)
 

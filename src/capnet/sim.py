@@ -1,9 +1,12 @@
 """Time integration, disturbance profiles and scenario execution.
 
-The default integrator is an embedded Dormand-Prince Runge-Kutta 5(4) pair;
-stiff runs such as the district-heating study use RODAS4 (``rosenbrock``) on
-the analytic closed-loop Jacobian, stepping exactly on disturbance kinks.
-Both give cubic-Hermite dense output from numpy alone, bit for bit.
+The default integrator is an embedded Dormand-Prince Runge-Kutta 5(4) pair.
+It steps a stack of states at once (``integrate_many``), every row under its
+own step control, so many starts cost one loop of field evaluations on the
+stack; ``integrate`` is the stack of one.  Stiff runs such as the
+district-heating study use RODAS4 (``rosenbrock``) on the analytic
+closed-loop Jacobian, one start at a time, stepping exactly on disturbance
+kinks.  Both give cubic-Hermite dense output from numpy alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       DecentralizedMonitor, LyapunovMonitor, field as loop_field,
-                      field_jacobian, rejectable_disturbance)
+                      field_jacobian, field_stack, rejectable_disturbance)
 from .core import DECENTRALIZED, AgentEnsemble
 from .errors import ConfigError, IntegrationError, TuningError
 from .hydraulics import HydraulicStats
@@ -181,8 +184,8 @@ _DP_A = [
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                           -92097 / 339200, 187 / 2100, 1 / 40])
 
 
 def _hermite(t, t0, y0, f0, t1, y1, f1):
@@ -240,45 +243,76 @@ class _StepRecorder:
             self.next_idx += 1
 
 
-def _integrate_rk45(fun, t0, t1, y0, opts, on_accept, recorder):
+def _combine(coefs, k):
+    """sum_j coefs[j]*k[j] over the nonzero coefficients, accumulated in a
+    fixed order so that every row of a stack gets the same arithmetic."""
+    out = None
+    for c, kj in zip(coefs, k):
+        if c != 0.0:
+            out = c * kj if out is None else out + c * kj
+    return out
+
+
+def _integrate_rk45(fun, t0, t1, y0, opts, on_accept, recorders):
+    """Dormand-Prince 5(4) on a stack of states, one per row of y0.
+
+    Every row keeps its own time, step size, error norm, accept/reject
+    decision and step factor, so a row takes the same steps in any stack; a
+    row leaves the stack once it reaches t1.  ``fun(t, y)`` maps the (k,)
+    times and (k, d) states of the rows still stepping to their derivatives,
+    and ``on_accept(row, t, y)`` sees every accepted step.  Returns one
+    IntegrationStats per row.
+    """
     span = t1 - t0
     dt_max = opts.dt_max if opts.dt_max is not None else span / 64.0
-    dt = opts.dt_init if opts.dt_init is not None else min(dt_max, span / 100.0)
-    stats = IntegrationStats()
-    t, y = t0, y0.copy()
+    dt_init = opts.dt_init if opts.dt_init is not None else min(dt_max, span / 100.0)
+    m, d = y0.shape
+    t, y, dt = np.full(m, t0), y0.copy(), np.full(m, dt_init)
     f = fun(t, y)
-    stats.n_field_evals += 1
-    recorder.start(t, y)
-    k = np.empty((7, len(y0)))
-    while t < t1 - 1e-12 * max(1.0, abs(t1)):
-        dt = min(dt, t1 - t, dt_max)
-        if dt < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError("step size underflow", t=t, state=y.copy())
-        if stats.accepted + stats.rejected > opts.max_steps:
-            raise IntegrationError("step budget exhausted", t=t, state=y.copy())
-        k[0] = f
+    accepted, rejected = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+    evals = np.ones(m, dtype=int)
+    for r in range(m):
+        recorders[r].start(t0, y[r])
+    t_end = t1 - 1e-12 * max(1.0, abs(t1))
+    rows = np.arange(m)
+    k = [None] * 7
+    while len(rows):
+        ta, ya = t[rows], y[rows]
+        h = np.minimum(np.minimum(dt[rows], t1 - ta), dt_max)
+        underflow = h < 1e-14 * np.maximum(1.0, np.abs(ta))
+        spent = accepted[rows] + rejected[rows] > opts.max_steps
+        for failed, reason in ((underflow, "step size underflow"),
+                               (spent, "step budget exhausted")):
+            if failed.any():
+                r = rows[np.argmax(failed)]
+                raise IntegrationError(reason, t=float(t[r]), state=y[r].copy())
+        hc = h[:, None]
+        k[0] = f[rows]
         for i in range(1, 7):
-            yi = y + dt * (_DP_A[i] @ k[:i])
-            k[i] = fun(t + _DP_C[i] * dt, yi)
-        stats.n_field_evals += 6
-        y_new = y + dt * (_DP_B5 @ k)
-        err_vec = dt * ((_DP_B5 - _DP_B4) @ k)
-        scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err <= 1.0:
-            t_new = t + dt
-            f_new = k[6]  # FSAL: last stage is f(t_new, y_new)
-            recorder.accepted(t, y, f, t_new, y_new, f_new)
-            if on_accept is not None:
-                on_accept(t_new, y_new)
-            t, y, f = t_new, y_new, f_new
-            stats.accepted += 1
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            stats.rejected += 1
-            factor = max(0.2, 0.9 * err ** -0.2)
-        dt *= factor
-    return stats
+            k[i] = fun(ta + _DP_C[i] * h, ya + hc * _combine(_DP_A[i], k))
+        evals[rows] += 6
+        y_new = ya + hc * _combine(_DP_B5, k)
+        err_vec = hc * _combine(_DP_E, k)
+        scale = opts.atol + opts.rtol * np.maximum(np.abs(ya), np.abs(y_new))
+        err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
+        ok = err <= 1.0
+        t_new = ta + h
+        for j in np.flatnonzero(ok):
+            r = rows[j]
+            # FSAL: the last stage is f(t_new, y_new)
+            recorders[r].accepted(ta[j], ya[j], k[0][j], t_new[j], y_new[j], k[6][j])
+            on_accept(r, t_new[j], y_new[j])
+        done = rows[ok]
+        t[done], y[done], f[done] = t_new[ok], y_new[ok], k[6][ok]
+        accepted[done] += 1
+        rejected[rows[~ok]] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grow = np.fmax(0.2, 0.9 * err ** -0.2)  # fmax: a NaN error gives 0.2
+        factor = np.where(ok, np.where(err == 0.0, 5.0, np.minimum(5.0, grow)), grow)
+        dt[rows] = h * factor
+        rows = rows[t[rows] < t_end]
+    return [IntegrationStats(int(a), int(rj), int(e))
+            for a, rj, e in zip(accepted, rejected, evals)]
 
 
 # RODAS4 (Hairer & Wanner, Solving ODEs II, sec. IV.7) in the transformed
@@ -378,32 +412,59 @@ def integrate(
     disabled with a notice when the disturbance varies in time, since the
     decrease certificates assume a constant disturbance.
     """
+    return integrate_many(sys, [s0], t_span, opts, [monitor])[0]
+
+
+def integrate_many(
+    sys: ClosedLoopSystem,
+    starts,
+    t_span,
+    opts: Optional[SolverOptions] = None,
+    monitors=None,
+) -> list:
+    """Integrate the closed loop from every state in ``starts`` over t_span;
+    one Trajectory per start, each as :func:`integrate` gives it alone.
+
+    RK45 steps all starts together as one stack, each row under its own
+    step control; the Rosenbrock method runs them one after another.
+    ``monitors`` holds one LyapunovMonitor or None per start.
+    """
     opts = opts or SolverOptions()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
+    if not starts:
+        return []
     n = sys.n
-    if monitor is not None and not sys.agents.w_is_constant:
+    monitors = [None] * len(starts) if monitors is None else list(monitors)
+    if len(monitors) != len(starts):
+        raise ValueError("need one monitor (or None) per start")
+    if any(mon is not None for mon in monitors) and not sys.agents.w_is_constant:
         log.info("disturbance varies in time: Lyapunov monitor disabled")
-        monitor = None
+        monitors = [None] * len(starts)
 
-    def fun(t, y):
-        s = ClosedLoopState(y[:n], y[n:])
-        dx, dz = loop_field(sys, s, t)
-        return np.concatenate([dx, dz])
+    def on_accept(row, t, y):
+        if monitors[row] is not None:
+            monitors[row].observe(t, ClosedLoopState(y[:n], y[n:]))
 
-    def on_accept(t, y):
+    for s0, monitor in zip(starts, monitors):
         if monitor is not None:
-            monitor.observe(t, ClosedLoopState(y[:n], y[n:]))
+            monitor.observe(t0, s0)
 
-    if monitor is not None:
-        monitor.observe(t0, s0)
-
-    y0 = np.concatenate([s0.x, s0.z])
-    recorder = _StepRecorder(t0, t1, opts.output_dt)
+    y0 = np.array([np.concatenate([s0.x, s0.z]) for s0 in starts])
+    recorders = [_StepRecorder(t0, t1, opts.output_dt) for _ in starts]
     if opts.method == "rk45":
-        stats = _integrate_rk45(fun, t0, t1, y0, opts, on_accept, recorder)
+        def fun_stack(t, y):
+            dx, dz = field_stack(sys, y[:, :n], y[:, n:], t)
+            return np.concatenate([dx, dz], axis=1)
+
+        stats = _integrate_rk45(fun_stack, t0, t1, y0, opts, on_accept, recorders)
     else:
+        def fun(t, y):
+            s = ClosedLoopState(y[:n], y[n:])
+            dx, dz = loop_field(sys, s, t)
+            return np.concatenate([dx, dz])
+
         # w(t) is affine between consecutive breakpoints of its profile
         w_times = getattr(sys.agents.w, "times", None)
         stops = [tb for tb in (() if w_times is None else w_times) if t0 < tb < t1] + [t1]
@@ -415,9 +476,15 @@ def integrate(
         def jac(t, y):
             return field_jacobian(sys, ClosedLoopState(y[:n], y[n:]))
 
-        stats = _integrate_rosenbrock(fun, jac, t0, t1, y0, opts, on_accept, recorder,
-                                      stops, dfdt)
+        stats = [_integrate_rosenbrock(fun, jac, t0, t1, y0[r], opts,
+                                       lambda t, y, r=r: on_accept(r, t, y), recorders[r],
+                                       stops, dfdt)
+                 for r in range(len(starts))]
+    return [_trajectory(sys, rec, st, mon) for rec, st, mon in zip(recorders, stats, monitors)]
 
+
+def _trajectory(sys, recorder, stats, monitor) -> Trajectory:
+    n = sys.n
     times = np.array(recorder.ts)
     ys = np.array(recorder.ys)
     xs, zs = ys[:, :n], ys[:, n:]
@@ -551,7 +618,8 @@ def run_scenario(sc: Scenario) -> RunArtifacts:
         arts.summary.update({
             "flow_solves": sc.hydraulic_stats.n_solves,
             "max_mass_residual": sc.hydraulic_stats.max_mass_residual,
-            "max_newton_iterations": sc.hydraulic_stats.max_iterations,
+            # the tree flow solve is exact: no Newton iterations, key kept
+            "max_newton_iterations": 0,
         })
     if sc.out_dir is not None:
         out = Path(sc.out_dir)

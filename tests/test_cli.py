@@ -225,6 +225,17 @@ class TestVerifyCommand:
                          "--seed", "0"]) == 0
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("name", ["linear2_decentralized.cfg",
+                                      "linear2_coordinating.cfg"])
+    def test_stability_field_evaluation_budget(self, capsys, name):
+        # all 20 starts together; the coordinating one took 34472 with the
+        # stale RK45 stage that inflated rejections
+        assert cli.main(["verify", str(cli.shipped_config_path(name)), "--stability",
+                         "--seed", "1"]) == 0
+        details = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+                       if "=" in line and not line.startswith("#"))
+        assert int(details["field_evaluations"]) <= 24000
+
 
 class TestReproduceDhn:
     def test_all_policies_match_single_policy_bytes(self, dhn_study, tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet.control import CoordinatingMonitor, DecentralizedMonitor, control_input
-from capnet.errors import TuningError
+from capnet.control import (CoordinatingMonitor, DecentralizedMonitor, control_input,
+                            field_stack)
+from capnet.errors import DimensionError, TuningError
 
 
 class TestFields:
@@ -67,6 +68,34 @@ class TestFields:
             cp.field_coordinating(sys_dec2, s)
         with pytest.raises(ValueError):
             cp.field_decentralized(sys_coord2, s)
+
+
+class TestFieldStack:
+    @pytest.mark.parametrize("system", ["sys_dec2", "sys_coord2"])
+    def test_rows_equal_field(self, request, system):
+        sys_ = request.getfixturevalue(system)
+        rng = np.random.default_rng(5)
+        x, z = rng.uniform(-4.0, 4.0, (2, 6, 2))
+        dx, dz = field_stack(sys_, x, z)
+        for k in range(6):
+            dxk, dzk = cp.field(sys_, cp.ClosedLoopState(x[k], z[k]))
+            np.testing.assert_array_equal(dx[k], dxk)
+            np.testing.assert_array_equal(dz[k], dzk)
+
+    def test_time_varying_disturbance_per_row(self, ic2, gains_dec2, bounds2):
+        prof = cp.DisturbanceProfile.piecewise([0.0, 10.0], [[-2.0, -1.0], [0.0, 1.0]])
+        sys_ = cp.ClosedLoopSystem(agents=cp.AgentEnsemble(a=[1.0, 1.0], w=prof), ic=ic2,
+                                   gains=gains_dec2, bounds=bounds2)
+        x = np.array([[0.1, 0.2], [0.1, 0.2]])
+        t = np.array([0.0, 5.0])
+        dx, _ = field_stack(sys_, x, np.zeros_like(x), t)
+        for k in range(2):
+            np.testing.assert_array_equal(
+                dx[k], cp.field(sys_, cp.ClosedLoopState(x[k], np.zeros(2)), t[k])[0])
+
+    def test_shape_checked(self, sys_dec2):
+        with pytest.raises(DimensionError):
+            field_stack(sys_dec2, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 class TestCoordinates:

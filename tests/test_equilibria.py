@@ -460,6 +460,59 @@ class TestGlobalConvergence:
                                                t_max=150.0, tol=1e-4)
         assert verdict.passed
 
+    def test_dhn_coordinating_lands_in_equilibrium_set(self):
+        # 4 agents saturate; the run ends with x within 1.4e-7 of the
+        # equilibrium but their z 119.7 away from the one returned
+        verdict = cp.verify_global_convergence(dhn_system("coordinating"), n_starts=1,
+                                               seed=0, t_max=200.0)
+        assert verdict.passed, verdict.failures
+        assert verdict.details["worst_terminal_error"] < 1e-4
+
+    def test_coordinating_set_membership(self):
+        sys_ = dhn_system("coordinating")
+        eq = cp.find_equilibrium_coordinating(sys_)
+        lo, hi = sys_.bounds.lower, sys_.bounds.upper
+        saturated = np.flatnonzero((eq.u0 <= lo) | (eq.u0 >= hi))
+        free = np.flatnonzero((eq.u0 > lo) & (eq.u0 < hi))
+        assert len(saturated) >= 2 and len(free) >= 1
+
+        def errors(u):
+            s = cp.ClosedLoopState(eq.x0, -(u + sys_.gains.kP * eq.x0) / sys_.gains.kI)
+            return equilibria._terminal_errors(sys_, eq, s)
+
+        # moving excess between saturated agents keeps S: same set member
+        i, j = saturated[:2]
+        excess = eq.u0[i] - np.clip(eq.u0[i], lo[i], hi[i])
+        u = eq.u0.copy()
+        u[i] -= 0.5 * excess
+        u[j] += 0.5 * excess
+        err, same = errors(u)
+        assert err < 1e-12 and same
+        # an unsaturated agent's z, or the excess sum, may not move
+        u = eq.u0.copy()
+        u[free[0]] += 1e-3
+        assert errors(u)[0] >= 1e-3 - 1e-12
+        u = eq.u0.copy()
+        u[i] += np.sign(excess) * 1e-3
+        assert errors(u)[0] >= 1e-3 - 1e-12
+        # nor may an agent leave the saturated set
+        u = eq.u0.copy()
+        u[i] = np.clip(u[i], lo[i], hi[i]) - np.sign(excess) * 1e-6
+        assert not errors(u)[1]
+
+    def test_decentralized_check_stays_pointwise(self, sys_dec2):
+        eq = cp.find_equilibrium_decentralized(sys_dec2)
+        s = cp.ClosedLoopState(eq.x0, eq.z0 + np.array([0.0, 1e-3]))
+        err, same = equilibria._terminal_errors(sys_dec2, eq, s)
+        assert err == pytest.approx(1e-3) and same
+
+    def test_details_count_steps_and_field_evaluations(self, sys_dec2):
+        verdict = cp.verify_global_convergence(sys_dec2, n_starts=3, seed=3, t_max=50.0)
+        d = verdict.details
+        assert d["steps_accepted"] > 0 and d["steps_rejected"] >= 0
+        # one evaluation at each start, six per attempted step
+        assert d["field_evaluations"] == 3 + 6 * (d["steps_accepted"] + d["steps_rejected"])
+
     def test_tuning_gate(self, ic2, bounds2):
         agents = cp.AgentEnsemble(a=[0.3, 0.3], w=[-1.0, -1.0])
         gains = cp.ControllerGains(kP=[2.0, 2.0], kI=[1.0, 1.0],

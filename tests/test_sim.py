@@ -5,7 +5,7 @@ import capnet as cp
 from capnet import cli, sim
 from capnet.control import field, field_jacobian
 from capnet.errors import IntegrationError
-from capnet.sim import (Scenario, SolverOptions, make_temperature_profile,
+from capnet.sim import (Scenario, SolverOptions, integrate_many, make_temperature_profile,
                         run_scenario, write_trajectory_csv)
 
 
@@ -105,6 +105,84 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.v, np.clip(traj.u, -1.0, 1.0))
         for k in range(traj.n_points):
             np.testing.assert_allclose(traj.b[k], sys_dec2.ic(traj.v[k]))
+
+
+class TestRk45Accuracy:
+    @pytest.mark.parametrize("system", ["sys_dec2", "sys_coord2"])
+    @pytest.mark.parametrize("dt_init", [None, 50.0], ids=["default", "rejected-first"])
+    def test_grid_matches_dop853(self, request, system, dt_init):
+        # the dense output and the step after a rejection both need f(t) of
+        # the step's start; a stale last stage in its place costs ~2e-2
+        from scipy.integrate import solve_ivp
+
+        sys_ = request.getfixturevalue(system)
+        s0 = cp.ClosedLoopState(np.array([3.0, -5.0]), np.array([2.0, 4.0]))
+        traj = cp.integrate(sys_, s0, (0.0, 50.0),
+                            SolverOptions(output_dt=0.5, dt_init=dt_init))
+
+        def f(t, y):
+            return np.concatenate(field(sys_, cp.ClosedLoopState(y[:2], y[2:]), t))
+
+        ref = solve_ivp(f, (0.0, 50.0), np.concatenate([s0.x, s0.z]), method="DOP853",
+                        rtol=1e-12, atol=1e-12, t_eval=traj.times)
+        assert ref.success
+        err = np.max(np.abs(np.hstack([traj.x, traj.z]) - ref.y.T))
+        assert err < 1e-3, err
+
+
+def _shipped_starts(name, n_starts=20, seed=0):
+    """A shipped linear config's system and random starts in [-20, 20]^4."""
+    built = cli.build_scenario(cli.ScenarioConfig.load(cli.shipped_config_path(name)))
+    rng = np.random.default_rng(seed)
+    starts = [cp.ClosedLoopState(rng.uniform(-20.0, 20.0, 2), rng.uniform(-20.0, 20.0, 2))
+              for _ in range(n_starts)]
+    return built.system, starts
+
+
+def _monitor(sys_):
+    if sys_.gains.mode == "decentralized":
+        rep = cp.find_equilibrium_decentralized(sys_)
+        return cp.DecentralizedMonitor(sys_, rep.zeta0, rep.u0)
+    return cp.CoordinatingMonitor(sys_)
+
+
+class TestStackedRk45:
+    @pytest.mark.parametrize("name", ["linear2_decentralized.cfg",
+                                      "linear2_coordinating.cfg"])
+    def test_rows_match_single_runs(self, name):
+        sys_, starts = _shipped_starts(name)
+        opts = SolverOptions(output_dt=4.0)
+        stacked = integrate_many(sys_, starts, (0.0, 200.0), opts,
+                                 [_monitor(sys_) for _ in starts])
+        for s0, row in zip(starts, stacked):
+            alone = cp.integrate(sys_, s0, (0.0, 200.0), opts, monitor=_monitor(sys_))
+            np.testing.assert_array_equal(row.times, alone.times)
+            np.testing.assert_allclose(row.x, alone.x, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(row.z, alone.z, rtol=0.0, atol=1e-10)
+            assert row.stats == alone.stats
+            assert row.monitor.ok == alone.monitor.ok
+            assert len(row.monitor.violations) == len(alone.monitor.violations)
+
+    def test_row_finishes_while_others_step(self, sys_dec2):
+        rep = cp.find_equilibrium_decentralized(sys_dec2)
+        starts = [cp.ClosedLoopState(rep.x0.copy(), rep.z0.copy()),
+                  cp.ClosedLoopState(np.array([3.0, -5.0]), np.array([2.0, 4.0]))]
+        # a small dt_max keeps the far start stepping after the near one ends
+        opts = SolverOptions(output_dt=1.0, dt_max=20.0)
+        stacked = integrate_many(sys_dec2, starts, (0.0, 100.0), opts)
+        assert stacked[0].stats.accepted < stacked[1].stats.accepted
+        for s0, row in zip(starts, stacked):
+            alone = cp.integrate(sys_dec2, s0, (0.0, 100.0), opts)
+            assert row.times[-1] == 100.0
+            assert row.stats == alone.stats
+            np.testing.assert_allclose(row.x, alone.x, rtol=0.0, atol=1e-10)
+
+    def test_step_underflow_names_the_row(self, sys_dec2):
+        starts = [cp.ClosedLoopState.zero(2), cp.ClosedLoopState(np.full(2, np.nan),
+                                                                 np.zeros(2))]
+        with pytest.raises(IntegrationError, match="underflow") as info:
+            integrate_many(sys_dec2, starts, (0.0, 10.0))
+        assert np.isnan(info.value.state[0])
 
 
 def _rosenbrock(fun, jac, t1, y0, opts, dfdt):
