@@ -89,42 +89,38 @@ def field_decentralized(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.
     """Time derivatives (dx, dz) of the decentralized loop at time t."""
     if sys.gains.mode != DECENTRALIZED:
         raise ValueError("system gains are not decentralized")
-    u = control_input(sys.gains, s)
-    v = saturate(u, sys.bounds)
-    dx = -sys.agents.a * s.x + sys.ic(v) + sys.agents.w_at(t)
-    dz = s.x + sys.gains.kA * (u - v)
-    return dx, dz
+    return _field_row(sys, s, t)
 
 
 def field_coordinating(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
-    """Time derivatives (dx, dz) of the coordinating loop at time t.
-
-    Every integrator receives the same shared term kC * sum_j dz(u)_j.
-    """
+    """Time derivatives (dx, dz) of the coordinating loop at time t."""
     if sys.gains.mode != COORDINATING:
         raise ValueError("system gains are not coordinating")
-    u = control_input(sys.gains, s)
-    v = saturate(u, sys.bounds)
-    dx = -sys.agents.a * s.x + sys.ic(v) + sys.agents.w_at(t)
-    dz = s.x + sys.gains.kC * np.sum(u - v)
-    return dx, dz
+    return _field_row(sys, s, t)
 
 
 def field(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
-    """Dispatch on the controller mode."""
-    if sys.gains.mode == DECENTRALIZED:
-        return field_decentralized(sys, s, t)
-    return field_coordinating(sys, s, t)
+    """Time derivatives (dx, dz) of the loop the gains select, at time t."""
+    return _field_row(sys, s, t)
+
+
+def _field_row(sys, s, t):
+    dx, dz = field_stack(sys, s.x[None], s.z[None], t)
+    return dx[0], dz[0]
 
 
 def field_stack(sys: ClosedLoopSystem, x, z, t=0.0):
-    """Time derivatives (dx, dz) of either loop for a stack of states.
+    """Time derivatives (dx, dz) of the loop the gains select, for a stack
+    of states.
 
     x and z are (m, n) arrays holding one state per row; t is one time for
-    every row or an (m,) array of them.  u is clipped into the box once for
-    the whole stack, so b(v) comes from the raw ``ic.fn`` row by row without
-    the per-call domain check of ``eval_interconnection``.  Each row equals
-    :func:`field` of that state.
+    every row or an (m,) array of them.  Both loops share
+    dx = -a*x + b(v) + w with v the clipped PI input u = -kP*x - kI*z.  The
+    decentralized integrator gets dz = x + kA*(u - v), its own excess; the
+    coordinating one gets dz = x + kC*sum_j (u - v)_j, the same shared sum in
+    every agent.  u is clipped into the box once for the whole stack, so b(v)
+    comes from the raw ``ic.fn`` row by row: a clipped v cannot fail the
+    domain check of ``eval_interconnection``.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -135,15 +131,15 @@ def field_stack(sys: ClosedLoopSystem, x, z, t=0.0):
     v = np.clip(u, sys.bounds.lower, sys.bounds.upper)
     fn = sys.ic.fn
     b = np.array([fn(row) for row in v], dtype=float)
-    if agents.w_is_constant:
-        w = agents.w
+    if agents.w_is_constant or np.ndim(t) == 0:
+        w = agents.w_at(t)
     else:
-        w = np.array([agents.w_at(tk) for tk in np.broadcast_to(t, len(x))])
+        w = np.array([agents.w_at(tk) for tk in t])
     dx = -agents.a * x + b + w
     if gains.mode == DECENTRALIZED:
         dz = x + gains.kA * (u - v)
     else:
-        dz = x + gains.kC * np.sum(u - v, axis=1, keepdims=True)
+        dz = x + gains.kC * (u - v).sum(axis=1, keepdims=True)
     return dx, dz
 
 

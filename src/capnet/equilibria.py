@@ -503,7 +503,8 @@ def verify_optimality(
     return VerificationVerdict("optimality", not failures, details, tuple(failures))
 
 
-def _terminal_errors(sys: ClosedLoopSystem, eq: EquilibriumReport, s: ClosedLoopState):
+def _terminal_errors(sys: ClosedLoopSystem, eq: EquilibriumReport, s: ClosedLoopState,
+                     tol: float):
     """Distance of s from the equilibria that eq stands for, and whether s
     saturates the same agents as eq.
 
@@ -511,18 +512,23 @@ def _terminal_errors(sys: ClosedLoopSystem, eq: EquilibriumReport, s: ClosedLoop
     (x, z).  Coordinating equilibria form a set: each member shares eq's
     errors x, applied inputs v, saturated agents, the unsaturated agents' z
     and the excess sum S = sum(u - v), while the saturated agents' z only
-    have to carry S between them, so theirs are not compared.
+    have to carry S between them, so theirs are not compared.  An agent whose
+    u lies within tol of the nearest bound counts as saturated either way:
+    how S splits between the saturated agents depends on the start, so a
+    member may hold one of them exactly on its bound.
     """
     if sys.gains.mode == DECENTRALIZED:
         return max(float(np.max(np.abs(s.x - eq.x0))),
                    float(np.max(np.abs(s.z - eq.z0)))), True
+    lo, hi = sys.bounds.lower, sys.bounds.upper
     u = control_input(sys.gains, s)
     v, v0 = saturate(u, sys.bounds), saturate(eq.u0, sys.bounds)
     free = v0 == eq.u0
     err = max(float(np.max(np.abs(s.x - eq.x0))), float(np.max(np.abs(v - v0))),
               float(np.max(np.abs(s.z - eq.z0)[free], initial=0.0)),
               abs(float(np.sum(u - v)) - float(np.sum(eq.u0 - v0))))
-    return err, bool(np.array_equal(v == u, free))
+    on_bound = np.minimum(np.abs(u - lo), np.abs(u - hi)) <= tol
+    return err, bool(np.all(((v == u) == free) | on_bound))
 
 
 def verify_global_convergence(
@@ -588,7 +594,7 @@ def verify_global_convergence(
     monitor_violations = 0
     monitored = 0
     for start, (traj, monitor) in enumerate(zip(trajs, monitors)):
-        err, same_saturation = _terminal_errors(sys, eq, traj.terminal_state())
+        err, same_saturation = _terminal_errors(sys, eq, traj.terminal_state(), tol)
         worst_terminal = max(worst_terminal, err)
         if err > tol:
             failures.append(f"start {start}: terminal error {err:.3e} > {tol:.1e}")

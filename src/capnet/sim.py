@@ -243,76 +243,72 @@ class _StepRecorder:
             self.next_idx += 1
 
 
-def _combine(coefs, k):
-    """sum_j coefs[j]*k[j] over the nonzero coefficients, accumulated in a
-    fixed order so that every row of a stack gets the same arithmetic."""
-    out = None
-    for c, kj in zip(coefs, k):
-        if c != 0.0:
-            out = c * kj if out is None else out + c * kj
-    return out
-
-
 def _integrate_rk45(fun, t0, t1, y0, opts, on_accept, recorders):
     """Dormand-Prince 5(4) on a stack of states, one per row of y0.
 
     Every row keeps its own time, step size, error norm, accept/reject
     decision and step factor, so a row takes the same steps in any stack; a
-    row leaves the stack once it reaches t1.  ``fun(t, y)`` maps the (k,)
-    times and (k, d) states of the rows still stepping to their derivatives,
-    and ``on_accept(row, t, y)`` sees every accepted step.  Returns one
-    IntegrationStats per row.
+    row leaves the stack once it reaches t1.  The stages of the rows still
+    stepping live in one (k, 7, d) array, and each tableau row is applied by
+    a matmul that numpy runs row by row, so every row gets the arithmetic of
+    a stack of one.  ``fun(t, y)`` maps the (k,) times and (k, d) states of
+    the rows still stepping to their derivatives, and ``on_accept(row, t, y)``
+    sees every accepted step.  Returns one IntegrationStats per row.
     """
     span = t1 - t0
     dt_max = opts.dt_max if opts.dt_max is not None else span / 64.0
     dt_init = opts.dt_init if opts.dt_init is not None else min(dt_max, span / 100.0)
     m, d = y0.shape
+    accepted, attempted = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+    # time, state, derivative and step size of the rows still stepping; each
+    # of them has attempted the same number of steps
+    rows = np.arange(m)
     t, y, dt = np.full(m, t0), y0.copy(), np.full(m, dt_init)
     f = fun(t, y)
-    accepted, rejected = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
-    evals = np.ones(m, dtype=int)
     for r in range(m):
         recorders[r].start(t0, y[r])
     t_end = t1 - 1e-12 * max(1.0, abs(t1))
-    rows = np.arange(m)
-    k = [None] * 7
-    while len(rows):
-        ta, ya = t[rows], y[rows]
-        h = np.minimum(np.minimum(dt[rows], t1 - ta), dt_max)
-        underflow = h < 1e-14 * np.maximum(1.0, np.abs(ta))
-        spent = accepted[rows] + rejected[rows] > opts.max_steps
-        for failed, reason in ((underflow, "step size underflow"),
-                               (spent, "step budget exhausted")):
-            if failed.any():
-                r = rows[np.argmax(failed)]
-                raise IntegrationError(reason, t=float(t[r]), state=y[r].copy())
+    steps = 0
+    while True:
+        going = t < t_end
+        if not going.all():
+            attempted[rows[~going]] = steps
+            rows, t, y, f, dt = rows[going], t[going], y[going], f[going], dt[going]
+            if not len(rows):
+                break
+        h = np.minimum(np.minimum(dt, t1 - t), dt_max)
+        underflow = h < 1e-14 * np.maximum(1.0, np.abs(t))
+        if underflow.any():
+            j = np.argmax(underflow)
+            raise IntegrationError("step size underflow", t=float(t[j]), state=y[j].copy())
+        if steps > opts.max_steps:
+            raise IntegrationError("step budget exhausted", t=float(t[0]), state=y[0].copy())
+        steps += 1
         hc = h[:, None]
-        k[0] = f[rows]
+        ts = t[:, None] + _DP_C * hc
+        k = np.empty((len(rows), 7, d))
+        k[:, 0] = f
         for i in range(1, 7):
-            k[i] = fun(ta + _DP_C[i] * h, ya + hc * _combine(_DP_A[i], k))
-        evals[rows] += 6
-        y_new = ya + hc * _combine(_DP_B5, k)
-        err_vec = hc * _combine(_DP_E, k)
-        scale = opts.atol + opts.rtol * np.maximum(np.abs(ya), np.abs(y_new))
+            k[:, i] = fun(ts[:, i], y + hc * (_DP_A[i] @ k[:, :i]))
+        y_new = y + hc * (_DP_B5 @ k)
+        err_vec = hc * (_DP_E @ k)
+        scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
         ok = err <= 1.0
-        t_new = ta + h
+        t_new = t + h
         for j in np.flatnonzero(ok):
-            r = rows[j]
             # FSAL: the last stage is f(t_new, y_new)
-            recorders[r].accepted(ta[j], ya[j], k[0][j], t_new[j], y_new[j], k[6][j])
-            on_accept(r, t_new[j], y_new[j])
-        done = rows[ok]
-        t[done], y[done], f[done] = t_new[ok], y_new[ok], k[6][ok]
-        accepted[done] += 1
-        rejected[rows[~ok]] += 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grow = np.fmax(0.2, 0.9 * err ** -0.2)  # fmax: a NaN error gives 0.2
-        factor = np.where(ok, np.where(err == 0.0, 5.0, np.minimum(5.0, grow)), grow)
-        dt[rows] = h * factor
-        rows = rows[t[rows] < t_end]
-    return [IntegrationStats(int(a), int(rj), int(e))
-            for a, rj, e in zip(accepted, rejected, evals)]
+            recorders[rows[j]].accepted(t[j], y[j], f[j], t_new[j], y_new[j], k[j, 6])
+            on_accept(rows[j], t_new[j], y_new[j])
+        accepted[rows] += ok
+        # grow by 0.9*err^-0.2 within [0.2, 5]; an error below 1e-10 grows
+        # by the cap and a NaN error (fmax) shrinks by 0.2
+        dt = h * np.minimum(5.0, np.fmax(0.2, 0.9 * np.maximum(err, 1e-10) ** -0.2))
+        t = np.where(ok, t_new, t)
+        y = np.where(ok[:, None], y_new, y)
+        f = np.where(ok[:, None], k[:, 6], f)
+    return [IntegrationStats(int(a), int(n - a), int(1 + 6 * n))
+            for a, n in zip(accepted, attempted)]
 
 
 # RODAS4 (Hairer & Wanner, Solving ODEs II, sec. IV.7) in the transformed

@@ -177,6 +177,17 @@ class TestStackedRk45:
             assert row.stats == alone.stats
             np.testing.assert_allclose(row.x, alone.x, rtol=0.0, atol=1e-10)
 
+    def test_step_budget_is_per_row(self, sys_dec2):
+        starts = [cp.ClosedLoopState(np.array([1.0, -1.0]), np.zeros(2)),
+                  cp.ClosedLoopState(np.array([3.0, -5.0]), np.array([2.0, 4.0]))]
+        alone = [cp.integrate(sys_dec2, s0, (0.0, 100.0)).stats for s0 in starts]
+        most = max(st.accepted + st.rejected for st in alone)
+        # the stack fits the budget of its longest row, not the sum over rows
+        stacked = integrate_many(sys_dec2, starts, (0.0, 100.0), SolverOptions(max_steps=most))
+        assert [traj.stats for traj in stacked] == alone
+        with pytest.raises(IntegrationError, match="budget"):
+            integrate_many(sys_dec2, starts, (0.0, 100.0), SolverOptions(max_steps=most // 2))
+
     def test_step_underflow_names_the_row(self, sys_dec2):
         starts = [cp.ClosedLoopState.zero(2), cp.ClosedLoopState(np.full(2, np.nan),
                                                                  np.zeros(2))]
