@@ -193,14 +193,22 @@ def lyapunov_decentralized(sys: ClosedLoopSystem, zeta_shift, u_shift) -> float:
     V = sum_i eta_i*d_i/(kP_i*c_i) |zeta~_i| + eta_i/kP_i |u~_i|, which
     requires the tuning margin d_i = a_i - kI_i/kP_i to be positive.
     """
+    return _decentralized_value(_decentralized_weights(sys),
+                                np.asarray(zeta_shift, dtype=float),
+                                np.asarray(u_shift, dtype=float))
+
+
+def _decentralized_weights(sys: ClosedLoopSystem):
     d = sys.d_margin
     if np.any(d <= 0):
         raise TuningError("certificate needs kP_i*a_i > kI_i for every agent")
-    zeta_shift = np.asarray(zeta_shift, dtype=float)
-    u_shift = np.asarray(u_shift, dtype=float)
     eta, kP, c = sys.ic.eta, sys.gains.kP, sys.c_ratio
-    return float(np.sum(eta * d / (kP * c) * np.abs(zeta_shift))
-                 + np.sum(eta / kP * np.abs(u_shift)))
+    return eta * d / (kP * c), eta / kP
+
+
+def _decentralized_value(weights, zeta_shift, u_shift) -> float:
+    w_zeta, w_u = weights
+    return float(np.sum(w_zeta * np.abs(zeta_shift)) + np.sum(w_u * np.abs(u_shift)))
 
 
 def lyapunov_coordinating(sys: ClosedLoopSystem, zeta, u) -> float:
@@ -210,16 +218,23 @@ def lyapunov_coordinating(sys: ClosedLoopSystem, zeta, u) -> float:
     dead-zones taken against the actuator bounds.  Zero exactly when both
     zeta and u are inside the bounds.
     """
+    return _coordinating_value(sys, _coordinating_weight(sys),
+                               deadzone(np.asarray(zeta, dtype=float), sys.bounds),
+                               deadzone(np.asarray(u, dtype=float), sys.bounds))
+
+
+def _coordinating_weight(sys: ClosedLoopSystem) -> np.ndarray:
     if sys.gains.mode != COORDINATING:
         raise ValueError("system gains are not coordinating")
     d = sys.d_margin
     if np.any(d <= 0):
         raise TuningError("certificate needs a_i > kI_i/kP_i for every agent")
-    dz_zeta = deadzone(np.asarray(zeta, dtype=float), sys.bounds)
-    dz_u = deadzone(np.asarray(u, dtype=float), sys.bounds)
-    kI, c = sys.gains.kI, sys.c_ratio
-    return float(0.5 * np.sum(d / (kI * c) * dz_zeta ** 2)
-                 + 0.5 * np.sum(dz_u ** 2 / kI))
+    return d / (sys.gains.kI * sys.c_ratio)
+
+
+def _coordinating_value(sys, w_zeta, dz_zeta, dz_u) -> float:
+    return float(0.5 * np.sum(w_zeta * dz_zeta ** 2)
+                 + 0.5 * np.sum(dz_u ** 2 / sys.gains.kI))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +303,8 @@ class LyapunovMonitor:
 
 class DecentralizedMonitor(LyapunovMonitor):
     """Decrease monitor for the decentralized certificate, anchored at a
-    computed equilibrium (zeta0, u0)."""
+    computed equilibrium (zeta0, u0).  The tuning margin is checked and the
+    certificate weights are built once, here; TuningError without a margin."""
 
     name = "decentralized-lyapunov"
 
@@ -296,28 +312,38 @@ class DecentralizedMonitor(LyapunovMonitor):
         super().__init__(sys, slack)
         self.zeta0 = as_vector(zeta0, "zeta0")
         self.u0 = as_vector(u0, "u0")
+        self._weights = _decentralized_weights(sys)
 
     def value(self, s: ClosedLoopState) -> float:
         zeta, u = to_zeta_u(s, self.sys.gains)
-        return lyapunov_decentralized(self.sys, zeta - self.zeta0, u - self.u0)
+        return _decentralized_value(self._weights, zeta - self.zeta0, u - self.u0)
 
 
 class CoordinatingMonitor(LyapunovMonitor):
     """Decrease monitor for the coordinating dead-zone certificate.
 
     Decrease is only guaranteed while the control is saturated, so steps
-    starting from dz(u) = 0 are out of scope.
+    starting from dz(u) = 0 are out of scope.  The mode and tuning margin
+    are checked and the weight is built once, here, with the errors of
+    :func:`lyapunov_coordinating`.
     """
 
     name = "coordinating-lyapunov"
 
+    def __init__(self, sys, slack: float = MONITOR_SLACK):
+        super().__init__(sys, slack)
+        self._weight = _coordinating_weight(sys)
+
+    def _deadzone(self, y):
+        return y - np.clip(y, self.sys.bounds.lower, self.sys.bounds.upper)
+
     def value(self, s: ClosedLoopState) -> float:
         zeta, u = to_zeta_u(s, self.sys.gains)
-        return lyapunov_coordinating(self.sys, zeta, u)
+        return _coordinating_value(self.sys, self._weight,
+                                   self._deadzone(zeta), self._deadzone(u))
 
     def in_scope(self, s: ClosedLoopState) -> bool:
-        u = control_input(self.sys.gains, s)
-        return bool(np.any(deadzone(u, self.sys.bounds) != 0.0))
+        return bool(np.any(self._deadzone(control_input(self.sys.gains, s)) != 0.0))
 
 
 def rejectable_disturbance(sys: ClosedLoopSystem, t: float = 0.0) -> bool:

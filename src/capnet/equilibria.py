@@ -415,9 +415,11 @@ def solve_linf_allocation(
     """The open-loop allocation minimizing max_i |x_i| over the box.
 
     Solved by the interconnection's allocator when it carries one (a linear
-    program for b(v) = B v, a bisection on the common error level for the
-    DHN), whose errors propagate; otherwise by the direct-search oracle.
-    ``warm_start`` is passed to the allocator.
+    program for b(v) = B v; for the DHN, the common error level of the
+    agents in deficit in closed form when every agent is in deficit, and a
+    bracketed bisection on that level otherwise or when the closed form's
+    preconditions fail), whose errors propagate; otherwise by the
+    direct-search oracle.  ``warm_start`` is passed to the allocator.
     """
     return _allocate(ic, agents, warm_start, "linf", linf_cost, oracle_linf)
 

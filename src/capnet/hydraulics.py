@@ -233,6 +233,13 @@ def solve_flows_partial(
     consumer valve position ``v`` is authoritative.  Only the free consumers
     satisfy a pressure balance; the throttled ones are assumed to own a valve
     position achieving their flow (see :func:`valve_positions_for_flows`).
+
+    Damped Newton on the free flows, within a budget of ``max_iter`` (60)
+    steps of at most 30 step halvings each, until the pressure-balance
+    residual is at most ``tol`` relative to pump_dp.  Raises FlowSolverError
+    when the pump is switched off (pump_dp == 0), when 30 halvings do not
+    lower the squared residual ("line search stalled", with the step count)
+    and when the budget runs out.
     """
     n = net.n_consumers
     free = ~np.isfinite(fixed_q)
@@ -383,9 +390,15 @@ class DhnAllocator:
 
     Valve positions follow in closed form from any prescribed consumer flow
     pattern, so the weighted-L1 optimum reduces to an active-set iteration
-    over reduced flow solves and the min-max optimum to a scalar bisection
-    on the common error level of the agents in deficit; in both, the valves
-    of agents that need no heat (w_i >= 0) stay shut.  Errors raise
+    over reduced flow solves, and the min-max optimum to the largest common
+    error level tau of the agents in deficit that every valve can still
+    deliver.  When every agent is in deficit, the flows at level tau are
+    affine in tau and agent i's valve reaches fully open where a concave
+    quadratic in tau crosses zero, so that level is the smallest of the
+    quadratics' larger roots (:meth:`_closed_form_level`).  A bracketed
+    bisection on tau runs instead when some agent needs no heat (w_i >= 0;
+    its valve stays shut) or when the closed form's preconditions fail,
+    e.g. a deficit agent oversupplied even by a shut valve.  Errors raise
     FlowSolverError.  Used by the benchmark policies; the generic
     direct-search oracles remain the independent reference.
     """
@@ -403,8 +416,51 @@ class DhnAllocator:
         q = solve_flows_partial(self.net, np.where(shut, -1.0, 1.0), np.where(shut, np.nan, q))
         return np.where(shut, -1.0, valve_positions_for_flows(self.net, q)), q
 
+    def _closed_form_level(self, a, w):
+        """The largest common error level every valve can deliver when every
+        agent is in deficit, or None where the closed form does not apply.
+
+        At level tau the flows are q(tau) = (a*tau - w)/coef, and agent i's
+        valve is at most fully open while
+        f_i(tau) = pump_dp - sum_k E_ki 2 s_k Q_k(tau)^2 - r_i(1) q_i(tau)^2 >= 0
+        with Q = E q: a concave quadratic in tau.  For positive flows it holds
+        up to its larger root, so the level is the smallest larger root.  None
+        when a quadratic has no real root or a flow at that level is not
+        positive.
+        """
+        net = self.net
+        E = net.path_matrix
+        alpha, beta = a / self.coef, -w / self.coef  # q(tau) = alpha*tau + beta
+        A, B = E @ alpha, E @ beta
+        r_open = net.consumer_resistance(np.ones(net.n_consumers))
+        c2 = -((net._s2 * A * A) @ E + r_open * alpha * alpha)
+        c1 = -2.0 * ((net._s2 * A * B) @ E + r_open * alpha * beta)
+        c0 = net.pump_dp - (net._s2 * B * B) @ E - r_open * beta * beta
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if not np.all(disc >= 0.0):
+            return None
+        # larger root (-c1 - sqrt(disc)) / (2 c2), written without the
+        # cancellation of its textbook form since c1 < 0 < sqrt(disc) - c1
+        tau = float(np.min(2.0 * c0 / (np.sqrt(disc) - c1)))
+        if not np.all(alpha * tau + beta > 0.0):
+            return None
+        return tau
+
     def linf(self, a, w, warm_v=None):
         w = np.asarray(w, dtype=float)
+        tau = self._closed_form_level(a, w) if np.all(w < 0.0) else None
+        if tau is not None:
+            tau = min(tau, 0.0)  # at or above 0, w is rejected exactly
+            v = self._level(a, w, tau)[0]
+            if np.all((v >= -1.0) & (v <= 1.0 + 1e-9)):
+                v = np.clip(v, -1.0, 1.0)
+                x = (self.coef * solve_flows(self.net, v) + w) / a
+                return v, x, "dhn-rejection" if tau == 0.0 else "dhn-equalization"
+        return self._linf_search(a, w)
+
+    def _linf_search(self, a, w):
+        """Bracketed bisection on the common level tau, for the inputs the
+        closed form does not cover."""
         # agents with w_i >= 0 are in surplus at any opening and stay shut; the
         # level tau binds the others, and above 0 only below the shut errors
         shut = w >= 0.0

@@ -184,3 +184,38 @@ class TestMonitors:
         assert not monitor.in_scope(inside)  # unsaturated: decrease not claimed
         saturated = cp.ClosedLoopState(np.array([-3.0, -3.0]), np.zeros(2))
         assert monitor.in_scope(saturated)
+
+    @pytest.mark.parametrize("n", [2, 22])
+    def test_values_match_certificates_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        bounds = cp.SaturationBounds.symmetric(1.0, n)
+        ic = cp.LinearMMatrix(np.eye(n) - 0.5 / n * (1.0 - np.eye(n))).as_interconnection(bounds)
+        kP, kI = rng.uniform(1.0, 3.0, n), rng.uniform(0.1, 1.0, n)
+        agents = cp.AgentEnsemble(a=kI / kP + rng.uniform(0.05, 1.0, n), w=-rng.uniform(0, 2, n))
+        dec = cp.ClosedLoopSystem(agents=agents, ic=ic, bounds=bounds, gains=cp.ControllerGains(
+            kP=kP, kI=kI, mode="decentralized", kA=np.full(n, 0.4)))
+        coord = cp.ClosedLoopSystem(agents=agents, ic=ic, bounds=bounds, gains=cp.ControllerGains(
+            kP=kP, kI=kI, mode="coordinating", kC=0.5 / n, alpha=1.0))
+        zeta0, u0 = rng.normal(size=n), rng.normal(size=n)
+        mon_dec = DecentralizedMonitor(dec, zeta0, u0)
+        mon_coord = CoordinatingMonitor(coord)
+        for k in range(100):
+            s = cp.ClosedLoopState(rng.normal(scale=3.0, size=n), rng.normal(scale=3.0, size=n))
+            zeta, u = cp.to_zeta_u(s, dec.gains)
+            assert mon_dec.observe(float(k), s) == cp.lyapunov_decentralized(
+                dec, zeta - zeta0, u - u0)
+            zeta, u = cp.to_zeta_u(s, coord.gains)
+            assert mon_coord.observe(float(k), s) == cp.lyapunov_coordinating(coord, zeta, u)
+
+    def test_margin_checked_at_construction(self, ic2, bounds2):
+        agents = cp.AgentEnsemble(a=[0.4, 0.4], w=[0.0, 0.0])
+        dec = cp.ControllerGains(kP=[2.0, 2.0], kI=[1.0, 1.0], mode="decentralized",
+                                 kA=[0.4, 0.4])
+        coord = cp.ControllerGains(kP=[2.0, 2.0], kI=[1.0, 1.0], mode="coordinating",
+                                   kC=0.5, alpha=1.0)
+        with pytest.raises(TuningError):
+            DecentralizedMonitor(cp.ClosedLoopSystem(agents=agents, ic=ic2, gains=dec,
+                                                     bounds=bounds2), np.zeros(2), np.zeros(2))
+        with pytest.raises(TuningError):
+            CoordinatingMonitor(cp.ClosedLoopSystem(agents=agents, ic=ic2, gains=coord,
+                                                    bounds=bounds2))

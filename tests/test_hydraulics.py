@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capnet as cp
-from capnet import hydraulics
+from capnet import hydraulics, sim
 from capnet.errors import FlowSolverError
 from capnet.hydraulics import (DhnAllocator, solve_flows_partial,
                                valve_positions_for_flows)
@@ -292,6 +292,17 @@ class TestScenario:
         assert np.all(b > 0) and np.all(b < 1e-3)
 
 
+#: dhn_small's line at a tenth of its pump pressure, and disturbances under
+#: which the weakly loaded agent is oversupplied even by a shut valve
+LOW_PUMP_W = [[-0.05, -30.0], [-30.0, -0.05]]
+
+
+def low_pump_small_net():
+    return cp.HydraulicNetwork(
+        "P", [cp.Pipe("P", "A", 0.9), cp.Pipe("A", "B", 0.3)],
+        [cp.Consumer("A", 2.5), cp.Consumer("B", 2.5)], 0.6e6 * 2e-6)
+
+
 class TestAllocatorsOnSmallNetwork:
     @pytest.mark.parametrize("T_o", [-26.5, -15.0, -5.0])
     def test_l1_matches_grid_oracle(self, dhn_small, T_o):
@@ -340,12 +351,36 @@ class TestAllocatorsOnSmallNetwork:
         slow = cp.oracle_linf(ic, agents)
         assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
 
+    @pytest.mark.parametrize("w", LOW_PUMP_W, ids=["weak-first", "weak-last"])
+    def test_linf_low_pump_matches_oracle(self, w):
+        bld = cp.BuildingParams()
+        ic = cp.dhn_interconnection(low_pump_small_net(), bld)
+        agents = cp.AgentEnsemble(a=bld.rates(2), w=w)
+        fast = cp.solve_linf_allocation(ic, agents)
+        slow = cp.oracle_linf(ic, agents)
+        assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
+        np.testing.assert_allclose(fast.v, slow.v, atol=1e-5)
+
     def test_deep_deficit_equalizes(self, dhn_small):
         net, bld, ic = dhn_small
         agents = cp.AgentEnsemble(a=bld.rates(2), w=bld.disturbance(2, -26.5))
         res = cp.solve_linf_allocation(ic, agents)
         assert res.x.max() - res.x.min() < 1e-6
         assert np.any(res.v >= 1.0 - 1e-9)
+
+
+def count_inverse_calls(monkeypatch):
+    """Count the allocator's inverse-map and partial-solve calls."""
+    calls = {}
+    for name in ("valve_positions_for_flows", "solve_flows_partial"):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(hydraulics, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(hydraulics, name, counted)
+    return calls
 
 
 def linf_full_bisection(alloc, a, w):
@@ -374,11 +409,13 @@ class TestDhnAllocator:
         np.testing.assert_array_equal(res.v, -np.ones(22))
         assert res.cost == pytest.approx(cost, rel=1e-12)
 
-    def test_linf_bisection_stops_when_interval_collapses(self, monkeypatch):
-        net = cp.build_dhn_network(cp.CALIBRATED_CAPACITY_SCALE)
+    @pytest.mark.parametrize("w", LOW_PUMP_W, ids=["weak-first", "weak-last"])
+    def test_linf_bisection_stops_when_interval_collapses(self, monkeypatch, w):
+        # the weakly loaded agent is oversupplied even by a shut valve, so
+        # the closed-form level does not apply and the bisection runs
         bld = cp.BuildingParams()
-        a, w = bld.rates(22), bld.disturbance(22, -26.5)
-        alloc = DhnAllocator(net, bld.heat_coefficient(22))
+        a, w = bld.rates(2), np.array(w)
+        alloc = DhnAllocator(low_pump_small_net(), bld.heat_coefficient(2))
         v_ref, x_ref = linf_full_bisection(alloc, a, w)
         calls = []
         inverse = hydraulics.valve_positions_for_flows
@@ -393,3 +430,55 @@ class TestDhnAllocator:
         assert len(calls) <= 60
         np.testing.assert_array_equal(v, v_ref)
         np.testing.assert_array_equal(x, x_ref)
+
+    @pytest.mark.parametrize("T_o, method", [(-26.5, "dhn-equalization"),
+                                             (-20.0, "dhn-equalization"),
+                                             (-15.0, "dhn-rejection")])
+    def test_linf_closed_form_level(self, monkeypatch, T_o, method):
+        net = cp.build_dhn_network(cp.CALIBRATED_CAPACITY_SCALE)
+        bld = cp.BuildingParams()
+        a, w = bld.rates(22), bld.disturbance(22, T_o)
+        alloc = DhnAllocator(net, bld.heat_coefficient(22))
+        v_ref, x_ref = linf_full_bisection(alloc, a, w)
+        calls = count_inverse_calls(monkeypatch)
+        v, x, got = alloc.linf(a, w)
+        assert got == method
+        assert calls == {"valve_positions_for_flows": 1, "solve_flows_partial": 0}
+        np.testing.assert_allclose(v, v_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-12)
+        assert np.ptp(x) < 1e-10
+        if method == "dhn-equalization":
+            assert np.max(v) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        else:  # milder than about -17 degC the network rejects w exactly
+            assert np.max(np.abs(x)) < 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(random_trees(), st.data())
+    def test_linf_closed_form_never_costlier_than_bisection(self, tree, data):
+        net, v = tree
+        n = net.n_consumers
+        bld = cp.BuildingParams()
+        a, coef = bld.rates(n), bld.heat_coefficient(n)
+        # every agent in deficit, from well inside to well beyond what the
+        # valves at v deliver
+        scale = np.array(data.draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n)))
+        w = -coef * cp.solve_flows(net, v) * scale
+        alloc = DhnAllocator(net, coef)
+        v_ref, x_ref = linf_full_bisection(alloc, a, w)
+        v_new, x_new, _ = alloc.linf(a, w)
+        cost_ref = cp.linf_cost(x_ref)
+        assert cp.linf_cost(x_new) <= cost_ref + 1e-12 * (1.0 + cost_ref)
+        np.testing.assert_allclose(v_new, v_ref, rtol=0.0, atol=1e-10)
+
+    def test_linf_study_profile_makes_one_inverse_call(self, monkeypatch):
+        net, bld, _ = cp.build_dhn_scenario(capacity_scale=cp.CALIBRATED_CAPACITY_SCALE)
+        ic = cp.dhn_interconnection(net, bld)
+        a = bld.rates(22)
+        profile = sim.make_temperature_profile().with_thermal_map(a, np.full(22, bld.T_ref))
+        calls = count_inverse_calls(monkeypatch)
+        for t in np.linspace(0.0, 96.0, 385):  # the reproduce-dhn output grid
+            w = profile.eval(t)
+            assert np.all(w < 0.0)
+            cp.solve_linf_allocation(ic, cp.AgentEnsemble(a=a, w=w))
+            assert calls == {"valve_positions_for_flows": 1, "solve_flows_partial": 0}, t
+            calls.update(dict.fromkeys(calls, 0))
