@@ -162,15 +162,9 @@ def _vector_or_scalar(value, n, name):
     return arr
 
 
-@dataclass
-class BuiltScenario:
-    system: ClosedLoopSystem
-    scenario: sim.Scenario
-    tuning_forced: bool
-
-
-def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> BuiltScenario:
-    """Instantiate every object a run needs from a validated config."""
+def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Scenario:
+    """Instantiate every object a run needs from a validated config; policy
+    defaults to the controller mode."""
     data = cfg.data
     system_cfg = data["system"]
     hstats = None
@@ -261,14 +255,12 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> BuiltSc
     out_dir = out_cfg.get("directory")
     if out_dir is not None:
         out_dir = Path(out_dir)  # relative paths resolve against the CWD
-    scenario = sim.Scenario(
+    return sim.Scenario(
         policy=policy or ctrl["mode"],
         agents=agents, ic=ic, t_span=t_span, opts=opts, system=system,
         force=bool(ctrl.get("force", False)), temperature=temperature,
         hydraulic_stats=hstats, out_dir=out_dir,
         prefix=out_cfg.get("prefix", "run"))
-    return BuiltScenario(system=system, scenario=scenario,
-                         tuning_forced=bool(ctrl.get("force", False)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +268,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> BuiltSc
 
 
 def cmd_simulate(args) -> int:
-    arts = sim.run_scenario(build_scenario(ScenarioConfig.load(args.config)).scenario)
+    arts = sim.run_scenario(build_scenario(ScenarioConfig.load(args.config)))
     print(f"wrote {arts.csv_path}" if arts.csv_path else "run complete (no output dir)")
     for key in sorted(arts.summary):
         print(f"  {key}={arts.summary[key]}")
@@ -307,8 +299,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    built = build_scenario(ScenarioConfig.load(args.config))
-    system = built.system
+    scenario = build_scenario(ScenarioConfig.load(args.config))
+    system = scenario.system
     verdicts = []
     rep = None
     if args.optimality or not args.stability:
@@ -326,7 +318,7 @@ def cmd_verify(args) -> int:
     if args.stability:
         verdicts.append(equilibria.verify_global_convergence(
             system, n_starts=args.starts, seed=args.seed, t_max=args.t_max,
-            tol=args.tol, force=built.tuning_forced, equilibrium=rep))
+            tol=args.tol, force=scenario.force, equilibrium=rep))
     for verdict in verdicts:
         print(verdict.report())
         if args.report_dir:
@@ -337,43 +329,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_FAIL
 
 
-def _dhn_scenario(policy: str, capacity_scale: float, out_dir, t_end: float,
-                  output_dt: float):
-    net, bld, _ = hydraulics.build_dhn_scenario(capacity_scale=capacity_scale)
-    n = net.n_consumers
-    temperature = sim.make_temperature_profile()
-    a = bld.rates(n)
-    T_ref = np.broadcast_to(np.asarray(bld.T_ref, dtype=float), (n,))
-    profile = temperature.with_thermal_map(a, T_ref)
-    agents = AgentEnsemble(a=a, w=profile)
-    hstats = hydraulics.HydraulicStats()
-    ic = hydraulics.dhn_interconnection(net, bld, hstats)
-    bounds = SaturationBounds.symmetric(1.0, n)
-    system = None
-    if policy in (DECENTRALIZED, COORDINATING):
-        if policy == DECENTRALIZED:
-            gains = ControllerGains(kP=np.ones(n), kI=np.ones(n),
-                                    mode=DECENTRALIZED, kA=np.ones(n))
-        else:
-            # alpha is a placeholder: the reference gains violate the tuning
-            # rule either way and the run is forced, matching the case study
-            gains = ControllerGains(kP=np.ones(n), kI=np.ones(n),
-                                    mode=COORDINATING, kC=0.5, alpha=1.0)
-        system = ClosedLoopSystem(agents=agents, ic=ic, gains=gains, bounds=bounds)
-    # stiff (modes down to -96 /h): Rosenbrock; its stops on the profile's kinks
-    # converge the printed deviations.  atol 1e-6 K: x sits near 0 for hours
-    return sim.Scenario(policy=policy, agents=agents, ic=ic, t_span=(0.0, t_end),
-                        opts=sim.SolverOptions(method="rosenbrock", rtol=1e-6, atol=1e-6,
-                                               output_dt=output_dt),
-                        system=system, force=True, temperature=temperature,
-                        hydraulic_stats=hstats, out_dir=Path(out_dir), prefix="dhn")
-
-
 def cmd_reproduce_dhn(args) -> int:
+    """Run the shipped dhn_study_<mode>.cfg of each policy; the oracle
+    policies take the decentralized one, whose loop they do not use."""
     policies = list(sim.POLICIES) if args.policy == "all" else [args.policy]
     out_dir = Path(args.out)
-    artifacts = [sim.run_scenario(_dhn_scenario(p, args.capacity_scale, out_dir, args.t_end,
-                                                args.output_dt)) for p in policies]
+    artifacts = []
+    for policy in policies:
+        mode = policy if policy in (DECENTRALIZED, COORDINATING) else DECENTRALIZED
+        cfg = ScenarioConfig.load(shipped_config_path(f"dhn_study_{mode}.cfg"))
+        cfg.data["system"]["capacity_scale"] = args.capacity_scale
+        cfg.data["sim"].update(t_span=[0.0, args.t_end], output_dt=args.output_dt)
+        cfg.data["outputs"]["directory"] = args.out
+        artifacts.append(sim.run_scenario(build_scenario(cfg, policy)))
     lines = ["policy,time,max_deviation,sum_deviation"]
     for arts in artifacts:
         for k, t in enumerate(arts.times):

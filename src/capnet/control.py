@@ -284,12 +284,6 @@ class LyapunovMonitor:
         self._prev = rec
         return v
 
-    def reset(self):
-        self.values = []
-        self.violations = []
-        self._prev = None
-        self.in_scope_pair = True
-
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -353,3 +347,19 @@ def rejectable_disturbance(sys: ClosedLoopSystem, t: float = 0.0) -> bool:
     hi = sys.ic(sys.bounds.upper) + w
     lo = sys.ic(sys.bounds.lower) + w
     return bool(np.all(hi > 0) and np.all(lo < 0))
+
+
+def no_monitor_reason(sys: ClosedLoopSystem) -> Optional[str]:
+    """Why no certificate monitor applies to sys, or None when one does.
+
+    Both certificates need a constant disturbance and a positive tuning
+    margin d = a - kI/kP; the coordinating one also needs w rejectable
+    strictly inside the box.
+    """
+    if not sys.agents.w_is_constant:
+        return "time-varying w"
+    if np.any(sys.d_margin <= 0):
+        return "tuning margin <= 0"
+    if sys.gains.mode == COORDINATING and not rejectable_disturbance(sys):
+        return "not rejectable"
+    return None

@@ -63,10 +63,6 @@ class SaturationBounds:
         lim = float(limit)
         return cls(np.full(n, -lim), np.full(n, lim))
 
-    def contains(self, v, tol: float = 0.0) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
-
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Uniform draw(s) from the box."""
         if size is None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       DecentralizedMonitor, control_input, field as loop_field,
-                      rejectable_disturbance)
+                      no_monitor_reason, rejectable_disturbance)
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, saturate,
                    validate_tuning)
 from .errors import EquilibriumError, TuningError
@@ -576,6 +576,7 @@ def verify_global_convergence(
                  "best_residual": eq.best_residual},
                 (f"no equilibrium found: {eq.message}",))
     rejectable = rejectable_disturbance(sys) if sys.gains.mode == COORDINATING else False
+    unmonitored = no_monitor_reason(sys)
     magnitude = max(float(np.max(np.abs(eq.x0))), float(np.max(np.abs(eq.z0))))
     half_width = box_scale * (magnitude if magnitude > 0 else 1.0)
     opts = solver_opts or SolverOptions(output_dt=t_max / 50.0)
@@ -585,9 +586,9 @@ def verify_global_convergence(
         starts.append(ClosedLoopState(rng.uniform(-half_width, half_width, sys.n),
                                       rng.uniform(-half_width, half_width, sys.n)))
         monitor = None
-        if sys.gains.mode == DECENTRALIZED and np.all(sys.d_margin > 0):
+        if unmonitored is None and sys.gains.mode == DECENTRALIZED:
             monitor = DecentralizedMonitor(sys, eq.zeta0, eq.u0)
-        elif sys.gains.mode == COORDINATING and rejectable and np.all(sys.d_margin > 0):
+        elif unmonitored is None:
             monitor = CoordinatingMonitor(sys)
         monitors.append(monitor)
     trajs = integrate_many(sys, starts, (0.0, t_max), opts, monitors)

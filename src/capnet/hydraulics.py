@@ -18,8 +18,10 @@ balance on every root-to-consumer path.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from importlib import resources
 from typing import Optional, Sequence
 
 import numpy as np
@@ -396,9 +398,9 @@ class DhnAllocator:
     affine in tau and agent i's valve reaches fully open where a concave
     quadratic in tau crosses zero, so that level is the smallest of the
     quadratics' larger roots (:meth:`_closed_form_level`).  A bracketed
-    bisection on tau runs instead when some agent needs no heat (w_i >= 0;
-    its valve stays shut) or when the closed form's preconditions fail,
-    e.g. a deficit agent oversupplied even by a shut valve.  Errors raise
+    bisection on tau runs instead when some agent needs no heat (w_i >= 0)
+    or is oversupplied even by a shut valve at zero error (its valve stays
+    shut), or when the closed form's preconditions fail.  Errors raise
     FlowSolverError.  Used by the benchmark policies; the generic
     direct-search oracles remain the independent reference.
     """
@@ -407,10 +409,11 @@ class DhnAllocator:
         self.net = net
         self.coef = coef
 
-    def _level(self, a, w, tau):
-        """Valves and flows with agents in deficit (w_i < 0) at error tau, others shut."""
+    def _level(self, a, w, tau, shut=None):
+        """Valves and flows with the agents outside ``shut`` (by default those
+        with w_i >= 0) at error tau and the valves of those in it shut."""
         q = (a * tau - w) / self.coef
-        shut = w >= 0.0
+        shut = w >= 0.0 if shut is None else shut
         if not shut.any():
             return valve_positions_for_flows(self.net, q), q
         q = solve_flows_partial(self.net, np.where(shut, -1.0, 1.0), np.where(shut, np.nan, q))
@@ -464,15 +467,19 @@ class DhnAllocator:
         # agents with w_i >= 0 are in surplus at any opening and stay shut; the
         # level tau binds the others, and above 0 only below the shut errors
         shut = w >= 0.0
+        if not shut.any():
+            # so is an agent whose valve would have to close beyond shut to
+            # hold zero error
+            shut = self._level(a, w, 0.0)[0] < -1.0
 
         def shut_error(q):
             return float(np.max((self.coef * q + w)[shut] / a[shut]))
 
         def reachable(tau):
-            v, q = self._level(a, w, tau)
+            v, q = self._level(a, w, tau, shut)
             return v.max() <= 1.0 and (tau < 0.0 or tau < shut_error(q))
 
-        v, q = self._level(a, w, 0.0)
+        v, q = self._level(a, w, 0.0, shut)
         if np.max(v) <= 1.0 and not shut.any():
             method = "dhn-rejection"
         else:
@@ -494,7 +501,7 @@ class DhnAllocator:
                     tau_lo = tau_mid
                 else:
                     tau_hi = tau_mid
-            v = self._level(a, w, tau_lo)[0]
+            v = self._level(a, w, tau_lo, shut)[0]
             method = "dhn-equalization"
         v = np.clip(v, -1.0, 1.0)
         x = (self.coef * solve_flows(self.net, v) + w) / a
@@ -572,24 +579,16 @@ CALIBRATED_CAPACITY_SCALE = 1.15e-3
 
 
 def build_dhn_network(capacity_scale: float = 1.0) -> HydraulicNetwork:
-    """The 22-consumer tree: one trunk, a hub, three consumer lines.
+    """The 22-consumer tree of the shipped ``configs/dhn_fig1.cfg`` (one
+    trunk, a hub, three consumer lines), its pump pressure scaled by
+    ``capacity_scale``.
 
     Junction names follow the numbering 23 (plant) to 36; consumers attach
     two per junction along the lines 26-27-28-29, 30-31-32 and 33-34-35-36.
     """
-    pipes = [Pipe("23", "24", 0.9)]
-    pipes += [Pipe("24", "25", 0.25), Pipe("25", "26", 0.25),
-              Pipe("25", "30", 0.25), Pipe("25", "33", 0.25)]
-    for line in (("26", "27", "28", "29"), ("30", "31", "32"), ("33", "34", "35", "36")):
-        for a, b in zip(line[:-1], line[1:]):
-            pipes.append(Pipe(a, b, 0.05))
-    consumers = []
-    for line in (("26", "27", "28", "29"), ("30", "31", "32"), ("33", "34", "35", "36")):
-        for node in line:
-            consumers.append(Consumer(node=node, s_c=2.5))
-            consumers.append(Consumer(node=node, s_c=2.5))
-    return HydraulicNetwork(root="23", pipes=pipes, consumers=consumers,
-                            pump_dp=0.6e6 * capacity_scale)
+    raw = resources.files("capnet").joinpath("configs", "dhn_fig1.cfg").read_text(
+        encoding="utf-8")
+    return network_from_dict(json.loads(raw), capacity_scale)
 
 
 def build_dhn_scenario(T_o: float = -25.0, capacity_scale: float = 1.0):

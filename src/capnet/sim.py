@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       DecentralizedMonitor, LyapunovMonitor, field as loop_field,
-                      field_jacobian, field_stack, rejectable_disturbance)
+                      field_jacobian, field_stack, no_monitor_reason)
 from .core import DECENTRALIZED, AgentEnsemble
 from .errors import ConfigError, IntegrationError, TuningError
 from .hydraulics import HydraulicStats
@@ -509,9 +509,7 @@ class Scenario:
     t_span: tuple
     opts: SolverOptions
     system: Optional[ClosedLoopSystem] = None       # PI policies
-    initial: Optional[ClosedLoopState] = None
     force: bool = False
-    monitor_enabled: bool = True
     temperature: Optional[DisturbanceProfile] = None  # raw T_o(t), for summaries
     hydraulic_stats: Optional[HydraulicStats] = None
     out_dir: Optional[Path] = None
@@ -558,28 +556,21 @@ def write_summary(path: Path, summary: dict):
             fh.write(f"{key}={summary[key]}\n")
 
 
-def _setup_monitor(sc: Scenario):
-    sys = sc.system
-    if not sc.monitor_enabled or sys is None or not sys.agents.w_is_constant:
-        if sc.monitor_enabled and sys is not None and not sys.agents.w_is_constant:
-            log.info("time-varying disturbance: certificate monitor disabled")
-        return None
-    if np.any(sys.d_margin <= 0):
-        log.info("tuning margin a - kI/kP not positive: certificate monitor disabled")
-        return None
-    from . import equilibria  # deferred: equilibria imports this module
+def _setup_monitor(sys: ClosedLoopSystem):
+    reason = no_monitor_reason(sys)
+    if reason is None and sys.gains.mode == DECENTRALIZED:
+        from . import equilibria  # deferred: equilibria imports this module
 
-    if sys.gains.mode == DECENTRALIZED:
         try:
             rep = equilibria.find_equilibrium_decentralized(sys)
         except Exception as exc:  # no equilibrium -> no anchor for the shifted V
-            log.info("equilibrium solve failed (%s): monitor disabled", exc)
-            return None
-        return DecentralizedMonitor(sys, rep.zeta0, rep.u0)
-    if rejectable_disturbance(sys):
-        return CoordinatingMonitor(sys)
-    log.info("disturbance not rejectable: coordinating certificate monitor disabled")
-    return None
+            reason = f"no equilibrium: {exc}"
+        else:
+            return DecentralizedMonitor(sys, rep.zeta0, rep.u0)
+    if reason is not None:
+        log.info("certificate monitor disabled: %s", reason)
+        return None
+    return CoordinatingMonitor(sys)
 
 
 def _deviation_stats(times, x, temperature):
@@ -646,9 +637,8 @@ def _run_closed_loop(sc: Scenario) -> RunArtifacts:
                 "tuning rule violated; pass force=True/--force to simulate anyway:\n"
                 + report.summary())
         log.warning("tuning rule violated, continuing under force:\n%s", report.summary())
-    monitor = _setup_monitor(sc)
-    s0 = sc.initial if sc.initial is not None else ClosedLoopState.zero(sys.n)
-    traj = integrate(sys, s0, sc.t_span, sc.opts, monitor=monitor)
+    monitor = _setup_monitor(sys)
+    traj = integrate(sys, ClosedLoopState.zero(sys.n), sc.t_span, sc.opts, monitor=monitor)
     summary = {
         "policy": sc.policy,
         "n_agents": sys.n,

@@ -61,10 +61,21 @@ class TestConfig:
             cli.load_config(write_cfg(tmp_path, cfg))
 
     def test_shipped_configs_load(self):
-        for name in ("linear2_decentralized.cfg", "linear2_coordinating.cfg"):
-            path = cli.shipped_config_path(name)
-            data = cli.load_config(path)
-            assert data["schema_version"] == 1
+        # every shipped file is a scenario that builds or a network that loads
+        paths = {p.name: p for p in (Path(cp.__file__).parent / "configs").glob("*.cfg")}
+        assert {"linear2_decentralized.cfg", "linear2_coordinating.cfg", "dhn_fig1.cfg",
+                "dhn_calibrated.cfg", "dhn_study_decentralized.cfg",
+                "dhn_study_coordinating.cfg"} <= set(paths)
+        for name, path in sorted(paths.items()):
+            raw = json.loads(path.read_text(encoding="utf-8"))
+            if "system" in raw:
+                assert cli.load_config(path)["schema_version"] == 1
+                cli.build_scenario(cli.ScenarioConfig.load(path))
+            else:
+                assert cp.network_from_dict(raw).n_consumers > 0, name
+        for mode in ("decentralized", "coordinating"):
+            data = cli.load_config(paths[f"dhn_study_{mode}.cfg"])
+            assert data["system"]["capacity_scale"] == cp.CALIBRATED_CAPACITY_SCALE
 
     def test_shipped_networks_match_builder(self):
         for name, scale in (("dhn_fig1.cfg", 1.0),
@@ -82,7 +93,7 @@ class TestConfig:
         path = write_cfg(tmp_path, linear_cfg())
         built = cli.build_scenario(cli.ScenarioConfig.load(path))
         assert built.system.n == 2
-        assert built.scenario.policy == "decentralized"
+        assert built.policy == "decentralized"
 
 
 class TestSimulateCommand:
@@ -243,6 +254,14 @@ class TestReproduceDhn:
         assert cli.main(["reproduce-dhn", "--policy", "decentralized", "--out", str(out)]) == 0
         for name in ("dhn_decentralized.csv", "dhn_decentralized_summary.txt"):
             assert (out / name).read_bytes() == (dhn_study["out"] / name).read_bytes(), name
+
+    def test_simulate_shipped_study_matches_bytes(self, dhn_study, tmp_path):
+        data = cli.load_config(cli.shipped_config_path("dhn_study_decentralized.cfg"))
+        data["outputs"]["directory"] = str(tmp_path / "out")
+        assert cli.main(["simulate", str(write_cfg(tmp_path, data))]) == 0
+        for name in ("dhn_decentralized.csv", "dhn_decentralized_summary.txt"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (dhn_study["out"] / name).read_bytes()), name
 
     def test_closed_loop_run_never_imports_scipy(self, tmp_path):
         src = str(Path(cp.__file__).resolve().parent.parent)

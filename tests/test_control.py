@@ -3,7 +3,7 @@ import pytest
 
 import capnet as cp
 from capnet.control import (CoordinatingMonitor, DecentralizedMonitor, control_input,
-                            field_stack)
+                            field_stack, no_monitor_reason)
 from capnet.errors import DimensionError, TuningError
 
 
@@ -161,6 +161,24 @@ class TestCertificates:
 
 
 class TestMonitors:
+    @pytest.mark.parametrize("mode, a, w, reason", [
+        ("decentralized", [1.0, 1.0], [-2.0, -1.0], None),
+        ("coordinating", [1.0, 1.0], [-0.3, 0.2], None),
+        ("decentralized", [1.0, 1.0],
+         cp.DisturbanceProfile.piecewise([0.0, 1.0], [[-2.0, -1.0], [-1.0, -2.0]]),
+         "time-varying w"),
+        ("decentralized", [0.5, 1.0], [-2.0, -1.0], "tuning margin <= 0"),
+        ("coordinating", [0.4, 1.0], [-0.3, 0.2], "tuning margin <= 0"),
+        ("coordinating", [1.0, 1.0], [-2.0, -1.0], "not rejectable"),
+    ], ids=["dec", "coord", "time-varying", "dec-margin", "coord-margin", "not-rejectable"])
+    def test_no_monitor_reason(self, ic2, gains_dec2, gains_coord2, bounds2, mode, a, w,
+                               reason):
+        # both gain sets have kI/kP = 0.5, so a_i = 0.5 leaves no margin
+        gains = gains_dec2 if mode == "decentralized" else gains_coord2
+        sys_ = cp.ClosedLoopSystem(agents=cp.AgentEnsemble(a=a, w=w), ic=ic2, gains=gains,
+                                   bounds=bounds2)
+        assert no_monitor_reason(sys_) == reason
+
     def test_flags_artificial_increase(self, sys_dec2):
         monitor = DecentralizedMonitor(sys_dec2, np.zeros(2), np.zeros(2))
         far = cp.ClosedLoopState(np.array([2.0, 2.0]), np.array([1.0, 1.0]))

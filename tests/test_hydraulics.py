@@ -330,7 +330,7 @@ class TestAllocatorsOnSmallNetwork:
         np.testing.assert_array_equal(fast.v[np.asarray(w) >= 0.0], -1.0)
         assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
 
-    @pytest.mark.parametrize("w", [[3.0, -1.0], [0.5, -5.0]])
+    @pytest.mark.parametrize("w", [[3.0, -1.0], [0.5, -5.0], [-0.01, -5.0], [-5.0, -0.01]])
     def test_linf_with_surplus_agent_matches_oracle(self, dhn_small, w):
         # the surplus agent's valve stays shut; the other agent is supplied
         # up to the common level, here above zero error

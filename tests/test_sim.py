@@ -264,11 +264,11 @@ class TestRosenbrock:
         for policy in ("decentralized", "coordinating"):
             assert int(dhn_study["summary"][f"{policy}.field_evaluations"]) <= 8000, policy
 
-    def test_dhn_headline_converged_in_tolerance(self, dhn_study, tmp_path):
+    def test_dhn_headline_converged_in_tolerance(self, dhn_study):
         # at rtol = atol = 1e-8 the decentralized run takes about 15000
         # field evaluations, three times the shipped tolerance's
-        sc = cli._dhn_scenario("decentralized", cp.CALIBRATED_CAPACITY_SCALE, tmp_path,
-                               96.0, 0.25)
+        sc = cli.build_scenario(cli.ScenarioConfig.load(
+            cli.shipped_config_path("dhn_study_decentralized.cfg")))
         sc.opts.rtol /= 100.0
         sc.opts.atol /= 100.0
         tight = run_scenario(sc).summary["max_deviation_at_coldest"]
