@@ -29,8 +29,9 @@ def as_vector(x, name="vector") -> np.ndarray:
 
 
 def _check_len(u, n, name):
-    if len(u) != n:
-        raise DimensionError(f"{name} has length {len(u)}, expected {n}")
+    """u must hold n entries along its last axis (one vector, or a stack)."""
+    if np.shape(u)[-1:] != (n,):
+        raise DimensionError(f"{name} has shape {np.shape(u)}, expected (..., {n})")
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,8 @@ class SaturationBounds:
 
 
 def saturate(u, bounds: SaturationBounds) -> np.ndarray:
-    """Clamp u element-wise into the actuator box."""
+    """Clamp u element-wise into the actuator box; u is one input vector or
+    an (m, n) stack of them."""
     u = np.asarray(u, dtype=float)
     _check_len(u, bounds.n, "u")
     return np.clip(u, bounds.lower, bounds.upper)

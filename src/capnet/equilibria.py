@@ -80,16 +80,26 @@ class NoEquilibrium:
     message: str
 
 
-def weighted_l1_cost(eta, a, x) -> float:
-    return float(np.sum(np.asarray(eta) * np.asarray(a) * np.abs(np.asarray(x))))
+def _per_vector(cost):
+    return float(cost) if np.ndim(cost) == 0 else cost
 
 
-def linf_cost(x) -> float:
-    return float(np.max(np.abs(np.asarray(x))))
+def weighted_l1_cost(eta, a, x):
+    """sum_i eta_i*a_i*|x_i|: a float for one error vector, an array of one
+    cost per row for an (m, n) stack."""
+    return _per_vector(np.sum(np.asarray(eta) * np.asarray(a) * np.abs(np.asarray(x)),
+                              axis=-1))
+
+
+def linf_cost(x):
+    """max_i |x_i|: a float for one error vector, an array of one cost per
+    row for an (m, n) stack."""
+    return _per_vector(np.max(np.abs(np.asarray(x)), axis=-1))
 
 
 def open_loop_state(ic: Interconnection, agents: AgentEnsemble, v) -> np.ndarray:
-    """x solving the agent dynamics at rest for the saturated input v."""
+    """x solving the agent dynamics at rest for the saturated input v, or
+    for each row of an (m, n) stack of inputs."""
     v = saturate(np.asarray(v, dtype=float), ic.bounds)
     return (ic(v) + agents.w) / agents.a
 
@@ -322,16 +332,15 @@ def _candidate_points(bounds, opts: OracleOptions) -> np.ndarray:
 def _direct_search(ic, agents, cost_of_x, opts: Optional[OracleOptions]):
     opts = opts or OracleOptions()
     bounds = ic.bounds
-    evals = 0
+    candidates = _candidate_points(bounds, opts)
+    costs = cost_of_x(open_loop_state(ic, agents, candidates))
+    evals = len(candidates)
 
     def cost(v):
         nonlocal evals
         evals += 1
-        v = np.clip(v, bounds.lower, bounds.upper)
-        return cost_of_x((ic(v) + agents.w) / agents.a)
+        return cost_of_x(open_loop_state(ic, agents, v))
 
-    candidates = _candidate_points(bounds, opts)
-    costs = np.array([cost(v) for v in candidates])
     best_idx = int(np.argmin(costs))
     v_best, c_best = candidates[best_idx].copy(), float(costs[best_idx])
     method = "grid" if bounds.n <= opts.grid_dim_limit else "lhs"
@@ -460,7 +469,8 @@ def verify_optimality(
 
     mode "l1w" compares the weighted-L1 cost, "linf" the max cost.  Every
     sampled alternative with a different saturated input must be strictly
-    costlier than the closed-loop equilibrium.
+    costlier than the closed-loop equilibrium.  The alternatives are uniform
+    on the box, drawn from ``seed`` as one stack and evaluated as one.
     """
     if mode not in ("l1w", "linf"):
         raise ValueError("mode must be 'l1w' or 'linf'")
@@ -472,26 +482,28 @@ def verify_optimality(
     else:
         oracle = oracle_linf(sys.ic, sys.agents, opts)
         closed_cost = report.cost_linf
-        cost_of_x = lambda x: linf_cost(x)
+        cost_of_x = linf_cost
     failures = []
     margin = closed_cost - oracle.cost
     if closed_cost > oracle.cost + tol * (1.0 + closed_cost):
         failures.append(f"closed-loop cost {closed_cost!r} exceeds oracle {oracle.cost!r}")
+    # alternatives are drawn in chunks of those still wanted, dropping draws
+    # equal to v0, so they are those of drawing one at a time
     rng = np.random.default_rng(seed)
     v0 = saturate(report.u0, sys.bounds)
-    worst_gap = np.inf
+    chunks = [np.empty((0, sys.n))]
     checked = 0
     while checked < n_samples:
-        v = sys.bounds.sample(rng)
-        if np.array_equal(v, v0):
-            continue
-        checked += 1
-        alt_cost = cost_of_x(open_loop_state(sys.ic, sys.agents, v))
-        worst_gap = min(worst_gap, alt_cost - closed_cost)
-        if not alt_cost > closed_cost:
-            failures.append(
-                f"alternative at v={np.array2string(v, precision=6)} has cost "
-                f"{alt_cost!r} <= closed-loop cost {closed_cost!r}")
+        v = sys.bounds.sample(rng, n_samples - checked)
+        chunks.append(v[np.any(v != v0, axis=1)])
+        checked += len(chunks[-1])
+    v = np.concatenate(chunks)
+    alt_cost = cost_of_x(open_loop_state(sys.ic, sys.agents, v))
+    worst_gap = float(np.min(alt_cost - closed_cost, initial=np.inf))
+    for k in np.flatnonzero(~(alt_cost > closed_cost)):
+        failures.append(
+            f"alternative at v={np.array2string(v[k], precision=6)} has cost "
+            f"{float(alt_cost[k])!r} <= closed-loop cost {closed_cost!r}")
     details = {
         "mode": mode,
         "closed_loop_cost": closed_cost,

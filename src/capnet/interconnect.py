@@ -10,7 +10,13 @@ results rely on are:
      weighted total output strictly rises when inputs rise.
 
 The checkers here sample ordered pairs from the box and report every
-counterexample they find; they never raise on a violation.
+counterexample they find; they never raise on a violation.  Each draws all
+its pairs first, from uniform doubles of one ``numpy.random.Generator``
+seeded by ``rng_seed``, evaluates b on each side as one (m, n) stack and
+judges every pair with array operations.  The stream is consumed exactly as
+drawing one pair per iteration would: ``Generator.uniform(lo, hi)`` is
+lo + (hi - lo)*d for the next double d, so the same seed gives the same
+pairs, bit for bit, whatever the stacking.
 """
 
 from __future__ import annotations
@@ -80,32 +86,40 @@ class Interconnection:
 
 
 def eval_interconnection(ic: Interconnection, v) -> np.ndarray:
-    """Evaluate b(v) for v in the box; clamps boundary round-off only."""
+    """Evaluate b(v) for v in the box, or b of each row of an (m, n) stack of
+    such points; clamps boundary round-off only.
+
+    The shape and the box are checked, and the input clipped, once for the
+    whole stack; ``ic.fn`` then sees one row at a time, so a row's result
+    does not depend on the stack it came in.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape != (ic.n,):
-        raise DimensionError(f"v has shape {v.shape}, expected ({ic.n},)")
+    if v.ndim not in (1, 2) or v.shape[-1] != ic.n:
+        raise DimensionError(f"v has shape {v.shape}, expected ({ic.n},) or (m, {ic.n})")
     lo, hi = ic.bounds.lower, ic.bounds.upper
     if np.any(v < lo - _BOUNDARY_TOL) or np.any(v > hi + _BOUNDARY_TOL):
         raise DomainError("input lies outside the actuator box beyond tolerance")
-    return np.asarray(ic.fn(np.clip(v, lo, hi)), dtype=float)
+    v = np.clip(v, lo, hi)
+    if v.ndim == 1:
+        return np.asarray(ic.fn(v), dtype=float)
+    # the reshape keeps an empty stack (0, n)
+    return np.array([ic.fn(row) for row in v], dtype=float).reshape(v.shape)
 
 
 def eval_jacobian(ic: Interconnection, v) -> np.ndarray:
     """d b / d v at v in the box: the interconnection's own ``jacobian`` when
     it has one, otherwise one-sided finite differences (forward, or backward
-    where a forward step would leave the box)."""
+    where a forward step would leave the box), all n + 1 points evaluated as
+    one stack."""
     v = np.asarray(v, dtype=float)
     if ic.jacobian is not None:
         return np.asarray(ic.jacobian(v), dtype=float)
     eps = 1e-6
-    b0 = ic(v)
-    J = np.empty((ic.n, ic.n))
-    for j in range(ic.n):
-        vp = v.copy()
-        step = eps if v[j] + eps <= ic.bounds.upper[j] else -eps
-        vp[j] += step
-        J[:, j] = (ic(vp) - b0) / step
-    return J
+    steps = np.where(v + eps <= ic.bounds.upper, eps, -eps)
+    points = np.tile(v, (ic.n + 1, 1))
+    points[np.arange(1, ic.n + 1), np.arange(ic.n)] += steps
+    b = ic(points)
+    return (b[1:] - b[0]).T / steps
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +304,53 @@ class PropertyVerdict:
         return "\n".join(lines)
 
 
-def _ordered_pair(rng, bounds: SaturationBounds, pin_prob: float):
-    """Draw v_low <= v_high with each coordinate pinned equal with pin_prob."""
-    v_low = bounds.sample(rng)
-    pinned = rng.random(bounds.n) < pin_prob
-    v_high = np.where(pinned, v_low, rng.uniform(v_low, bounds.upper))
-    return v_low, v_high
+def _uniform(lo, hi, d):
+    """What ``Generator.uniform(lo, hi)`` returns for the doubles d it draws."""
+    return lo + (hi - lo) * d
+
+
+def _row_dots(x, y):
+    """x @ y for each row of x, with the arithmetic of the 1-D dot product:
+    a 2-D matmul may round differently."""
+    return (x[:, None, :] @ y)[:, 0]
+
+
+def _strict_positivity(q, margin):
+    """Masks of the entries of q that fail q > 0 beyond the margin, and of
+    those that fail it within the margin."""
+    bad = q < -margin
+    return bad, ~bad & (q <= margin)
+
+
+def _distinct_pairs(rng, bounds: SaturationBounds, n_wanted, pin_prob, draw_free):
+    """Sampled pairs (v, v~) with v != v~, as two stacks in draw order.
+
+    Every attempt takes 3n doubles: n for v, n for the pins (a coordinate is
+    pinned equal with probability ``pin_prob``) and n from which
+    ``draw_free(v, d)`` makes the free coordinates of v~.  Attempts whose two
+    points coincide are dropped.  Attempts are drawn in chunks of the pairs
+    still wanted, up to 20*n_wanted attempts in all, so the pairs are those
+    of drawing the attempts one at a time.
+    """
+    n = bounds.n
+    firsts, seconds = [], []
+    found = attempts = 0
+    while found < n_wanted and attempts < 20 * n_wanted:
+        k = min(n_wanted - found, 20 * n_wanted - attempts)
+        attempts += k
+        d = rng.random((k, 3 * n))
+        v = _uniform(bounds.lower, bounds.upper, d[:, :n])
+        v_alt = np.where(d[:, n:2 * n] < pin_prob, v, draw_free(v, d[:, 2 * n:]))
+        distinct = np.any(v_alt != v, axis=1)
+        firsts.append(v[distinct])
+        seconds.append(v_alt[distinct])
+        found += len(firsts[-1])
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+def _examples(mask, example):
+    """example(*index) for every true entry of mask, in row-major order."""
+    return tuple(example(*(int(j) for j in index)) for index in np.argwhere(mask))
 
 
 def check_assumption1(
@@ -309,34 +364,33 @@ def check_assumption1(
 
     For each pair v_high >= v_low (v_high != v_low) it asserts
     b_i(v_high) - b_i(v_low) < 0 on pinned coordinates, and
-    eta . (b(v_high) - b(v_low)) > 0.
+    eta . (b(v_high) - b(v_low)) > 0.  v_low is uniform on the box and each
+    free coordinate of v_high uniform between v_low and the upper bound.
+    All pairs are drawn first (see :func:`_distinct_pairs`) and b is
+    evaluated on each side as one stack.  A pair's counterexamples are
+    listed by coordinate, the aggregate last.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    bad, grazing = [], []
-    checked = 0
-    attempts = 0
-    while checked < n_samples and attempts < 20 * n_samples:
-        attempts += 1
-        v_low, v_high = _ordered_pair(rng, ic.bounds, pin_prob)
-        if np.array_equal(v_low, v_high):
-            continue
-        diff = ic(v_high) - ic(v_low)
-        for i in np.nonzero(v_high == v_low)[0]:
-            val = diff[i]
-            if val > margin:
-                bad.append(Counterexample("competition (i)", checked, v_low, v_high, int(i), float(val)))
-            elif val >= -margin:
-                grazing.append(Counterexample("competition (i)", checked, v_low, v_high, int(i), float(val)))
-        agg = float(ic.eta @ diff)
-        if agg < -margin:
-            bad.append(Counterexample("aggregate monotonicity (ii)", checked, v_low, v_high, None, agg))
-        elif agg <= margin:
-            grazing.append(Counterexample("aggregate monotonicity (ii)", checked, v_low, v_high, None, agg))
-        checked += 1
-    return PropertyVerdict("assumption1", n_samples, checked, rng_seed, margin,
-                           tuple(bad), tuple(grazing))
+    upper = ic.bounds.upper
+    v_low, v_high = _distinct_pairs(np.random.default_rng(rng_seed), ic.bounds, n_samples,
+                                    pin_prob, lambda v, d: _uniform(v, upper, d))
+    diff = ic(v_high) - ic(v_low)
+    # column i < n: competition on coordinate i, negated so that it must be
+    # positive (NaN, never listed, where i moved); column n: aggregate
+    # monotonicity
+    value = np.hstack([diff, _row_dots(diff, ic.eta)[:, None]])
+    required = np.hstack([np.where(v_high == v_low, -diff, np.nan), value[:, -1:]])
+    bad, grazing = _strict_positivity(required, margin)
+
+    def example(k, i):
+        if i == ic.n:
+            return Counterexample("aggregate monotonicity (ii)", k, v_low[k], v_high[k],
+                                  None, float(value[k, i]))
+        return Counterexample("competition (i)", k, v_low[k], v_high[k], i, float(value[k, i]))
+
+    return PropertyVerdict("assumption1", n_samples, len(v_low), rng_seed, margin,
+                           _examples(bad, example), _examples(grazing, example))
 
 
 def check_lemma1(
@@ -352,66 +406,93 @@ def check_lemma1(
 
     Coordinates are pinned equal with probability ``pin_prob`` so the unmoved
     index set is frequently nonempty; otherwise the right-hand side is almost
-    always trivially zero.
+    always trivially zero.  The free coordinates of v~ are uniform on the
+    box.  All pairs are drawn first (see :func:`_distinct_pairs`) and b is
+    evaluated on each side as one stack.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    bad, grazing = [], []
-    checked = 0
-    attempts = 0
-    while checked < n_pairs and attempts < 20 * n_pairs:
-        attempts += 1
-        v = ic.bounds.sample(rng)
-        pinned = rng.random(ic.n) < pin_prob
-        v_alt = np.where(pinned, v, ic.bounds.sample(rng))
-        if np.array_equal(v, v_alt):
-            continue
-        diff = ic(v_alt) - ic(v)
-        moved = v_alt != v
-        lhs = float(np.sum(ic.eta[moved] * np.sign(v_alt[moved] - v[moved]) * diff[moved]))
-        rhs = float(np.sum(ic.eta[~moved] * np.abs(diff[~moved])))
-        gap = lhs - rhs
-        if gap < -margin:
-            bad.append(Counterexample("signed-change dominance", checked, v, v_alt, None, gap))
-        elif gap <= margin:
-            grazing.append(Counterexample("signed-change dominance", checked, v, v_alt, None, gap))
-        checked += 1
-    return PropertyVerdict("lemma1", n_pairs, checked, rng_seed, margin,
-                           tuple(bad), tuple(grazing))
+    lo, hi = ic.bounds.lower, ic.bounds.upper
+    v, v_alt = _distinct_pairs(np.random.default_rng(rng_seed), ic.bounds, n_pairs,
+                               pin_prob, lambda v, d: _uniform(lo, hi, d))
+    diff = ic(v_alt) - ic(v)
+    moved = v_alt != v
+    lhs = np.sum(np.where(moved, ic.eta * np.sign(v_alt - v) * diff, 0.0), axis=1)
+    rhs = np.sum(np.where(moved, 0.0, ic.eta * np.abs(diff)), axis=1)
+    gap = lhs - rhs
+    bad, grazing = _strict_positivity(gap, margin)
+
+    def example(k):
+        return Counterexample("signed-change dominance", k, v[k], v_alt[k], None, float(gap[k]))
+
+    return PropertyVerdict("lemma1", n_pairs, len(v), rng_seed, margin,
+                           _examples(bad, example), _examples(grazing, example))
 
 
-def _lemma2_proposal(ic, rng, v_low):
-    """Candidate partner likely (but not certain) to order the outputs.
+def _lemma2_proposals(ic: Interconnection, rng, n_pairs):
+    """n_pairs points v_low, each with a candidate partner v_high likely (but
+    not certain) to order the outputs; v_high is NaN where none was made.
 
     Independent uniform partners almost never satisfy a component-wise output
     ordering in high dimension, so half the proposals aim an output increase
     through the local Jacobian inverse; the others move toward the upper
     corner or mix pinned/slightly-decreased coordinates.  Qualification is
     always judged on the true map afterwards.
+
+    Pair k takes from the stream n doubles for v_low, one for its mode and
+    then, by mode: n + 1 (Jacobian: the aimed increase, the step scale),
+    n + 1 (upper corner: scale, jitter) or 3n + 1 (mix: scale, choice, up,
+    down).  A Jacobian proposal takes its doubles even when the solve fails.
+    The stream is drawn at its longest, 4n + 2 doubles per pair; a scalar
+    scan over the modes finds where each pair starts, and each mode's
+    proposals are then built as one stack.
     """
     lo, hi = ic.bounds.lower, ic.bounds.upper
     n = ic.n
-    mode = rng.random()
-    if mode < 0.5 and (ic.jacobian is not None or n <= 8):
+    d = rng.random(n_pairs * (4 * n + 2))
+    start = np.empty(n_pairs, dtype=np.intp)
+    pos = 0
+    for k in range(n_pairs):
+        start[k] = pos
+        pos += 4 * n + 2 if d[pos + n] >= 0.75 else 2 * n + 2
+    cols = np.arange(n)
+    v_low = _uniform(lo, hi, d[start[:, None] + cols])
+    mode = d[start + n]
+    after = start + n + 1  # the first double after the mode
+    v_high = np.full_like(v_low, np.nan)
+    aimed = (mode < 0.5) & (ic.jacobian is not None or n <= 8)
+
+    k = np.flatnonzero(aimed)
+    if len(k):
+        J = np.array([eval_jacobian(ic, v) for v in v_low[k]])
+        rhs = _uniform(0.1, 1.0, d[after[k, None] + cols])
+        length = np.array([10.0 ** float(e) for e in _uniform(-2.7, -0.7, d[after[k] + n])])
         try:
-            dv = np.linalg.solve(eval_jacobian(ic, v_low), rng.uniform(0.1, 1.0, n))
-        except np.linalg.LinAlgError:
-            return None
-        m = float(np.max(np.abs(dv)))
-        if not np.isfinite(m) or m == 0.0:
-            return None
-        dv *= 10.0 ** rng.uniform(-2.7, -0.7) * float(np.max(hi - lo)) / m
-        return np.clip(v_low + dv, lo, hi)
-    if mode < 0.75:
-        scale = rng.uniform()
-        step = np.minimum(scale * (hi - v_low) * rng.uniform(0.8, 1.2, n), hi - v_low)
-        return v_low + step
-    scale = rng.uniform()
-    r = rng.random(n)
-    up = rng.uniform(0.0, scale * (hi - v_low))
-    down = -rng.uniform(0.0, 0.3 * scale * (v_low - lo))
-    return v_low + np.where(r < 0.75, up, np.where(r < 0.9, 0.0, down))
+            dv = np.linalg.solve(J, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # one singular matrix fails the stack
+            dv = np.full_like(rhs, np.nan)
+            for j in range(len(k)):
+                try:
+                    dv[j] = np.linalg.solve(J[j], rhs[j])
+                except np.linalg.LinAlgError:
+                    pass
+        m = np.max(np.abs(dv), axis=1)
+        ok = np.isfinite(m) & (m != 0.0)
+        factor = length[ok] * float(np.max(hi - lo)) / m[ok]
+        v_high[k[ok]] = np.clip(v_low[k[ok]] + dv[ok] * factor[:, None], lo, hi)
+
+    k = np.flatnonzero(~aimed & (mode < 0.75))
+    room = hi - v_low[k]
+    jitter = _uniform(0.8, 1.2, d[after[k, None] + 1 + cols])
+    v_high[k] = v_low[k] + np.minimum(d[after[k], None] * room * jitter, room)
+
+    k = np.flatnonzero(mode >= 0.75)
+    scale = d[after[k], None]
+    choice = d[after[k, None] + 1 + cols]
+    up = _uniform(0.0, scale * (hi - v_low[k]), d[after[k, None] + 1 + n + cols])
+    down = -_uniform(0.0, 0.3 * scale * (v_low[k] - lo), d[after[k, None] + 1 + 2 * n + cols])
+    v_high[k] = v_low[k] + np.where(choice < 0.75, up, np.where(choice < 0.9, 0.0, down))
+    return v_low, v_high
 
 
 def check_lemma2(
@@ -424,28 +505,23 @@ def check_lemma2(
     distinct points, then v_high > v_low strictly element-wise.
 
     Qualifying pairs are found by rejection sampling over directed proposals
-    (see :func:`_lemma2_proposal`); a verdict with zero qualifying pairs is
-    inconclusive.
+    (see :func:`_lemma2_proposals`), all drawn first; b is evaluated on each
+    side of the proposals as one stack.  A proposal whose Jacobian solve
+    fails is skipped.  A verdict with zero qualifying pairs is inconclusive.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    bad, grazing = [], []
-    qualifying = 0
-    for k in range(n_pairs):
-        v_low = ic.bounds.sample(rng)
-        v_high = _lemma2_proposal(ic, rng, v_low)
-        if v_high is None or np.array_equal(v_low, v_high):
-            continue
-        if not np.all(ic(v_high) - ic(v_low) >= 0.0):
-            continue
-        qualifying += 1
-        gaps = v_high - v_low
-        worst = int(np.argmin(gaps))
-        val = float(gaps[worst])
-        if val < -margin:
-            bad.append(Counterexample("inverse positivity", k, v_low, v_high, worst, val))
-        elif val <= margin:
-            grazing.append(Counterexample("inverse positivity", k, v_low, v_high, worst, val))
-    return PropertyVerdict("lemma2", n_pairs, qualifying, rng_seed, margin,
-                           tuple(bad), tuple(grazing))
+    v_low, v_high = _lemma2_proposals(ic, np.random.default_rng(rng_seed), n_pairs)
+    k = np.flatnonzero(~np.isnan(v_high[:, 0]) & np.any(v_high != v_low, axis=1))
+    k = k[np.all(ic(v_high[k]) - ic(v_low[k]) >= 0.0, axis=1)]
+    gaps = v_high[k] - v_low[k]
+    worst = np.argmin(gaps, axis=1)
+    value = gaps[np.arange(len(k)), worst]
+    bad, grazing = _strict_positivity(value, margin)
+
+    def example(j):
+        return Counterexample("inverse positivity", int(k[j]), v_low[k[j]], v_high[k[j]],
+                              int(worst[j]), float(value[j]))
+
+    return PropertyVerdict("lemma2", n_pairs, len(k), rng_seed, margin,
+                           _examples(bad, example), _examples(grazing, example))

@@ -486,7 +486,7 @@ def _trajectory(sys, recorder, stats, monitor) -> Trajectory:
     xs, zs = ys[:, :n], ys[:, n:]
     us = -sys.gains.kP * xs - sys.gains.kI * zs
     vs = np.clip(us, sys.bounds.lower, sys.bounds.upper)
-    bs = np.array([sys.ic(v) for v in vs])
+    bs = sys.ic(vs)
     lyap = None
     if monitor is not None:
         lyap = np.array([monitor.value(ClosedLoopState(xs[k], zs[k]))

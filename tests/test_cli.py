@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -78,16 +79,27 @@ class TestConfig:
             assert data["system"]["capacity_scale"] == cp.CALIBRATED_CAPACITY_SCALE
 
     def test_shipped_networks_match_builder(self):
-        for name, scale in (("dhn_fig1.cfg", 1.0),
-                            ("dhn_calibrated.cfg", cp.CALIBRATED_CAPACITY_SCALE)):
-            raw = json.loads(cli.shipped_config_path(name).read_text(encoding="utf-8"))
-            net = cp.network_from_dict(raw)
-            ref = cp.build_dhn_network(scale)
-            assert net.n_consumers == 22
-            assert net.pump_dp == pytest.approx(ref.pump_dp)
-            v = np.full(22, 0.3)
-            np.testing.assert_allclose(cp.solve_flows(net, v), cp.solve_flows(ref, v),
-                                       rtol=1e-12)
+        raw = json.loads(cli.shipped_config_path("dhn_calibrated.cfg").read_text(encoding="utf-8"))
+        net = cp.network_from_dict(raw)
+        ref = cp.build_dhn_network(cp.CALIBRATED_CAPACITY_SCALE)
+        assert net.n_consumers == 22
+        assert net.pump_dp == pytest.approx(ref.pump_dp)
+        v = np.full(22, 0.3)
+        np.testing.assert_allclose(cp.solve_flows(net, v), cp.solve_flows(ref, v),
+                                   rtol=1e-12)
+
+    def test_dhn_fig1_is_the_documented_tree(self):
+        # the tree as documented, written out here rather than read from the file
+        net = cp.build_dhn_network()
+        lines = (("26", "27", "28", "29"), ("30", "31", "32"), ("33", "34", "35", "36"))
+        edges = [(p.parent, p.child) for p in net.pipes]
+        expected = ({("23", "24"), ("24", "25")} | {("25", line[0]) for line in lines}
+                    | {pair for line in lines for pair in zip(line, line[1:])})
+        assert net.root == "23"
+        assert len(edges) == len(set(edges)) and set(edges) == expected
+        assert {node for edge in edges for node in edge} == {str(k) for k in range(23, 37)}
+        assert net.n_consumers == 22
+        assert Counter(c.node for c in net.consumers) == {str(k): 2 for k in range(26, 37)}
 
     def test_build_scenario_linear(self, tmp_path):
         path = write_cfg(tmp_path, linear_cfg())

@@ -330,14 +330,16 @@ class TestAllocatorsOnSmallNetwork:
         np.testing.assert_array_equal(fast.v[np.asarray(w) >= 0.0], -1.0)
         assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
 
-    @pytest.mark.parametrize("w", [[3.0, -1.0], [0.5, -5.0], [-0.01, -5.0], [-5.0, -0.01]])
+    @pytest.mark.parametrize("w", [[3.0, -1.0], [0.5, -5.0], [-0.01, -5.0], [-5.0, -0.01],
+                                   [-0.5, -20.0]])
     def test_linf_with_surplus_agent_matches_oracle(self, dhn_small, w):
         # the surplus agent's valve stays shut; the other agent is supplied
-        # up to the common level, here above zero error
+        # up to the common level, here above zero error.  w = [-0.5, -20] is
+        # an exact rejection that the default 9-point grid misses.
         net, bld, ic = dhn_small
         agents = cp.AgentEnsemble(a=bld.rates(2), w=w)
         fast = cp.solve_linf_allocation(ic, agents)
-        slow = cp.oracle_linf(ic, agents)
+        slow = cp.oracle_linf(ic, agents, cp.OracleOptions(grid_points=41))
         assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
         np.testing.assert_allclose(fast.v, slow.v, atol=1e-5)
 
@@ -357,7 +359,7 @@ class TestAllocatorsOnSmallNetwork:
         ic = cp.dhn_interconnection(low_pump_small_net(), bld)
         agents = cp.AgentEnsemble(a=bld.rates(2), w=w)
         fast = cp.solve_linf_allocation(ic, agents)
-        slow = cp.oracle_linf(ic, agents)
+        slow = cp.oracle_linf(ic, agents, cp.OracleOptions(grid_points=41))
         assert fast.cost <= slow.cost + 1e-9 * (1 + slow.cost)
         np.testing.assert_allclose(fast.v, slow.v, atol=1e-5)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet.errors import DomainError
+from capnet.errors import DimensionError, DomainError
+from capnet.interconnect import eval_jacobian
 from tests.conftest import B_REF
 
 
@@ -26,6 +27,39 @@ class TestEval:
     def test_domain_error(self, ic2):
         with pytest.raises(DomainError):
             cp.eval_interconnection(ic2, np.array([1.5, 0.0]))
+
+    def test_stack_equals_rows_bitwise(self, ic2, dhn_small):
+        for ic in (ic2, dhn_small[2]):
+            v = ic.bounds.sample(np.random.default_rng(0), 40)
+            v[0] = ic.bounds.upper + 1e-13  # round-off is clamped in a stack too
+            rows = np.array([cp.eval_interconnection(ic, row) for row in v])
+            np.testing.assert_array_equal(cp.eval_interconnection(ic, v), rows)
+            np.testing.assert_array_equal(ic(v), rows)
+        assert cp.eval_interconnection(ic2, np.empty((0, 2))).shape == (0, 2)
+
+    def test_stack_row_outside_box(self, ic2):
+        v = np.zeros((4, 2))
+        v[2, 1] = 1.5
+        with pytest.raises(DomainError):
+            cp.eval_interconnection(ic2, v)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (4, 1), (2, 2, 2)])
+    def test_other_shapes_raise(self, ic2, shape):
+        with pytest.raises(DimensionError):
+            cp.eval_interconnection(ic2, np.zeros(shape))
+
+    def test_finite_difference_jacobian_per_column(self):
+        # one-sided differences, backward where a forward step leaves the box;
+        # the stacked evaluation gives the column-by-column values bit for bit
+        ic = bad_matrix_interconnection()
+        for v in (np.array([0.3, -0.2]), np.array([1.0, 1.0 - 1e-7])):
+            want = np.empty((2, 2))
+            for j in range(2):
+                step = 1e-6 if v[j] + 1e-6 <= 1.0 else -1e-6
+                vp = v.copy()
+                vp[j] += step
+                want[:, j] = (ic(vp) - ic(v)) / step
+            np.testing.assert_array_equal(eval_jacobian(ic, v), want)
 
     def test_eta_must_be_positive(self, bounds2):
         with pytest.raises(ValueError):
@@ -130,6 +164,30 @@ class TestLemma2:
         verdict = cp.check_lemma2(ic, 200, rng_seed=0)
         assert verdict.inconclusive
         assert not verdict.passed
+
+    def test_singular_jacobian_skips_only_those_pairs(self):
+        # the Jacobian is singular on the half v_0 < 0 of the box; an infinite
+        # margin lists every qualifying pair, so the skipped ones show
+        calls = []
+
+        def with_jacobian(singular_half):
+            def jac(v):
+                calls.append(tuple(v))
+                return np.zeros((2, 2)) if singular_half and v[0] < 0 else B_REF
+            return cp.Interconnection(fn=lambda v: B_REF @ v, eta=np.ones(2),
+                                      bounds=cp.SaturationBounds.symmetric(1.0, 2),
+                                      jacobian=jac)
+
+        regular = cp.check_lemma2(with_jacobian(False), 400, rng_seed=3, margin=np.inf)
+        calls.clear()
+        singular = cp.check_lemma2(with_jacobian(True), 400, rng_seed=3, margin=np.inf)
+        skipped = {v for v in calls if v[0] < 0}
+        kept = [c for c in regular.marginal if tuple(c.v_low) not in skipped]
+        assert len(kept) < regular.n_checked
+        assert singular.n_checked == len(kept)
+        assert [c.sample for c in singular.marginal] == [c.sample for c in kept]
+        for got, want in zip(singular.marginal, kept):
+            np.testing.assert_array_equal(got.v_high, want.v_high)
 
     def test_lemmas_follow_assumption(self, ic2, dhn_small):
         # wherever the assumption checker passes, both lemma checkers must too
