@@ -14,7 +14,7 @@ bounds = cp.SaturationBounds.symmetric(1.0, 2)
 
 print("-- admissible M-matrix coupling --")
 mm = cp.LinearMMatrix([[1.0, -0.25], [-0.25, 1.0]])
-print("weight eta found by power iteration:", mm.eta)
+print("weight eta, the Perron left eigenvector of B:", mm.eta)
 ic = mm.as_interconnection(bounds)
 for check in (cp.check_assumption1, cp.check_lemma1, cp.check_lemma2):
     print(check(ic, 2000, rng_seed=0).summary())

@@ -21,17 +21,16 @@ for v in (1.0, 0.0, -1.0):
 
 print("\n-- 22-consumer reference network --")
 net, bld, agents = cp.build_dhn_scenario()
-sol = cp.solve_flows(net, np.ones(22), full_output=True)
-print(f"fully open: total {sol.q.sum():.1f} m3/h, per-consumer "
-      f"{sol.q.min():.2f}..{sol.q.max():.2f}, "
-      f"pressure residual {sol.pressure_residual:.1e}, "
-      f"mass residual {sol.mass_residual:.1e}")
+q_open = cp.solve_flows(net, np.ones(22))  # raises above a 1e-10 pressure residual
+print(f"fully open: total {q_open.sum():.1f} m3/h, per-consumer "
+      f"{q_open.min():.2f}..{q_open.max():.2f}, "
+      f"mass residual {net.mass_residual(q_open):.1e}")
 
 # heat rate delivered to the buildings: coefficient c_pw*rho_w*delta/c
 coef = bld.heat_coefficient(22)[0]
 print(f"heat coefficient: {coef:.1f} K per m3/h; demand at -25 degC: "
       f"{abs(bld.disturbance(1, -25.0)[0]):.1f} K/h")
-print(f"full-open supply covers demand {coef * sol.q.min() / 27.0:.0f}x "
+print(f"full-open supply covers demand {coef * q_open.min() / 27.0:.0f}x "
       "(capacity never binds at the nominal pump pressure)")
 
 scale = cp.CALIBRATED_CAPACITY_SCALE

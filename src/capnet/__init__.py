@@ -16,7 +16,7 @@ from .interconnect import (Interconnection, LinearAllocator, LinearMMatrix,
                            PropertyVerdict, check_assumption1, check_lemma1,
                            check_lemma2, eval_interconnection, positive_left_weight)
 from .hydraulics import (CALIBRATED_CAPACITY_SCALE, BuildingParams, Consumer,
-                         FlowSolution, HydraulicNetwork, HydraulicStats, Pipe,
+                         HydraulicNetwork, HydraulicStats, Pipe,
                          build_dhn_network, build_dhn_scenario, dhn_interconnection,
                          flow_sensitivity, network_from_dict, network_to_dict,
                          solve_flows)

@@ -260,9 +260,8 @@ class LyapunovMonitor:
     def __init__(self, sys: ClosedLoopSystem, slack: float = MONITOR_SLACK):
         self.sys = sys
         self.slack = slack
-        self.values: list = []
         self.violations: list = []
-        self._prev: Optional[MonitorRecord] = None
+        self._prev: Optional[float] = None  # V at the last accepted step
         self.in_scope_pair = True
 
     def value(self, s: ClosedLoopState) -> float:
@@ -275,13 +274,11 @@ class LyapunovMonitor:
         v = self.value(s)
         increase = 0.0
         if self._prev is not None and self.in_scope_pair:
-            increase = v - self._prev.value
-            if increase > self.slack * (1.0 + self._prev.value):
+            increase = v - self._prev
+            if increase > self.slack * (1.0 + self._prev):
                 self.violations.append(MonitorRecord(t, v, increase))
         self.in_scope_pair = self.in_scope(s)
-        rec = MonitorRecord(t, v, increase)
-        self.values.append(rec)
-        self._prev = rec
+        self._prev = v
         return v
 
     @property

@@ -424,11 +424,11 @@ def solve_linf_allocation(
     """The open-loop allocation minimizing max_i |x_i| over the box.
 
     Solved by the interconnection's allocator when it carries one (a linear
-    program for b(v) = B v; for the DHN, the common error level of the
-    agents in deficit in closed form when every agent is in deficit, and a
-    bracketed bisection on that level otherwise or when the closed form's
-    preconditions fail), whose errors propagate; otherwise by the
-    direct-search oracle.  ``warm_start`` is passed to the allocator.
+    program for b(v) = B v; for the DHN, one signed error level shared by
+    every agent whose valve is not pinned at a bound, in closed form while
+    nothing is pinned and by a root search per change of the pinned set),
+    whose errors propagate; otherwise by the direct-search oracle.
+    ``warm_start`` is passed to the allocator.
     """
     return _allocate(ic, agents, warm_start, "linf", linf_cost, oracle_linf)
 

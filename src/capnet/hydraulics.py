@@ -138,7 +138,9 @@ class HydraulicNetwork:
         self.node_incidence = A
         self._flows_of_q = np.vstack([np.ones(self.n_consumers), E, np.eye(self.n_consumers)])
         self._s2 = 2.0 * self.pipe_s  # supply + return
-        self._r_fixed = np.array([c.s_c + c.valve_base for c in self.consumers])
+        self._s_c = np.array([c.s_c for c in self.consumers])
+        self._valve_base = np.array([c.valve_base for c in self.consumers])
+        self._r_fixed = self._s_c + self._valve_base
         self._valve_span = np.array([c.valve_span for c in self.consumers])
         self._valve_offset = np.array([c.valve_offset for c in self.consumers])
 
@@ -155,16 +157,7 @@ class HydraulicNetwork:
         return float(abs(self.node_incidence @ (self._flows_of_q @ q)).max())
 
 
-@dataclass
-class FlowSolution:
-    """Solved flows plus their checks."""
-
-    q: np.ndarray
-    pressure_residual: float  # max |balance residual| / pump_dp
-    mass_residual: float      # m^3/h
-
-
-def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10, full_output: bool = False):
+def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
     """Solve consumer flows q > 0 balancing the pump pressure on every
     root-to-consumer path, exactly, by two passes over the tree.
 
@@ -215,10 +208,7 @@ def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10, full_output: bool 
         raise FlowSolverError(
             f"flow solve failed its pressure-balance check "
             f"(relative residual {pressure_residual:.3e})", residual=pressure_residual)
-    if not full_output:
-        return q
-    return FlowSolution(q=q, pressure_residual=pressure_residual,
-                        mass_residual=net.mass_residual(q))
+    return q
 
 
 def solve_flows_partial(
@@ -303,19 +293,12 @@ def valve_positions_for_flows(net: HydraulicNetwork, q: np.ndarray) -> np.ndarra
     E = net.path_matrix
     drop = 2.0 * net.pipe_s * np.abs(E @ q) * (E @ q)
     dp_consumer = net.pump_dp - (drop @ E)
-    v = np.empty(net.n_consumers)
-    for i, c in enumerate(net.consumers):
-        if q[i] <= 0.0:
-            v[i] = -np.inf
-            continue
-        if dp_consumer[i] <= 0.0:
-            v[i] = np.inf
-            continue
-        radicand = dp_consumer[i] / q[i] ** 2 - c.s_c - c.valve_base
-        if radicand <= 0.0:
-            v[i] = np.inf  # not enough pressure headroom even fully open
-            continue
-        v[i] = np.sqrt(c.valve_span / radicand) - c.valve_offset
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radicand = dp_consumer / q ** 2 - net._s_c - net._valve_base
+        v = np.sqrt(net._valve_span / radicand) - net._valve_offset
+    v[radicand <= 0.0] = np.inf  # not enough pressure headroom even fully open
+    v[dp_consumer <= 0.0] = np.inf
+    v[q <= 0.0] = -np.inf
     return v
 
 
@@ -379,133 +362,143 @@ class HydraulicStats:
 
     n_solves: int = 0
     max_mass_residual: float = 0.0
-    max_pressure_residual: float = 0.0
 
-    def update(self, sol: FlowSolution):
+    def update(self, mass_residual: float):
         self.n_solves += 1
-        self.max_mass_residual = max(self.max_mass_residual, sol.mass_residual)
-        self.max_pressure_residual = max(self.max_pressure_residual, sol.pressure_residual)
+        self.max_mass_residual = max(self.max_mass_residual, mass_residual)
 
 
 class DhnAllocator:
     """Fast optimal open-loop allocations exploiting tree invertibility.
 
     Valve positions follow in closed form from any prescribed consumer flow
-    pattern, so the weighted-L1 optimum reduces to an active-set iteration
-    over reduced flow solves, and the min-max optimum to the largest common
-    error level tau of the agents in deficit that every valve can still
-    deliver.  When every agent is in deficit, the flows at level tau are
-    affine in tau and agent i's valve reaches fully open where a concave
-    quadratic in tau crosses zero, so that level is the smallest of the
-    quadratics' larger roots (:meth:`_closed_form_level`).  A bracketed
-    bisection on tau runs instead when some agent needs no heat (w_i >= 0)
-    or is oversupplied even by a shut valve at zero error (its valve stays
-    shut), or when the closed form's preconditions fail.  Errors raise
-    FlowSolverError.  Used by the benchmark policies; the generic
-    direct-search oracles remain the independent reference.
+    pattern (:func:`valve_positions_for_flows`).  The weighted-L1 optimum is
+    an active set over reduced flow solves: an agent holds zero error, or
+    its valve is fully open while it is short, or shut while it is
+    oversupplied.
+
+    The min-max optimum has one signed error level lam, as the paper's
+    coordinating equilibrium does: each agent's error is lam, or its valve
+    is pinned at the bound that helps the others (shut for lam < 0, fully
+    open for lam > 0), and the valve that sets lam is at the opposite bound
+    b.  The sign comes from the valves that zero error needs: all in
+    [-1, 1] is an exact rejection, one above 1 gives lam < 0, otherwise
+    lam > 0.  One routine solves either sign (:meth:`_signed_level`): lam
+    in closed form while nothing is pinned, then a root search per change
+    of the pinned set.  When a pinned agent's error outweighs lam, the other
+    sign is solved too and the smaller maximum kept.  An optimum with errors
+    at both +M and -M, where no coordinating equilibrium exists, has neither
+    shape and can be missed by a little.  The fully open closed form is
+    tried first, so an input that every valve holds at one level costs one
+    inverse call.  Errors raise FlowSolverError.  Used by the benchmark
+    policies; the generic direct-search oracles remain the independent
+    reference.
     """
 
     def __init__(self, net: HydraulicNetwork, coef: np.ndarray):
         self.net = net
         self.coef = coef
 
-    def _level(self, a, w, tau, shut=None):
-        """Valves and flows with the agents outside ``shut`` (by default those
-        with w_i >= 0) at error tau and the valves of those in it shut."""
-        q = (a * tau - w) / self.coef
-        shut = w >= 0.0 if shut is None else shut
-        if not shut.any():
-            return valve_positions_for_flows(self.net, q), q
-        q = solve_flows_partial(self.net, np.where(shut, -1.0, 1.0), np.where(shut, np.nan, q))
-        return np.where(shut, -1.0, valve_positions_for_flows(self.net, q)), q
+    def _allocation(self, a, w, v, method):
+        v = np.clip(v, -1.0, 1.0)
+        return v, (self.coef * solve_flows(self.net, v) + w) / a, method
 
-    def _closed_form_level(self, a, w):
-        """The largest common error level every valve can deliver when every
-        agent is in deficit, or None where the closed form does not apply.
+    def _flows(self, a, w, lam, b=1.0, pinned=None):
+        """Flows with the agents outside ``pinned`` at error lam (no flow
+        where that needs a negative one) and the valves in it at -b."""
+        q = np.maximum((a * lam - w) / self.coef, 0.0)
+        if pinned is None or not pinned.any():
+            return q
+        return solve_flows_partial(self.net, np.full(len(q), -b), np.where(pinned, np.nan, q))
 
-        At level tau the flows are q(tau) = (a*tau - w)/coef, and agent i's
-        valve is at most fully open while
-        f_i(tau) = pump_dp - sum_k E_ki 2 s_k Q_k(tau)^2 - r_i(1) q_i(tau)^2 >= 0
-        with Q = E q: a concave quadratic in tau.  For positive flows it holds
-        up to its larger root, so the level is the smallest larger root.  None
-        when a quadratic has no real root or a flow at that level is not
-        positive.
-        """
+    def _closed_form_level(self, a, w, b):
+        """The level where, with nothing pinned, the first valve reaches b;
+        nan when a quadratic has no real root or a flow there is not positive.
+
+        Valve i is within b while b*f_i(lam) >= 0, with Q = E q and
+        f_i(lam) = pump_dp - sum_k E_ki 2 s_k Q_k(lam)^2 - r_i(b) q_i(lam)^2
+        concave in lam, as the flows q = (a*lam - w)/coef are affine: up to
+        its larger root for b = 1, beyond it for b = -1."""
         net = self.net
         E = net.path_matrix
-        alpha, beta = a / self.coef, -w / self.coef  # q(tau) = alpha*tau + beta
+        alpha, beta = a / self.coef, -w / self.coef  # q(lam) = alpha*lam + beta
         A, B = E @ alpha, E @ beta
-        r_open = net.consumer_resistance(np.ones(net.n_consumers))
-        c2 = -((net._s2 * A * A) @ E + r_open * alpha * alpha)
-        c1 = -2.0 * ((net._s2 * A * B) @ E + r_open * alpha * beta)
-        c0 = net.pump_dp - (net._s2 * B * B) @ E - r_open * beta * beta
+        r_b = net.consumer_resistance(np.full(net.n_consumers, b))
+        c2 = -((net._s2 * A * A) @ E + r_b * alpha * alpha)
+        c1 = -2.0 * ((net._s2 * A * B) @ E + r_b * alpha * beta)
+        c0 = net.pump_dp - (net._s2 * B * B) @ E - r_b * beta * beta
         disc = c1 * c1 - 4.0 * c2 * c0
         if not np.all(disc >= 0.0):
-            return None
-        # larger root (-c1 - sqrt(disc)) / (2 c2), written without the
-        # cancellation of its textbook form since c1 < 0 < sqrt(disc) - c1
-        tau = float(np.min(2.0 * c0 / (np.sqrt(disc) - c1)))
-        if not np.all(alpha * tau + beta > 0.0):
-            return None
-        return tau
+            return np.nan
+        # both roots without cancellation; c2 < 0, so the larger is the max
+        t = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+        lam = b * float(np.min(b * np.maximum(t / c2, c0 / t)))
+        return lam if np.all(alpha * lam + beta > 0.0) else np.nan
+
+    def _pinned_level(self, a, w, b, pinned, lam_prev):
+        """The level with the valves in ``pinned`` at -b, as the root of the
+        free valves' pressure margin to b.  The root lies between lam_prev,
+        the level before the last change of ``pinned`` (0 before any), and
+        the error of the free agent worst off with every free valve at b.
+        brentq gets 100 iterations; FlowSolverError when they run out."""
+        net, E = self.net, self.net.path_matrix
+        r_b = net.consumer_resistance(np.full(net.n_consumers, b))
+
+        def margin(lam):  # >= 0 where every free valve is on the near side of b
+            q = self._flows(a, w, lam, b, pinned)
+            Q = E @ q
+            p = net.pump_dp - (net._s2 * Q * Q) @ E
+            return float(np.min(b * (p - r_b * q * q)[~pinned]))
+
+        if margin(lam_prev) >= 0.0:  # the change does not move the level
+            return lam_prev
+        x_b = (self.coef * solve_flows(net, np.where(pinned, -b, b)) + w) / a
+        lam_b = b * float(np.min(b * x_b[~pinned]))
+        if margin(lam_b) <= 0.0:  # zero up to rounding: that agent binds at lam_b
+            return lam_b
+        from scipy.optimize import brentq  # deferred: scipy is slow to import
+
+        lam, info = brentq(margin, lam_prev, lam_b, full_output=True, disp=False)
+        if not info.converged:
+            raise FlowSolverError("min-max level search did not converge",
+                                  iterations=info.iterations)
+        return lam
+
+    def _signed_level(self, a, w, b):
+        """Valves and errors at the level lam where a valve binds at b.  A
+        valve that lam would push past the other bound is pinned there, and
+        released once its agent's error lies beyond lam; both changes move
+        lam away from 0, so the pinned set settles within 2n passes."""
+        pinned = np.zeros(len(w), dtype=bool)
+        lam, lam_prev = self._closed_form_level(a, w, b), 0.0
+        for _ in range(2 * len(w)):
+            if np.isnan(lam):
+                lam = self._pinned_level(a, w, b, pinned, lam_prev)
+            q = self._flows(a, w, lam, b, pinned)
+            v = valve_positions_for_flows(self.net, q)
+            beyond = ~pinned & (b * v < -1.0)
+            x = (self.coef * q + w) / a
+            wrong = pinned & (b * (x - lam) < -1e-9 * (1.0 + abs(lam)))
+            if not (beyond | wrong).any():
+                return self._allocation(a, w, np.where(pinned, -b, v), "dhn-equalization")
+            pinned, lam_prev, lam = (pinned | beyond) & ~wrong, lam, np.nan
+        raise FlowSolverError("min-max pinned set did not settle")
 
     def linf(self, a, w, warm_v=None):
         w = np.asarray(w, dtype=float)
-        tau = self._closed_form_level(a, w) if np.all(w < 0.0) else None
-        if tau is not None:
-            tau = min(tau, 0.0)  # at or above 0, w is rejected exactly
-            v = self._level(a, w, tau)[0]
-            if np.all((v >= -1.0) & (v <= 1.0 + 1e-9)):
-                v = np.clip(v, -1.0, 1.0)
-                x = (self.coef * solve_flows(self.net, v) + w) / a
-                return v, x, "dhn-rejection" if tau == 0.0 else "dhn-equalization"
-        return self._linf_search(a, w)
-
-    def _linf_search(self, a, w):
-        """Bracketed bisection on the common level tau, for the inputs the
-        closed form does not cover."""
-        # agents with w_i >= 0 are in surplus at any opening and stay shut; the
-        # level tau binds the others, and above 0 only below the shut errors
-        shut = w >= 0.0
-        if not shut.any():
-            # so is an agent whose valve would have to close beyond shut to
-            # hold zero error
-            shut = self._level(a, w, 0.0)[0] < -1.0
-
-        def shut_error(q):
-            return float(np.max((self.coef * q + w)[shut] / a[shut]))
-
-        def reachable(tau):
-            v, q = self._level(a, w, tau, shut)
-            return v.max() <= 1.0 and (tau < 0.0 or tau < shut_error(q))
-
-        v, q = self._level(a, w, 0.0, shut)
-        if np.max(v) <= 1.0 and not shut.any():
-            method = "dhn-rejection"
-        else:
-            if np.max(v) <= 1.0:
-                tau_lo, tau_hi = 0.0, shut_error(q)
-            else:
-                x_full = (self.coef * solve_flows(self.net, np.where(shut, -1.0, 1.0)) + w) / a
-                tau_lo, tau_hi = float(np.min(x_full[~shut])), 0.0
-            # the worst fully-open agent pins the achievable common level
-            for _ in range(200):
-                if reachable(tau_lo):
-                    break
-                tau_lo -= max(1.0, 0.1 * abs(tau_lo))
-            for _ in range(100):
-                tau_mid = 0.5 * (tau_lo + tau_hi)
-                if tau_mid == tau_lo or tau_mid == tau_hi:
-                    break  # the interval is down to adjacent floats
-                if reachable(tau_mid):
-                    tau_lo = tau_mid
-                else:
-                    tau_hi = tau_mid
-            v = self._level(a, w, tau_lo, shut)[0]
-            method = "dhn-equalization"
-        v = np.clip(v, -1.0, 1.0)
-        x = (self.coef * solve_flows(self.net, v) + w) / a
-        return v, x, method
+        levels = ((self._closed_form_level(a, w, 1.0), "dhn-equalization"),
+                  (0.0, "dhn-rejection"))
+        for lam, method in levels:
+            if lam <= 0.0:  # above 0, every fully open valve can hold zero error
+                v = valve_positions_for_flows(self.net, self._flows(a, w, lam))
+                if np.all((v >= -1.0) & (v <= 1.0 + 1e-9)):
+                    return self._allocation(a, w, v, method)
+        b = 1.0 if np.any(v > 1.0 + 1e-9) else -1.0
+        best = self._signed_level(a, w, b)
+        if np.max(b * best[1]) > np.max(-b * best[1]):
+            # a pinned agent's error outweighs the level: try the other sign
+            best = min(best, self._signed_level(a, w, -b), key=lambda r: np.max(np.abs(r[1])))
+        return best
 
     def l1(self, a, w, warm_v=None):
         net = self.net
@@ -513,31 +506,34 @@ class DhnAllocator:
         w = np.asarray(w, dtype=float)
         # an agent with w_i >= 0 is in surplus at every opening; by lemma 1,
         # closing its valve alone lowers a_i*|x_i| by more than it changes
-        # everyone else's cost, so it stays shut and out of the active set
+        # everyone else's cost, so it stays shut and out of the active set.
+        # An agent in deficit joins the shut set while even a shut valve
+        # oversupplies it, as it joins the open set while a fully open one
+        # leaves it short, and leaves either set once its error changes sign.
         shut = w >= 0.0
-        valves = np.where(shut, -1.0, 1.0)
         q_zero_error = -w / self.coef
         if warm_v is not None:
             pinned = (np.asarray(warm_v) >= 1.0 - 1e-9) & ~shut
         else:
             pinned = ~shut
-        scale = float(np.max(np.abs(w))) + 1.0
+        tol = 1e-9 * (float(np.max(np.abs(w))) + 1.0)
         q = None
         for _ in range(2 * n):
             fixed_q = np.where(pinned | shut, np.nan, q_zero_error)
-            q = solve_flows_partial(net, valves, fixed_q, warm_start=q)
+            q = solve_flows_partial(net, np.where(shut, -1.0, 1.0), fixed_q, warm_start=q)
             x = (self.coef * q + w) / a
             v_needed = valve_positions_for_flows(net, q)
-            release = pinned & (x > 1e-9 * scale)
-            grab = ~(pinned | shut) & (v_needed > 1.0)
-            if not release.any() and not grab.any():
+            free = ~(pinned | shut)
+            release = (pinned & (x > tol)) | (shut & (x < -tol))
+            grab, close = free & (v_needed > 1.0), free & (v_needed < -1.0)
+            if not (release | grab | close).any():
                 break
             pinned = (pinned & ~release) | grab
+            shut = (shut & ~release) | close
         else:
             raise FlowSolverError("allocation active set did not settle")
-        v = np.where(pinned | shut, valves, np.clip(v_needed, -1.0, 1.0))
-        x = (self.coef * solve_flows(net, v) + w) / a
-        return v, x, "dhn-complementarity"
+        return self._allocation(a, w, np.where(shut, -1.0, np.where(pinned, 1.0, v_needed)),
+                           "dhn-complementarity")
 
 
 def dhn_interconnection(
@@ -554,10 +550,10 @@ def dhn_interconnection(
     bounds = SaturationBounds.symmetric(1.0, n)
 
     def fn(v):
-        sol = solve_flows(net, v, full_output=True)
+        q = solve_flows(net, v)
         if stats is not None:
-            stats.update(sol)
-        return coef * sol.q
+            stats.update(net.mass_residual(q))
+        return coef * q
 
     def jac(v):
         return coef[:, None] * flow_sensitivity(net, v)

@@ -126,29 +126,18 @@ def eval_jacobian(ic: Interconnection, v) -> np.ndarray:
 # linear special case
 
 
-def positive_left_weight(B, max_iter: int = 10_000, tol: float = 1e-13) -> np.ndarray:
+def positive_left_weight(B) -> np.ndarray:
     """Positive vector eta with eta^T B > 0 component-wise, for a matrix with
     non-positive off-diagonals and eigenvalues in the open right half-plane.
 
-    Power iteration on the non-negative matrix s*I - B^T; raises ValueError if
-    the iterate fails to be strictly positive (caller should then supply eta).
+    The Perron left eigenvector of such an M-matrix: the eigenvector of B^T
+    at its eigenvalue of smallest real part, scaled to max 1.  Raises
+    ValueError if it is not strictly positive (caller should then supply eta).
     """
     B = np.asarray(B, dtype=float)
-    n = B.shape[0]
-    s = float(np.max(np.diag(B))) + 1.0
-    M = s * np.eye(n) - B.T
-    eta = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = M @ eta
-        norm = np.sum(np.abs(nxt))
-        if norm == 0.0:
-            raise ValueError("power iteration collapsed; supply eta explicitly")
-        nxt = nxt / norm
-        if np.max(np.abs(nxt - eta)) < tol:
-            eta = nxt
-            break
-        eta = nxt
-    eta = eta / np.max(eta)
+    values, vectors = np.linalg.eig(B.T)
+    eta = vectors[:, np.argmin(values.real)].real
+    eta = eta / eta[np.argmax(np.abs(eta))]
     if not np.all(eta > 0) or not np.all(eta @ B > 0):
         raise ValueError("no strictly positive left weight found; supply eta explicitly")
     return eta
@@ -204,7 +193,7 @@ class LinearAllocator:
 class LinearMMatrix:
     """Linear interconnection b(v) = B v with non-positive off-diagonals.
 
-    eta defaults to a positive left weight computed by power iteration.  Its
+    eta defaults to the Perron left eigenvector of B, scaled to max 1.  Its
     interconnection carries a :class:`LinearAllocator`, so both open-loop
     optima are exact linear programs.
     """

@@ -37,53 +37,36 @@ POLICIES = ("decentralized", "coordinating", "oracle-l1", "oracle-linf")
 
 @dataclass(frozen=True, eq=False)
 class DisturbanceProfile:
-    """Constant or piecewise-linear disturbance.
+    """Piecewise-linear disturbance; a constant one is a plain vector w.
 
-    ``values`` is a constant vector, a shared scalar series (k,), or a
-    per-agent series (k, n).  An affine map w = scale*(value - offset) turns
-    a raw series such as an outdoor temperature into the disturbance each
-    agent sees (scale=a, offset=T_ref).
+    ``values`` is a shared scalar series (k,) or a per-agent series (k, n)
+    at the breakpoint ``times``.  An affine map w = scale*(value - offset)
+    turns a raw series such as an outdoor temperature into the disturbance
+    each agent sees (scale=a, offset=T_ref).
     """
 
-    kind: str
     values: np.ndarray
-    times: Optional[np.ndarray] = None
+    times: np.ndarray
     scale: np.ndarray | float = 1.0
     offset: np.ndarray | float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.kind == "constant":
-            if self.times is not None:
-                raise ValueError("constant profile takes no breakpoint times")
-        elif self.kind == "piecewise-linear":
-            t = np.asarray(self.times, dtype=float)
-            if t.ndim != 1 or len(t) < 2:
-                raise ValueError("piecewise profile needs at least two breakpoints")
-            if not np.all(np.diff(t) > 0):
-                raise ValueError("breakpoint times must be strictly increasing")
-            if self.values.shape[0] != len(t):
-                raise ValueError("values and times disagree in length")
-            object.__setattr__(self, "times", t)
-        else:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-
-    @classmethod
-    def constant(cls, w) -> "DisturbanceProfile":
-        return cls(kind="constant", values=np.atleast_1d(np.asarray(w, dtype=float)))
+        t = np.asarray(self.times, dtype=float)
+        if t.ndim != 1 or len(t) < 2:
+            raise ValueError("piecewise profile needs at least two breakpoints")
+        if not np.all(np.diff(t) > 0):
+            raise ValueError("breakpoint times must be strictly increasing")
+        if self.values.shape[0] != len(t):
+            raise ValueError("values and times disagree in length")
+        object.__setattr__(self, "times", t)
 
     @classmethod
     def piecewise(cls, times, values) -> "DisturbanceProfile":
-        return cls(kind="piecewise-linear", values=values, times=times)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
+        return cls(values=values, times=times)
 
     def raw(self, t: float):
         """Interpolated raw value(s) before the affine map."""
-        if self.is_constant:
-            return self.values
         if self.values.ndim == 1:
             return float(np.interp(t, self.times, self.values))
         return np.array([np.interp(t, self.times, col) for col in self.values.T])
@@ -94,7 +77,7 @@ class DisturbanceProfile:
 
     def with_thermal_map(self, a, T_ref) -> "DisturbanceProfile":
         """Map a raw temperature series into w(t) = a * (T(t) - T_ref)."""
-        return DisturbanceProfile(kind=self.kind, values=self.values, times=self.times,
+        return DisturbanceProfile(values=self.values, times=self.times,
                                   scale=np.asarray(a, dtype=float),
                                   offset=np.asarray(T_ref, dtype=float))
 

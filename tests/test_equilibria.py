@@ -406,6 +406,41 @@ class TestCostOrdering:
         assert coord.cost_linf <= dec.cost_linf + 1e-9
 
 
+class TestDhnAllocatorsAgainstEquilibria:
+    """The DHN allocators against the closed-loop equilibria of the calibrated
+    network with the tuning-compliant gains, at seeded random disturbances."""
+
+    @staticmethod
+    def system(mode, w):
+        base = dhn_system(mode)
+        return cp.ClosedLoopSystem(agents=cp.AgentEnsemble(a=base.agents.a, w=w), ic=base.ic,
+                                   gains=base.gains, bounds=base.bounds)
+
+    @pytest.mark.parametrize("low, high", [(-10.0, 10.0), (0.0, 10.0)],
+                             ids=["mixed", "surplus"])
+    def test_linf_matches_coordinating_cost(self, low, high):
+        rng = np.random.default_rng(1)
+        reports = 0
+        for _ in range(6):
+            sys_ = self.system("coordinating", rng.uniform(low, high, 22))
+            eq = cp.find_equilibrium_coordinating(sys_)
+            if isinstance(eq, cp.EquilibriumReport):
+                reports += 1
+                cost = cp.solve_linf_allocation(sys_.ic, sys_.agents).cost
+                assert cost == pytest.approx(eq.cost_linf, rel=0.0,
+                                             abs=1e-7 * (1.0 + eq.cost_linf))
+        assert reports >= 4
+
+    def test_l1_matches_decentralized_cost(self):
+        # the third draw has deficit agents that even a shut valve oversupplies
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            sys_ = self.system("decentralized", rng.uniform(-30.0, 5.0, 22))
+            eq = cp.find_equilibrium_decentralized(sys_)
+            cost = cp.solve_l1_allocation(sys_.ic, sys_.agents).cost
+            assert cost == pytest.approx(eq.cost_l1w, rel=0.0, abs=1e-7 * (1.0 + eq.cost_l1w))
+
+
 class TestSixAgentInstance:
     """Random M-matrix coupling, uneven disturbances, several saturated
     agents at once: both equilibria must match the structured allocators."""

@@ -87,6 +87,15 @@ class TestLinearMMatrix:
         B = np.array([[2.0, -0.5, 0.0], [-0.3, 1.5, -0.4], [0.0, -0.2, 1.0]])
         mm = cp.LinearMMatrix(B)
         assert np.all(mm.eta @ B > 0)
+        # the Perron left eigenvector, at B's eigenvalue of smallest real part
+        lam = np.min(np.linalg.eigvals(B).real)
+        np.testing.assert_allclose(mm.eta @ B, lam * mm.eta, rtol=1e-12)
+        assert np.max(mm.eta) == 1.0
+
+    def test_weight_needs_a_positive_left_eigenvector(self):
+        # eigenvalues -1 and 3: the left vector [1, 1] at -1 has eta^T B < 0
+        with pytest.raises(ValueError):
+            cp.positive_left_weight([[1.0, -2.0], [-2.0, 1.0]])
 
     def test_explicit_eta_validated(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,6 @@ from capnet.sim import (Scenario, SolverOptions, integrate_many, make_temperatur
 
 
 class TestDisturbanceProfile:
-    def test_constant(self):
-        prof = cp.DisturbanceProfile.constant([-2.0, -1.0])
-        np.testing.assert_allclose(prof.eval(3.7), [-2.0, -1.0])
-        assert prof.is_constant
-
     def test_piecewise_shared_scalar(self):
         prof = cp.DisturbanceProfile.piecewise([0.0, 2.0], [0.0, 10.0])
         assert prof.raw(1.0) == pytest.approx(5.0)
