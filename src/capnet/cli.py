@@ -182,8 +182,8 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
             log.warning("linear map is not an admissible M-matrix (%s); "
                         "wrapping it unchecked for property checking", exc)
             eta_vec = np.ones(bounds.n) if eta is None else np.asarray(eta, dtype=float)
-            ic = Interconnection(fn=lambda v: B @ v, eta=eta_vec, bounds=bounds,
-                                 jacobian=lambda v: B, name="linear-unchecked")
+            ic = Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=eta_vec,
+                                 bounds=bounds, jacobian=lambda v: B, name="linear-unchecked")
         agents_cfg = data["agents"]
         if "a" not in agents_cfg or "w" not in agents_cfg:
             raise ConfigError("agents: linear systems need 'a' and 'w'")

@@ -119,8 +119,8 @@ def field_stack(sys: ClosedLoopSystem, x, z, t=0.0):
     decentralized integrator gets dz = x + kA*(u - v), its own excess; the
     coordinating one gets dz = x + kC*sum_j (u - v)_j, the same shared sum in
     every agent.  u is clipped into the box once for the whole stack, so b(v)
-    comes from the raw ``ic.fn`` row by row: a clipped v cannot fail the
-    domain check of ``eval_interconnection``.
+    comes from one call of the raw ``ic.fn`` on the stack: a clipped v cannot
+    fail the domain check of ``eval_interconnection``.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -129,8 +129,7 @@ def field_stack(sys: ClosedLoopSystem, x, z, t=0.0):
     gains, agents = sys.gains, sys.agents
     u = -gains.kP * x - gains.kI * z
     v = np.clip(u, sys.bounds.lower, sys.bounds.upper)
-    fn = sys.ic.fn
-    b = np.array([fn(row) for row in v], dtype=float)
+    b = np.asarray(sys.ic.fn(v), dtype=float)
     if agents.w_is_constant or np.ndim(t) == 0:
         w = agents.w_at(t)
     else:
@@ -168,8 +167,13 @@ def field_jacobian(sys: ClosedLoopSystem, s: ClosedLoopState) -> np.ndarray:
 
 def to_zeta_u(s: ClosedLoopState, gains: ControllerGains):
     """Map (x, z) to (zeta, u) with zeta = -kI*z and u = -kP*x - kI*z."""
-    zeta = -gains.kI * s.z
-    u = -gains.kP * s.x + zeta
+    return _zeta_u(gains, s.x, s.z)
+
+
+def _zeta_u(gains, x, z):
+    """(zeta, u) of one state or of each row of an (m, n) stack of them."""
+    zeta = -gains.kI * z
+    u = -gains.kP * x + zeta
     return zeta, u
 
 
@@ -193,9 +197,9 @@ def lyapunov_decentralized(sys: ClosedLoopSystem, zeta_shift, u_shift) -> float:
     V = sum_i eta_i*d_i/(kP_i*c_i) |zeta~_i| + eta_i/kP_i |u~_i|, which
     requires the tuning margin d_i = a_i - kI_i/kP_i to be positive.
     """
-    return _decentralized_value(_decentralized_weights(sys),
-                                np.asarray(zeta_shift, dtype=float),
-                                np.asarray(u_shift, dtype=float))
+    return float(_decentralized_value(_decentralized_weights(sys),
+                                      np.asarray(zeta_shift, dtype=float),
+                                      np.asarray(u_shift, dtype=float)))
 
 
 def _decentralized_weights(sys: ClosedLoopSystem):
@@ -206,9 +210,12 @@ def _decentralized_weights(sys: ClosedLoopSystem):
     return eta * d / (kP * c), eta / kP
 
 
-def _decentralized_value(weights, zeta_shift, u_shift) -> float:
+def _decentralized_value(weights, zeta_shift, u_shift):
+    """V of one shift, or of each row of a stack: a row is summed with the
+    arithmetic of a single shift."""
     w_zeta, w_u = weights
-    return float(np.sum(w_zeta * np.abs(zeta_shift)) + np.sum(w_u * np.abs(u_shift)))
+    return (np.sum(w_zeta * np.abs(zeta_shift), axis=-1)
+            + np.sum(w_u * np.abs(u_shift), axis=-1))
 
 
 def lyapunov_coordinating(sys: ClosedLoopSystem, zeta, u) -> float:
@@ -218,9 +225,9 @@ def lyapunov_coordinating(sys: ClosedLoopSystem, zeta, u) -> float:
     dead-zones taken against the actuator bounds.  Zero exactly when both
     zeta and u are inside the bounds.
     """
-    return _coordinating_value(sys, _coordinating_weight(sys),
-                               deadzone(np.asarray(zeta, dtype=float), sys.bounds),
-                               deadzone(np.asarray(u, dtype=float), sys.bounds))
+    return float(_coordinating_value(sys, _coordinating_weight(sys),
+                                     deadzone(np.asarray(zeta, dtype=float), sys.bounds),
+                                     deadzone(np.asarray(u, dtype=float), sys.bounds)))
 
 
 def _coordinating_weight(sys: ClosedLoopSystem) -> np.ndarray:
@@ -232,9 +239,10 @@ def _coordinating_weight(sys: ClosedLoopSystem) -> np.ndarray:
     return d / (sys.gains.kI * sys.c_ratio)
 
 
-def _coordinating_value(sys, w_zeta, dz_zeta, dz_u) -> float:
-    return float(0.5 * np.sum(w_zeta * dz_zeta ** 2)
-                 + 0.5 * np.sum(dz_u ** 2 / sys.gains.kI))
+def _coordinating_value(sys, w_zeta, dz_zeta, dz_u):
+    """V of one pair of dead-zones, or of each row of a stack of them."""
+    return (0.5 * np.sum(w_zeta * dz_zeta ** 2, axis=-1)
+            + 0.5 * np.sum(dz_u ** 2 / sys.gains.kI, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +257,13 @@ class MonitorRecord:
 
 
 class LyapunovMonitor:
-    """Tracks a certificate along accepted integrator steps.
+    """Tracks a certificate along the accepted integrator steps of one run.
 
     A step is flagged when V increased by more than slack*(1 + V_prev).
-    Subclasses define the certificate and when a step is in scope.
+    Subclasses define the certificate, ``value``, and when a step is in
+    scope, ``in_scope``.  Both take a stack of states as two (m, n) arrays x
+    and z and return one entry per row.  Monitors with equal ``certificate``
+    keys agree on both, so :func:`observe_rows` values their rows together.
     """
 
     name = "lyapunov"
@@ -263,23 +274,27 @@ class LyapunovMonitor:
         self.violations: list = []
         self._prev: Optional[float] = None  # V at the last accepted step
         self.in_scope_pair = True
+        self.certificate = (type(self), sys)
 
-    def value(self, s: ClosedLoopState) -> float:
+    def value(self, x, z) -> np.ndarray:
         raise NotImplementedError
 
-    def in_scope(self, s: ClosedLoopState) -> bool:
-        return True
+    def in_scope(self, x, z) -> np.ndarray:
+        return np.ones(np.shape(x)[:-1], dtype=bool)
 
     def observe(self, t: float, s: ClosedLoopState) -> float:
-        v = self.value(s)
+        """Record the state s reached at time t; returns its V."""
+        observe_rows([self], [t], s.x[None], s.z[None])
+        return self._prev
+
+    def _record(self, t, v: float, in_scope: bool):
         increase = 0.0
         if self._prev is not None and self.in_scope_pair:
             increase = v - self._prev
             if increase > self.slack * (1.0 + self._prev):
                 self.violations.append(MonitorRecord(t, v, increase))
-        self.in_scope_pair = self.in_scope(s)
+        self.in_scope_pair = in_scope
         self._prev = v
-        return v
 
     @property
     def ok(self) -> bool:
@@ -290,6 +305,25 @@ class LyapunovMonitor:
         if not self.violations:
             return 0.0
         return max(r.increase for r in self.violations)
+
+
+def observe_rows(monitors, t, x, z):
+    """Let monitors[k] record the state (x[k], z[k]) reached at time t[k].
+
+    The rows of monitors that share a certificate are valued by one ``value``
+    and one ``in_scope`` call on their stack; each monitor then keeps its
+    books row by row, in stack order, as :meth:`LyapunovMonitor.observe`
+    does for one state.
+    """
+    groups: dict = {}
+    for k, mon in enumerate(monitors):
+        groups.setdefault(mon.certificate, []).append(k)
+    for rows in groups.values():
+        first = monitors[rows[0]]
+        xs, zs = x[rows], z[rows]
+        for k, v, scope in zip(rows, first.value(xs, zs).tolist(),
+                               first.in_scope(xs, zs).tolist()):
+            monitors[k]._record(t[k], v, scope)
 
 
 class DecentralizedMonitor(LyapunovMonitor):
@@ -304,9 +338,10 @@ class DecentralizedMonitor(LyapunovMonitor):
         self.zeta0 = as_vector(zeta0, "zeta0")
         self.u0 = as_vector(u0, "u0")
         self._weights = _decentralized_weights(sys)
+        self.certificate += (self.zeta0.tobytes(), self.u0.tobytes())
 
-    def value(self, s: ClosedLoopState) -> float:
-        zeta, u = to_zeta_u(s, self.sys.gains)
+    def value(self, x, z) -> np.ndarray:
+        zeta, u = _zeta_u(self.sys.gains, x, z)
         return _decentralized_value(self._weights, zeta - self.zeta0, u - self.u0)
 
 
@@ -328,13 +363,14 @@ class CoordinatingMonitor(LyapunovMonitor):
     def _deadzone(self, y):
         return y - np.clip(y, self.sys.bounds.lower, self.sys.bounds.upper)
 
-    def value(self, s: ClosedLoopState) -> float:
-        zeta, u = to_zeta_u(s, self.sys.gains)
+    def value(self, x, z) -> np.ndarray:
+        zeta, u = _zeta_u(self.sys.gains, x, z)
         return _coordinating_value(self.sys, self._weight,
                                    self._deadzone(zeta), self._deadzone(u))
 
-    def in_scope(self, s: ClosedLoopState) -> bool:
-        return bool(np.any(self._deadzone(control_input(self.sys.gains, s)) != 0.0))
+    def in_scope(self, x, z) -> np.ndarray:
+        gains = self.sys.gains
+        return np.any(self._deadzone(-gains.kP * x - gains.kI * z) != 0.0, axis=-1)
 
 
 def rejectable_disturbance(sys: ClosedLoopSystem, t: float = 0.0) -> bool:

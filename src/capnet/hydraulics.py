@@ -544,16 +544,20 @@ def dhn_interconnection(
     """Wrap the network as the interconnection b(v) = coef * q(v).
 
     coef_i = c_pw*rho_w*delta_i/c_i converts flow to heating rate [K/h].
+    The flows of a stack of valve positions are solved one row at a time.
     """
     n = net.n_consumers
     coef = bld.heat_coefficient(n)
     bounds = SaturationBounds.symmetric(1.0, n)
 
-    def fn(v):
-        q = solve_flows(net, v)
-        if stats is not None:
-            stats.update(net.mass_residual(q))
-        return coef * q
+    def fn(V):
+        b = np.empty_like(V)
+        for k, v in enumerate(V):
+            q = solve_flows(net, v)
+            if stats is not None:
+                stats.update(net.mass_residual(q))
+            b[k] = coef * q
+        return b
 
     def jac(v):
         return coef[:, None] * flow_sensitivity(net, v)

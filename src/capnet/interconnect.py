@@ -40,6 +40,12 @@ _BOUNDARY_TOL = 1e-12
 class Interconnection:
     """A map from the actuator box into resource space, with weight eta.
 
+    ``fn`` takes a whole stack: it maps an (m, n) array of points of the box,
+    one per row, to the (m, n) array of their outputs, and row k of the
+    result depends on row k of the input alone.  A row-oriented ``B @ v`` is
+    refused at construction; a linear map computes the batched product
+    ``(B @ V[..., None])[..., 0]``, which gives every row the arithmetic of
+    ``B @ v`` alone (``V @ B.T`` rounds differently and depends on m).
     ``fn`` must be pure and finite on the box (spot-checked at construction).
     ``jacobian`` optionally returns d(fn)/dv at an interior point; without it
     the equilibrium Newton and the lemma-2 proposals use finite differences.
@@ -64,18 +70,25 @@ class Interconnection:
         self._probe()
 
     def _probe(self):
-        """Spot-check that fn is total and finite on the box."""
+        """Spot-check the stack contract and that fn is finite on the box.
+
+        One stack of the bounds, the midpoint and three samples, plus a
+        fourth sample when n is 6: the stack never has n rows, so a
+        row-oriented fn fails here rather than mixing rows silently.
+        """
         rng = np.random.default_rng(0)
-        probes = [self.bounds.lower, self.bounds.upper,
-                  0.5 * (self.bounds.lower + self.bounds.upper)]
-        probes += [self.bounds.sample(rng) for _ in range(3)]
-        for v in probes:
-            out = np.asarray(self.fn(v), dtype=float)
-            if out.shape != (self.n,):
-                raise DimensionError(
-                    f"interconnection returned shape {out.shape}, expected ({self.n},)")
-            if not np.all(np.isfinite(out)):
-                raise ValueError("interconnection returned non-finite values on the box")
+        lo, hi = self.bounds.lower, self.bounds.upper
+        probes = np.vstack([lo, hi, 0.5 * (lo + hi),
+                            self.bounds.sample(rng, 4 if self.n == 6 else 3)])
+        contract = f"fn must map an (m, {self.n}) stack of points to an (m, {self.n}) stack"
+        try:
+            out = np.asarray(self.fn(probes), dtype=float)
+        except ValueError as exc:
+            raise DimensionError(f"{contract}; on {probes.shape} it raised: {exc}") from exc
+        if out.shape != probes.shape:
+            raise DimensionError(f"{contract}; on {probes.shape} it returned {out.shape}")
+        if not np.all(np.isfinite(out)):
+            raise ValueError("interconnection returned non-finite values on the box")
 
     @property
     def n(self) -> int:
@@ -90,8 +103,8 @@ def eval_interconnection(ic: Interconnection, v) -> np.ndarray:
     such points; clamps boundary round-off only.
 
     The shape and the box are checked, and the input clipped, once for the
-    whole stack; ``ic.fn`` then sees one row at a time, so a row's result
-    does not depend on the stack it came in.
+    whole stack, which ``ic.fn`` then maps in one call; a single point is a
+    stack of one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != ic.n:
@@ -99,11 +112,8 @@ def eval_interconnection(ic: Interconnection, v) -> np.ndarray:
     lo, hi = ic.bounds.lower, ic.bounds.upper
     if np.any(v < lo - _BOUNDARY_TOL) or np.any(v > hi + _BOUNDARY_TOL):
         raise DomainError("input lies outside the actuator box beyond tolerance")
-    v = np.clip(v, lo, hi)
-    if v.ndim == 1:
-        return np.asarray(ic.fn(v), dtype=float)
-    # the reshape keeps an empty stack (0, n)
-    return np.array([ic.fn(row) for row in v], dtype=float).reshape(v.shape)
+    b = np.asarray(ic.fn(np.clip(v, lo, hi).reshape(-1, ic.n)), dtype=float)
+    return b.reshape(v.shape)
 
 
 def eval_jacobian(ic: Interconnection, v) -> np.ndarray:
@@ -223,7 +233,7 @@ class LinearMMatrix:
             raise DimensionError("bounds dimension does not match B")
         B = self.B
         return Interconnection(
-            fn=lambda v: B @ v,
+            fn=lambda V: (B @ V[..., None])[..., 0],
             eta=self.eta,
             bounds=bounds,
             jacobian=lambda v: B,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       DecentralizedMonitor, LyapunovMonitor, field as loop_field,
-                      field_jacobian, field_stack, no_monitor_reason)
+                      field_jacobian, field_stack, no_monitor_reason, observe_rows)
 from .core import DECENTRALIZED, AgentEnsemble
 from .errors import ConfigError, IntegrationError, TuningError
 from .hydraulics import HydraulicStats
@@ -235,8 +235,10 @@ def _integrate_rk45(fun, t0, t1, y0, opts, on_accept, recorders):
     stepping live in one (k, 7, d) array, and each tableau row is applied by
     a matmul that numpy runs row by row, so every row gets the arithmetic of
     a stack of one.  ``fun(t, y)`` maps the (k,) times and (k, d) states of
-    the rows still stepping to their derivatives, and ``on_accept(row, t, y)``
-    sees every accepted step.  Returns one IntegrationStats per row.
+    the rows still stepping to their derivatives, and ``on_accept(rows, t,
+    y)``, when given, sees the rows accepted on each step as one stack.  No
+    row attempts more than ``opts.max_steps`` steps.  Returns one
+    IntegrationStats per row.
     """
     span = t1 - t0
     dt_max = opts.dt_max if opts.dt_max is not None else span / 64.0
@@ -264,7 +266,7 @@ def _integrate_rk45(fun, t0, t1, y0, opts, on_accept, recorders):
         if underflow.any():
             j = np.argmax(underflow)
             raise IntegrationError("step size underflow", t=float(t[j]), state=y[j].copy())
-        if steps > opts.max_steps:
+        if steps >= opts.max_steps:
             raise IntegrationError("step budget exhausted", t=float(t[0]), state=y[0].copy())
         steps += 1
         hc = h[:, None]
@@ -282,7 +284,8 @@ def _integrate_rk45(fun, t0, t1, y0, opts, on_accept, recorders):
         for j in np.flatnonzero(ok):
             # FSAL: the last stage is f(t_new, y_new)
             recorders[rows[j]].accepted(t[j], y[j], f[j], t_new[j], y_new[j], k[j, 6])
-            on_accept(rows[j], t_new[j], y_new[j])
+        if on_accept is not None and ok.any():
+            on_accept(rows[ok], t_new[ok], y_new[ok])
         accepted[rows] += ok
         # grow by 0.9*err^-0.2 within [0.2, 5]; an error below 1e-10 grows
         # by the cap and a NaN error (fmax) shrinks by 0.2
@@ -320,6 +323,7 @@ def _integrate_rosenbrock(fun, jac, t0, t1, y0, opts, on_accept, recorder, stops
     Every step ends exactly on each time in ``stops`` (sorted, ending at t1),
     and ``dfdt(a, b)`` is the constant df/dt between consecutive stops a, b.
     One inverse of I/(h*gamma) - J per attempted step serves all six stages.
+    At most ``opts.max_steps`` steps are attempted.
     """
     span = t1 - t0
     dt_max = opts.dt_max if opts.dt_max is not None else span / 64.0
@@ -340,7 +344,7 @@ def _integrate_rosenbrock(fun, jac, t0, t1, y0, opts, on_accept, recorder, stops
             h = stop - t if landing else min(dt, dt_max)
             if h < 1e-14 * max(1.0, abs(t)):
                 raise IntegrationError("step size underflow", t=t, state=y.copy())
-            if stats.accepted + stats.rejected > opts.max_steps:
+            if stats.accepted + stats.rejected >= opts.max_steps:
                 raise IntegrationError("step budget exhausted", t=t, state=y.copy())
             try:
                 inv = np.linalg.inv(np.eye(n) / (h * _RO_GAMMA) - J)
@@ -406,7 +410,9 @@ def integrate_many(
 
     RK45 steps all starts together as one stack, each row under its own
     step control; the Rosenbrock method runs them one after another.
-    ``monitors`` holds one LyapunovMonitor or None per start.
+    ``monitors`` holds one LyapunovMonitor or None per start; the rows
+    accepted on one step are observed as one stack (see
+    :func:`~capnet.control.observe_rows`).
     """
     opts = opts or SolverOptions()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -422,15 +428,17 @@ def integrate_many(
         log.info("disturbance varies in time: Lyapunov monitor disabled")
         monitors = [None] * len(starts)
 
-    def on_accept(row, t, y):
-        if monitors[row] is not None:
-            monitors[row].observe(t, ClosedLoopState(y[:n], y[n:]))
-
-    for s0, monitor in zip(starts, monitors):
-        if monitor is not None:
-            monitor.observe(t0, s0)
-
     y0 = np.array([np.concatenate([s0.x, s0.z]) for s0 in starts])
+    watched = np.array([mon is not None for mon in monitors])
+    on_accept = None
+    if watched.any():
+        def on_accept(rows, t, y):
+            keep = watched[rows]
+            if keep.any():
+                rows, t, y = rows[keep], t[keep], y[keep]
+                observe_rows([monitors[r] for r in rows], t, y[:, :n], y[:, n:])
+
+        on_accept(np.arange(len(starts)), np.full(len(starts), t0), y0)
     recorders = [_StepRecorder(t0, t1, opts.output_dt) for _ in starts]
     if opts.method == "rk45":
         def fun_stack(t, y):
@@ -455,10 +463,12 @@ def integrate_many(
         def jac(t, y):
             return field_jacobian(sys, ClosedLoopState(y[:n], y[n:]))
 
-        stats = [_integrate_rosenbrock(fun, jac, t0, t1, y0[r], opts,
-                                       lambda t, y, r=r: on_accept(r, t, y), recorders[r],
-                                       stops, dfdt)
-                 for r in range(len(starts))]
+        stats = []
+        for r in range(len(starts)):
+            row_accept = None if on_accept is None else (
+                lambda t, y, r=r: on_accept(np.array([r]), np.array([t]), y[None]))
+            stats.append(_integrate_rosenbrock(fun, jac, t0, t1, y0[r], opts, row_accept,
+                                               recorders[r], stops, dfdt))
     return [_trajectory(sys, rec, st, mon) for rec, st, mon in zip(recorders, stats, monitors)]
 
 
@@ -470,10 +480,7 @@ def _trajectory(sys, recorder, stats, monitor) -> Trajectory:
     us = -sys.gains.kP * xs - sys.gains.kI * zs
     vs = np.clip(us, sys.bounds.lower, sys.bounds.upper)
     bs = sys.ic(vs)
-    lyap = None
-    if monitor is not None:
-        lyap = np.array([monitor.value(ClosedLoopState(xs[k], zs[k]))
-                         for k in range(len(times))])
+    lyap = None if monitor is None else monitor.value(xs, zs)
     return Trajectory(times=times, x=xs, z=zs, u=us, v=vs, b=bs,
                       lyapunov=lyap, stats=stats, monitor=monitor)
 
@@ -511,25 +518,22 @@ class RunArtifacts:
     summary_path: Optional[Path] = None
 
 
-def _format_float(val: float) -> str:
-    return f"{val:.17g}"
-
-
 def write_trajectory_csv(path: Path, times, x, u, v, lyapunov=None):
     """CSV contract: header t,x1..xn,u1..un,v1..vn,V with 17 significant
-    digits, UTF-8 and LF line endings; V is empty when no monitor ran."""
+    digits, UTF-8 and LF line endings; V is empty when no monitor ran.
+
+    Each row is written by one printf-style format, whose ``%.17g`` gives
+    the digits of ``f"{val:.17g}"``."""
     n = x.shape[1]
     cols = (["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(n)]
             + [f"v{i+1}" for i in range(n)] + ["V"])
+    columns = [np.asarray(times, dtype=float)[:, None], x, u, v]
+    if lyapunov is not None:
+        columns.append(np.asarray(lyapunov, dtype=float)[:, None])
+    fmt = ",".join(["%.17g"] * (3 * n + 1) + ["" if lyapunov is None else "%.17g"]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(len(times)):
-            row = [_format_float(times[k])]
-            row += [_format_float(val) for val in x[k]]
-            row += [_format_float(val) for val in u[k]]
-            row += [_format_float(val) for val in v[k]]
-            row.append("" if lyapunov is None else _format_float(lyapunov[k]))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(fmt % tuple(row) for row in np.hstack(columns).tolist())
 
 
 def write_summary(path: Path, summary: dict):

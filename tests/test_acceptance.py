@@ -64,7 +64,8 @@ def test_criterion_2_structural_checkers(ic2):
     # positive off-diagonal coupling: competition and inverse positivity break
     B_bad = np.array([[1.0, 0.25], [-0.25, 1.0]])
     bounds = cp.SaturationBounds.symmetric(1.0, 2)
-    ic_bad = cp.Interconnection(fn=lambda v: B_bad @ v, eta=np.ones(2), bounds=bounds)
+    ic_bad = cp.Interconnection(fn=lambda V: (B_bad @ V[..., None])[..., 0], eta=np.ones(2),
+                                bounds=bounds)
     assert not cp.check_assumption1(ic_bad, 10_000, rng_seed=0).passed
     assert not cp.check_lemma2(ic_bad, 10_000, rng_seed=0).passed
     elapsed = time.monotonic() - t0

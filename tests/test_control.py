@@ -3,7 +3,7 @@ import pytest
 
 import capnet as cp
 from capnet.control import (CoordinatingMonitor, DecentralizedMonitor, control_input,
-                            field_stack, no_monitor_reason)
+                            field_stack, no_monitor_reason, observe_rows)
 from capnet.errors import DimensionError, TuningError
 
 
@@ -198,10 +198,9 @@ class TestMonitors:
 
     def test_coordinating_monitor_scope(self, sys_coord2):
         monitor = CoordinatingMonitor(sys_coord2)
-        inside = cp.ClosedLoopState(np.zeros(2), np.zeros(2))
-        assert not monitor.in_scope(inside)  # unsaturated: decrease not claimed
-        saturated = cp.ClosedLoopState(np.array([-3.0, -3.0]), np.zeros(2))
-        assert monitor.in_scope(saturated)
+        # row 0 unsaturated: decrease not claimed; row 1 saturated
+        x, z = np.array([[0.0, 0.0], [-3.0, -3.0]]), np.zeros((2, 2))
+        assert monitor.in_scope(x, z).tolist() == [False, True]
 
     @pytest.mark.parametrize("n", [2, 22])
     def test_values_match_certificates_bit_for_bit(self, n):
@@ -224,6 +223,43 @@ class TestMonitors:
                 dec, zeta - zeta0, u - u0)
             zeta, u = cp.to_zeta_u(s, coord.gains)
             assert mon_coord.observe(float(k), s) == cp.lyapunov_coordinating(coord, zeta, u)
+
+    def test_stack_matches_per_row_observation(self, sys_dec2, sys_coord2):
+        # seven runs under three certificates, observed as one stack in a
+        # shuffled row order, against each run observed on its own
+        rep = cp.find_equilibrium_decentralized(sys_dec2)
+
+        def monitors():
+            return ([DecentralizedMonitor(sys_dec2, rep.zeta0, rep.u0) for _ in range(3)]
+                    + [DecentralizedMonitor(sys_dec2, np.zeros(2), np.zeros(2))]
+                    + [CoordinatingMonitor(sys_coord2) for _ in range(3)])
+
+        stacked, alone = monitors(), monitors()
+        m, n_steps = len(stacked), 40
+        rng = np.random.default_rng(3)
+        decay = 0.8 ** np.arange(n_steps)[:, None, None]
+        x = rng.normal(scale=3.0, size=(n_steps, m, 2)) * decay
+        z = rng.normal(scale=3.0, size=(n_steps, m, 2)) * decay
+        x[29], x[30] = 5.0, 50.0  # saturated, then far beyond slack in every run
+        # the coordinating runs sit unsaturated on steps 10..14, so the jump
+        # on step 15 starts out of scope
+        x[10:15, 4:] = z[10:15, 4:] = 0.0
+        x[15, 4:] = 20.0
+        times = np.arange(n_steps)[:, None] + 0.01 * np.arange(m)
+        for k in range(n_steps):
+            order = rng.permutation(m)
+            observe_rows([stacked[r] for r in order], times[k, order], x[k, order], z[k, order])
+            for r, mon in enumerate(alone):
+                mon.observe(times[k, r], cp.ClosedLoopState(x[k, r], z[k, r]))
+        for got, want in zip(stacked, alone):
+            assert [(v.t, v.value, v.increase) for v in got.violations] == \
+                [(v.t, v.value, v.increase) for v in want.violations]
+            assert got.ok == want.ok
+            assert got.max_excess == want.max_excess
+            assert any(np.floor(v.t) == 30 for v in want.violations)
+        for mon in alone[4:]:
+            assert not any(np.floor(v.t) == 15 for v in mon.violations)
+            assert mon.value(x[15:16, 4], z[15:16, 4])[0] > mon.value(x[14:15, 4], z[14:15, 4])[0]
 
     def test_margin_checked_at_construction(self, ic2, bounds2):
         agents = cp.AgentEnsemble(a=[0.4, 0.4], w=[0.0, 0.0])

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import capnet as cp
+from capnet import cli
 from capnet.errors import DimensionError, DomainError
 from capnet.interconnect import eval_jacobian
 from tests.conftest import B_REF
@@ -11,7 +14,8 @@ def bad_matrix_interconnection():
     """Positive off-diagonal entry: competition property (i) is violated."""
     B = np.array([[1.0, 0.25], [-0.25, 1.0]])
     bounds = cp.SaturationBounds.symmetric(1.0, 2)
-    return cp.Interconnection(fn=lambda v: B @ v, eta=np.ones(2), bounds=bounds)
+    return cp.Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=np.ones(2),
+                              bounds=bounds)
 
 
 class TestEval:
@@ -67,8 +71,78 @@ class TestEval:
 
     def test_probe_rejects_nonfinite(self, bounds2):
         with pytest.raises(ValueError):
-            cp.Interconnection(fn=lambda v: np.full(2, np.nan), eta=[1.0, 1.0],
+            cp.Interconnection(fn=lambda V: np.full(V.shape, np.nan), eta=[1.0, 1.0],
                                bounds=bounds2)
+
+
+def unchecked_linear(tmp_path, B):
+    """The CLI's raw wrapper of a linear map that is not an M-matrix."""
+    n = len(B)
+    cfg = {"schema_version": 1,
+           "system": {"type": "linear", "B": B.tolist(),
+                      "bounds": {"lower": [-1.0] * n, "upper": [1.0] * n}},
+           "agents": {"a": 1.0, "w": -0.5},
+           "controller": {"mode": "decentralized", "kP": 2.0, "kI": 1.0, "kA": 0.4},
+           "sim": {"t_span": [0.0, 1.0]}}
+    path = tmp_path / "unchecked.cfg"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    ic = cli.build_scenario(cli.ScenarioConfig.load(path)).ic
+    assert ic.name == "linear-unchecked"
+    return ic
+
+
+class TestStackContract:
+    """fn maps an (m, n) stack to an (m, n) stack, row by row."""
+
+    @pytest.fixture(scope="class")
+    def instances(self, tmp_path_factory):
+        rng = np.random.default_rng(7)
+        n = 7
+        off = rng.uniform(0.0, 0.1, (n, n)) * (1.0 - np.eye(n))
+        B_mm = np.diag(rng.uniform(1.0, 2.0, n)) - off
+        B_bad = B_mm + 2.0 * off.T * (rng.random((n, n)) < 0.3)
+        net, bld, _ = cp.build_dhn_scenario()
+        coef = bld.heat_coefficient(net.n_consumers)
+        return {
+            "linear": (cp.LinearMMatrix(B_mm).as_interconnection(
+                cp.SaturationBounds.symmetric(1.0, n)), lambda v: B_mm @ v),
+            "linear-unchecked": (unchecked_linear(tmp_path_factory.mktemp("cfg"), B_bad),
+                                 lambda v: B_bad @ v),
+            "dhn": (cp.dhn_interconnection(net, bld), lambda v: coef * cp.solve_flows(net, v)),
+        }
+
+    @pytest.mark.parametrize("name", ["linear", "linear-unchecked", "dhn"])
+    def test_rows_do_not_depend_on_the_stack(self, instances, name):
+        ic, row_map = instances[name]
+        n = ic.n
+        rng = np.random.default_rng(1)
+        for m in (1, n, n + 1, 1000):
+            v = ic.bounds.sample(rng, m)
+            out = ic(v)
+            assert out.shape == (m, n)
+            np.testing.assert_array_equal(out, ic.fn(v))
+            for k in range(m):
+                np.testing.assert_array_equal(out[k], ic(v[k]))
+                np.testing.assert_array_equal(out[k], row_map(v[k]))
+
+    @pytest.mark.parametrize("name", ["linear", "linear-unchecked", "dhn"])
+    def test_empty_stack(self, instances, name):
+        ic, _ = instances[name]
+        assert ic.fn(np.empty((0, ic.n))).shape == (0, ic.n)
+        assert ic(np.empty((0, ic.n))).shape == (0, ic.n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+    def test_row_oriented_fn_refused(self, n):
+        # at n = 6 the probe stack would otherwise have n rows, and B @ V
+        # would mix its rows without any error
+        B = np.eye(n) - 0.1 * (1.0 - np.eye(n))
+        bounds = cp.SaturationBounds.symmetric(1.0, n)
+        with pytest.raises(DimensionError, match=r"stack"):
+            cp.Interconnection(fn=lambda v: B @ v, eta=np.ones(n), bounds=bounds)
+        with pytest.raises(DimensionError, match=r"stack"):
+            cp.Interconnection(fn=lambda V: B @ V[0], eta=np.ones(n), bounds=bounds)
+        cp.Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=np.ones(n),
+                           bounds=bounds)
 
 
 class TestLinearMMatrix:
@@ -169,7 +243,8 @@ class TestLemma2:
         # so the ordered-output hypothesis never holds
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
         bounds = cp.SaturationBounds.symmetric(1.0, 2)
-        ic = cp.Interconnection(fn=lambda v: B @ v, eta=np.ones(2), bounds=bounds)
+        ic = cp.Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=np.ones(2),
+                                bounds=bounds)
         verdict = cp.check_lemma2(ic, 200, rng_seed=0)
         assert verdict.inconclusive
         assert not verdict.passed
@@ -183,7 +258,7 @@ class TestLemma2:
             def jac(v):
                 calls.append(tuple(v))
                 return np.zeros((2, 2)) if singular_half and v[0] < 0 else B_REF
-            return cp.Interconnection(fn=lambda v: B_REF @ v, eta=np.ones(2),
+            return cp.Interconnection(fn=lambda V: (B_REF @ V[..., None])[..., 0], eta=np.ones(2),
                                       bounds=cp.SaturationBounds.symmetric(1.0, 2),
                                       jacobian=jac)
 

@@ -84,6 +84,49 @@ class TestIntegrate:
         ros = cp.integrate(sys_dec2, s0, (0.0, 50.0), SolverOptions(method="rosenbrock"))
         assert np.max(np.abs(ref.x[-1] - ros.x[-1])) < 2e-3
 
+    @pytest.mark.parametrize("name", ["linear2_decentralized.cfg",
+                                      "linear2_coordinating.cfg"])
+    def test_lyapunov_column_matches_certificate(self, name):
+        sys_, starts = _shipped_starts(name, n_starts=1)
+        monitor = _monitor(sys_)
+        traj = cp.integrate(sys_, starts[0], (0.0, 50.0), SolverOptions(output_dt=1.0),
+                            monitor=monitor)
+        want = []
+        for k in range(traj.n_points):
+            zeta, u = cp.to_zeta_u(traj.state(k), sys_.gains)
+            if sys_.gains.mode == "decentralized":
+                want.append(cp.lyapunov_decentralized(sys_, zeta - monitor.zeta0,
+                                                      u - monitor.u0))
+            else:
+                want.append(cp.lyapunov_coordinating(sys_, zeta, u))
+        np.testing.assert_array_equal(traj.lyapunov, want)
+
+    @pytest.mark.parametrize("method", ["rk45", "rosenbrock"])
+    def test_one_value_call_per_step(self, monkeypatch, method):
+        # RK45 values the rows it accepts on a step in one call; each
+        # trajectory's certificate column is one more
+        sys_, starts = _shipped_starts("linear2_decentralized.cfg", n_starts=6)
+        calls = []
+        real = cp.DecentralizedMonitor.value
+
+        def value(self, x, z):
+            calls.append(len(x))
+            return real(self, x, z)
+
+        monkeypatch.setattr(cp.DecentralizedMonitor, "value", value)
+        trajs = integrate_many(sys_, starts, (0.0, 100.0), SolverOptions(method=method),
+                               [_monitor(sys_) for _ in starts])
+        accepted = [traj.stats.accepted for traj in trajs]
+        assert calls[0] == len(starts)  # the starts, as one stack
+        assert calls[-len(starts):] == [traj.n_points for traj in trajs]
+        steps = calls[1:-len(starts)]
+        assert sum(steps) == sum(accepted)
+        if method == "rk45":
+            attempted = max(traj.stats.accepted + traj.stats.rejected for traj in trajs)
+            assert len(steps) <= attempted < sum(accepted)
+        else:  # one start after another
+            assert steps == [1] * sum(accepted)
+
     def test_time_varying_disturbance_disables_monitor(self, ic2, gains_dec2, bounds2):
         prof = cp.DisturbanceProfile.piecewise([0.0, 100.0], [[-2.0, -1.0], [-1.0, -0.5]])
         agents = cp.AgentEnsemble(a=[1.0, 1.0], w=prof)
@@ -189,6 +232,52 @@ class TestStackedRk45:
         with pytest.raises(IntegrationError, match="underflow") as info:
             integrate_many(sys_dec2, starts, (0.0, 10.0))
         assert np.isnan(info.value.state[0])
+
+    @pytest.mark.parametrize("method", ["rk45", "rosenbrock"])
+    def test_budget_bounds_attempted_steps(self, sys_dec2, method):
+        # the budget k caps the attempted steps at k, and a run that needs
+        # exactly k steps still ends
+        s0 = cp.ClosedLoopState(np.array([3.0, -5.0]), np.array([2.0, 4.0]))
+        need = cp.integrate(sys_dec2, s0, (0.0, 100.0), SolverOptions(method=method)).stats
+        need = need.accepted + need.rejected
+        exact = cp.integrate(sys_dec2, s0, (0.0, 100.0),
+                             SolverOptions(method=method, max_steps=need))
+        assert exact.stats.accepted + exact.stats.rejected == need
+        for k in (1, 3, need - 1):
+            attempts = _attempts_until_budget(sys_dec2, s0, SolverOptions(method=method,
+                                                                          max_steps=k))
+            assert attempts == k, (k, attempts)
+
+
+def _attempts_until_budget(sys_, s0, opts):
+    """Steps attempted before the budget ran out, counted from the field
+    evaluations: RK45 takes one, then six per attempted step; RODAS4 takes one
+    (and a Jacobian), then five per attempted and one more per accepted one."""
+    calls = {"field": 0, "accepted": 0}
+    real_stack, real_field = sim.field_stack, sim.loop_field
+
+    def field_stack(*args, **kwargs):
+        calls["field"] += 1
+        return real_stack(*args, **kwargs)
+
+    def loop_field(*args, **kwargs):
+        calls["field"] += 1
+        return real_field(*args, **kwargs)
+
+    class Counting(sim._StepRecorder):
+        def accepted(self, *args):
+            calls["accepted"] += 1
+            super().accepted(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "field_stack", field_stack)
+        mp.setattr(sim, "loop_field", loop_field)
+        mp.setattr(sim, "_StepRecorder", Counting)
+        with pytest.raises(IntegrationError, match="budget"):
+            cp.integrate(sys_, s0, (0.0, 100.0), opts)
+    if opts.method == "rk45":
+        return (calls["field"] - 1) // 6
+    return (calls["field"] - 1 - calls["accepted"]) // 5
 
 
 def _rosenbrock(fun, jac, t1, y0, opts, dfdt):
@@ -330,6 +419,22 @@ class TestCsv:
         line = path.read_text(encoding="utf-8").splitlines()[1]
         assert line.split(",")[0] == f"{val:.17g}"
         assert float(line.split(",")[1]) == val
+
+    @pytest.mark.parametrize("monitored", [False, True])
+    def test_fields_match_format_spec(self, tmp_path, monitored):
+        specials = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16 + 1, 3.0, -42.0, 0.1, 1e300]
+        rng = np.random.default_rng(0)
+        times = np.array(specials + [0.5])
+        x, u, v = (rng.permutation(times)[:, None] * rng.normal(size=(1, 3)) for _ in range(3))
+        lyap = rng.permutation(times) if monitored else None
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(path, times, x, u, v, lyap)
+        want = []
+        for k in range(len(times)):
+            row = [times[k], *x[k], *u[k], *v[k]]
+            fields = [f"{val:.17g}" for val in row]
+            want.append(",".join(fields + ["" if lyap is None else f"{lyap[k]:.17g}"]))
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == want
 
 
 class TestRunScenario:

@@ -219,7 +219,8 @@ def _no_jacobian_mmatrix(n=9):
     rng = np.random.default_rng(11)
     B = np.diag(rng.uniform(1.0, 2.0, n)) - rng.uniform(0.0, 0.1, (n, n)) * (1 - np.eye(n))
     bounds = cp.SaturationBounds(-rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
-    return cp.Interconnection(fn=lambda v: B @ v, eta=np.ones(n), bounds=bounds)
+    return cp.Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=np.ones(n),
+                              bounds=bounds)
 
 
 INSTANCES = ("ic2", "bad_matrix", "dhn_small", "mmatrix5", "mmatrix9_no_jacobian")
