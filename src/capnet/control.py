@@ -7,7 +7,8 @@ the same shared sum of all excesses into every integrator.
 
 The module also provides the (zeta, u) coordinates in which the stability
 certificates are expressed, both certificate functions, and trajectory
-monitors that flag any step on which a certificate increased beyond slack.
+monitors that flag any accepted step on which a certificate increased beyond
+slack.
 """
 
 from __future__ import annotations
@@ -257,13 +258,13 @@ class MonitorRecord:
 
 
 class LyapunovMonitor:
-    """Tracks a certificate along the accepted integrator steps of one run.
+    """Checks a certificate along the accepted integrator steps of one run.
 
-    A step is flagged when V increased by more than slack*(1 + V_prev).
-    Subclasses define the certificate, ``value``, and when a step is in
+    Subclasses define the certificate, ``value``, and when a state is in
     scope, ``in_scope``.  Both take a stack of states as two (m, n) arrays x
-    and z and return one entry per row.  Monitors with equal ``certificate``
-    keys agree on both, so :func:`observe_rows` values their rows together.
+    and z and return one entry per row.  :meth:`check` flags every step that
+    starts in scope and on which V increased by more than slack*(1 + V) of
+    its start.
     """
 
     name = "lyapunov"
@@ -272,9 +273,6 @@ class LyapunovMonitor:
         self.sys = sys
         self.slack = slack
         self.violations: list = []
-        self._prev: Optional[float] = None  # V at the last accepted step
-        self.in_scope_pair = True
-        self.certificate = (type(self), sys)
 
     def value(self, x, z) -> np.ndarray:
         raise NotImplementedError
@@ -282,19 +280,16 @@ class LyapunovMonitor:
     def in_scope(self, x, z) -> np.ndarray:
         return np.ones(np.shape(x)[:-1], dtype=bool)
 
-    def observe(self, t: float, s: ClosedLoopState) -> float:
-        """Record the state s reached at time t; returns its V."""
-        observe_rows([self], [t], s.x[None], s.z[None])
-        return self._prev
-
-    def _record(self, t, v: float, in_scope: bool):
-        increase = 0.0
-        if self._prev is not None and self.in_scope_pair:
-            increase = v - self._prev
-            if increase > self.slack * (1.0 + self._prev):
-                self.violations.append(MonitorRecord(t, v, increase))
-        self.in_scope_pair = in_scope
-        self._prev = v
+    def check(self, t, x, z):
+        """Record the violations along the run that reached the states
+        (x[k], z[k]) at the times t[k], in order: one ``value`` and one
+        ``in_scope`` call on the whole stack."""
+        V = self.value(x, z)
+        increase = V[1:] - V[:-1]
+        flagged = self.in_scope(x, z)[:-1] & (increase > self.slack * (1.0 + V[:-1]))
+        self.violations += [MonitorRecord(*rec) for rec in zip(
+            np.asarray(t)[1:][flagged].tolist(), V[1:][flagged].tolist(),
+            increase[flagged].tolist())]
 
     @property
     def ok(self) -> bool:
@@ -305,25 +300,6 @@ class LyapunovMonitor:
         if not self.violations:
             return 0.0
         return max(r.increase for r in self.violations)
-
-
-def observe_rows(monitors, t, x, z):
-    """Let monitors[k] record the state (x[k], z[k]) reached at time t[k].
-
-    The rows of monitors that share a certificate are valued by one ``value``
-    and one ``in_scope`` call on their stack; each monitor then keeps its
-    books row by row, in stack order, as :meth:`LyapunovMonitor.observe`
-    does for one state.
-    """
-    groups: dict = {}
-    for k, mon in enumerate(monitors):
-        groups.setdefault(mon.certificate, []).append(k)
-    for rows in groups.values():
-        first = monitors[rows[0]]
-        xs, zs = x[rows], z[rows]
-        for k, v, scope in zip(rows, first.value(xs, zs).tolist(),
-                               first.in_scope(xs, zs).tolist()):
-            monitors[k]._record(t[k], v, scope)
 
 
 class DecentralizedMonitor(LyapunovMonitor):
@@ -338,7 +314,6 @@ class DecentralizedMonitor(LyapunovMonitor):
         self.zeta0 = as_vector(zeta0, "zeta0")
         self.u0 = as_vector(u0, "u0")
         self._weights = _decentralized_weights(sys)
-        self.certificate += (self.zeta0.tobytes(), self.u0.tobytes())
 
     def value(self, x, z) -> np.ndarray:
         zeta, u = _zeta_u(self.sys.gains, x, z)

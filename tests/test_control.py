@@ -3,7 +3,7 @@ import pytest
 
 import capnet as cp
 from capnet.control import (CoordinatingMonitor, DecentralizedMonitor, control_input,
-                            field_stack, no_monitor_reason, observe_rows)
+                            field_stack, no_monitor_reason)
 from capnet.errors import DimensionError, TuningError
 
 
@@ -160,6 +160,21 @@ class TestCertificates:
         assert not cp.rejectable_disturbance(s_no)
 
 
+def _observed_one_at_a_time(monitor, t, x, z):
+    """(t, V, increase) of each flagged step, valuing one state at a time: a
+    step is flagged when its start is in scope and V grew by more than
+    slack*(1 + V at the start)."""
+    flagged, prev, prev_in_scope = [], None, True
+    for k in range(len(t)):
+        v = float(monitor.value(x[k:k + 1], z[k:k + 1])[0])
+        if prev is not None and prev_in_scope:
+            increase = v - prev
+            if increase > monitor.slack * (1.0 + prev):
+                flagged.append((float(t[k]), v, increase))
+        prev, prev_in_scope = v, bool(monitor.in_scope(x[k:k + 1], z[k:k + 1])[0])
+    return flagged
+
+
 class TestMonitors:
     @pytest.mark.parametrize("mode, a, w, reason", [
         ("decentralized", [1.0, 1.0], [-2.0, -1.0], None),
@@ -181,19 +196,17 @@ class TestMonitors:
 
     def test_flags_artificial_increase(self, sys_dec2):
         monitor = DecentralizedMonitor(sys_dec2, np.zeros(2), np.zeros(2))
-        far = cp.ClosedLoopState(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
-        near = cp.ClosedLoopState(np.array([0.1, 0.1]), np.array([0.05, 0.05]))
-        monitor.observe(0.0, near)
-        monitor.observe(1.0, far)  # V jumped up: must be flagged
+        # near, then far: V jumped up and must be flagged
+        x = np.array([[0.1, 0.1], [2.0, 2.0]])
+        z = np.array([[0.05, 0.05], [1.0, 1.0]])
+        monitor.check(np.array([0.0, 1.0]), x, z)
         assert not monitor.ok
         assert monitor.max_excess > 0
 
     def test_accepts_decrease(self, sys_dec2):
         monitor = DecentralizedMonitor(sys_dec2, np.zeros(2), np.zeros(2))
-        for k in range(5):
-            scalefac = 2.0 ** -k
-            monitor.observe(float(k), cp.ClosedLoopState(
-                scalefac * np.ones(2), scalefac * np.ones(2)))
+        scalefac = 2.0 ** -np.arange(5.0)[:, None]
+        monitor.check(np.arange(5.0), scalefac * np.ones(2), scalefac * np.ones(2))
         assert monitor.ok
 
     def test_coordinating_monitor_scope(self, sys_coord2):
@@ -216,26 +229,24 @@ class TestMonitors:
         zeta0, u0 = rng.normal(size=n), rng.normal(size=n)
         mon_dec = DecentralizedMonitor(dec, zeta0, u0)
         mon_coord = CoordinatingMonitor(coord)
+        x, z = rng.normal(scale=3.0, size=(2, 100, n))
+        v_dec, v_coord = mon_dec.value(x, z), mon_coord.value(x, z)
         for k in range(100):
-            s = cp.ClosedLoopState(rng.normal(scale=3.0, size=n), rng.normal(scale=3.0, size=n))
+            s = cp.ClosedLoopState(x[k], z[k])
             zeta, u = cp.to_zeta_u(s, dec.gains)
-            assert mon_dec.observe(float(k), s) == cp.lyapunov_decentralized(
-                dec, zeta - zeta0, u - u0)
+            assert v_dec[k] == cp.lyapunov_decentralized(dec, zeta - zeta0, u - u0)
             zeta, u = cp.to_zeta_u(s, coord.gains)
-            assert mon_coord.observe(float(k), s) == cp.lyapunov_coordinating(coord, zeta, u)
+            assert v_coord[k] == cp.lyapunov_coordinating(coord, zeta, u)
 
     def test_stack_matches_per_row_observation(self, sys_dec2, sys_coord2):
-        # seven runs under three certificates, observed as one stack in a
-        # shuffled row order, against each run observed on its own
+        # seven runs under three certificates, each checked as one stack of
+        # its states, against the same run observed one state at a time
         rep = cp.find_equilibrium_decentralized(sys_dec2)
 
-        def monitors():
-            return ([DecentralizedMonitor(sys_dec2, rep.zeta0, rep.u0) for _ in range(3)]
+        monitors = ([DecentralizedMonitor(sys_dec2, rep.zeta0, rep.u0) for _ in range(3)]
                     + [DecentralizedMonitor(sys_dec2, np.zeros(2), np.zeros(2))]
                     + [CoordinatingMonitor(sys_coord2) for _ in range(3)])
-
-        stacked, alone = monitors(), monitors()
-        m, n_steps = len(stacked), 40
+        m, n_steps = len(monitors), 40
         rng = np.random.default_rng(3)
         decay = 0.8 ** np.arange(n_steps)[:, None, None]
         x = rng.normal(scale=3.0, size=(n_steps, m, 2)) * decay
@@ -246,18 +257,14 @@ class TestMonitors:
         x[10:15, 4:] = z[10:15, 4:] = 0.0
         x[15, 4:] = 20.0
         times = np.arange(n_steps)[:, None] + 0.01 * np.arange(m)
-        for k in range(n_steps):
-            order = rng.permutation(m)
-            observe_rows([stacked[r] for r in order], times[k, order], x[k, order], z[k, order])
-            for r, mon in enumerate(alone):
-                mon.observe(times[k, r], cp.ClosedLoopState(x[k, r], z[k, r]))
-        for got, want in zip(stacked, alone):
-            assert [(v.t, v.value, v.increase) for v in got.violations] == \
-                [(v.t, v.value, v.increase) for v in want.violations]
-            assert got.ok == want.ok
-            assert got.max_excess == want.max_excess
-            assert any(np.floor(v.t) == 30 for v in want.violations)
-        for mon in alone[4:]:
+        for r, mon in enumerate(monitors):
+            mon.check(times[:, r], x[:, r], z[:, r])
+            want = _observed_one_at_a_time(mon, times[:, r], x[:, r], z[:, r])
+            assert [(v.t, v.value, v.increase) for v in mon.violations] == want
+            assert mon.ok == (not want)
+            assert mon.max_excess == max((inc for _, _, inc in want), default=0.0)
+            assert any(np.floor(t) == 30 for t, _, _ in want)
+        for mon in monitors[4:]:
             assert not any(np.floor(v.t) == 15 for v in mon.violations)
             assert mon.value(x[15:16, 4], z[15:16, 4])[0] > mon.value(x[14:15, 4], z[14:15, 4])[0]
 

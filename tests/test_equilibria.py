@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +214,21 @@ class TestCoordinatingEquilibrium:
         allocation = cp.solve_linf_allocation(sysc.ic, sysc.agents)
         assert rep.cost_linf == pytest.approx(allocation.cost, rel=1e-7)
         assert rep.cost_linf == pytest.approx(9.31561, abs=1e-5)
+
+    @pytest.mark.xfail(strict=True, raises=cp.EquilibriumError,
+                       reason="Newton stalls: no sufficient decrease in 30 backtracks")
+    def test_dhn_newton_reaches_equalized_equilibrium(self):
+        # on this draw the L-infinity allocator equalizes every error at
+        # 48.19584 (spread 5e-14), the shape of a coordinating equilibrium,
+        # but the Newton solve stops after 93 steps at residual 5.9
+        base = dhn_system("coordinating")
+        w = np.random.default_rng(0).uniform(-30.0, 30.0, (5, 22))[4]
+        sysc = dataclasses.replace(base, agents=cp.AgentEnsemble(a=base.agents.a, w=w))
+        allocation = cp.solve_linf_allocation(sysc.ic, sysc.agents)
+        assert allocation.method == "dhn-equalization"
+        rep = cp.find_equilibrium_coordinating(sysc)
+        assert isinstance(rep, cp.EquilibriumReport), rep.message
+        assert rep.cost_linf == pytest.approx(allocation.cost, rel=1e-7)
 
     def test_uneven_disturbance_infeasible_by_scan(self, ic2):
         # equal errors demand (b1+w1) == (b2+w2); a box scan shows the gap

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet import cli, sim
+from capnet import cli, equilibria, sim
 from capnet.control import field, field_jacobian
 from capnet.errors import IntegrationError
 from capnet.sim import (Scenario, SolverOptions, integrate_many, make_temperature_profile,
@@ -102,9 +102,10 @@ class TestIntegrate:
         np.testing.assert_array_equal(traj.lyapunov, want)
 
     @pytest.mark.parametrize("method", ["rk45", "rosenbrock"])
-    def test_one_value_call_per_step(self, monkeypatch, method):
-        # RK45 values the rows it accepts on a step in one call; each
-        # trajectory's certificate column is one more
+    def test_two_value_calls_per_run(self, monkeypatch, method):
+        # the integrators value nothing; each monitored run values its
+        # accepted states (the start and every step's end) in one call, then
+        # its certificate column in one more
         sys_, starts = _shipped_starts("linear2_decentralized.cfg", n_starts=6)
         calls = []
         real = cp.DecentralizedMonitor.value
@@ -116,16 +117,8 @@ class TestIntegrate:
         monkeypatch.setattr(cp.DecentralizedMonitor, "value", value)
         trajs = integrate_many(sys_, starts, (0.0, 100.0), SolverOptions(method=method),
                                [_monitor(sys_) for _ in starts])
-        accepted = [traj.stats.accepted for traj in trajs]
-        assert calls[0] == len(starts)  # the starts, as one stack
-        assert calls[-len(starts):] == [traj.n_points for traj in trajs]
-        steps = calls[1:-len(starts)]
-        assert sum(steps) == sum(accepted)
-        if method == "rk45":
-            attempted = max(traj.stats.accepted + traj.stats.rejected for traj in trajs)
-            assert len(steps) <= attempted < sum(accepted)
-        else:  # one start after another
-            assert steps == [1] * sum(accepted)
+        assert calls == [count for traj in trajs
+                         for count in (1 + traj.stats.accepted, traj.n_points)]
 
     def test_time_varying_disturbance_disables_monitor(self, ic2, gains_dec2, bounds2):
         prof = cp.DisturbanceProfile.piecewise([0.0, 100.0], [[-2.0, -1.0], [-1.0, -0.5]])
@@ -143,6 +136,51 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.v, np.clip(traj.u, -1.0, 1.0))
         for k in range(traj.n_points):
             np.testing.assert_allclose(traj.b[k], sys_dec2.ic(traj.v[k]))
+
+
+class TestDenseOutput:
+    def test_stacked_hermite_matches_scalar_calls(self):
+        # on points where a correctly rounded square and pow differ in the
+        # last bit, a stack of steps must interpolate as one step at a time
+        rng = np.random.default_rng(4)
+        m, d = 200_000, 2
+        t0 = rng.uniform(0.0, 10.0, m)
+        t1 = t0 + rng.uniform(1e-3, 2.0, m)
+        t = t0 + rng.uniform(0.0, 1.0, m) * (t1 - t0)
+        y0, f0, y1, f1 = rng.normal(size=(4, m, d))
+        s = (t - t0) / (t1 - t0)
+        split = np.array([r ** 2 != r * r for r in (1 - s).tolist()])  # pow vs product
+        assert split.sum() > 100
+        got = sim._hermite(t[:, None], t0[:, None], y0, f0, t1[:, None], y1, f1)
+        for k in np.flatnonzero(split).tolist() + list(range(100)):
+            want = sim._hermite(float(t[k]), float(t0[k]), y0[k], f0[k], float(t1[k]),
+                                y1[k], f1[k])
+            np.testing.assert_array_equal(got[k], want)
+
+    def test_sample_matches_step_by_step_reference(self):
+        # grid times on, within 1e-12 of, between and past the step ends
+        rng = np.random.default_rng(6)
+        T = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, 30))])
+        Y, F = rng.normal(size=(2, len(T), 2))
+        grid = np.sort(np.concatenate([[0.0], rng.uniform(0.0, T[-1] + 1.0, 40), T[3:9],
+                                       T[10:14] + 5e-13, T[15:19] - 5e-13]))
+        times, ys = sim._sample(grid, T, Y, F)
+        want_t, want_y = [grid[0]], [Y[0]]
+        nxt = 1
+        for j in range(1, len(T)):
+            while nxt < len(grid) and grid[nxt] <= T[j] + 1e-12:
+                tg = grid[nxt]
+                if tg >= T[j] - 1e-12:
+                    want_t.append(T[j])
+                    want_y.append(Y[j])
+                else:
+                    want_t.append(tg)
+                    want_y.append(sim._hermite(tg, T[j - 1], Y[j - 1], F[j - 1], T[j], Y[j],
+                                               F[j]))
+                nxt += 1
+        assert nxt < len(grid)  # some grid times lie past the last step
+        np.testing.assert_array_equal(times, want_t)
+        np.testing.assert_array_equal(ys, want_y)
 
 
 class TestRk45Accuracy:
@@ -252,9 +290,10 @@ class TestStackedRk45:
 def _attempts_until_budget(sys_, s0, opts):
     """Steps attempted before the budget ran out, counted from the field
     evaluations: RK45 takes one, then six per attempted step; RODAS4 takes one
-    (and a Jacobian), then five per attempted and one more per accepted one."""
-    calls = {"field": 0, "accepted": 0}
-    real_stack, real_field = sim.field_stack, sim.loop_field
+    and a Jacobian, then five per attempted step and one more, with a
+    Jacobian, per accepted one."""
+    calls = {"field": 0, "jacobian": 0}
+    real_stack, real_field, real_jac = sim.field_stack, sim.loop_field, sim.field_jacobian
 
     def field_stack(*args, **kwargs):
         calls["field"] += 1
@@ -264,28 +303,27 @@ def _attempts_until_budget(sys_, s0, opts):
         calls["field"] += 1
         return real_field(*args, **kwargs)
 
-    class Counting(sim._StepRecorder):
-        def accepted(self, *args):
-            calls["accepted"] += 1
-            super().accepted(*args)
+    def field_jacobian(*args, **kwargs):
+        calls["jacobian"] += 1
+        return real_jac(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "field_stack", field_stack)
         mp.setattr(sim, "loop_field", loop_field)
-        mp.setattr(sim, "_StepRecorder", Counting)
+        mp.setattr(sim, "field_jacobian", field_jacobian)
         with pytest.raises(IntegrationError, match="budget"):
             cp.integrate(sys_, s0, (0.0, 100.0), opts)
     if opts.method == "rk45":
         return (calls["field"] - 1) // 6
-    return (calls["field"] - 1 - calls["accepted"]) // 5
+    accepted = calls["jacobian"] - 1
+    return (calls["field"] - 1 - accepted) // 5
 
 
 def _rosenbrock(fun, jac, t1, y0, opts, dfdt):
     """Integrate fun from 0 to t1 with RODAS4; the final state and the stats."""
-    rec = sim._StepRecorder(0.0, t1, None)
-    stats = sim._integrate_rosenbrock(fun, jac, 0.0, t1, np.asarray(y0, dtype=float), opts,
-                                      None, rec, [t1], dfdt)
-    return rec.ys[-1], stats
+    (_, Y, _), stats = sim._integrate_rosenbrock(fun, jac, 0.0, t1, np.asarray(y0, dtype=float),
+                                                 opts, [t1], dfdt)
+    return Y[-1], stats
 
 
 class TestRosenbrock:
@@ -476,6 +514,24 @@ class TestRunScenario:
         sc.force = True
         arts = run_scenario(sc)
         assert arts.summary["forced"] is True
+
+    def test_monitor_setup_raises_unexpected_errors(self, sys_dec2, tmp_path, monkeypatch):
+        def broken(sys_):
+            raise ZeroDivisionError("bug in the Newton solve")
+
+        monkeypatch.setattr(equilibria, "find_equilibrium_decentralized", broken)
+        with pytest.raises(ZeroDivisionError):
+            run_scenario(self._scenario(sys_dec2, tmp_path))
+
+    def test_no_equilibrium_runs_unmonitored(self, sys_dec2, tmp_path, monkeypatch):
+        def none_found(sys_):
+            raise cp.EquilibriumError("no equilibrium", residual=1.0, iterations=3)
+
+        monkeypatch.setattr(equilibria, "find_equilibrium_decentralized", none_found)
+        arts = run_scenario(self._scenario(sys_dec2, tmp_path))
+        assert arts.summary["monitor_enabled"] is False
+        rows = arts.csv_path.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows and all(row.endswith(",") for row in rows)
 
     def test_oracle_linf_equalizes(self, sys_coord2, tmp_path):
         sc = Scenario(policy="oracle-linf", agents=sys_coord2.agents, ic=sys_coord2.ic,
