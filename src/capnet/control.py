@@ -131,10 +131,7 @@ def field_stack(sys: ClosedLoopSystem, x, z, t=0.0):
     u = -gains.kP * x - gains.kI * z
     v = np.clip(u, sys.bounds.lower, sys.bounds.upper)
     b = np.asarray(sys.ic.fn(v), dtype=float)
-    if agents.w_is_constant or np.ndim(t) == 0:
-        w = agents.w_at(t)
-    else:
-        w = np.array([agents.w_at(tk) for tk in t])
+    w = agents.w if agents.w_is_constant else agents.w_at(t)
     dx = -agents.a * x + b + w
     if gains.mode == DECENTRALIZED:
         dz = x + gains.kA * (u - v)

@@ -96,7 +96,8 @@ class AgentEnsemble:
     """Internal decay rates a_i > 0 and disturbances w_i of every agent.
 
     ``w`` is either a constant vector or any object with an ``eval(t)``
-    method returning the disturbance vector at time t (see
+    method returning the disturbance vector at time t, and the (m, n) stack
+    of them at a 1-D array of m times (see
     :class:`capnet.sim.DisturbanceProfile`).
     """
 
@@ -121,10 +122,11 @@ class AgentEnsemble:
     def w_is_constant(self) -> bool:
         return not hasattr(self.w, "eval")
 
-    def w_at(self, t: float) -> np.ndarray:
-        """Disturbance vector at time t."""
+    def w_at(self, t) -> np.ndarray:
+        """Disturbance vector at time t, or the (m, n) stack of them at each
+        of a 1-D array of m times."""
         if self.w_is_constant:
-            return self.w
+            return self.w if np.ndim(t) == 0 else np.tile(self.w, (len(t), 1))
         w = np.asarray(self.w.eval(t), dtype=float)
         _check_len(w, self.n, "w(t)")
         return w

@@ -18,7 +18,8 @@ The open-loop optima that certify them come from two independent routes:
 * the exact allocators an interconnection carries (a linear program for
   b(v) = B v, tree inversion for the district-heating network) used where
   many re-solves are needed, e.g. the benchmark policies of the
-  district-heating scenario; without one the allocation is the oracle's.
+  district-heating scenario, which solve every output time in one call
+  (:func:`solve_allocations`); without one the allocation is the oracle's.
 
 The closed-loop solves call neither route, and neither route touches the
 controller equations, so agreement between them is a genuine cross-check.
@@ -431,6 +432,25 @@ def solve_linf_allocation(
     ``warm_start`` is passed to the allocator.
     """
     return _allocate(ic, agents, warm_start, "linf", linf_cost, oracle_linf)
+
+
+def solve_allocations(ic: Interconnection, a: np.ndarray, W: np.ndarray, norm: str):
+    """Open-loop optima of each row of an (m, n) stack of disturbances W,
+    under ``norm``: "l1" as :func:`solve_l1_allocation`, "linf" as
+    :func:`solve_linf_allocation`.  Returns the (m, n) stacks of valves and
+    errors.
+
+    One call of the interconnection's allocator, which solves the rows in
+    order, each warm-started from the row before; without an allocator, one
+    direct-search solve per row.
+    """
+    if ic.allocator is None:
+        solve = {"l1": solve_l1_allocation, "linf": solve_linf_allocation}[norm]
+        rows = [solve(ic, AgentEnsemble(a=a, w=w)) for w in W]
+        return (np.reshape([r.v for r in rows], W.shape),
+                np.reshape([r.x for r in rows], W.shape))
+    V, X, _ = getattr(ic.allocator, norm)(a, W)
+    return V, X
 
 
 # ---------------------------------------------------------------------------

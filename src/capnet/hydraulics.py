@@ -14,6 +14,12 @@ resistance r_i(v_i).  Top-down, each child keeps the pressure share
 p_child = p * R_child / (2s + R_child), and each consumer draws
 q_i = sqrt(p_node / r_i).  The solve checks its answer against the pressure
 balance on every root-to-consumer path.
+
+The solve, its inverse map and the min-max allocator take one valve or
+disturbance vector or an (m, n) stack of them.  A stack runs the same passes
+pipe by pipe with numpy over its m rows, and every row gets exactly the
+arithmetic it gets alone; one vector, or a stack of one, runs the passes as
+a loop over Python floats, which is faster there.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .core import AgentEnsemble, SaturationBounds
 from .errors import ConfigError, DimensionError, FlowSolverError
-from .interconnect import Interconnection
+from .interconnect import Interconnection, chain_allocations
 
 
 @dataclass(frozen=True)
@@ -150,25 +156,52 @@ class HydraulicNetwork:
     def consumer_resistance_slope(self, v: np.ndarray) -> np.ndarray:
         return -2.0 * self._valve_span / (v + self._valve_offset) ** 3
 
-    def mass_residual(self, q: np.ndarray) -> float:
+    def mass_residual(self, q: np.ndarray):
         """Max junction imbalance: inflow minus child-pipe and local consumer
         outflow at every node, with pipe flows summed from the consumer flows
-        along their root paths (independent of the solver's accumulation)."""
-        return float(abs(self.node_incidence @ (self._flows_of_q @ q)).max())
+        along their root paths (independent of the solver's accumulation).
+        A float for one flow vector, an (m,) array for an (m, n) stack."""
+        r = abs(_along_paths(self.node_incidence, _along_paths(self._flows_of_q, q))).max(axis=-1)
+        return float(r) if q.ndim == 1 else r
+
+
+def _along_paths(M, x):
+    """M @ x for one vector x or for each row of a stack of them, with the
+    arithmetic of the 1-D product (a 2-D matmul may round differently)."""
+    return (M @ x[..., None])[..., 0]
+
+
+def _over_paths(x, M):
+    """x @ M for one vector x or for each row of a stack, likewise."""
+    return (x[..., None, :] @ M)[..., 0, :]
 
 
 def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
     """Solve consumer flows q > 0 balancing the pump pressure on every
-    root-to-consumer path, exactly, by two passes over the tree.
+    root-to-consumer path, exactly, by two passes over the tree: for one
+    valve vector v, or for each row of an (m, n) stack of them.
 
-    The answer is checked: ``tol`` bounds the pressure-balance residual
-    relative to pump_dp.  Raises FlowSolverError above it, on non-positive
-    flow, on valves outside [-1, 1] and on a switched-off pump (pump_dp == 0).
+    A stack of two or more rows is solved pipe by pipe with numpy over its
+    rows; one vector, or a stack of one, by a loop over Python floats.  Both
+    give every row the same bits.  Each row is checked: ``tol`` bounds its
+    pressure-balance residual relative to pump_dp.  Raises FlowSolverError
+    above it, on non-positive flow, on valves outside [-1, 1] or not finite,
+    and on a switched-off pump (pump_dp == 0); in a stack, one bad row fails
+    the whole stack, and the message names the first such row.
     """
     n = net.n_consumers
     v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise DimensionError(f"v has shape {v.shape}, expected ({n},)")
+    if v.shape == (n,):
+        return _solve_row(net, v, tol)
+    if v.ndim != 2 or v.shape[1] != n:
+        raise DimensionError(f"v has shape {v.shape}, expected ({n},) or (m, {n})")
+    if len(v) == 1:
+        return _solve_row(net, v[0], tol)[None]
+    return _solve_stack(net, v, tol)
+
+
+def _solve_row(net: HydraulicNetwork, v: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`solve_flows` of one valve vector, over Python floats."""
     v_list = v.tolist()  # at tens of consumers, cheaper than numpy reductions
     v_min, v_max = min(v_list), max(v_list)
     if not (v_min >= -1.0 - 1e-12 and v_max <= 1.0 + 1e-12):
@@ -198,6 +231,8 @@ def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
         sqrt_p[child] = sqrt_p[parent] * share
     q = np.array(sqrt_p)[net.consumer_node] * g
     if not q.min() > 0.0:
+        if np.isnan(v).any():  # min and max skip a NaN after the first entry
+            raise FlowSolverError("valve positions must lie in [-1, 1]")
         raise FlowSolverError("solved flows are not all positive")
 
     E = net.path_matrix
@@ -208,6 +243,52 @@ def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
         raise FlowSolverError(
             f"flow solve failed its pressure-balance check "
             f"(relative residual {pressure_residual:.3e})", residual=pressure_residual)
+    return q
+
+
+def _solve_stack(net: HydraulicNetwork, V: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`solve_flows` of an (m, n) stack: the passes of
+    :func:`_solve_row` pipe by pipe, each over the m rows at once, with the
+    same operations in the same order.  Node values are kept as
+    (n_nodes, m), so that a node's row is contiguous.  Each check runs on
+    the whole stack first and looks for the failing row only if it fails."""
+    m = len(V)
+    if not (V.min(initial=0.0) >= -1.0 - 1e-12 and V.max(initial=0.0) <= 1.0 + 1e-12):
+        # NaN propagates through min and max and fails both comparisons
+        k = np.flatnonzero(~np.all((V >= -1.0 - 1e-12) & (V <= 1.0 + 1e-12), axis=1))[0]
+        raise FlowSolverError(f"row {k} of {m}: valve positions must lie in [-1, 1]")
+    V = V.clip(-1.0, 1.0)
+    dp = net.pump_dp
+    if dp <= 0.0:
+        raise FlowSolverError("pump differential pressure is zero; flow problem is degenerate")
+
+    r = net.consumer_resistance(V)
+    g = 1.0 / np.sqrt(r)
+    G = np.zeros((net.n_nodes, m))
+    np.add.at(G, net.consumer_node, g.T)  # adds in consumer order, as bincount
+    shares = []
+    for parent, child, s2 in reversed(net._flow_pipes):
+        G_child = G[child]
+        share = 1.0 / np.sqrt(1.0 + s2 * G_child * G_child)
+        G[parent] += G_child * share
+        shares.append(share)
+    sqrt_p = np.zeros((net.n_nodes, m))
+    sqrt_p[0] = math.sqrt(dp)
+    for (parent, child, _), share in zip(net._flow_pipes, reversed(shares)):
+        sqrt_p[child] = sqrt_p[parent] * share
+    q = sqrt_p[net.consumer_node].T * g
+    if not q.min(initial=1.0) > 0.0:
+        k = np.flatnonzero(~(q.min(axis=1) > 0.0))[0]
+        raise FlowSolverError(f"row {k} of {m}: solved flows are not all positive")
+
+    Q = _along_paths(net.path_matrix, q)
+    F = dp - _over_paths(net._s2 * Q * Q, net.path_matrix) - r * q * q
+    residual = abs(F).max(axis=1) / dp
+    if not residual.max(initial=0.0) <= tol:
+        k = np.flatnonzero(~(residual <= tol))[0]
+        raise FlowSolverError(
+            f"row {k} of {m}: flow solve failed its pressure-balance check "
+            f"(relative residual {residual[k]:.3e})", residual=float(residual[k]))
     return q
 
 
@@ -282,7 +363,8 @@ def solve_flows_partial(
 
 
 def valve_positions_for_flows(net: HydraulicNetwork, q: np.ndarray) -> np.ndarray:
-    """Exact valve positions delivering the given consumer flows.
+    """Exact valve positions delivering the given consumer flows, for one
+    flow vector or each row of an (m, n) stack of them.
 
     The tree balance is explicitly invertible: edge drops follow from the
     flows, the pressure left for each consumer fixes its total resistance,
@@ -291,8 +373,9 @@ def valve_positions_for_flows(net: HydraulicNetwork, q: np.ndarray) -> np.ndarra
     """
     q = np.asarray(q, dtype=float)
     E = net.path_matrix
-    drop = 2.0 * net.pipe_s * np.abs(E @ q) * (E @ q)
-    dp_consumer = net.pump_dp - (drop @ E)
+    Q = _along_paths(E, q)
+    drop = 2.0 * net.pipe_s * np.abs(Q) * Q
+    dp_consumer = net.pump_dp - _over_paths(drop, E)
     with np.errstate(divide="ignore", invalid="ignore"):
         radicand = dp_consumer / q ** 2 - net._s_c - net._valve_base
         v = np.sqrt(net._valve_span / radicand) - net._valve_offset
@@ -358,24 +441,30 @@ class BuildingParams:
 
 @dataclass
 class HydraulicStats:
-    """Accumulated diagnostics across all flow solves of one scenario."""
+    """Accumulated diagnostics across all flow solves of one scenario; a
+    stack of m rows counts as m solves."""
 
     n_solves: int = 0
     max_mass_residual: float = 0.0
 
-    def update(self, mass_residual: float):
-        self.n_solves += 1
-        self.max_mass_residual = max(self.max_mass_residual, mass_residual)
+    def update(self, mass_residuals: np.ndarray):
+        """Count the solves of a stack from their (m,) mass residuals."""
+        self.n_solves += len(mass_residuals)
+        self.max_mass_residual = max([self.max_mass_residual, *mass_residuals.tolist()])
 
 
 class DhnAllocator:
     """Fast optimal open-loop allocations exploiting tree invertibility.
 
-    Valve positions follow in closed form from any prescribed consumer flow
-    pattern (:func:`valve_positions_for_flows`).  The weighted-L1 optimum is
-    an active set over reduced flow solves: an agent holds zero error, or
-    its valve is fully open while it is short, or shut while it is
-    oversupplied.
+    Both methods follow the allocator contract of
+    :class:`~capnet.interconnect.Interconnection`: they take one disturbance
+    w or an (m, n) stack of them and return (v, x, method), stacked for a
+    stack.  Valve positions follow in closed form from any prescribed
+    consumer flow pattern (:func:`valve_positions_for_flows`).  The
+    weighted-L1 optimum is an active set over reduced flow solves: an agent
+    holds zero error, or its valve is fully open while it is short, or shut
+    while it is oversupplied.  ``l1`` solves the rows of a stack in order,
+    each warm-started from the row before.
 
     The min-max optimum has one signed error level lam, as the paper's
     coordinating equilibrium does: each agent's error is lam, or its valve
@@ -388,20 +477,23 @@ class DhnAllocator:
     of the pinned set.  When a pinned agent's error outweighs lam, the other
     sign is solved too and the smaller maximum kept.  An optimum with errors
     at both +M and -M, where no coordinating equilibrium exists, has neither
-    shape and can be missed by a little.  The fully open closed form is
-    tried first, so an input that every valve holds at one level costs one
-    inverse call.  Errors raise FlowSolverError.  Used by the benchmark
-    policies; the generic direct-search oracles remain the independent
-    reference.
+    shape and can be missed by a little.  ``linf`` tries the fully open
+    closed form and then the exact rejection on the whole stack at once, so
+    a row that every valve holds at one level costs no call of its own; only
+    the rows neither holds go through :meth:`_signed_level`, one at a time.
+    Errors raise FlowSolverError.  Used by the benchmark policies; the
+    generic direct-search oracles remain the independent reference.
     """
 
     def __init__(self, net: HydraulicNetwork, coef: np.ndarray):
         self.net = net
         self.coef = coef
 
-    def _allocation(self, a, w, v, method):
+    def _errors(self, a, w, v):
+        """The valves v clipped to the box and the errors they leave, for
+        one vector or a stack."""
         v = np.clip(v, -1.0, 1.0)
-        return v, (self.coef * solve_flows(self.net, v) + w) / a, method
+        return v, (self.coef * solve_flows(self.net, v) + w) / a
 
     def _flows(self, a, w, lam, b=1.0, pinned=None):
         """Flows with the agents outside ``pinned`` at error lam (no flow
@@ -412,8 +504,9 @@ class DhnAllocator:
         return solve_flows_partial(self.net, np.full(len(q), -b), np.where(pinned, np.nan, q))
 
     def _closed_form_level(self, a, w, b):
-        """The level where, with nothing pinned, the first valve reaches b;
-        nan when a quadratic has no real root or a flow there is not positive.
+        """The level where, with nothing pinned, the first valve reaches b,
+        for w or each row of a stack; nan where a quadratic has no real root
+        or a flow there is not positive.
 
         Valve i is within b while b*f_i(lam) >= 0, with Q = E q and
         f_i(lam) = pump_dp - sum_k E_ki 2 s_k Q_k(lam)^2 - r_i(b) q_i(lam)^2
@@ -422,18 +515,19 @@ class DhnAllocator:
         net = self.net
         E = net.path_matrix
         alpha, beta = a / self.coef, -w / self.coef  # q(lam) = alpha*lam + beta
-        A, B = E @ alpha, E @ beta
+        A, B = E @ alpha, _along_paths(E, beta)
         r_b = net.consumer_resistance(np.full(net.n_consumers, b))
         c2 = -((net._s2 * A * A) @ E + r_b * alpha * alpha)
-        c1 = -2.0 * ((net._s2 * A * B) @ E + r_b * alpha * beta)
-        c0 = net.pump_dp - (net._s2 * B * B) @ E - r_b * beta * beta
+        c1 = -2.0 * (_over_paths(net._s2 * A * B, E) + r_b * alpha * beta)
+        c0 = net.pump_dp - _over_paths(net._s2 * B * B, E) - r_b * beta * beta
         disc = c1 * c1 - 4.0 * c2 * c0
-        if not np.all(disc >= 0.0):
-            return np.nan
-        # both roots without cancellation; c2 < 0, so the larger is the max
-        t = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
-        lam = b * float(np.min(b * np.maximum(t / c2, c0 / t)))
-        return lam if np.all(alpha * lam + beta > 0.0) else np.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # both roots without cancellation; c2 < 0, so the larger is the max
+            t = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+            lam = b * np.min(b * np.maximum(t / c2, c0 / t), axis=-1)
+        real = np.all(disc >= 0.0, axis=-1)
+        positive = np.all(alpha * lam[..., None] + beta > 0.0, axis=-1)
+        return np.where(real & positive, lam, np.nan)
 
     def _pinned_level(self, a, w, b, pinned, lam_prev):
         """The level with the valves in ``pinned`` at -b, as the root of the
@@ -470,7 +564,7 @@ class DhnAllocator:
         released once its agent's error lies beyond lam; both changes move
         lam away from 0, so the pinned set settles within 2n passes."""
         pinned = np.zeros(len(w), dtype=bool)
-        lam, lam_prev = self._closed_form_level(a, w, b), 0.0
+        lam, lam_prev = float(self._closed_form_level(a, w, b)), 0.0
         for _ in range(2 * len(w)):
             if np.isnan(lam):
                 lam = self._pinned_level(a, w, b, pinned, lam_prev)
@@ -480,30 +574,48 @@ class DhnAllocator:
             x = (self.coef * q + w) / a
             wrong = pinned & (b * (x - lam) < -1e-9 * (1.0 + abs(lam)))
             if not (beyond | wrong).any():
-                return self._allocation(a, w, np.where(pinned, -b, v), "dhn-equalization")
+                return (*self._errors(a, w, np.where(pinned, -b, v)), "dhn-equalization")
             pinned, lam_prev, lam = (pinned | beyond) & ~wrong, lam, np.nan
         raise FlowSolverError("min-max pinned set did not settle")
 
-    def linf(self, a, w, warm_v=None):
-        w = np.asarray(w, dtype=float)
-        levels = ((self._closed_form_level(a, w, 1.0), "dhn-equalization"),
-                  (0.0, "dhn-rejection"))
-        for lam, method in levels:
-            if lam <= 0.0:  # above 0, every fully open valve can hold zero error
-                v = valve_positions_for_flows(self.net, self._flows(a, w, lam))
-                if np.all((v >= -1.0) & (v <= 1.0 + 1e-9)):
-                    return self._allocation(a, w, v, method)
-        b = 1.0 if np.any(v > 1.0 + 1e-9) else -1.0
+    def _linf_signed(self, a, w, v_zero):
+        """The min-max optimum of one w that neither closed form holds, from
+        the valves v_zero that zero error needs."""
+        b = 1.0 if np.any(v_zero > 1.0 + 1e-9) else -1.0
         best = self._signed_level(a, w, b)
         if np.max(b * best[1]) > np.max(-b * best[1]):
             # a pinned agent's error outweighs the level: try the other sign
             best = min(best, self._signed_level(a, w, -b), key=lambda r: np.max(np.abs(r[1])))
         return best
 
-    def l1(self, a, w, warm_v=None):
+    def linf(self, a, w, warm_v=None):
+        w = np.asarray(w, dtype=float)
+        W = np.atleast_2d(w)
+        m = len(W)
+        V, X, methods = np.empty_like(W), np.empty_like(W), [None] * m
+        todo = np.ones(m, dtype=bool)
+        levels = ((self._closed_form_level(a, W, 1.0), "dhn-equalization"),
+                  (np.zeros(m), "dhn-rejection"))
+        for lam, method in levels:
+            # above 0, every fully open valve can hold zero error
+            rows = np.flatnonzero(todo & (lam <= 0.0))
+            if len(rows):
+                V[rows] = valve_positions_for_flows(self.net,
+                                                    self._flows(a, W[rows], lam[rows, None]))
+                held = rows[np.all((V[rows] >= -1.0) & (V[rows] <= 1.0 + 1e-9), axis=1)]
+                todo[held] = False
+                for k in held:
+                    methods[k] = method
+        if not todo.all():
+            V[~todo], X[~todo] = self._errors(a, W[~todo], V[~todo])
+        # the rejection pass left the valves that zero error needs in V[todo]
+        for k in np.flatnonzero(todo):
+            V[k], X[k], methods[k] = self._linf_signed(a, W[k], V[k])
+        return (V, X, methods) if w.ndim == 2 else (V[0], X[0], methods[0])
+
+    def _l1_row(self, a, w, warm_v=None):
         net = self.net
         n = net.n_consumers
-        w = np.asarray(w, dtype=float)
         # an agent with w_i >= 0 is in surplus at every opening; by lemma 1,
         # closing its valve alone lowers a_i*|x_i| by more than it changes
         # everyone else's cost, so it stays shut and out of the active set.
@@ -532,8 +644,11 @@ class DhnAllocator:
             shut = (shut & ~release) | close
         else:
             raise FlowSolverError("allocation active set did not settle")
-        return self._allocation(a, w, np.where(shut, -1.0, np.where(pinned, 1.0, v_needed)),
-                           "dhn-complementarity")
+        return (*self._errors(a, w, np.where(shut, -1.0, np.where(pinned, 1.0, v_needed))),
+                "dhn-complementarity")
+
+    def l1(self, a, w, warm_v=None):
+        return chain_allocations(self._l1_row, a, w, warm_v)
 
 
 def dhn_interconnection(
@@ -544,20 +659,18 @@ def dhn_interconnection(
     """Wrap the network as the interconnection b(v) = coef * q(v).
 
     coef_i = c_pw*rho_w*delta_i/c_i converts flow to heating rate [K/h].
-    The flows of a stack of valve positions are solved one row at a time.
+    The flows of a stack of valve positions are one :func:`solve_flows`
+    call; ``stats`` counts every row and its mass residual.
     """
     n = net.n_consumers
     coef = bld.heat_coefficient(n)
     bounds = SaturationBounds.symmetric(1.0, n)
 
     def fn(V):
-        b = np.empty_like(V)
-        for k, v in enumerate(V):
-            q = solve_flows(net, v)
-            if stats is not None:
-                stats.update(net.mass_residual(q))
-            b[k] = coef * q
-        return b
+        q = solve_flows(net, V)
+        if stats is not None:
+            stats.update(net.mass_residual(q))
+        return coef * q
 
     def jac(v):
         return coef[:, None] * flow_sensitivity(net, v)

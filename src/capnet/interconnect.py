@@ -50,8 +50,11 @@ class Interconnection:
     ``jacobian`` optionally returns d(fn)/dv at an interior point; without it
     the equilibrium Newton and the lemma-2 proposals use finite differences.
     ``allocator`` optionally provides ``l1(a, w, warm_v)`` and
-    ``linf(a, w, warm_v)``, each returning the exact open-loop optimum as
-    (v, x, method).
+    ``linf(a, w, warm_v)``, the exact open-loop optima.  Each takes an
+    (m, n) stack of disturbances, one per row, and returns the (m, n) stacks
+    of valves v and errors x with a list of m method names; a 1-D w is a
+    stack of one and gives (v, x, method) unstacked.  ``warm_v`` is a valve
+    vector the first row may start from (see :func:`chain_allocations`).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -110,7 +113,7 @@ def eval_interconnection(ic: Interconnection, v) -> np.ndarray:
     if v.ndim not in (1, 2) or v.shape[-1] != ic.n:
         raise DimensionError(f"v has shape {v.shape}, expected ({ic.n},) or (m, {ic.n})")
     lo, hi = ic.bounds.lower, ic.bounds.upper
-    if np.any(v < lo - _BOUNDARY_TOL) or np.any(v > hi + _BOUNDARY_TOL):
+    if not np.all((v >= lo - _BOUNDARY_TOL) & (v <= hi + _BOUNDARY_TOL)):  # NaN fails too
         raise DomainError("input lies outside the actuator box beyond tolerance")
     b = np.asarray(ic.fn(np.clip(v, lo, hi).reshape(-1, ic.n)), dtype=float)
     return b.reshape(v.shape)
@@ -160,15 +163,33 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
+def chain_allocations(solve, a, w, warm_v=None):
+    """An allocator method over a stack: ``solve(a, w_k, warm_v)`` -> (v, x,
+    method) for each row w_k of an (m, n) stack in order, each warm-started
+    from the valves of the row before and the first from ``warm_v``.
+    Returns the stacked v and x and the list of methods; a 1-D w is one
+    ``solve`` call, returned as it comes."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 1:
+        return solve(a, w, warm_v)
+    V, X, methods = np.empty_like(w), np.empty_like(w), []
+    for k, w_k in enumerate(w):
+        V[k], X[k], method = solve(a, w_k, warm_v)
+        methods.append(method)
+        warm_v = V[k]
+    return V, X, methods
+
+
 class LinearAllocator:
     """Exact open-loop optima of b(v) = B v over the box, each one linear
-    program solved by HiGHS.
+    program solved by HiGHS, one row of a stack of disturbances at a time.
 
     ``l1`` minimizes sum_i eta_i*a_i*|x_i| = sum_i eta_i*t_i subject to
     t >= +-(B v + w); ``linf`` minimizes s subject to |(B v + w)_i/a_i| <= s.
-    Both return (v, x, method) with x = (B v + w)/a recomputed from the
-    returned v, never read from the program's auxiliary variables.  A solve
-    that ends without an optimum raises AllocationError with HiGHS' message.
+    Both follow the allocator contract of :class:`Interconnection`, with x =
+    (B v + w)/a recomputed from the returned v, never read from the
+    program's auxiliary variables.  A solve that ends without an optimum
+    raises AllocationError with HiGHS' message.
     """
 
     def __init__(self, B: np.ndarray, eta: np.ndarray, bounds: SaturationBounds):
@@ -191,12 +212,18 @@ class LinearAllocator:
         v = np.clip(res.x[:len(w)], lo, hi)
         return v, (self.B @ v + w) / a, method
 
-    def l1(self, a, w, warm_v=None):
+    def _l1_row(self, a, w, warm_v=None):
         n = len(w)
         return self._solve(a, w, np.ones(n), np.eye(n), self.eta, "lp-l1")
 
-    def linf(self, a, w, warm_v=None):
+    def _linf_row(self, a, w, warm_v=None):
         return self._solve(a, w, 1.0 / a, np.ones((len(w), 1)), np.ones(1), "lp-linf")
+
+    def l1(self, a, w, warm_v=None):
+        return chain_allocations(self._l1_row, a, w, warm_v)
+
+    def linf(self, a, w, warm_v=None):
+        return chain_allocations(self._linf_row, a, w, warm_v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,15 +69,20 @@ class DisturbanceProfile:
     def piecewise(cls, times, values) -> "DisturbanceProfile":
         return cls(values=values, times=times)
 
-    def raw(self, t: float):
-        """Interpolated raw value(s) before the affine map."""
+    def raw(self, t):
+        """Interpolated raw value(s) before the affine map, at time t or
+        at each of a 1-D array of times (stacked along the first axis)."""
         if self.values.ndim == 1:
-            return float(np.interp(t, self.times, self.values))
-        return np.array([np.interp(t, self.times, col) for col in self.values.T])
+            return np.interp(t, self.times, self.values)
+        return np.stack([np.interp(t, self.times, col) for col in self.values.T], axis=-1)
 
-    def eval(self, t: float) -> np.ndarray:
-        """Disturbance vector at time t."""
-        return np.atleast_1d(np.asarray(self.scale * (self.raw(t) - self.offset), dtype=float))
+    def eval(self, t) -> np.ndarray:
+        """Disturbance vector at time t, or the (m, n) stack of them at
+        each of a 1-D array of m times."""
+        raw = self.raw(t)
+        if self.values.ndim == 1:
+            raw = np.asarray(raw)[..., None]
+        return np.asarray(self.scale * (raw - self.offset), dtype=float)
 
     def with_thermal_map(self, a, T_ref) -> "DisturbanceProfile":
         """Map a raw temperature series into w(t) = a * (T(t) - T_ref)."""
@@ -566,7 +571,7 @@ def _deviation_stats(times, x, temperature):
         "time_of_max_deviation": float(times[int(np.argmax(max_dev))]),
     }
     if temperature is not None:
-        temps = np.array([temperature.raw(t) for t in times], dtype=float)
+        temps = temperature.raw(times)
         k = int(np.argmin(temps))
         out.update({
             "coldest_time": float(times[k]),
@@ -645,27 +650,18 @@ def _run_closed_loop(sc: Scenario) -> RunArtifacts:
 def _run_oracle_policy(sc: Scenario) -> RunArtifacts:
     """Re-solve the static optimal allocation on the output grid.
 
-    The instantaneous optimum under the frozen disturbance w(t) is computed
-    for each grid time; consecutive solves start warm from the previous one.
+    The instantaneous optimum under the frozen disturbance w(t) of every
+    grid time is one :func:`~capnet.equilibria.solve_allocations` call over
+    the stack of them, which solves the times in order, each warm-started
+    from the one before.
     """
     from . import equilibria  # deferred import, see module docstring
 
     t0, t1 = sc.t_span
     dt = sc.opts.output_dt if sc.opts.output_dt is not None else (t1 - t0) / 200.0
     times = _output_grid(t0, t1, dt)
-    xs = np.empty((len(times), sc.ic.n))
-    vs = np.empty((len(times), sc.ic.n))
-    costs = np.empty(len(times))
-    warm = None
-    for k, t in enumerate(times):
-        w = sc.agents.w_at(t)
-        frozen = AgentEnsemble(a=sc.agents.a, w=w)
-        if sc.policy == "oracle-l1":
-            res = equilibria.solve_l1_allocation(sc.ic, frozen, warm_start=warm)
-        else:
-            res = equilibria.solve_linf_allocation(sc.ic, frozen, warm_start=warm)
-        xs[k], vs[k], costs[k] = res.x, res.v, res.cost
-        warm = res.v
+    vs, xs = equilibria.solve_allocations(sc.ic, sc.agents.a, sc.agents.w_at(times),
+                                          sc.policy.removeprefix("oracle-"))
     summary = {
         "policy": sc.policy,
         "n_agents": sc.ic.n,

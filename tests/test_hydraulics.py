@@ -156,6 +156,19 @@ class TestNetworkSolver:
         with pytest.raises(FlowSolverError):
             cp.solve_flows(net, np.zeros(net.n_consumers))
 
+    @pytest.mark.parametrize("slot", [0, 5, 21])
+    def test_nan_valve_refused_as_outside_box(self, slot):
+        # min and max of a list skip a NaN after the first entry
+        net = cp.build_dhn_network(cp.CALIBRATED_CAPACITY_SCALE)
+        v = np.zeros(net.n_consumers)
+        v[slot] = np.nan
+        with pytest.raises(FlowSolverError, match=r"valve positions must lie in \[-1, 1\]"):
+            cp.solve_flows(net, v)
+        V = np.zeros((4, net.n_consumers))
+        V[2, slot] = np.nan
+        with pytest.raises(FlowSolverError, match=r"row 2 of 4: valve positions must lie"):
+            cp.solve_flows(net, V)
+
     def test_aggregate_flow_monotone_in_valves(self):
         # opening any single valve strictly raises the total throughput and
         # strictly lowers everyone else's share
@@ -212,7 +225,122 @@ class TestTreeSolveProperties:
         np.testing.assert_allclose(valve_positions_for_flows(net, q), v, atol=1e-7)
 
 
+def study_network():
+    return cp.build_dhn_network(cp.CALIBRATED_CAPACITY_SCALE)
+
+
+def valve_stack(rng, m, n):
+    """Uniform valves with a few entries at exactly -1 and 1 and a few
+    within 1e-12 outside the box, which the solve clips."""
+    V = rng.uniform(-1.0, 1.0, (m, n))
+    k = rng.integers(0, V.size, (4, max(1, V.size // 20)))
+    V.flat[k[0]], V.flat[k[1]] = -1.0, 1.0
+    V.flat[k[2]], V.flat[k[3]] = -1.0 - 5e-13, 1.0 + 5e-13
+    return V
+
+
+class TestStackedSolve:
+    """The (m, n) form of solve_flows gives every row the bits of the row loop."""
+
+    @pytest.mark.parametrize("m", [2, 5, 22, 23, 385, 1000])
+    def test_matches_row_loop(self, m):
+        net = study_network()
+        V = valve_stack(np.random.default_rng(m), m, net.n_consumers)
+        rows = np.array([cp.solve_flows(net, v) for v in V])
+        q = cp.solve_flows(net, V)
+        np.testing.assert_array_equal(q, rows)
+        np.testing.assert_array_equal(net.mass_residual(q),
+                                      [net.mass_residual(row) for row in rows])
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(random_trees(), st.integers(2, 7))
+    def test_matches_row_loop_on_random_trees(self, tree, m):
+        net, v = tree
+        V = np.vstack([v, valve_stack(np.random.default_rng(m), m - 1, net.n_consumers)])
+        np.testing.assert_array_equal(cp.solve_flows(net, V),
+                                      [cp.solve_flows(net, row) for row in V])
+
+    def test_stack_of_one_and_empty_stack(self):
+        net = study_network()
+        v = np.linspace(-1.0, 1.0, net.n_consumers)
+        np.testing.assert_array_equal(cp.solve_flows(net, v[None]), [cp.solve_flows(net, v)])
+        assert cp.solve_flows(net, np.empty((0, net.n_consumers))).shape == (0, net.n_consumers)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 22)])
+    def test_other_shapes_raise(self, shape):
+        with pytest.raises(cp.DimensionError):
+            cp.solve_flows(study_network(), np.zeros(shape))
+
+    def test_row_outside_box_fails_the_stack(self):
+        net = study_network()
+        V = np.zeros((5, net.n_consumers))
+        V[3, 7] = 1.0 + 2e-12
+        with pytest.raises(FlowSolverError, match=r"row 3 of 5: valve positions must lie"):
+            cp.solve_flows(net, V)
+
+    def test_failed_check_names_the_first_failing_row(self):
+        # at a tolerance of row 0's own residual, the rows with a larger one
+        # fail their pressure-balance check: the stack fails with the first
+        # of them and that row's residual
+        net = study_network()
+        V = np.random.default_rng(3).uniform(-1.0, 1.0, (40, net.n_consumers))
+        residuals = []
+        for v in V:
+            with pytest.raises(FlowSolverError) as info:
+                cp.solve_flows(net, v, tol=-1.0)
+            residuals.append(info.value.residual)
+        tol = residuals[0]
+        k = next(k for k, residual in enumerate(residuals) if residual > tol)
+        with pytest.raises(FlowSolverError, match=rf"row {k} of 40: flow solve failed") as info:
+            cp.solve_flows(net, V, tol=tol)
+        assert info.value.residual == residuals[k]
+
+    def test_zero_pump_pressure_raises(self):
+        net = cp.build_dhn_network(0.0)
+        with pytest.raises(FlowSolverError, match="pump differential pressure is zero"):
+            cp.solve_flows(net, np.zeros((3, net.n_consumers)))
+
+    def test_interconnection_counts_every_row(self):
+        net, bld = study_network(), cp.BuildingParams()
+        V = valve_stack(np.random.default_rng(9), 30, net.n_consumers)
+        stacked, rows = cp.HydraulicStats(), cp.HydraulicStats()
+        b = cp.dhn_interconnection(net, bld, stacked)(V)
+        ic = cp.dhn_interconnection(net, bld, rows)
+        np.testing.assert_array_equal(b, [ic(v) for v in V])
+        # construction probes a stack of 6 on either side
+        assert stacked.n_solves == rows.n_solves == 6 + len(V)
+        assert stacked.max_mass_residual == rows.max_mass_residual
+
+    @pytest.mark.parametrize("slot", [0, 5])
+    def test_nan_input_is_domain_error(self, slot):
+        ic = cp.dhn_interconnection(study_network(), cp.BuildingParams())
+        v = np.zeros(ic.n)
+        v[slot] = np.nan
+        with pytest.raises(cp.DomainError):
+            ic(v)
+        with pytest.raises(cp.DomainError):
+            ic(np.vstack([np.zeros(ic.n), v]))
+
+
 class TestInverseMaps:
+    def test_valve_positions_on_stacks(self):
+        # rows that need a valve beyond fully open (+inf), that get
+        # oversupplied by any opening (-inf), and solved flows
+        net = study_network()
+        rng = np.random.default_rng(5)
+        Q = cp.solve_flows(net, rng.uniform(-1.0, 1.0, (8, net.n_consumers)))
+        Q[1] *= 50.0
+        Q[2, [0, 9]] = 0.0
+        Q[3, 4] = -1.0
+        Q[4, 12] *= 30.0
+        V = valve_positions_for_flows(net, Q)
+        rows = np.array([valve_positions_for_flows(net, q) for q in Q])
+        np.testing.assert_array_equal(V, rows)
+        assert np.isposinf(V[1]).all() and np.isposinf(V[4, 12])
+        assert np.isneginf(V[2, [0, 9]]).all() and np.isneginf(V[3, 4])
+        assert np.isfinite(V[[0, 5, 6, 7]]).all()
+
+
     def test_valve_positions_invert_solved_flows(self):
         net = cp.build_dhn_network()
         rng = np.random.default_rng(4)
@@ -478,3 +606,94 @@ class TestDhnAllocator:
             cp.solve_linf_allocation(ic, cp.AgentEnsemble(a=a, w=w))
             assert calls == {"valve_positions_for_flows": 1, "solve_flows_partial": 0}, t
             calls.update(dict.fromkeys(calls, 0))
+
+
+def study_disturbances(bld):
+    """w at the 385 times of the reproduce-dhn output grid, 0 to 96 h by 0.25 h."""
+    a = bld.rates(22)
+    profile = sim.make_temperature_profile().with_thermal_map(a, np.full(22, bld.T_ref))
+    return a, profile.eval(0.25 * np.arange(385))
+
+
+def l1_warm_chain(alloc, a, W):
+    """The per-time loop of the oracle-l1 policy before allocators took
+    stacks: each row warm-started from the valves of the row before."""
+    V, X, methods, warm = np.empty_like(W), np.empty_like(W), [], None
+    for k, w in enumerate(W):
+        V[k], X[k], method = alloc.l1(a, w, warm)
+        methods.append(method)
+        warm = V[k]
+    return V, X, methods
+
+
+def assert_rows_match(stacked, rows):
+    V, X, methods = stacked
+    np.testing.assert_array_equal(V, [row[0] for row in rows])
+    np.testing.assert_array_equal(X, [row[1] for row in rows])
+    assert methods == [row[2] for row in rows]
+
+
+class TestAllocatorStacks:
+    """Allocators take a stack of disturbances and give every row the bits
+    of solving it alone."""
+
+    def test_linf_study_rows(self, monkeypatch):
+        net, bld = study_network(), cp.BuildingParams()
+        a, W = study_disturbances(bld)
+        alloc = DhnAllocator(net, bld.heat_coefficient(22))
+        rows = [alloc.linf(a, w) for w in W]
+        calls = count_inverse_calls(monkeypatch)
+        stacked = alloc.linf(a, W)
+        assert_rows_match(stacked, rows)
+        assert set(stacked[2]) == {"dhn-equalization", "dhn-rejection"}
+        # one inverse map per closed form, for the whole stack
+        assert calls == {"valve_positions_for_flows": 2, "solve_flows_partial": 0}
+
+    @pytest.mark.parametrize("low_pump", [False, True])
+    def test_linf_rows_through_signed_level(self, monkeypatch, dhn_small, low_pump):
+        # mixed signs, surplus agents and the low-pump cases that neither
+        # closed form holds sit between rows that one does
+        net = low_pump_small_net() if low_pump else dhn_small[0]
+        bld = cp.BuildingParams()
+        a = bld.rates(2)
+        rng = np.random.default_rng(7)
+        W = np.vstack([[[3.0, -1.0], [-26.0, -20.0], [0.5, -5.0], [2.0, 1.0], [1.0, 2.0],
+                        [-0.01, -5.0], [-0.5, -20.0], [-5.0, -5.0]], LOW_PUMP_W,
+                       np.column_stack([rng.uniform(0.0, 6.0, 12), rng.uniform(-30.0, -0.1, 12)]),
+                       rng.uniform(-30.0, 0.0, (8, 2))])
+        alloc = DhnAllocator(net, bld.heat_coefficient(2))
+        rows = [alloc.linf(a, w) for w in W]
+        signed = []
+        signed_level = DhnAllocator._signed_level
+        monkeypatch.setattr(DhnAllocator, "_signed_level",
+                            lambda self, a, w, b: signed.append(b) or signed_level(self, a, w, b))
+        assert_rows_match(alloc.linf(a, W), rows)
+        assert signed
+
+    def test_l1_study_rows_match_warm_chain(self):
+        net, bld = study_network(), cp.BuildingParams()
+        a, W = study_disturbances(bld)
+        alloc = DhnAllocator(net, bld.heat_coefficient(22))
+        V, X, methods = l1_warm_chain(alloc, a, W)
+        got = alloc.l1(a, W)
+        np.testing.assert_array_equal(got[0], V)
+        np.testing.assert_array_equal(got[1], X)
+        assert got[2] == methods
+        # a warm start for the first row is passed on to it
+        first = alloc.l1(a, W[:2], np.ones(22))
+        v0 = alloc.l1(a, W[0], np.ones(22))[0]
+        np.testing.assert_array_equal(first[0], [v0, alloc.l1(a, W[1], v0)[0]])
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_linear_allocator_rows(self, ic2, norm):
+        W = np.array([[-2.0, -1.0], [0.3, -0.4], [-0.5, 1.2], [1.0, 1.0]])
+        solve, a = getattr(ic2.allocator, norm), np.array([1.0, 2.0])
+        assert_rows_match(solve(a, W), [solve(a, w) for w in W])
+
+    def test_empty_stack(self):
+        net, bld = study_network(), cp.BuildingParams()
+        alloc = DhnAllocator(net, bld.heat_coefficient(22))
+        for solve in (alloc.l1, alloc.linf):
+            V, X, methods = solve(bld.rates(22), np.empty((0, 22)))
+            assert V.shape == X.shape == (0, 22) and methods == []
+

@@ -551,3 +551,23 @@ class TestRunScenario:
         arts = run_scenario(sc)
         cost = np.sum(np.abs(arts.x[0]) * sys_dec2.agents.a * sys_dec2.ic.eta)
         assert cost == pytest.approx(rep.cost_l1w, abs=1e-6)
+
+    @pytest.mark.parametrize("policy", ["oracle-l1", "oracle-linf"])
+    def test_oracle_policy_matches_per_time_loop(self, policy, tmp_path):
+        # one allocator call over the grid against the loop it replaced:
+        # one solve per output time, warm-started from the time before
+        cfg = cli.ScenarioConfig.load(cli.shipped_config_path("dhn_study_decentralized.cfg"))
+        cfg.data["sim"].update(t_span=[40.0, 56.0], output_dt=0.5)
+        cfg.data["outputs"]["directory"] = str(tmp_path)
+        sc = cli.build_scenario(cfg, policy)
+        arts = run_scenario(sc)
+        solve = {"oracle-l1": cp.solve_l1_allocation,
+                 "oracle-linf": cp.solve_linf_allocation}[policy]
+        warm = None
+        for k, t in enumerate(arts.times):
+            res = solve(sc.ic, cp.AgentEnsemble(a=sc.agents.a, w=sc.agents.w_at(t)),
+                        warm_start=warm)
+            np.testing.assert_array_equal(arts.v[k], res.v)
+            np.testing.assert_array_equal(arts.x[k], res.x)
+            warm = res.v
+
