@@ -440,9 +440,10 @@ def solve_allocations(ic: Interconnection, a: np.ndarray, W: np.ndarray, norm: s
     :func:`solve_linf_allocation`.  Returns the (m, n) stacks of valves and
     errors.
 
-    One call of the interconnection's allocator, which solves the rows in
-    order, each warm-started from the row before; without an allocator, one
-    direct-search solve per row.
+    One call of the interconnection's allocator, which solves in order,
+    each warm-started from the row before, the rows its closed forms for the
+    whole stack do not hold; without an allocator, one direct-search solve
+    per row.
     """
     if ic.allocator is None:
         solve = {"l1": solve_l1_allocation, "linf": solve_linf_allocation}[norm]

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import AgentEnsemble, SaturationBounds
 from .errors import ConfigError, DimensionError, FlowSolverError
-from .interconnect import Interconnection, chain_allocations
+from .interconnect import Interconnection
 
 
 @dataclass(frozen=True)
@@ -447,8 +447,10 @@ class HydraulicStats:
     n_solves: int = 0
     max_mass_residual: float = 0.0
 
-    def update(self, mass_residuals: np.ndarray):
-        """Count the solves of a stack from their (m,) mass residuals."""
+    def update(self, mass_residuals):
+        """Count the solves of a stack from their (m,) mass residuals, or
+        one solve from its float."""
+        mass_residuals = np.atleast_1d(mass_residuals)
         self.n_solves += len(mass_residuals)
         self.max_mass_residual = max([self.max_mass_residual, *mass_residuals.tolist()])
 
@@ -460,11 +462,25 @@ class DhnAllocator:
     :class:`~capnet.interconnect.Interconnection`: they take one disturbance
     w or an (m, n) stack of them and return (v, x, method), stacked for a
     stack.  Valve positions follow in closed form from any prescribed
-    consumer flow pattern (:func:`valve_positions_for_flows`).  The
-    weighted-L1 optimum is an active set over reduced flow solves: an agent
-    holds zero error, or its valve is fully open while it is short, or shut
-    while it is oversupplied.  ``l1`` solves the rows of a stack in order,
-    each warm-started from the row before.
+    consumer flow pattern (:func:`valve_positions_for_flows`).  Both methods
+    have one shape: closed forms for the stack, per-row solver for the rest.
+    They try their exact closed forms on the whole stack at once, so a row
+    that one of them holds costs no call of its own, and only the rows
+    neither holds go through the per-row solver, one at a time.  A 1-D w is
+    a stack of one.
+
+    The weighted-L1 optimum is an active set over reduced flow solves
+    (:meth:`_l1_row`): an agent holds zero error, or its valve is fully open
+    while it is short, or shut while it is oversupplied.  ``l1``'s closed
+    forms are that active set's two fixed points with nothing to solve: the
+    exact rejection (every valve that zero error needs lies in [-1, 1]) and
+    all open (every deficit valve fully open leaves no deficit agent beyond
+    the active set's tolerance, every surplus valve shut).  Each test is the
+    fixed-point condition itself, so a held row gets the bits the active set
+    gives it, unless a warm start pins a valve whose agent's error lies
+    within the tolerance of zero: that tie has two fixed points.  The other
+    rows are solved in order, each warm-started from the valves of the row
+    before, whichever route that row took.
 
     The min-max optimum has one signed error level lam, as the paper's
     coordinating equilibrium does: each agent's error is lam, or its valve
@@ -477,23 +493,31 @@ class DhnAllocator:
     of the pinned set.  When a pinned agent's error outweighs lam, the other
     sign is solved too and the smaller maximum kept.  An optimum with errors
     at both +M and -M, where no coordinating equilibrium exists, has neither
-    shape and can be missed by a little.  ``linf`` tries the fully open
-    closed form and then the exact rejection on the whole stack at once, so
-    a row that every valve holds at one level costs no call of its own; only
-    the rows neither holds go through :meth:`_signed_level`, one at a time.
-    Errors raise FlowSolverError.  Used by the benchmark policies; the
-    generic direct-search oracles remain the independent reference.
+    shape and can be missed by a little.  ``linf``'s closed forms are the
+    fully open level and the exact rejection; the rows neither holds go
+    through :meth:`_signed_level`.
+
+    ``stats``, when given, counts every flow solve that sets a returned
+    error, with its mass residual.  Errors raise FlowSolverError.  Used by
+    the benchmark policies; the generic direct-search oracles remain the
+    independent reference.
     """
 
-    def __init__(self, net: HydraulicNetwork, coef: np.ndarray):
+    def __init__(self, net: HydraulicNetwork, coef: np.ndarray,
+                 stats: Optional[HydraulicStats] = None):
         self.net = net
         self.coef = coef
+        self.stats = stats
 
     def _errors(self, a, w, v):
         """The valves v clipped to the box and the errors they leave, for
-        one vector or a stack."""
+        one vector or a stack; ``stats`` counts every row and its mass
+        residual."""
         v = np.clip(v, -1.0, 1.0)
-        return v, (self.coef * solve_flows(self.net, v) + w) / a
+        q = solve_flows(self.net, v)
+        if self.stats is not None:
+            self.stats.update(self.net.mass_residual(q))
+        return v, (self.coef * q + w) / a
 
     def _flows(self, a, w, lam, b=1.0, pinned=None):
         """Flows with the agents outside ``pinned`` at error lam (no flow
@@ -613,6 +637,11 @@ class DhnAllocator:
             V[k], X[k], methods[k] = self._linf_signed(a, W[k], V[k])
         return (V, X, methods) if w.ndim == 2 else (V[0], X[0], methods[0])
 
+    @staticmethod
+    def _l1_tol(w):
+        """The active set's error tolerance, for w or each row of a stack."""
+        return 1e-9 * (np.max(np.abs(w), axis=-1) + 1.0)
+
     def _l1_row(self, a, w, warm_v=None):
         net = self.net
         n = net.n_consumers
@@ -628,7 +657,7 @@ class DhnAllocator:
             pinned = (np.asarray(warm_v) >= 1.0 - 1e-9) & ~shut
         else:
             pinned = ~shut
-        tol = 1e-9 * (float(np.max(np.abs(w))) + 1.0)
+        tol = float(self._l1_tol(w))
         q = None
         for _ in range(2 * n):
             fixed_q = np.where(pinned | shut, np.nan, q_zero_error)
@@ -648,7 +677,31 @@ class DhnAllocator:
                 "dhn-complementarity")
 
     def l1(self, a, w, warm_v=None):
-        return chain_allocations(self._l1_row, a, w, warm_v)
+        w = np.asarray(w, dtype=float)
+        W = np.atleast_2d(w)
+        m = len(W)
+        methods = ["dhn-complementarity"] * m
+        # exact rejection: every valve that zero error needs lies in the box
+        V = valve_positions_for_flows(self.net, -W / self.coef)
+        X = np.empty_like(W)
+        held = np.all((V >= -1.0) & (V <= 1.0), axis=1)
+        if held.any():
+            V[held], X[held] = self._errors(a, W[held], V[held])
+        # all open: with every deficit valve fully open and every surplus
+        # valve shut, no deficit agent's error exceeds the active set's tol
+        # (a surplus agent's error is positive at any opening)
+        rows = np.flatnonzero(~held)
+        if len(rows):
+            surplus = W[rows] >= 0.0
+            V_open = np.where(surplus, -1.0, 1.0)
+            _, X_open = self._errors(a, W[rows], V_open)
+            tol = self._l1_tol(W[rows])[:, None]
+            is_open = np.all(surplus | (X_open <= tol), axis=1)
+            V[rows[is_open]], X[rows[is_open]] = V_open[is_open], X_open[is_open]
+            # the rest in order, each warm-started from the row before
+            for k in rows[~is_open]:
+                V[k], X[k], methods[k] = self._l1_row(a, W[k], warm_v if k == 0 else V[k - 1])
+        return (V, X, methods) if w.ndim == 2 else (V[0], X[0], methods[0])
 
 
 def dhn_interconnection(
@@ -676,7 +729,7 @@ def dhn_interconnection(
         return coef[:, None] * flow_sensitivity(net, v)
 
     return Interconnection(fn=fn, eta=np.ones(n), bounds=bounds, jacobian=jac,
-                           name="dhn", allocator=DhnAllocator(net, coef))
+                           name="dhn", allocator=DhnAllocator(net, coef, stats))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
-                      DecentralizedMonitor, LyapunovMonitor, field as loop_field,
-                      field_jacobian, field_stack, no_monitor_reason)
+                      DecentralizedMonitor, LyapunovMonitor, field, field_jacobian,
+                      field_stack, no_monitor_reason)
 from .core import DECENTRALIZED, AgentEnsemble
 from .errors import (ConfigError, EquilibriumError, FlowSolverError, IntegrationError,
                      TuningError)
@@ -31,6 +31,10 @@ from .hydraulics import HydraulicStats
 from .interconnect import Interconnection
 
 log = logging.getLogger(__name__)
+
+#: the one-state closed-loop field under the name that perfbench/tracing.py
+#: wraps; both integrators evaluate stacks through field_stack instead
+loop_field = field
 
 POLICIES = ("decentralized", "coordinating", "oracle-l1", "oracle-linf")
 
@@ -441,18 +445,14 @@ def integrate_many(
         monitors = [None] * len(starts)
 
     y0 = np.array([np.concatenate([s0.x, s0.z]) for s0 in starts])
-    if opts.method == "rk45":
-        def fun_stack(t, y):
-            dx, dz = field_stack(sys, y[:, :n], y[:, n:], t)
-            return np.concatenate([dx, dz], axis=1)
 
+    def fun_stack(t, y):
+        dx, dz = field_stack(sys, y[:, :n], y[:, n:], t)
+        return np.concatenate([dx, dz], axis=1)
+
+    if opts.method == "rk45":
         steps, stats = _integrate_rk45(fun_stack, t0, t1, y0, opts)
     else:
-        def fun(t, y):
-            s = ClosedLoopState(y[:n], y[n:])
-            dx, dz = loop_field(sys, s, t)
-            return np.concatenate([dx, dz])
-
         # w(t) is affine between consecutive breakpoints of its profile
         w_times = getattr(sys.agents.w, "times", None)
         stops = [tb for tb in (() if w_times is None else w_times) if t0 < tb < t1] + [t1]
@@ -463,6 +463,9 @@ def integrate_many(
 
         def jac(t, y):
             return field_jacobian(sys, ClosedLoopState(y[:n], y[n:]))
+
+        def fun(t, y):
+            return fun_stack(t, y[None])[0]
 
         steps, stats = zip(*(_integrate_rosenbrock(fun, jac, t0, t1, row, opts, stops, dfdt)
                              for row in y0))
@@ -652,8 +655,7 @@ def _run_oracle_policy(sc: Scenario) -> RunArtifacts:
 
     The instantaneous optimum under the frozen disturbance w(t) of every
     grid time is one :func:`~capnet.equilibria.solve_allocations` call over
-    the stack of them, which solves the times in order, each warm-started
-    from the one before.
+    the stack of them.
     """
     from . import equilibria  # deferred import, see module docstring
 

@@ -267,6 +267,14 @@ class TestReproduceDhn:
         for name in ("dhn_decentralized.csv", "dhn_decentralized_summary.txt"):
             assert (out / name).read_bytes() == (dhn_study["out"] / name).read_bytes(), name
 
+    @pytest.mark.parametrize("policy", ["oracle-l1", "oracle-linf"])
+    def test_oracle_policy_counts_and_mass_checks_its_flows(self, dhn_study, policy):
+        # every flow that sets an allocation's errors, at each of the 385
+        # output times, besides the construction probe
+        summary = dhn_study["summary"]
+        assert int(summary[f"{policy}.flow_solves"]) >= 385
+        assert float(summary[f"{policy}.max_mass_residual"]) < 1e-8
+
     def test_simulate_shipped_study_matches_bytes(self, dhn_study, tmp_path):
         data = cli.load_config(cli.shipped_config_path("dhn_study_decentralized.cfg"))
         data["outputs"]["directory"] = str(tmp_path / "out")
