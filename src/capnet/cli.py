@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -162,6 +163,16 @@ def _vector_or_scalar(value, n, name):
     return arr
 
 
+def _time_span(value) -> tuple:
+    """The config's sim.t_span: two finite numbers t0 < t1, kept as given."""
+    if (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(t, (int, float)) and not isinstance(t, bool)
+                    and math.isfinite(t) for t in value)
+            and value[1] > value[0]):
+        return tuple(value)
+    raise ConfigError(f"sim: t_span must be two finite numbers t0 < t1, got {value!r}")
+
+
 def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Scenario:
     """Instantiate every object a run needs from a validated config; policy
     defaults to the controller mode."""
@@ -240,7 +251,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
         raise ConfigError(f"controller: {exc}") from exc
 
     sim_cfg = data.get("sim", {})
-    t_span = tuple(sim_cfg.get("t_span", (0.0, 96.0)))
+    t_span = _time_span(sim_cfg.get("t_span", (0.0, 96.0)))
     try:
         opts = sim.SolverOptions(
             method=sim_cfg.get("method", "rk45"),
@@ -367,6 +378,22 @@ def cmd_reproduce_dhn(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type of a time horizon: a finite number above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capnet",
@@ -384,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--lemma1", action="store_true")
     p_check.add_argument("--lemma2", action="store_true")
     p_check.add_argument("--tuning", action="store_true")
-    p_check.add_argument("--samples", type=int, default=1000)
+    p_check.add_argument("--samples", type=positive_int, default=1000)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=cmd_check)
 
@@ -392,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("config")
     p_verify.add_argument("--stability", action="store_true")
     p_verify.add_argument("--optimality", action="store_true")
-    p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--starts", type=int, default=20)
+    p_verify.add_argument("--samples", type=positive_int, default=1000)
+    p_verify.add_argument("--starts", type=positive_int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--t-max", type=float, default=200.0)
+    p_verify.add_argument("--t-max", type=positive_float, default=200.0)
     p_verify.add_argument("--tol", type=float, default=1e-4)
     p_verify.add_argument("--report-dir", default=None)
     p_verify.set_defaults(func=cmd_verify)

@@ -588,10 +588,13 @@ def verify_global_convergence(
     ``_terminal_errors``).  Coordinating systems also check that the
     trailing 20% of each run stays unsaturated when the disturbance is
     rejectable.  The details sum the integrator's steps and field
-    evaluations over all starts.
+    evaluations over all starts.  Raises ValueError for n_starts < 1: no
+    start integrated is no evidence.
     """
     from .sim import SolverOptions, integrate_many  # deferred: sim imports this module
 
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
     report = validate_tuning(sys.agents, sys.gains)
     if not report.passed and not force:
         raise TuningError("tuning rule violated; use force=True to verify anyway:\n"

@@ -16,10 +16,11 @@ q_i = sqrt(p_node / r_i).  The solve checks its answer against the pressure
 balance on every root-to-consumer path.
 
 The solve, its inverse map and the min-max allocator take one valve or
-disturbance vector or an (m, n) stack of them.  A stack runs the same passes
-pipe by pipe with numpy over its m rows, and every row gets exactly the
-arithmetic it gets alone; one vector, or a stack of one, runs the passes as
-a loop over Python floats, which is faster there.
+disturbance vector or an (m, n) stack of them.  The solve is one body: its
+node values are Python floats for one row and (m,) rows for a larger stack,
+and every row gets exactly the arithmetic it gets alone.  The pressure left
+across each consumer, pump_dp less the pipe losses on its root path, is
+:meth:`HydraulicNetwork.consumer_pressure` wherever it is needed.
 """
 
 from __future__ import annotations
@@ -164,16 +165,23 @@ class HydraulicNetwork:
         r = abs(_along_paths(self.node_incidence, _along_paths(self._flows_of_q, q))).max(axis=-1)
         return float(r) if q.ndim == 1 else r
 
+    def consumer_pressure(self, q: np.ndarray) -> np.ndarray:
+        """Pressure left across each consumer at flows q, one vector or an
+        (m, n) stack: pump_dp less the supply and return losses 2s|Q|Q of
+        the pipes on its root path, whose flows are Q = E q."""
+        Q = _along_paths(self.path_matrix, q)
+        return self.pump_dp - _over_paths(self._s2 * abs(Q) * Q, self.path_matrix)
+
 
 def _along_paths(M, x):
     """M @ x for one vector x or for each row of a stack of them, with the
     arithmetic of the 1-D product (a 2-D matmul may round differently)."""
-    return (M @ x[..., None])[..., 0]
+    return M @ x if x.ndim == 1 else (M @ x[..., None])[..., 0]
 
 
 def _over_paths(x, M):
     """x @ M for one vector x or for each row of a stack, likewise."""
-    return (x[..., None, :] @ M)[..., 0, :]
+    return x @ M if x.ndim == 1 else (x[..., None, :] @ M)[..., 0, :]
 
 
 def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
@@ -181,115 +189,77 @@ def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
     root-to-consumer path, exactly, by two passes over the tree: for one
     valve vector v, or for each row of an (m, n) stack of them.
 
-    A stack of two or more rows is solved pipe by pipe with numpy over its
-    rows; one vector, or a stack of one, by a loop over Python floats.  Both
-    give every row the same bits.  Each row is checked: ``tol`` bounds its
+    One row, given as a vector or as a stack of one, runs the passes over
+    Python floats, which is faster there; a larger stack runs the same
+    statements over (m,) rows, one per node, with numpy.  Every row gets the
+    same bits either way.  Each row is checked: ``tol`` bounds its
     pressure-balance residual relative to pump_dp.  Raises FlowSolverError
     above it, on non-positive flow, on valves outside [-1, 1] or not finite,
     and on a switched-off pump (pump_dp == 0); in a stack, one bad row fails
-    the whole stack, and the message names the first such row.
+    the whole stack, and the message names the first such row.  Each check
+    runs on the whole stack first and looks for that row only if it fails.
     """
     n = net.n_consumers
     v = np.asarray(v, dtype=float)
-    if v.shape == (n,):
-        return _solve_row(net, v, tol)
-    if v.ndim != 2 or v.shape[1] != n:
+    if v.ndim not in (1, 2) or v.shape[-1] != n:
         raise DimensionError(f"v has shape {v.shape}, expected ({n},) or (m, {n})")
-    if len(v) == 1:
-        return _solve_row(net, v[0], tol)[None]
-    return _solve_stack(net, v, tol)
-
-
-def _solve_row(net: HydraulicNetwork, v: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`solve_flows` of one valve vector, over Python floats."""
-    v_list = v.tolist()  # at tens of consumers, cheaper than numpy reductions
-    v_min, v_max = min(v_list), max(v_list)
-    if not (v_min >= -1.0 - 1e-12 and v_max <= 1.0 + 1e-12):
-        raise FlowSolverError("valve positions must lie in [-1, 1]")
-    if v_min < -1.0 or v_max > 1.0:
-        v = v.clip(-1.0, 1.0)
-    dp = net.pump_dp
-    if dp <= 0.0:
-        raise FlowSolverError("pump differential pressure is zero; flow problem is degenerate")
-
-    r = net.consumer_resistance(v)
-    g = 1.0 / np.sqrt(r)  # consumer conductance r^(-1/2)
-    # bottom-up: G[node] = R_eq^(-1/2) of everything below the node; a pipe
-    # in series with its subtree conducts G / sqrt(1 + 2s G^2), and
-    # share = sqrt(p_child / p_parent) = 1 / sqrt(1 + 2s G^2)
-    G = np.bincount(net.consumer_node, weights=g, minlength=net.n_nodes).tolist()
-    shares = []
-    for parent, child, s2 in reversed(net._flow_pipes):
-        G_child = G[child]
-        share = 1.0 / math.sqrt(1.0 + s2 * G_child * G_child)
-        G[parent] += G_child * share
-        shares.append(share)
-    # top-down: square root of the pressure across each node
-    sqrt_p = [0.0] * net.n_nodes
-    sqrt_p[0] = math.sqrt(dp)
-    for (parent, child, _), share in zip(net._flow_pipes, reversed(shares)):
-        sqrt_p[child] = sqrt_p[parent] * share
-    q = np.array(sqrt_p)[net.consumer_node] * g
-    if not q.min() > 0.0:
-        if np.isnan(v).any():  # min and max skip a NaN after the first entry
-            raise FlowSolverError("valve positions must lie in [-1, 1]")
-        raise FlowSolverError("solved flows are not all positive")
-
-    E = net.path_matrix
-    Q = E @ q
-    F = dp - (net._s2 * Q * Q) @ E - r * q * q
-    pressure_residual = float(abs(F).max()) / dp
-    if pressure_residual > tol:
-        raise FlowSolverError(
-            f"flow solve failed its pressure-balance check "
-            f"(relative residual {pressure_residual:.3e})", residual=pressure_residual)
-    return q
-
-
-def _solve_stack(net: HydraulicNetwork, V: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`solve_flows` of an (m, n) stack: the passes of
-    :func:`_solve_row` pipe by pipe, each over the m rows at once, with the
-    same operations in the same order.  Node values are kept as
-    (n_nodes, m), so that a node's row is contiguous.  Each check runs on
-    the whole stack first and looks for the failing row only if it fails."""
-    m = len(V)
-    if not (V.min(initial=0.0) >= -1.0 - 1e-12 and V.max(initial=0.0) <= 1.0 + 1e-12):
-        # NaN propagates through min and max and fails both comparisons
-        k = np.flatnonzero(~np.all((V >= -1.0 - 1e-12) & (V <= 1.0 + 1e-12), axis=1))[0]
-        raise FlowSolverError(f"row {k} of {m}: valve positions must lie in [-1, 1]")
-    V = V.clip(-1.0, 1.0)
+    m = len(v) if v.ndim == 2 else 1
+    V = v.reshape(n) if m == 1 else v
+    reach = abs(V).max(initial=0.0)  # NaN propagates and fails the test
+    if not reach <= 1.0 + 1e-12:
+        _, row = _first_failing_row(abs(V).max(axis=-1) <= 1.0 + 1e-12, m)
+        raise FlowSolverError(f"{row}valve positions must lie in [-1, 1]")
+    if reach > 1.0:
+        V = V.clip(-1.0, 1.0)
     dp = net.pump_dp
     if dp <= 0.0:
         raise FlowSolverError("pump differential pressure is zero; flow problem is degenerate")
 
     r = net.consumer_resistance(V)
-    g = 1.0 / np.sqrt(r)
-    G = np.zeros((net.n_nodes, m))
-    np.add.at(G, net.consumer_node, g.T)  # adds in consumer order, as bincount
+    g = 1.0 / np.sqrt(r)  # consumer conductance r^(-1/2)
+    # node values: Python floats for one row, (m,) rows for a stack (node
+    # by node, so that a node's row is contiguous)
+    if V.ndim == 1:
+        G = np.bincount(net.consumer_node, weights=g, minlength=net.n_nodes).tolist()
+        sqrt, sqrt_p = math.sqrt, [0.0] * net.n_nodes
+    else:
+        G = np.zeros((net.n_nodes, m))
+        np.add.at(G, net.consumer_node, g.T)  # adds in consumer order, as bincount
+        sqrt, sqrt_p = np.sqrt, np.zeros((net.n_nodes, m))
+    # bottom-up: G[node] = R_eq^(-1/2) of everything below the node; a pipe
+    # in series with its subtree conducts G / sqrt(1 + 2s G^2), and
+    # share = sqrt(p_child / p_parent) = 1 / sqrt(1 + 2s G^2)
     shares = []
     for parent, child, s2 in reversed(net._flow_pipes):
         G_child = G[child]
-        share = 1.0 / np.sqrt(1.0 + s2 * G_child * G_child)
+        share = 1.0 / sqrt(1.0 + s2 * G_child * G_child)
         G[parent] += G_child * share
         shares.append(share)
-    sqrt_p = np.zeros((net.n_nodes, m))
+    # top-down: square root of the pressure across each node
     sqrt_p[0] = math.sqrt(dp)
     for (parent, child, _), share in zip(net._flow_pipes, reversed(shares)):
         sqrt_p[child] = sqrt_p[parent] * share
-    q = sqrt_p[net.consumer_node].T * g
+    q = np.asarray(sqrt_p)[net.consumer_node].T * g
     if not q.min(initial=1.0) > 0.0:
-        k = np.flatnonzero(~(q.min(axis=1) > 0.0))[0]
-        raise FlowSolverError(f"row {k} of {m}: solved flows are not all positive")
+        _, row = _first_failing_row(q.min(axis=-1) > 0.0, m)
+        raise FlowSolverError(f"{row}solved flows are not all positive")
 
-    Q = _along_paths(net.path_matrix, q)
-    F = dp - _over_paths(net._s2 * Q * Q, net.path_matrix) - r * q * q
-    residual = abs(F).max(axis=1) / dp
-    if not residual.max(initial=0.0) <= tol:
-        k = np.flatnonzero(~(residual <= tol))[0]
+    F = net.consumer_pressure(q) - r * q * q
+    if not abs(F).max(initial=0.0) / dp <= tol:
+        residual = abs(F).max(axis=-1) / dp
+        k, row = _first_failing_row(residual <= tol, m)
+        residual = float(np.atleast_1d(residual)[k])
         raise FlowSolverError(
-            f"row {k} of {m}: flow solve failed its pressure-balance check "
-            f"(relative residual {residual[k]:.3e})", residual=float(residual[k]))
-    return q
+            f"{row}flow solve failed its pressure-balance check "
+            f"(relative residual {residual:.3e})", residual=residual)
+    return q.reshape(v.shape)
+
+
+def _first_failing_row(ok, m: int):
+    """The first row k where ``ok`` (one flag per row, a scalar for one row)
+    is False, and the "row k of m: " that names it in a stack of m > 1."""
+    k = int(np.flatnonzero(~np.atleast_1d(ok))[0])
+    return k, f"row {k} of {m}: " if m > 1 else ""
 
 
 def solve_flows_partial(
@@ -323,22 +293,19 @@ def solve_flows_partial(
     if dp <= 0.0:
         raise FlowSolverError("pump differential pressure is zero; flow problem is degenerate")
     E = net.path_matrix
-    s2 = 2.0 * net.pipe_s
     r = net.consumer_resistance(np.clip(v, -1.0, 1.0))
-    path_s = s2 @ E if len(net.pipes) else np.zeros(n)
+    path_s = net._s2 @ E if len(net.pipes) else np.zeros(n)
     if warm_start is not None and np.all(warm_start[free] > 0):
         q[free] = warm_start[free]
     else:
         q[free] = np.sqrt(dp / (path_s + r))[free] / np.sqrt(n)
 
     idx = np.nonzero(free)[0]
-    merit_prev = np.inf
     for it in range(1, max_iter + 1):
-        Q = E @ q
-        drop = s2 * np.abs(Q) * Q
-        F = (dp - (drop @ E) - r * np.abs(q) * q)[idx]
+        F = (net.consumer_pressure(q) - r * np.abs(q) * q)[idx]
         if np.max(np.abs(F)) <= tol * dp:
             return q
+        Q = E @ q
         H = (E[:, idx].T * (4.0 * net.pipe_s * np.abs(Q))) @ E[:, idx]
         H[np.diag_indices(len(idx))] += 2.0 * r[idx] * np.abs(q[idx])
         try:
@@ -351,8 +318,7 @@ def solve_flows_partial(
         for _ in range(30):
             q_try = q.copy()
             q_try[idx] = q[idx] + t * step
-            Qt = E @ q_try
-            Ft = (dp - ((s2 * np.abs(Qt) * Qt) @ E) - r * np.abs(q_try) * q_try)[idx]
+            Ft = (net.consumer_pressure(q_try) - r * np.abs(q_try) * q_try)[idx]
             if float(Ft @ Ft) < merit_prev:
                 break
             t *= 0.5
@@ -372,10 +338,7 @@ def valve_positions_for_flows(net: HydraulicNetwork, q: np.ndarray) -> np.ndarra
     open valve cannot pass the flow and -inf when any opening oversupplies.
     """
     q = np.asarray(q, dtype=float)
-    E = net.path_matrix
-    Q = _along_paths(E, q)
-    drop = 2.0 * net.pipe_s * np.abs(Q) * Q
-    dp_consumer = net.pump_dp - _over_paths(drop, E)
+    dp_consumer = net.consumer_pressure(q)
     with np.errstate(divide="ignore", invalid="ignore"):
         radicand = dp_consumer / q ** 2 - net._s_c - net._valve_base
         v = np.sqrt(net._valve_span / radicand) - net._valve_offset
@@ -559,14 +522,12 @@ class DhnAllocator:
         the level before the last change of ``pinned`` (0 before any), and
         the error of the free agent worst off with every free valve at b.
         brentq gets 100 iterations; FlowSolverError when they run out."""
-        net, E = self.net, self.net.path_matrix
+        net = self.net
         r_b = net.consumer_resistance(np.full(net.n_consumers, b))
 
         def margin(lam):  # >= 0 where every free valve is on the near side of b
             q = self._flows(a, w, lam, b, pinned)
-            Q = E @ q
-            p = net.pump_dp - (net._s2 * Q * Q) @ E
-            return float(np.min(b * (p - r_b * q * q)[~pinned]))
+            return float(np.min(b * (net.consumer_pressure(q) - r_b * q * q)[~pinned]))
 
         if margin(lam_prev) >= 0.0:  # the change does not move the level
             return lam_prev

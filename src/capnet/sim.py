@@ -542,7 +542,7 @@ def write_trajectory_csv(path: Path, times, x, u, v, lyapunov=None):
 
 
 def write_summary(path: Path, summary: dict):
-    """Key/value lines, sorted, then a short human-readable block."""
+    """One key=value line per entry, sorted by key."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(summary):
             fh.write(f"{key}={summary[key]}\n")

@@ -125,6 +125,38 @@ class TestSimulateCommand:
         assert cli.main([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("t_span", [[5, 1], [0], [0.0, 0.0], [0.0, "30"], [0.0, None],
+                                        [True, 30.0], 30.0, [0.0, 30.0, 60.0]])
+    @pytest.mark.parametrize("command", ["simulate", "check", "verify"])
+    def test_bad_time_span_exit_2(self, tmp_path, capsys, command, t_span):
+        cfg = linear_cfg()
+        cfg["sim"]["t_span"] = t_span
+        assert cli.main([command, str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: sim: t_span ")
+
+    @pytest.mark.parametrize("policy, t_end", [("decentralized", "0"), ("oracle-l1", "-5"),
+                                               ("oracle-linf", "nan"), ("coordinating", "inf")])
+    def test_reproduce_dhn_bad_t_end_exit_2(self, tmp_path, capsys, policy, t_end):
+        assert cli.main(["reproduce-dhn", "--policy", policy, "--t-end", t_end,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: sim: t_span ")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "--samples", "0"], "--samples"),
+        (["check", "--samples", "-3"], "--samples"),
+        (["verify", "--optimality", "--samples", "0"], "--samples"),
+        (["verify", "--stability", "--starts", "0"], "--starts"),
+        (["verify", "--stability", "--t-max", "0"], "--t-max"),
+        (["verify", "--stability", "--t-max", "-1"], "--t-max"),
+        (["verify", "--stability", "--t-max", "nan"], "--t-max"),
+    ])
+    def test_bad_count_or_horizon_flag_exit_2(self, tmp_path, capsys, argv, flag):
+        path = write_cfg(tmp_path, linear_cfg())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv[:1] + [str(path)] + argv[1:])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("sim_cfg", [{"method": "implicit_euler"}, {"dt_fixed": 0.01}])
     def test_removed_solver_settings_exit_2(self, tmp_path, capsys, sim_cfg):
         cfg = linear_cfg()

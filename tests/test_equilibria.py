@@ -574,6 +574,12 @@ class TestGlobalConvergence:
         # one evaluation at each start, six per attempted step
         assert d["field_evaluations"] == 3 + 6 * (d["steps_accepted"] + d["steps_rejected"])
 
+    @pytest.mark.parametrize("n_starts", [0, -2])
+    def test_no_starts_refused(self, sys_dec2, n_starts):
+        # no start integrated is no evidence of convergence
+        with pytest.raises(ValueError, match="n_starts must be >= 1"):
+            cp.verify_global_convergence(sys_dec2, n_starts=n_starts)
+
     def test_tuning_gate(self, ic2, bounds2):
         agents = cp.AgentEnsemble(a=[0.3, 0.3], w=[-1.0, -1.0])
         gains = cp.ControllerGains(kP=[2.0, 2.0], kI=[1.0, 1.0],

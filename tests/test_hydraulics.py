@@ -164,6 +164,8 @@ class TestNetworkSolver:
         v[slot] = np.nan
         with pytest.raises(FlowSolverError, match=r"valve positions must lie in \[-1, 1\]"):
             cp.solve_flows(net, v)
+        with pytest.raises(FlowSolverError, match=r"^valve positions must lie"):
+            cp.solve_flows(net, v[None])  # a stack of one fails as its row, unnamed
         V = np.zeros((4, net.n_consumers))
         V[2, slot] = np.nan
         with pytest.raises(FlowSolverError, match=r"row 2 of 4: valve positions must lie"):
@@ -266,7 +268,22 @@ class TestStackedSolve:
         np.testing.assert_array_equal(cp.solve_flows(net, v[None]), [cp.solve_flows(net, v)])
         assert cp.solve_flows(net, np.empty((0, net.n_consumers))).shape == (0, net.n_consumers)
 
-    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 22)])
+    def test_stack_of_one_is_one_call(self, monkeypatch):
+        # the tracer wraps the module-level name: a stack of one solved by
+        # calling it again would count twice
+        calls = []
+        solve = hydraulics.solve_flows
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hydraulics, "solve_flows", counted)
+        net = study_network()
+        assert hydraulics.solve_flows(net, np.zeros((1, net.n_consumers))).shape == (1, 22)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 22), (22, 1)])
     def test_other_shapes_raise(self, shape):
         with pytest.raises(cp.DimensionError):
             cp.solve_flows(study_network(), np.zeros(shape))
@@ -277,6 +294,10 @@ class TestStackedSolve:
         V[3, 7] = 1.0 + 2e-12
         with pytest.raises(FlowSolverError, match=r"row 3 of 5: valve positions must lie"):
             cp.solve_flows(net, V)
+        # a stack of one fails as its row does, with no row named
+        for v in (V[3], V[3:4]):
+            with pytest.raises(FlowSolverError, match=r"^valve positions must lie"):
+                cp.solve_flows(net, v)
 
     def test_failed_check_names_the_first_failing_row(self):
         # at a tolerance of row 0's own residual, the rows with a larger one
@@ -294,6 +315,14 @@ class TestStackedSolve:
         with pytest.raises(FlowSolverError, match=rf"row {k} of 40: flow solve failed") as info:
             cp.solve_flows(net, V, tol=tol)
         assert info.value.residual == residuals[k]
+        # a stack of one fails as its row does: same message, same residual
+        messages = []
+        for v in (V[k], V[k:k + 1]):
+            with pytest.raises(FlowSolverError, match=r"^flow solve failed") as info:
+                cp.solve_flows(net, v, tol=tol)
+            assert info.value.residual == residuals[k]
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_zero_pump_pressure_raises(self):
         net = cp.build_dhn_network(0.0)
