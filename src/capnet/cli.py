@@ -206,7 +206,10 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
         capacity_scale = float(system_cfg.get("capacity_scale", 1.0))
         net = _resolve_network(system_cfg["network"], cfg.base_dir, capacity_scale)
         bld_cfg = system_cfg.get("building", {})
-        bld = hydraulics.BuildingParams(**{k: v for k, v in bld_cfg.items()})
+        try:
+            bld = hydraulics.BuildingParams(**bld_cfg)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"system.building: {exc}") from exc
         n = net.n_consumers
         bounds = SaturationBounds.symmetric(1.0, n)
         hstats = hydraulics.HydraulicStats()
@@ -387,7 +390,7 @@ def positive_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse type of a time horizon: a finite number above 0."""
+    """argparse type of a time horizon or tolerance: a finite number above 0."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
@@ -423,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--starts", type=positive_int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--t-max", type=positive_float, default=200.0)
-    p_verify.add_argument("--tol", type=float, default=1e-4)
+    p_verify.add_argument("--tol", type=positive_float, default=1e-4)
     p_verify.add_argument("--report-dir", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -27,6 +27,7 @@ controller equations, so agreement between them is a genuine cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +38,7 @@ from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       no_monitor_reason, rejectable_disturbance)
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, saturate,
                    validate_tuning)
-from .errors import EquilibriumError, TuningError
+from .errors import DimensionError, EquilibriumError, TuningError
 from .interconnect import Interconnection, eval_jacobian
 
 
@@ -389,62 +390,55 @@ class AllocationResult:
     method: str
 
 
-def _allocate(ic, agents, warm_start, name, cost_of_x, oracle) -> AllocationResult:
+def _allocate(ic, agents, name, cost_of_x, oracle) -> AllocationResult:
     if ic.allocator is None:
         res = oracle(ic, agents)
         return AllocationResult(v=res.v, x=res.x, cost=res.cost,
                                 iterations=res.n_evaluations, converged=True,
                                 method="oracle:" + res.method)
-    v, x, method = getattr(ic.allocator, name)(agents.a, agents.w, warm_start)
-    return AllocationResult(v=v, x=x, cost=cost_of_x(x), iterations=1,
-                            converged=True, method=method)
+    V, X, methods = getattr(ic.allocator, name)(agents.a, agents.w[None])
+    return AllocationResult(v=V[0], x=X[0], cost=cost_of_x(X[0]), iterations=1,
+                            converged=True, method=methods[0])
 
 
-def solve_l1_allocation(
-    ic: Interconnection,
-    agents: AgentEnsemble,
-    warm_start: Optional[np.ndarray] = None,
-) -> AllocationResult:
+def solve_l1_allocation(ic: Interconnection, agents: AgentEnsemble) -> AllocationResult:
     """The open-loop allocation minimizing sum_i eta_i*a_i*|x_i| over the box.
 
     Solved by the interconnection's allocator when it carries one (a linear
-    program for b(v) = B v, tree inversion for the DHN), whose errors
-    propagate; otherwise by the direct-search oracle.  ``warm_start`` is
-    passed to the allocator.
+    program for b(v) = B v, tree inversion for the DHN), as a stack of one,
+    whose errors propagate; otherwise by the direct-search oracle.
     """
     eta, a = ic.eta, agents.a
-    return _allocate(ic, agents, warm_start, "l1",
+    return _allocate(ic, agents, "l1",
                      lambda x: weighted_l1_cost(eta, a, x), oracle_weighted_l1)
 
 
-def solve_linf_allocation(
-    ic: Interconnection,
-    agents: AgentEnsemble,
-    warm_start: Optional[np.ndarray] = None,
-) -> AllocationResult:
+def solve_linf_allocation(ic: Interconnection, agents: AgentEnsemble) -> AllocationResult:
     """The open-loop allocation minimizing max_i |x_i| over the box.
 
     Solved by the interconnection's allocator when it carries one (a linear
     program for b(v) = B v; for the DHN, one signed error level shared by
     every agent whose valve is not pinned at a bound, in closed form while
     nothing is pinned and by a root search per change of the pinned set),
-    whose errors propagate; otherwise by the direct-search oracle.
-    ``warm_start`` is passed to the allocator.
+    as a stack of one, whose errors propagate; otherwise by the
+    direct-search oracle.
     """
-    return _allocate(ic, agents, warm_start, "linf", linf_cost, oracle_linf)
+    return _allocate(ic, agents, "linf", linf_cost, oracle_linf)
 
 
 def solve_allocations(ic: Interconnection, a: np.ndarray, W: np.ndarray, norm: str):
     """Open-loop optima of each row of an (m, n) stack of disturbances W,
     under ``norm``: "l1" as :func:`solve_l1_allocation`, "linf" as
     :func:`solve_linf_allocation`.  Returns the (m, n) stacks of valves and
-    errors.
+    errors.  Raises DimensionError unless W is (m, n).
 
-    One call of the interconnection's allocator, which solves in order,
-    each warm-started from the row before, the rows its closed forms for the
-    whole stack do not hold; without an allocator, one direct-search solve
-    per row.
+    One call of the interconnection's allocator (the DHN's weighted-L1
+    active set starts each row it solves from the valves of the row
+    before); without one, one direct-search solve per row.
     """
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != ic.n:
+        raise DimensionError(f"W must be an (m, {ic.n}) stack of disturbances, got {W.shape}")
     if ic.allocator is None:
         solve = {"l1": solve_l1_allocation, "linf": solve_linf_allocation}[norm]
         rows = [solve(ic, AgentEnsemble(a=a, w=w)) for w in W]
@@ -595,6 +589,8 @@ def verify_global_convergence(
 
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number above 0, got {tol!r}")
     report = validate_tuning(sys.agents, sys.gains)
     if not report.passed and not force:
         raise TuningError("tuning rule violated; use force=True to verify anyway:\n"

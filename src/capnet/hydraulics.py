@@ -15,12 +15,12 @@ p_child = p * R_child / (2s + R_child), and each consumer draws
 q_i = sqrt(p_node / r_i).  The solve checks its answer against the pressure
 balance on every root-to-consumer path.
 
-The solve, its inverse map and the min-max allocator take one valve or
-disturbance vector or an (m, n) stack of them.  The solve is one body: its
-node values are Python floats for one row and (m,) rows for a larger stack,
-and every row gets exactly the arithmetic it gets alone.  The pressure left
-across each consumer, pump_dp less the pipe losses on its root path, is
-:meth:`HydraulicNetwork.consumer_pressure` wherever it is needed.
+The solve and its inverse map take one valve vector or an (m, n) stack of
+them, and the allocators an (m, n) stack of disturbances.  The solve is one
+body: its node values are Python floats for one row and (m,) rows for a
+larger stack, and every row gets exactly the arithmetic it gets alone.  The
+pressure left across each consumer, pump_dp less the pipe losses on its root
+path, is :meth:`HydraulicNetwork.consumer_pressure` wherever it is needed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Pipe:
     s: float  # Pa/(m^3/h)^2, one-way; applied twice for supply+return
 
     def __post_init__(self):
-        if self.s <= 0:
+        if not self.s > 0:
             raise ValueError(f"pipe {self.parent}-{self.child}: resistance must be > 0")
 
 
@@ -58,9 +58,9 @@ class Consumer:
     valve_offset: float = 1.001
 
     def __post_init__(self):
-        if min(self.s_c, self.valve_base, self.valve_span) <= 0:
+        if not all(r > 0 for r in (self.s_c, self.valve_base, self.valve_span)):
             raise ValueError(f"consumer at {self.node}: resistances must be > 0")
-        if self.valve_offset <= 1.0:
+        if not self.valve_offset > 1.0:
             raise ValueError("valve offset must exceed 1 so the curve is finite at v=-1")
 
     def resistance(self, v):
@@ -82,8 +82,8 @@ class HydraulicNetwork:
         self.pipes = tuple(pipes)
         self.consumers = tuple(consumers)
         self.pump_dp = float(pump_dp)
-        if self.pump_dp < 0:
-            raise ValueError("pump_dp must be non-negative")
+        if not (math.isfinite(self.pump_dp) and self.pump_dp >= 0):
+            raise ValueError(f"pump_dp must be a finite number >= 0, got {self.pump_dp!r}")
         if not self.consumers:
             raise ValueError("network needs at least one consumer")
         self._build_topology()
@@ -382,11 +382,9 @@ class BuildingParams:
     rho_w: float = 1000.0
 
     def __post_init__(self):
-        for name in ("c", "a_hat", "delta"):
-            if np.any(np.asarray(getattr(self, name)) <= 0):
+        for name in ("c", "a_hat", "delta", "c_pw", "rho_w"):
+            if not np.all(np.asarray(getattr(self, name)) > 0):
                 raise ValueError(f"building parameter {name} must be > 0")
-        if self.c_pw <= 0 or self.rho_w <= 0:
-            raise ValueError("water properties must be > 0")
 
     def rates(self, n: int) -> np.ndarray:
         """Normalized decay rates a_i = a_hat_i / c_i [1/h]."""
@@ -422,15 +420,14 @@ class DhnAllocator:
     """Fast optimal open-loop allocations exploiting tree invertibility.
 
     Both methods follow the allocator contract of
-    :class:`~capnet.interconnect.Interconnection`: they take one disturbance
-    w or an (m, n) stack of them and return (v, x, method), stacked for a
-    stack.  Valve positions follow in closed form from any prescribed
+    :class:`~capnet.interconnect.Interconnection`: they take an (m, n) stack
+    of disturbances and return the stacked valves and errors with a list of
+    m methods.  Valve positions follow in closed form from any prescribed
     consumer flow pattern (:func:`valve_positions_for_flows`).  Both methods
     have one shape: closed forms for the stack, per-row solver for the rest.
     They try their exact closed forms on the whole stack at once, so a row
     that one of them holds costs no call of its own, and only the rows
-    neither holds go through the per-row solver, one at a time.  A 1-D w is
-    a stack of one.
+    neither holds go through the per-row solver, one at a time.
 
     The weighted-L1 optimum is an active set over reduced flow solves
     (:meth:`_l1_row`): an agent holds zero error, or its valve is fully open
@@ -443,7 +440,8 @@ class DhnAllocator:
     gives it, unless a warm start pins a valve whose agent's error lies
     within the tolerance of zero: that tie has two fixed points.  The other
     rows are solved in order, each warm-started from the valves of the row
-    before, whichever route that row took.
+    before, whichever route that row took; the first row of a stack starts
+    cold.
 
     The min-max optimum has one signed error level lam, as the paper's
     coordinating equilibrium does: each agent's error is lam, or its valve
@@ -573,9 +571,7 @@ class DhnAllocator:
             best = min(best, self._signed_level(a, w, -b), key=lambda r: np.max(np.abs(r[1])))
         return best
 
-    def linf(self, a, w, warm_v=None):
-        w = np.asarray(w, dtype=float)
-        W = np.atleast_2d(w)
+    def linf(self, a, W):
         m = len(W)
         V, X, methods = np.empty_like(W), np.empty_like(W), [None] * m
         todo = np.ones(m, dtype=bool)
@@ -596,7 +592,7 @@ class DhnAllocator:
         # the rejection pass left the valves that zero error needs in V[todo]
         for k in np.flatnonzero(todo):
             V[k], X[k], methods[k] = self._linf_signed(a, W[k], V[k])
-        return (V, X, methods) if w.ndim == 2 else (V[0], X[0], methods[0])
+        return V, X, methods
 
     @staticmethod
     def _l1_tol(w):
@@ -637,9 +633,7 @@ class DhnAllocator:
         return (*self._errors(a, w, np.where(shut, -1.0, np.where(pinned, 1.0, v_needed))),
                 "dhn-complementarity")
 
-    def l1(self, a, w, warm_v=None):
-        w = np.asarray(w, dtype=float)
-        W = np.atleast_2d(w)
+    def l1(self, a, W):
         m = len(W)
         methods = ["dhn-complementarity"] * m
         # exact rejection: every valve that zero error needs lies in the box
@@ -661,8 +655,8 @@ class DhnAllocator:
             V[rows[is_open]], X[rows[is_open]] = V_open[is_open], X_open[is_open]
             # the rest in order, each warm-started from the row before
             for k in rows[~is_open]:
-                V[k], X[k], methods[k] = self._l1_row(a, W[k], warm_v if k == 0 else V[k - 1])
-        return (V, X, methods) if w.ndim == 2 else (V[0], X[0], methods[0])
+                V[k], X[k], methods[k] = self._l1_row(a, W[k], V[k - 1] if k else None)
+        return V, X, methods
 
 
 def dhn_interconnection(

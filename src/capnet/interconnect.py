@@ -49,12 +49,13 @@ class Interconnection:
     ``fn`` must be pure and finite on the box (spot-checked at construction).
     ``jacobian`` optionally returns d(fn)/dv at an interior point; without it
     the equilibrium Newton and the lemma-2 proposals use finite differences.
-    ``allocator`` optionally provides ``l1(a, w, warm_v)`` and
-    ``linf(a, w, warm_v)``, the exact open-loop optima.  Each takes an
-    (m, n) stack of disturbances, one per row, and returns the (m, n) stacks
-    of valves v and errors x with a list of m method names; a 1-D w is a
-    stack of one and gives (v, x, method) unstacked.  ``warm_v`` is a valve
-    vector the first row may start from (see :func:`chain_allocations`).
+    ``allocator`` optionally provides ``l1(a, W)`` and ``linf(a, W)``, the
+    exact open-loop optima of the weighted-L1 and of the max error.  Each
+    takes the (n,) rates a and an (m, n) stack W of disturbances, one per
+    row, and returns (V, X, methods): the (m, n) stacks of valves and errors
+    of the optimum of each row, and a list of m method names.  One
+    disturbance is a stack of one; callers go through
+    :mod:`capnet.equilibria`, which checks the shape once.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -163,23 +164,6 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def chain_allocations(solve, a, w, warm_v=None):
-    """An allocator method over a stack: ``solve(a, w_k, warm_v)`` -> (v, x,
-    method) for each row w_k of an (m, n) stack in order, each warm-started
-    from the valves of the row before and the first from ``warm_v``.
-    Returns the stacked v and x and the list of methods; a 1-D w is one
-    ``solve`` call, returned as it comes."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        return solve(a, w, warm_v)
-    V, X, methods = np.empty_like(w), np.empty_like(w), []
-    for k, w_k in enumerate(w):
-        V[k], X[k], method = solve(a, w_k, warm_v)
-        methods.append(method)
-        warm_v = V[k]
-    return V, X, methods
-
-
 class LinearAllocator:
     """Exact open-loop optima of b(v) = B v over the box, each one linear
     program solved by HiGHS, one row of a stack of disturbances at a time.
@@ -197,33 +181,30 @@ class LinearAllocator:
         self.eta = eta
         self.bounds = bounds
 
-    def _solve(self, a, w, row_scale, slack, cost, method):
-        """min cost.t over (v, t) with |row_scale*(B v + w)| <= slack @ t."""
+    def _solve(self, a, W, row_scale, slack, cost, method):
+        """min cost.t over (v, t) with |row_scale*(B v + w)| <= slack @ t,
+        for each row w of W."""
         A = row_scale[:, None] * self.B
-        r = row_scale * w
         lo, hi = self.bounds.lower, self.bounds.upper
-        res = linprog(np.concatenate([np.zeros(len(w)), cost]),
-                      A_ub=np.block([[A, -slack], [-A, -slack]]),
-                      b_ub=np.concatenate([-r, r]),
-                      bounds=list(zip(lo, hi)) + [(0.0, None)] * len(cost),
-                      method="highs")
-        if res.status != 0:
-            raise AllocationError(f"{method} allocation: {res.message}", status=res.status)
-        v = np.clip(res.x[:len(w)], lo, hi)
-        return v, (self.B @ v + w) / a, method
+        n = len(lo)
+        c, A_ub = np.concatenate([np.zeros(n), cost]), np.block([[A, -slack], [-A, -slack]])
+        bounds = list(zip(lo, hi)) + [(0.0, None)] * len(cost)
+        V = np.empty_like(W)
+        for k, w in enumerate(W):
+            r = row_scale * w
+            res = linprog(c, A_ub=A_ub, b_ub=np.concatenate([-r, r]), bounds=bounds,
+                          method="highs")
+            if res.status != 0:
+                raise AllocationError(f"{method} allocation: {res.message}", status=res.status)
+            V[k] = np.clip(res.x[:n], lo, hi)
+        return V, ((self.B @ V[..., None])[..., 0] + W) / a, [method] * len(W)
 
-    def _l1_row(self, a, w, warm_v=None):
-        n = len(w)
-        return self._solve(a, w, np.ones(n), np.eye(n), self.eta, "lp-l1")
+    def l1(self, a, W):
+        n = len(self.eta)
+        return self._solve(a, W, np.ones(n), np.eye(n), self.eta, "lp-l1")
 
-    def _linf_row(self, a, w, warm_v=None):
-        return self._solve(a, w, 1.0 / a, np.ones((len(w), 1)), np.ones(1), "lp-linf")
-
-    def l1(self, a, w, warm_v=None):
-        return chain_allocations(self._l1_row, a, w, warm_v)
-
-    def linf(self, a, w, warm_v=None):
-        return chain_allocations(self._linf_row, a, w, warm_v)
+    def linf(self, a, W):
+        return self._solve(a, W, 1.0 / a, np.ones((len(a), 1)), np.ones(1), "lp-linf")
 
 
 @dataclass(frozen=True, eq=False)

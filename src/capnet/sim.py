@@ -15,6 +15,7 @@ run.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -127,12 +128,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.method not in ("rk45", "rosenbrock"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.atol <= 0 or self.rtol <= 0:
-            raise ValueError("tolerances must be positive")
-        for name in ("output_dt", "dt_init", "dt_max"):
+        for name in ("atol", "rtol", "output_dt", "dt_init", "dt_max"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ValueError(f"{name} must be positive when given")
+            if val is not None and not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{name} must be a finite number above 0, got {val!r}")
 
 
 @dataclass

@@ -141,6 +141,41 @@ class TestSimulateCommand:
                          "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: sim: t_span ")
 
+    @pytest.mark.parametrize("output_dt", ["nan", "inf", "0"])
+    def test_reproduce_dhn_bad_output_dt_exit_2(self, tmp_path, capsys, output_dt):
+        assert cli.main(["reproduce-dhn", "--policy", "oracle-linf", "--t-end", "2",
+                         "--output-dt", output_dt, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: sim: output_dt must be a finite number above 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_reproduce_dhn_bad_capacity_scale_exit_2(self, tmp_path, capsys, scale):
+        # 0 is the switched-off plant, refused by the solver (exit 3)
+        assert cli.main(["reproduce-dhn", "--policy", "oracle-linf", "--t-end", "2",
+                         "--capacity-scale", scale, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: network: pump_dp ")
+
+    @pytest.mark.parametrize("section, key", [("building", "c"), ("building", "c_pw"),
+                                              ("edge", "s"), ("consumer", "s_c")])
+    def test_dhn_nan_parameter_exit_2(self, tmp_path, capsys, section, key):
+        net = {"root": "P", "pump_dp": 0.6e6, "edges": [{"parent": "P", "child": "A", "s": 0.9}],
+               "consumers": [{"node": "A"}, {"node": "A"}]}
+        building = {}
+        target = {"building": building, "edge": net["edges"][0],
+                  "consumer": net["consumers"][1]}[section]
+        target[key] = float("nan")
+        cfg = {
+            "schema_version": 1,
+            "system": {"type": "dhn", "network": net, "building": building},
+            "agents": {"w": [-1.0, -2.0]},
+            "controller": {"mode": "decentralized", "kP": 1.0, "kI": 1.0, "kA": 1.0,
+                           "force": True},
+            "sim": {"t_span": [0.0, 1.0], "output_dt": 0.5},
+        }
+        assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     @pytest.mark.parametrize("argv, flag", [
         (["check", "--samples", "0"], "--samples"),
         (["check", "--samples", "-3"], "--samples"),
@@ -149,6 +184,10 @@ class TestSimulateCommand:
         (["verify", "--stability", "--t-max", "0"], "--t-max"),
         (["verify", "--stability", "--t-max", "-1"], "--t-max"),
         (["verify", "--stability", "--t-max", "nan"], "--t-max"),
+        (["verify", "--stability", "--tol", "nan"], "--tol"),
+        (["verify", "--stability", "--tol", "inf"], "--tol"),
+        (["verify", "--stability", "--tol", "0"], "--tol"),
+        (["verify", "--stability", "--tol", "-1"], "--tol"),
     ])
     def test_bad_count_or_horizon_flag_exit_2(self, tmp_path, capsys, argv, flag):
         path = write_cfg(tmp_path, linear_cfg())

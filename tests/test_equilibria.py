@@ -373,6 +373,15 @@ class TestStructuredAllocators:
             assert res.method.startswith("oracle:")
             assert res.cost == pytest.approx(cost, abs=1e-8)
 
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (1, 2, 2)])
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_stack_shape_checked(self, ic2, norm, shape):
+        # a disturbance is a stack of one: a 1-D w is refused, as is a
+        # stack of the wrong width or rank
+        for ic in (ic2, cp.Interconnection(fn=ic2.fn, eta=ic2.eta, bounds=ic2.bounds)):
+            with pytest.raises(cp.DimensionError, match=r"\(m, 2\) stack"):
+                equilibria.solve_allocations(ic, np.ones(2), np.zeros(shape), norm)
+
     @pytest.mark.parametrize("solve", [cp.solve_l1_allocation, cp.solve_linf_allocation])
     def test_solver_failure_raises(self, monkeypatch, ic2, agents2, solve):
         def failed(*args, **kwargs):
@@ -579,6 +588,12 @@ class TestGlobalConvergence:
         # no start integrated is no evidence of convergence
         with pytest.raises(ValueError, match="n_starts must be >= 1"):
             cp.verify_global_convergence(sys_dec2, n_starts=n_starts)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-4])
+    def test_tolerance_must_be_finite_and_positive(self, sys_dec2, tol):
+        # with tol = nan every start would pass: err > nan is False
+        with pytest.raises(ValueError, match="tol must be a finite number above 0"):
+            cp.verify_global_convergence(sys_dec2, n_starts=1, tol=tol)
 
     def test_tuning_gate(self, ic2, bounds2):
         agents = cp.AgentEnsemble(a=[0.3, 0.3], w=[-1.0, -1.0])

@@ -197,6 +197,27 @@ class TestNetworkSolver:
             cp.HydraulicNetwork("P", [cp.Pipe("P", "A", 1.0)],
                                 [cp.Consumer("missing")], 1e5)
 
+    @pytest.mark.parametrize("pump_dp", [-1.0, float("nan"), float("inf")])
+    def test_pump_dp_must_be_finite_and_non_negative(self, pump_dp):
+        with pytest.raises(ValueError, match="pump_dp"):
+            single_consumer_net(pump_dp)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, float("nan")])
+    def test_pipe_resistance_must_be_positive(self, s):
+        with pytest.raises(ValueError, match="resistance must be > 0"):
+            cp.Pipe("P", "A", s)
+
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    @pytest.mark.parametrize("name", ["s_c", "valve_base", "valve_span"])
+    def test_consumer_resistances_must_be_positive(self, name, value):
+        with pytest.raises(ValueError, match="resistances must be > 0"):
+            cp.Consumer("A", **{name: value})
+
+    @pytest.mark.parametrize("offset", [1.0, float("nan")])
+    def test_valve_offset_must_exceed_one(self, offset):
+        with pytest.raises(ValueError, match="valve offset"):
+            cp.Consumer("A", valve_offset=offset)
+
     def test_jacobian_matches_finite_differences(self):
         net = cp.build_dhn_network()
         v = np.full(net.n_consumers, 0.3)
@@ -400,6 +421,12 @@ class TestBuildings:
     def test_positivity_validation(self):
         with pytest.raises(ValueError):
             cp.BuildingParams(c=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), np.array([2.0, float("nan")])])
+    @pytest.mark.parametrize("name", ["c", "a_hat", "delta", "c_pw", "rho_w"])
+    def test_nan_building_parameter_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"building parameter {name} must be > 0"):
+            cp.BuildingParams(**{name: value})
 
 
 class TestScenario:
@@ -610,7 +637,7 @@ class TestDhnAllocator:
         alloc = DhnAllocator(net, bld.heat_coefficient(22))
         v_ref, x_ref = linf_full_bisection(alloc, a, w)
         calls = count_inverse_calls(monkeypatch)
-        v, x, got = alloc.linf(a, w)
+        (v,), (x,), (got,) = alloc.linf(a, w[None])
         assert got == method
         assert calls == {"valve_positions_for_flows": 1, "solve_flows_partial": 0}
         np.testing.assert_allclose(v, v_ref, rtol=0.0, atol=1e-12)
@@ -634,7 +661,7 @@ class TestDhnAllocator:
         w = -coef * cp.solve_flows(net, v) * scale
         alloc = DhnAllocator(net, coef)
         v_ref, x_ref = linf_full_bisection(alloc, a, w)
-        v_new, x_new, _ = alloc.linf(a, w)
+        (v_new,), (x_new,), _ = alloc.linf(a, w[None])
         cost_ref = cp.linf_cost(x_ref)
         assert cp.linf_cost(x_new) <= cost_ref + 1e-12 * (1.0 + cost_ref)
         if np.all(v_ref > -1.0):  # no valve shut, so the bisection is the optimum
@@ -661,11 +688,12 @@ def study_disturbances(bld):
     return a, profile.eval(0.25 * np.arange(385))
 
 
-def l1_warm_chain(alloc, a, W, warm=None):
-    """The active set alone over the rows in order, each warm-started from
-    the valves of the row before, as the oracle-l1 policy solved them
-    before allocators took stacks; none of ``l1``'s closed forms."""
-    V, X, methods = np.empty_like(W), np.empty_like(W), []
+def l1_warm_chain(alloc, a, W):
+    """The active set alone over the rows in order, the first cold and each
+    other warm-started from the valves of the row before, as the oracle-l1
+    policy solved them before allocators took stacks; none of ``l1``'s
+    closed forms."""
+    V, X, methods, warm = np.empty_like(W), np.empty_like(W), [], None
     for k, w in enumerate(W):
         V[k], X[k], method = alloc._l1_row(a, w, warm)
         methods.append(method)
@@ -700,6 +728,11 @@ def l1_mixed_stack(rng, net, coef):
     return W[rng.permutation(len(W))]
 
 
+def rows_alone(solve, a, W):
+    """Each row of W solved as a stack of one, as (v, x, method)."""
+    return [tuple(out[0] for out in solve(a, w[None])) for w in W]
+
+
 def assert_rows_match(stacked, rows):
     V, X, methods = stacked
     np.testing.assert_array_equal(V, [row[0] for row in rows])
@@ -709,13 +742,14 @@ def assert_rows_match(stacked, rows):
 
 class TestAllocatorStacks:
     """Allocators take a stack of disturbances and give every row the bits
-    of solving it alone."""
+    of solving it as a stack of one; the weighted-L1 active set gives them
+    warm-started from the row before."""
 
     def test_linf_study_rows(self, monkeypatch):
         net, bld = study_network(), cp.BuildingParams()
         a, W = study_disturbances(bld)
         alloc = DhnAllocator(net, bld.heat_coefficient(22))
-        rows = [alloc.linf(a, w) for w in W]
+        rows = rows_alone(alloc.linf, a, W)
         calls = count_inverse_calls(monkeypatch)
         stacked = alloc.linf(a, W)
         assert_rows_match(stacked, rows)
@@ -736,7 +770,7 @@ class TestAllocatorStacks:
                        np.column_stack([rng.uniform(0.0, 6.0, 12), rng.uniform(-30.0, -0.1, 12)]),
                        rng.uniform(-30.0, 0.0, (8, 2))])
         alloc = DhnAllocator(net, bld.heat_coefficient(2))
-        rows = [alloc.linf(a, w) for w in W]
+        rows = rows_alone(alloc.linf, a, W)
         signed = []
         signed_level = DhnAllocator._signed_level
         monkeypatch.setattr(DhnAllocator, "_signed_level",
@@ -757,13 +791,6 @@ class TestAllocatorStacks:
         # the closed forms hold 322 of the 385 rows; the chain made 407 calls
         assert calls["solve_flows_partial"] <= 80
         assert calls["valve_positions_for_flows"] <= 80
-        # a warm start for the first row is passed on to it: rows 117 and
-        # 118 go through the active set, whose bits at row 117 depend on it
-        shut = -np.ones(22)
-        first = alloc.l1(a, W[117:119], shut)
-        v0 = alloc.l1(a, W[117], shut)[0]
-        assert not np.array_equal(v0, alloc.l1(a, W[117])[0])
-        np.testing.assert_array_equal(first[0], [v0, alloc.l1(a, W[118], v0)[0]])
 
     def test_l1_closed_form_study_rows_make_no_partial_solve(self, monkeypatch):
         net, bld = study_network(), cp.BuildingParams()
@@ -790,10 +817,9 @@ class TestAllocatorStacks:
         a, coef = bld.rates(2), bld.heat_coefficient(2)
         alloc = DhnAllocator(net, coef)
         W = l1_mixed_stack(np.random.default_rng(seed), net, coef)
-        warm = np.array([1.0, -0.5])
-        V, X, methods = l1_warm_chain(alloc, a, W, warm)
+        V, X, methods = l1_warm_chain(alloc, a, W)
         chained = spy_l1_rows(monkeypatch)
-        assert_rows_match(alloc.l1(a, W, warm), list(zip(V, X, methods)))
+        assert_rows_match(alloc.l1(a, W), list(zip(V, X, methods)))
         # every route was taken: exact rejections, all open with a surplus
         # agent shut, and the active set with and without one
         routed = np.array([any(np.array_equal(w, c) for c in chained) for w in W])
@@ -807,7 +833,7 @@ class TestAllocatorStacks:
     def test_linear_allocator_rows(self, ic2, norm):
         W = np.array([[-2.0, -1.0], [0.3, -0.4], [-0.5, 1.2], [1.0, 1.0]])
         solve, a = getattr(ic2.allocator, norm), np.array([1.0, 2.0])
-        assert_rows_match(solve(a, W), [solve(a, w) for w in W])
+        assert_rows_match(solve(a, W), rows_alone(solve, a, W))
 
     def test_empty_stack(self):
         net, bld = study_network(), cp.BuildingParams()

@@ -43,6 +43,14 @@ class TestTemperatureProfile:
         assert prof.raw(prof.times[-1]) >= -12.0
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["atol", "rtol", "output_dt", "dt_init", "dt_max"])
+    def test_settings_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number above 0"):
+            SolverOptions(**{name: value})
+
+
 class TestIntegrate:
     def test_equilibrium_start_stays(self, scalar_system):
         rep = cp.find_equilibrium_decentralized(scalar_system)
@@ -554,20 +562,26 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("policy", ["oracle-l1", "oracle-linf"])
     def test_oracle_policy_matches_per_time_loop(self, policy, tmp_path):
-        # one allocator call over the grid against the loop it replaced:
-        # one solve per output time, warm-started from the time before
+        # one allocator call over the grid against the loop it replaced: one
+        # solve per output time, min-max cold and weighted-L1 by the active
+        # set warm-started from the time before
         cfg = cli.ScenarioConfig.load(cli.shipped_config_path("dhn_study_decentralized.cfg"))
         cfg.data["sim"].update(t_span=[40.0, 56.0], output_dt=0.5)
         cfg.data["outputs"]["directory"] = str(tmp_path)
         sc = cli.build_scenario(cfg, policy)
         arts = run_scenario(sc)
-        solve = {"oracle-l1": cp.solve_l1_allocation,
-                 "oracle-linf": cp.solve_linf_allocation}[policy]
-        warm = None
+        a, warm, cold_differs = sc.agents.a, None, False
         for k, t in enumerate(arts.times):
-            res = solve(sc.ic, cp.AgentEnsemble(a=sc.agents.a, w=sc.agents.w_at(t)),
-                        warm_start=warm)
-            np.testing.assert_array_equal(arts.v[k], res.v)
-            np.testing.assert_array_equal(arts.x[k], res.x)
-            warm = res.v
+            agents = cp.AgentEnsemble(a=a, w=sc.agents.w_at(t))
+            if policy == "oracle-linf":
+                res = cp.solve_linf_allocation(sc.ic, agents)
+                v, x = res.v, res.x
+            else:
+                v, x, _ = sc.ic.allocator._l1_row(a, agents.w, warm)
+                warm = v
+                cold_differs |= not np.array_equal(v, cp.solve_l1_allocation(sc.ic, agents).v)
+            np.testing.assert_array_equal(arts.v[k], v)
+            np.testing.assert_array_equal(arts.x[k], x)
+        # the warm start matters: solved cold, some time gets other valves
+        assert cold_differs == (policy == "oracle-l1")
 

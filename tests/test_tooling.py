@@ -1,26 +1,35 @@
-"""The benchmark tracer works on the package.
+"""The benchmark's tracer and workloads work on the package.
 
 ``perfbench/tracing.py`` replaces each ``(owner, attr)`` of its ``TARGETS``
 by a timing wrapper, and ``Tracer.active()`` raises KeyError on one the owner
-does not define; its observers read fields off the traced results.  A rename
-in ``src/capnet`` would otherwise break ``perfbench/run.py --trace 1``
-without any test failing.  The tests load the tracer and change nothing in it.
+does not define; its observers read fields off the traced results.
+``perfbench/workloads.py`` calls the package's public functions and checks
+what they return.  A rename or a changed signature in ``src/capnet`` would
+otherwise break ``perfbench/run.py`` without any test failing.  The tests
+load both files and change nothing in them.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import capnet as cp
 from capnet import equilibria, interconnect, sim
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered first: dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load("tracing")
 
 
 def test_every_trace_target_is_defined_by_its_owner():
@@ -46,3 +55,15 @@ def test_observers_read_traced_results(sys_dec2):
         "rk45.accepted", "rk45.rejected", "rk45.field_evals", "lemma2.qualifying",
         "lemma2.requested", "fixed_point_dec.iterations", "oracle.evaluations")}
     assert all(count > 0 for count in counts.values()), counts
+
+
+def test_certify_allocations_pass_the_workload_checks(tmp_path):
+    # dhn-certify calls solve_l1_allocation(ic, agents) and
+    # solve_linf_allocation(ic, agents) and checks their AllocationResult
+    # against a fresh network and the decentralized equilibrium
+    certify = _load("workloads").DhnCertify(0, tmp_path)
+    ops = {op.name: op for op in certify.ops}
+    results = {name: ops[name].run() for name in ("fixed_point_dec", "alloc_l1", "alloc_linf")}
+    for name, res in results.items():
+        assert ops[name].check(res).problems == [], name
+    assert certify.check_round(results) == []
