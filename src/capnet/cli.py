@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -154,6 +155,18 @@ def _resolve_network(ref, base_dir: Path, capacity_scale: float):
     return hydraulics.network_from_dict(raw, capacity_scale)
 
 
+@contextmanager
+def _section(where: str):
+    """Raise a bad value met in the block as a ConfigError that names the
+    config section ``where``; a ConfigError raised there names its own."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, CapnetError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _vector_or_scalar(value, n, name):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -181,81 +194,85 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
     hstats = None
     temperature = None
     if system_cfg["type"] == "linear":
-        B = np.asarray(system_cfg["B"], dtype=float)
-        bounds = SaturationBounds(system_cfg["bounds"]["lower"], system_cfg["bounds"]["upper"])
+        with _section("system.bounds"):
+            bounds = SaturationBounds(system_cfg["bounds"]["lower"],
+                                      system_cfg["bounds"]["upper"])
+        n = bounds.n
+        with _section("system.B"):
+            B = np.asarray(system_cfg["B"], dtype=float)
+            if B.shape != (n, n) or not np.all(np.isfinite(B)):
+                raise ValueError(f"must be a {n}x{n} matrix of finite numbers, as the bounds "
+                                 f"are {n}-dimensional; got shape {B.shape}")
         eta = system_cfg.get("eta")
-        try:
-            mm = LinearMMatrix(B, None if eta is None else np.asarray(eta, dtype=float))
-            ic = mm.as_interconnection(bounds)
-        except ValueError as exc:
-            # not an admissible M-matrix; wrap it raw so the structural
-            # checkers can exhibit the violation instead of refusing to build
-            log.warning("linear map is not an admissible M-matrix (%s); "
-                        "wrapping it unchecked for property checking", exc)
-            eta_vec = np.ones(bounds.n) if eta is None else np.asarray(eta, dtype=float)
-            ic = Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=eta_vec,
-                                 bounds=bounds, jacobian=lambda v: B, name="linear-unchecked")
+        with _section("system"):
+            try:
+                mm = LinearMMatrix(B, None if eta is None else np.asarray(eta, dtype=float))
+                ic = mm.as_interconnection(bounds)
+            except ValueError as exc:
+                # not an admissible M-matrix; wrap it raw so the structural
+                # checkers can exhibit the violation instead of refusing to build
+                log.warning("linear map is not an admissible M-matrix (%s); "
+                            "wrapping it unchecked for property checking", exc)
+                eta_vec = np.ones(n) if eta is None else np.asarray(eta, dtype=float)
+                ic = Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=eta_vec,
+                                     bounds=bounds, jacobian=lambda v: B,
+                                     name="linear-unchecked")
         agents_cfg = data["agents"]
         if "a" not in agents_cfg or "w" not in agents_cfg:
             raise ConfigError("agents: linear systems need 'a' and 'w'")
-        n = bounds.n
-        a = _vector_or_scalar(agents_cfg["a"], n, "agents.a")
-        w = _vector_or_scalar(agents_cfg["w"], n, "agents.w")
-        agents = AgentEnsemble(a=a, w=w)
+        with _section("agents"):
+            agents = AgentEnsemble(a=_vector_or_scalar(agents_cfg["a"], n, "agents.a"),
+                                   w=_vector_or_scalar(agents_cfg["w"], n, "agents.w"))
     else:
-        capacity_scale = float(system_cfg.get("capacity_scale", 1.0))
+        with _section("system.capacity_scale"):
+            capacity_scale = float(system_cfg.get("capacity_scale", 1.0))
         net = _resolve_network(system_cfg["network"], cfg.base_dir, capacity_scale)
-        bld_cfg = system_cfg.get("building", {})
-        try:
-            bld = hydraulics.BuildingParams(**bld_cfg)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"system.building: {exc}") from exc
+        with _section("system.building"):
+            bld = hydraulics.BuildingParams(**system_cfg.get("building", {}))
         n = net.n_consumers
         bounds = SaturationBounds.symmetric(1.0, n)
         hstats = hydraulics.HydraulicStats()
         ic = hydraulics.dhn_interconnection(net, bld, hstats)
         agents_cfg = data.get("agents", {})
-        a = bld.rates(n)
-        if "a" in agents_cfg:
-            a = _vector_or_scalar(agents_cfg["a"], n, "agents.a")
-        if "temperature_profile" in agents_cfg:
-            ref = agents_cfg["temperature_profile"]
-            if ref == "builtin":
-                temperature = sim.make_temperature_profile()
+        with _section("agents"):
+            a = bld.rates(n)
+            if "a" in agents_cfg:
+                a = _vector_or_scalar(agents_cfg["a"], n, "agents.a")
+            if "temperature_profile" in agents_cfg:
+                ref = agents_cfg["temperature_profile"]
+                if ref == "builtin":
+                    temperature = sim.make_temperature_profile()
+                else:
+                    _require_keys(ref, {"times", "values"}, {"times", "values"},
+                                  "agents.temperature_profile")
+                    temperature = sim.DisturbanceProfile.piecewise(ref["times"], ref["values"])
+                T_ref = np.broadcast_to(np.asarray(bld.T_ref, dtype=float), (n,))
+                w = temperature.with_thermal_map(a, T_ref)
+            elif "w" in agents_cfg:
+                w = _vector_or_scalar(agents_cfg["w"], n, "agents.w")
             else:
-                _require_keys(ref, {"times", "values"}, {"times", "values"},
-                              "agents.temperature_profile")
-                temperature = sim.DisturbanceProfile.piecewise(ref["times"], ref["values"])
-            T_ref = np.broadcast_to(np.asarray(bld.T_ref, dtype=float), (n,))
-            w = temperature.with_thermal_map(a, T_ref)
-        elif "w" in agents_cfg:
-            w = _vector_or_scalar(agents_cfg["w"], n, "agents.w")
-        else:
-            raise ConfigError("agents: dhn systems need 'w' or 'temperature_profile'")
-        agents = AgentEnsemble(a=a, w=w)
+                raise ConfigError("agents: dhn systems need 'w' or 'temperature_profile'")
+            agents = AgentEnsemble(a=a, w=w)
 
     ctrl = data["controller"]
-    n = bounds.n
-    kwargs = dict(kP=_vector_or_scalar(ctrl["kP"], n, "kP"),
-                  kI=_vector_or_scalar(ctrl["kI"], n, "kI"), mode=ctrl["mode"])
-    if ctrl["mode"] == DECENTRALIZED:
-        if "kA" not in ctrl:
-            raise ConfigError("controller: decentralized mode needs kA")
-        kwargs["kA"] = _vector_or_scalar(ctrl["kA"], n, "kA")
-    else:
-        if "kC" not in ctrl or "alpha" not in ctrl:
-            raise ConfigError("controller: coordinating mode needs kC and alpha")
-        kwargs["kC"] = float(ctrl["kC"])
-        kwargs["alpha"] = float(ctrl["alpha"])
-    try:
+    with _section("controller"):
+        kwargs = dict(kP=_vector_or_scalar(ctrl["kP"], n, "controller.kP"),
+                      kI=_vector_or_scalar(ctrl["kI"], n, "controller.kI"), mode=ctrl["mode"])
+        if ctrl["mode"] == DECENTRALIZED:
+            if "kA" not in ctrl:
+                raise ConfigError("controller: decentralized mode needs kA")
+            kwargs["kA"] = _vector_or_scalar(ctrl["kA"], n, "controller.kA")
+        else:
+            if "kC" not in ctrl or "alpha" not in ctrl:
+                raise ConfigError("controller: coordinating mode needs kC and alpha")
+            kwargs["kC"] = float(ctrl["kC"])
+            kwargs["alpha"] = float(ctrl["alpha"])
         gains = ControllerGains(**kwargs)
         system = ClosedLoopSystem(agents=agents, ic=ic, gains=gains, bounds=bounds)
-    except (ValueError, CapnetError) as exc:
-        raise ConfigError(f"controller: {exc}") from exc
 
     sim_cfg = data.get("sim", {})
     t_span = _time_span(sim_cfg.get("t_span", (0.0, 96.0)))
-    try:
+    with _section("sim"):
         opts = sim.SolverOptions(
             method=sim_cfg.get("method", "rk45"),
             atol=float(sim_cfg.get("atol", 1e-8)),
@@ -263,8 +280,6 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
             output_dt=sim_cfg.get("output_dt", 0.25),
             dt_max=sim_cfg.get("dt_max"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
     out_cfg = data.get("outputs", {})
     out_dir = out_cfg.get("directory")
     if out_dir is not None:

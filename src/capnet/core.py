@@ -38,7 +38,7 @@ def _check_len(u, n, name):
 class SaturationBounds:
     """Per-agent actuator limits defining the admissible box.
 
-    The box must have nonempty interior: lower_i < upper_i strictly.
+    The box must be bounded with nonempty interior: finite lower_i < upper_i.
     """
 
     lower: np.ndarray
@@ -51,8 +51,9 @@ class SaturationBounds:
             raise DimensionError("lower and upper bounds differ in length")
         if len(self.lower) < 1:
             raise DimensionError("bounds need at least one agent")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("need lower_i < upper_i for every agent")
+        if not np.all((self.lower < self.upper) & np.isfinite(self.lower)
+                      & np.isfinite(self.upper)):
+            raise ValueError("need finite lower_i < upper_i for every agent")
 
     @property
     def n(self) -> int:
@@ -106,13 +107,15 @@ class AgentEnsemble:
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a, "a"))
-        if not np.all(self.a > 0):
-            raise ValueError("agent rates a_i must be strictly positive")
+        if not np.all((self.a > 0) & (self.a < np.inf)):
+            raise ValueError("agent rates a_i must be strictly positive and finite")
         if not self.w_is_constant:
             return
         object.__setattr__(self, "w", as_vector(self.w, "w"))
         if len(self.w) != self.n:
             raise DimensionError("w and a differ in length")
+        if not np.all(np.isfinite(self.w)):
+            raise ValueError("disturbances w_i must be finite")
 
     @property
     def n(self) -> int:

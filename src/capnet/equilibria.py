@@ -432,9 +432,9 @@ def solve_allocations(ic: Interconnection, a: np.ndarray, W: np.ndarray, norm: s
     :func:`solve_linf_allocation`.  Returns the (m, n) stacks of valves and
     errors.  Raises DimensionError unless W is (m, n).
 
-    One call of the interconnection's allocator (the DHN's weighted-L1
-    active set starts each row it solves from the valves of the row
-    before); without one, one direct-search solve per row.
+    One call of the interconnection's allocator, which gives each row what
+    it gets alone (the DHN's weighted-L1 active set starts each row from
+    that row's all-open flows); without one, one direct-search solve per row.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != ic.n:

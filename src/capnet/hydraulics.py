@@ -45,8 +45,9 @@ class Pipe:
     s: float  # Pa/(m^3/h)^2, one-way; applied twice for supply+return
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError(f"pipe {self.parent}-{self.child}: resistance must be > 0")
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"pipe {self.parent}-{self.child}: resistance must be > 0 "
+                             f"and finite, got {self.s!r}")
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,11 @@ class Consumer:
     valve_offset: float = 1.001
 
     def __post_init__(self):
-        if not all(r > 0 for r in (self.s_c, self.valve_base, self.valve_span)):
-            raise ValueError(f"consumer at {self.node}: resistances must be > 0")
-        if not self.valve_offset > 1.0:
-            raise ValueError("valve offset must exceed 1 so the curve is finite at v=-1")
-
-    def resistance(self, v):
-        """Total consumer-side resistance at valve position v."""
-        return self.s_c + self.valve_base + self.valve_span / (v + self.valve_offset) ** 2
+        if not all(0 < r < math.inf for r in (self.s_c, self.valve_base, self.valve_span)):
+            raise ValueError(f"consumer at {self.node}: resistances must be > 0 and finite")
+        if not 1.0 < self.valve_offset < math.inf:
+            raise ValueError("valve offset must exceed 1 so the curve is finite at v=-1, "
+                             f"and be finite, got {self.valve_offset!r}")
 
 
 class HydraulicNetwork:
@@ -383,8 +381,11 @@ class BuildingParams:
 
     def __post_init__(self):
         for name in ("c", "a_hat", "delta", "c_pw", "rho_w"):
-            if not np.all(np.asarray(getattr(self, name)) > 0):
-                raise ValueError(f"building parameter {name} must be > 0")
+            value = np.asarray(getattr(self, name))
+            if not np.all((value > 0) & (value < np.inf)):
+                raise ValueError(f"building parameter {name} must be > 0 and finite")
+        if not np.all(np.isfinite(self.T_ref)):
+            raise ValueError("building parameter T_ref must be finite")
 
     def rates(self, n: int) -> np.ndarray:
         """Normalized decay rates a_i = a_hat_i / c_i [1/h]."""
@@ -431,17 +432,14 @@ class DhnAllocator:
 
     The weighted-L1 optimum is an active set over reduced flow solves
     (:meth:`_l1_row`): an agent holds zero error, or its valve is fully open
-    while it is short, or shut while it is oversupplied.  ``l1``'s closed
-    forms are that active set's two fixed points with nothing to solve: the
-    exact rejection (every valve that zero error needs lies in [-1, 1]) and
-    all open (every deficit valve fully open leaves no deficit agent beyond
-    the active set's tolerance, every surplus valve shut).  Each test is the
-    fixed-point condition itself, so a held row gets the bits the active set
-    gives it, unless a warm start pins a valve whose agent's error lies
-    within the tolerance of zero: that tie has two fixed points.  The other
-    rows are solved in order, each warm-started from the valves of the row
-    before, whichever route that row took; the first row of a stack starts
-    cold.
+    while it is short, or shut while it is oversupplied.  ``l1`` tries the
+    exact rejection (every valve that zero error needs lies in [-1, 1]) on
+    the whole stack, then solves the rows it misses all open: every deficit
+    valve fully open, every surplus valve shut.  A row is held there when
+    no deficit agent is short by more than the active set's tolerance;
+    otherwise its all-open flows are the active set's first iterate, with
+    the short agents released.  Each row is solved from its own all-open
+    state, so it gets the bits it gets alone, wherever it sits in a stack.
 
     The min-max optimum has one signed error level lam, as the paper's
     coordinating equilibrium does: each agent's error is lam, or its valve
@@ -459,9 +457,9 @@ class DhnAllocator:
     through :meth:`_signed_level`.
 
     ``stats``, when given, counts every flow solve that sets a returned
-    error, with its mass residual.  Errors raise FlowSolverError.  Used by
-    the benchmark policies; the generic direct-search oracles remain the
-    independent reference.
+    error, and ``l1``'s all-open solves, with their mass residuals.  Errors
+    raise FlowSolverError.  Used by the benchmark policies; the generic
+    direct-search oracles remain the independent reference.
     """
 
     def __init__(self, net: HydraulicNetwork, coef: np.ndarray,
@@ -470,15 +468,19 @@ class DhnAllocator:
         self.coef = coef
         self.stats = stats
 
-    def _errors(self, a, w, v):
-        """The valves v clipped to the box and the errors they leave, for
-        one vector or a stack; ``stats`` counts every row and its mass
-        residual."""
-        v = np.clip(v, -1.0, 1.0)
+    def _solve(self, v):
+        """The flows at valves v, one vector or a stack; ``stats`` counts
+        every row and its mass residual."""
         q = solve_flows(self.net, v)
         if self.stats is not None:
             self.stats.update(self.net.mass_residual(q))
-        return v, (self.coef * q + w) / a
+        return q
+
+    def _errors(self, a, w, v):
+        """The valves v clipped to the box and the errors they leave, for
+        one vector or a stack."""
+        v = np.clip(v, -1.0, 1.0)
+        return v, (self.coef * self._solve(v) + w) / a
 
     def _flows(self, a, w, lam, b=1.0, pinned=None):
         """Flows with the agents outside ``pinned`` at error lam (no flow
@@ -599,9 +601,11 @@ class DhnAllocator:
         """The active set's error tolerance, for w or each row of a stack."""
         return 1e-9 * (np.max(np.abs(w), axis=-1) + 1.0)
 
-    def _l1_row(self, a, w, warm_v=None):
+    def _l1_row(self, a, w, pinned, q):
+        """The valves of one w's weighted-L1 optimum, by the active set from
+        the all-open flows q, with the deficit agents in ``pinned`` fully
+        open and every surplus agent shut."""
         net = self.net
-        n = net.n_consumers
         # an agent with w_i >= 0 is in surplus at every opening; by lemma 1,
         # closing its valve alone lowers a_i*|x_i| by more than it changes
         # everyone else's cost, so it stays shut and out of the active set.
@@ -610,13 +614,8 @@ class DhnAllocator:
         # leaves it short, and leaves either set once its error changes sign.
         shut = w >= 0.0
         q_zero_error = -w / self.coef
-        if warm_v is not None:
-            pinned = (np.asarray(warm_v) >= 1.0 - 1e-9) & ~shut
-        else:
-            pinned = ~shut
         tol = float(self._l1_tol(w))
-        q = None
-        for _ in range(2 * n):
+        for _ in range(2 * net.n_consumers):
             fixed_q = np.where(pinned | shut, np.nan, q_zero_error)
             q = solve_flows_partial(net, np.where(shut, -1.0, 1.0), fixed_q, warm_start=q)
             x = (self.coef * q + w) / a
@@ -625,38 +624,36 @@ class DhnAllocator:
             release = (pinned & (x > tol)) | (shut & (x < -tol))
             grab, close = free & (v_needed > 1.0), free & (v_needed < -1.0)
             if not (release | grab | close).any():
-                break
+                return np.where(shut, -1.0, np.where(pinned, 1.0, v_needed))
             pinned = (pinned & ~release) | grab
             shut = (shut & ~release) | close
-        else:
-            raise FlowSolverError("allocation active set did not settle")
-        return (*self._errors(a, w, np.where(shut, -1.0, np.where(pinned, 1.0, v_needed))),
-                "dhn-complementarity")
+        raise FlowSolverError("allocation active set did not settle")
 
     def l1(self, a, W):
-        m = len(W)
-        methods = ["dhn-complementarity"] * m
         # exact rejection: every valve that zero error needs lies in the box
         V = valve_positions_for_flows(self.net, -W / self.coef)
         X = np.empty_like(W)
-        held = np.all((V >= -1.0) & (V <= 1.0), axis=1)
-        if held.any():
-            V[held], X[held] = self._errors(a, W[held], V[held])
-        # all open: with every deficit valve fully open and every surplus
-        # valve shut, no deficit agent's error exceeds the active set's tol
-        # (a surplus agent's error is positive at any opening)
-        rows = np.flatnonzero(~held)
+        # the rows whose errors the final solve sets: the exact rejections
+        # and the active set's
+        final = np.all((V >= -1.0) & (V <= 1.0), axis=1)
+        rows = np.flatnonzero(~final)
         if len(rows):
+            # all open: every deficit valve fully open and every surplus valve
+            # shut (a surplus agent's error is positive at any opening).  The
+            # row is held when no deficit agent's error exceeds the active
+            # set's tol; otherwise this is the active set's first iterate
             surplus = W[rows] >= 0.0
-            V_open = np.where(surplus, -1.0, 1.0)
-            _, X_open = self._errors(a, W[rows], V_open)
-            tol = self._l1_tol(W[rows])[:, None]
-            is_open = np.all(surplus | (X_open <= tol), axis=1)
-            V[rows[is_open]], X[rows[is_open]] = V_open[is_open], X_open[is_open]
-            # the rest in order, each warm-started from the row before
-            for k in rows[~is_open]:
-                V[k], X[k], methods[k] = self._l1_row(a, W[k], V[k - 1] if k else None)
-        return V, X, methods
+            V[rows] = np.where(surplus, -1.0, 1.0)
+            Q = self._solve(V[rows])
+            X[rows] = (self.coef * Q + W[rows]) / a
+            pinned = ~surplus & (X[rows] <= self._l1_tol(W[rows])[:, None])
+            active = ~np.all(surplus | pinned, axis=1)
+            for k, pin, q in zip(rows[active], pinned[active], Q[active]):
+                V[k] = self._l1_row(a, W[k], pin, q)
+            final[rows[active]] = True
+        if final.any():
+            V[final], X[final] = self._errors(a, W[final], V[final])
+        return V, X, ["dhn-complementarity"] * len(W)
 
 
 def dhn_interconnection(

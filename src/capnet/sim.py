@@ -68,6 +68,8 @@ class DisturbanceProfile:
             raise ValueError("breakpoint times must be strictly increasing")
         if self.values.shape[0] != len(t):
             raise ValueError("values and times disagree in length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(self.values))):
+            raise ValueError("profile times and values must be finite")
         object.__setattr__(self, "times", t)
 
     @classmethod

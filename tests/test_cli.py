@@ -33,6 +33,21 @@ def linear_cfg(out_dir=None, **ctrl_extra):
     return cfg
 
 
+def small_dhn_cfg():
+    """A two-consumer DHN scenario on one pipe, with default buildings."""
+    return {
+        "schema_version": 1,
+        "system": {"type": "dhn", "building": {},
+                   "network": {"root": "P", "pump_dp": 0.6e6,
+                               "edges": [{"parent": "P", "child": "A", "s": 0.9}],
+                               "consumers": [{"node": "A"}, {"node": "A"}]}},
+        "agents": {"w": [-1.0, -2.0]},
+        "controller": {"mode": "decentralized", "kP": 1.0, "kI": 1.0, "kA": 1.0,
+                       "force": True},
+        "sim": {"t_span": [0.0, 1.0], "output_dt": 0.5},
+    }
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         path = write_cfg(tmp_path, linear_cfg())
@@ -156,25 +171,60 @@ class TestSimulateCommand:
                          "--capacity-scale", scale, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: network: pump_dp ")
 
-    @pytest.mark.parametrize("section, key", [("building", "c"), ("building", "c_pw"),
-                                              ("edge", "s"), ("consumer", "s_c")])
-    def test_dhn_nan_parameter_exit_2(self, tmp_path, capsys, section, key):
-        net = {"root": "P", "pump_dp": 0.6e6, "edges": [{"parent": "P", "child": "A", "s": 0.9}],
-               "consumers": [{"node": "A"}, {"node": "A"}]}
-        building = {}
-        target = {"building": building, "edge": net["edges"][0],
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param(section, key, value, id=f"{section}-{key}" + suffix)
+        for section, key in [("building", "c"), ("building", "c_pw"), ("building", "delta"),
+                             ("building", "T_ref"), ("edge", "s"), ("consumer", "s_c"),
+                             ("consumer", "valve_span"), ("consumer", "valve_offset")]
+        for value, suffix in [(float("nan"), ""), (float("inf"), "-inf")]])
+    def test_dhn_nan_parameter_exit_2(self, tmp_path, capsys, section, key, value):
+        cfg = small_dhn_cfg()
+        net = cfg["system"]["network"]
+        target = {"building": cfg["system"]["building"], "edge": net["edges"][0],
                   "consumer": net["consumers"][1]}[section]
-        target[key] = float("nan")
-        cfg = {
-            "schema_version": 1,
-            "system": {"type": "dhn", "network": net, "building": building},
-            "agents": {"w": [-1.0, -2.0]},
-            "controller": {"mode": "decentralized", "kP": 1.0, "kI": 1.0, "kA": 1.0,
-                           "force": True},
-            "sim": {"t_span": [0.0, 1.0], "output_dt": 0.5},
-        }
+        target[key] = value
         assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        where = "system.building" if section == "building" else "network"
+        assert capsys.readouterr().err.startswith(f"config error: {where}: ")
+
+    @pytest.mark.parametrize("system, path, value, section", [
+        pytest.param("linear", ("agents", "a"), 0, "agents", id="a-zero"),
+        pytest.param("linear", ("agents", "a"), [1, -1], "agents", id="a-negative"),
+        pytest.param("linear", ("agents", "a"), "x", "agents", id="a-text"),
+        pytest.param("linear", ("agents", "w"), float("nan"), "agents", id="w-nan"),
+        pytest.param("linear", ("system", "bounds", "lower"), [1, 1], "system.bounds",
+                     id="lower-at-upper"),
+        pytest.param("linear", ("system", "bounds", "lower"), [-1], "system.bounds",
+                     id="lower-short"),
+        pytest.param("linear", ("system", "bounds", "lower"), [-1, float("-inf")],
+                     "system.bounds", id="lower-inf"),
+        pytest.param("linear", ("system", "B"), [[1.0, -0.25], [-0.25]], "system.B",
+                     id="B-ragged"),
+        pytest.param("linear", ("system", "B"), [[1.0, -0.25, 0.0], [-0.25, 1.0, 0.0]],
+                     "system.B", id="B-2x3"),
+        pytest.param("linear", ("controller", "kP"), "x", "controller", id="kP-text"),
+        pytest.param("linear", ("controller", "kP"), [1, 2, 3], "controller.kP",
+                     id="kP-length"),
+        pytest.param("dhn", ("system", "capacity_scale"), "x", "system.capacity_scale",
+                     id="dhn-capacity-scale-text"),
+        pytest.param("dhn", ("agents", "w"), float("nan"), "agents", id="dhn-w-nan"),
+        pytest.param("dhn", ("agents", "temperature_profile"),
+                     {"times": [0.0, 1.0], "values": [float("nan"), -5.0]}, "agents",
+                     id="dhn-profile-nan"),
+    ])
+    def test_bad_scenario_value_exit_2(self, tmp_path, capsys, system, path, value, section):
+        if system == "linear":
+            cfg = json.loads(cli.shipped_config_path("linear2_decentralized.cfg").read_text(
+                encoding="utf-8"))
+            cfg["outputs"]["directory"] = str(tmp_path / "out")
+        else:
+            cfg = small_dhn_cfg()
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {section}: ")
 
     @pytest.mark.parametrize("argv, flag", [
         (["check", "--samples", "0"], "--samples"),

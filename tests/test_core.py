@@ -71,10 +71,16 @@ class TestTypes:
             cp.SaturationBounds([0.0], [0.0])
         with pytest.raises(DimensionError):
             cp.SaturationBounds([0.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            cp.SaturationBounds([-np.inf], [1.0])
 
     def test_agents_positive_rates(self):
         with pytest.raises(ValueError):
             cp.AgentEnsemble(a=[1.0, 0.0], w=[0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            cp.AgentEnsemble(a=[1.0, np.inf], w=[0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            cp.AgentEnsemble(a=[1.0, 1.0], w=[0.0, np.nan])
 
     def test_agents_profile_disturbance(self):
         prof = cp.DisturbanceProfile.piecewise([0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]])

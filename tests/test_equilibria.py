@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 import capnet as cp
-from capnet import equilibria, interconnect
+from capnet import equilibria, interconnect, sim
 from capnet.equilibria import NoEquilibrium
 from tests.conftest import B_REF, W_REF
 
@@ -381,6 +381,25 @@ class TestStructuredAllocators:
         for ic in (ic2, cp.Interconnection(fn=ic2.fn, eta=ic2.eta, bounds=ic2.bounds)):
             with pytest.raises(cp.DimensionError, match=r"\(m, 2\) stack"):
                 equilibria.solve_allocations(ic, np.ones(2), np.zeros(shape), norm)
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    @pytest.mark.parametrize("system", ["linear", "dhn"])
+    def test_stack_matches_allocation_per_w(self, ic2, system, norm):
+        if system == "linear":
+            ic, a = ic2, np.array([1.0, 2.0])
+            W = np.array([[-2.0, -1.0], [0.3, -0.4], [-0.5, 1.2], [1.0, 1.0]])
+        else:
+            # the study's hours whose weighted-L1 rows need the active set
+            net, bld, _ = cp.build_dhn_scenario(capacity_scale=cp.CALIBRATED_CAPACITY_SCALE)
+            ic, a = cp.dhn_interconnection(net, bld), bld.rates(22)
+            profile = sim.make_temperature_profile().with_thermal_map(a, np.full(22, bld.T_ref))
+            W = profile.eval(np.arange(29.5, 65.0, 1.5))
+        V, X = equilibria.solve_allocations(ic, a, W, norm)
+        solve = {"l1": cp.solve_l1_allocation, "linf": cp.solve_linf_allocation}[norm]
+        for v, x, w in zip(V, X, W):
+            res = solve(ic, cp.AgentEnsemble(a=a, w=w))
+            np.testing.assert_array_equal(v, res.v)
+            np.testing.assert_array_equal(x, res.x)
 
     @pytest.mark.parametrize("solve", [cp.solve_l1_allocation, cp.solve_linf_allocation])
     def test_solver_failure_raises(self, monkeypatch, ic2, agents2, solve):

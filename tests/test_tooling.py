@@ -60,10 +60,14 @@ def test_observers_read_traced_results(sys_dec2):
 def test_certify_allocations_pass_the_workload_checks(tmp_path):
     # dhn-certify calls solve_l1_allocation(ic, agents) and
     # solve_linf_allocation(ic, agents) and checks their AllocationResult
-    # against a fresh network and the decentralized equilibrium
+    # against a fresh network and the decentralized equilibrium; its oracle
+    # operations run reproduce-dhn under both oracle policies, and the round
+    # checks their complementarity and the order of their costs
     certify = _load("workloads").DhnCertify(0, tmp_path)
     ops = {op.name: op for op in certify.ops}
-    results = {name: ops[name].run() for name in ("fixed_point_dec", "alloc_l1", "alloc_linf")}
+    names = ("fixed_point_dec", "alloc_l1", "alloc_linf", "oracle-l1", "oracle-linf")
+    results = {name: ops[name].run() for name in names}
     for name, res in results.items():
         assert ops[name].check(res).problems == [], name
+    assert "x" in results["oracle-l1"] and "x" in results["oracle-linf"]
     assert certify.check_round(results) == []
