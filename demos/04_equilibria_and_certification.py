@@ -35,9 +35,9 @@ print(f"  weighted-L1 minimum {cp.oracle_weighted_l1(ic, agents).cost:.6f}")
 print(f"  max-error minimum   {cp.oracle_linf(ic, agents).cost:.6f}")
 
 print("\nverdicts:")
-print(cp.verify_optimality(dec, rep_d, 'l1w', n_samples=1000, seed=0).report())
+print(cp.verify_optimality(dec, rep_d, n_samples=1000, seed=0).report())
 print()
-print(cp.verify_optimality(coord, rep_c, 'linf', n_samples=1000, seed=0).report())
+print(cp.verify_optimality(coord, rep_c, n_samples=1000, seed=0).report())
 
 print("\nglobal convergence from 20 random starts:")
 v = cp.verify_global_convergence(dec, n_starts=20, seed=0, t_max=200.0, tol=1e-4)

@@ -10,7 +10,7 @@ simulation pipeline with a CLI.
 """
 
 from .core import (AgentEnsemble, ControllerGains, SaturationBounds, TuningReport,
-                   deadzone, saturate, sign, validate_coordinating_tuning,
+                   deadzone, saturate, validate_coordinating_tuning,
                    validate_decentralized_tuning, validate_tuning)
 from .interconnect import (Interconnection, LinearAllocator, LinearMMatrix,
                            PropertyVerdict, check_assumption1, check_lemma1,
@@ -21,8 +21,7 @@ from .hydraulics import (CALIBRATED_CAPACITY_SCALE, BuildingParams, Consumer,
                          flow_sensitivity, network_from_dict, network_to_dict,
                          solve_flows)
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
-                      DecentralizedMonitor, control_input, field,
-                      field_coordinating, field_decentralized, from_zeta_u,
+                      DecentralizedMonitor, control_input, field, from_zeta_u,
                       lyapunov_coordinating, lyapunov_decentralized,
                       rejectable_disturbance, to_zeta_u)
 from .sim import (DisturbanceProfile, RunArtifacts, Scenario, SolverOptions,

@@ -335,15 +335,13 @@ def cmd_verify(args) -> int:
     if args.optimality or not args.stability:
         if system.gains.mode == DECENTRALIZED:
             rep = equilibria.find_equilibrium_decentralized(system)
-            mode = "l1w"
         else:
             rep = equilibria.find_equilibrium_coordinating(system)
             if isinstance(rep, equilibria.NoEquilibrium):
                 print(f"no equilibrium: {rep.message}", file=sys.stderr)
                 return EXIT_FAIL
-            mode = "linf"
         verdicts.append(equilibria.verify_optimality(
-            system, rep, mode, n_samples=args.samples, seed=args.seed))
+            system, rep, n_samples=args.samples, seed=args.seed))
     if args.stability:
         verdicts.append(equilibria.verify_global_convergence(
             system, n_starts=args.starts, seed=args.seed, t_max=args.t_max,
@@ -404,6 +402,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    """argparse type of a random seed: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     """argparse type of a time horizon or tolerance: a finite number above 0."""
     value = float(text)
@@ -430,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--lemma2", action="store_true")
     p_check.add_argument("--tuning", action="store_true")
     p_check.add_argument("--samples", type=positive_int, default=1000)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=seed_int, default=0)
     p_check.set_defaults(func=cmd_check)
 
     p_verify = sub.add_parser("verify", help="equilibrium optimality/stability verification")
@@ -439,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--optimality", action="store_true")
     p_verify.add_argument("--samples", type=positive_int, default=1000)
     p_verify.add_argument("--starts", type=positive_int, default=20)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=seed_int, default=0)
     p_verify.add_argument("--t-max", type=positive_float, default=200.0)
     p_verify.add_argument("--tol", type=positive_float, default=1e-4)
     p_verify.add_argument("--report-dir", default=None)

@@ -77,35 +77,15 @@ class ClosedLoopState:
     def zero(cls, n: int) -> "ClosedLoopState":
         return cls(np.zeros(n), np.zeros(n))
 
-    def copy(self) -> "ClosedLoopState":
-        return ClosedLoopState(self.x.copy(), self.z.copy())
-
 
 def control_input(gains: ControllerGains, s: ClosedLoopState) -> np.ndarray:
     """PI law u = -kP*x - kI*z."""
     return -gains.kP * s.x - gains.kI * s.z
 
 
-def field_decentralized(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
-    """Time derivatives (dx, dz) of the decentralized loop at time t."""
-    if sys.gains.mode != DECENTRALIZED:
-        raise ValueError("system gains are not decentralized")
-    return _field_row(sys, s, t)
-
-
-def field_coordinating(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
-    """Time derivatives (dx, dz) of the coordinating loop at time t."""
-    if sys.gains.mode != COORDINATING:
-        raise ValueError("system gains are not coordinating")
-    return _field_row(sys, s, t)
-
-
 def field(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
-    """Time derivatives (dx, dz) of the loop the gains select, at time t."""
-    return _field_row(sys, s, t)
-
-
-def _field_row(sys, s, t):
+    """Time derivatives (dx, dz) of the loop the gains select, at time t:
+    the stack of one of :func:`field_stack`."""
     dx, dz = field_stack(sys, s.x[None], s.z[None], t)
     return dx[0], dz[0]
 
@@ -261,14 +241,14 @@ class LyapunovMonitor:
     scope, ``in_scope``.  Both take a stack of states as two (m, n) arrays x
     and z and return one entry per row.  :meth:`check` flags every step that
     starts in scope and on which V increased by more than slack*(1 + V) of
-    its start.
+    its start, with ``slack`` the module's MONITOR_SLACK.
     """
 
     name = "lyapunov"
+    slack = MONITOR_SLACK
 
-    def __init__(self, sys: ClosedLoopSystem, slack: float = MONITOR_SLACK):
+    def __init__(self, sys: ClosedLoopSystem):
         self.sys = sys
-        self.slack = slack
         self.violations: list = []
 
     def value(self, x, z) -> np.ndarray:
@@ -301,13 +281,14 @@ class LyapunovMonitor:
 
 class DecentralizedMonitor(LyapunovMonitor):
     """Decrease monitor for the decentralized certificate, anchored at a
-    computed equilibrium (zeta0, u0).  The tuning margin is checked and the
-    certificate weights are built once, here; TuningError without a margin."""
+    computed equilibrium (zeta0, u0), with the slack MONITOR_SLACK.  The
+    tuning margin is checked and the certificate weights are built once,
+    here; TuningError without a margin."""
 
     name = "decentralized-lyapunov"
 
-    def __init__(self, sys, zeta0, u0, slack: float = MONITOR_SLACK):
-        super().__init__(sys, slack)
+    def __init__(self, sys, zeta0, u0):
+        super().__init__(sys)
         self.zeta0 = as_vector(zeta0, "zeta0")
         self.u0 = as_vector(u0, "u0")
         self._weights = _decentralized_weights(sys)
@@ -321,34 +302,33 @@ class CoordinatingMonitor(LyapunovMonitor):
     """Decrease monitor for the coordinating dead-zone certificate.
 
     Decrease is only guaranteed while the control is saturated, so steps
-    starting from dz(u) = 0 are out of scope.  The mode and tuning margin
-    are checked and the weight is built once, here, with the errors of
-    :func:`lyapunov_coordinating`.
+    starting from dz(u) = 0 are out of scope.  The slack is MONITOR_SLACK.
+    The mode and tuning margin are checked and the weight is built once,
+    here, with the errors of :func:`lyapunov_coordinating`.
     """
 
     name = "coordinating-lyapunov"
 
-    def __init__(self, sys, slack: float = MONITOR_SLACK):
-        super().__init__(sys, slack)
+    def __init__(self, sys):
+        super().__init__(sys)
         self._weight = _coordinating_weight(sys)
-
-    def _deadzone(self, y):
-        return y - np.clip(y, self.sys.bounds.lower, self.sys.bounds.upper)
 
     def value(self, x, z) -> np.ndarray:
         zeta, u = _zeta_u(self.sys.gains, x, z)
+        bounds = self.sys.bounds
         return _coordinating_value(self.sys, self._weight,
-                                   self._deadzone(zeta), self._deadzone(u))
+                                   deadzone(zeta, bounds), deadzone(u, bounds))
 
     def in_scope(self, x, z) -> np.ndarray:
         gains = self.sys.gains
-        return np.any(self._deadzone(-gains.kP * x - gains.kI * z) != 0.0, axis=-1)
+        return np.any(deadzone(-gains.kP * x - gains.kI * z, self.sys.bounds) != 0.0,
+                      axis=-1)
 
 
-def rejectable_disturbance(sys: ClosedLoopSystem, t: float = 0.0) -> bool:
-    """True when b(upper)+w > 0 > b(lower)+w, i.e. exact rejection of w is
-    feasible strictly inside the actuator box."""
-    w = sys.agents.w_at(t)
+def rejectable_disturbance(sys: ClosedLoopSystem) -> bool:
+    """True when b(upper)+w > 0 > b(lower)+w at t = 0, i.e. exact rejection
+    of w is feasible strictly inside the actuator box."""
+    w = sys.agents.w_at(0.0)
     hi = sys.ic(sys.bounds.upper) + w
     lo = sys.ic(sys.bounds.lower) + w
     return bool(np.all(hi > 0) and np.all(lo < 0))

@@ -17,6 +17,10 @@ from .errors import DimensionError
 DECENTRALIZED = "decentralized"
 COORDINATING = "coordinating"
 
+#: relative tolerance of the tuning equality a_i*kP_i == (1+alpha)*kI_i:
+#: exact float equality would be brittle under config round-trips
+TUNING_RTOL = 1e-9
+
 
 def as_vector(x, name="vector") -> np.ndarray:
     """Coerce to a read-only 1-D float array."""
@@ -87,11 +91,6 @@ def deadzone(u, bounds: SaturationBounds) -> np.ndarray:
     return u - np.clip(u, bounds.lower, bounds.upper)
 
 
-def sign(x) -> np.ndarray:
-    """Element-wise sign with sign(0) = 0 exactly."""
-    return np.sign(np.asarray(x, dtype=float))
-
-
 @dataclass(frozen=True)
 class AgentEnsemble:
     """Internal decay rates a_i > 0 and disturbances w_i of every agent.
@@ -142,8 +141,8 @@ def _broadcast_gain(value, n, name) -> np.ndarray:
     v = as_vector(v, name)
     if len(v) != n:
         raise DimensionError(f"{name} has length {len(v)}, expected {n}")
-    if not np.all(v > 0):
-        raise ValueError(f"{name} must be strictly positive")
+    if not np.all((v > 0) & (v < np.inf)):  # NaN fails too
+        raise ValueError(f"{name} must be strictly positive and finite")
     return v
 
 
@@ -185,8 +184,8 @@ class ControllerGains:
                 raise ValueError("kA is a decentralized-mode gain")
             if self.kC is None or self.alpha is None:
                 raise ValueError("coordinating gains require kC and alpha")
-            if float(self.kC) <= 0 or float(self.alpha) <= 0:
-                raise ValueError("kC and alpha must be strictly positive")
+            if not (0 < float(self.kC) < np.inf and 0 < float(self.alpha) < np.inf):
+                raise ValueError("kC and alpha must be strictly positive and finite")
             object.__setattr__(self, "kC", float(self.kC))
             object.__setattr__(self, "alpha", float(self.alpha))
         else:
@@ -247,13 +246,10 @@ def validate_decentralized_tuning(agents: AgentEnsemble, gains: ControllerGains)
     return TuningReport(DECENTRALIZED, tuple(checks))
 
 
-def validate_coordinating_tuning(
-    agents: AgentEnsemble, gains: ControllerGains, rtol: float = 1e-9
-) -> TuningReport:
+def validate_coordinating_tuning(agents: AgentEnsemble, gains: ControllerGains) -> TuningReport:
     """Check a_i*kP_i == (1+alpha)*kI_i per agent and (kC/2)*sum(kP) <= 1.
 
-    The per-agent equality is tested with relative tolerance ``rtol``;
-    exact float equality would be brittle under config round-trips.
+    The per-agent equality is tested with the relative tolerance TUNING_RTOL.
     """
     if gains.mode != COORDINATING:
         raise ValueError("gains are not in coordinating mode")
@@ -262,7 +258,7 @@ def validate_coordinating_tuning(
     for i in range(agents.n):
         lhs = agents.a[i] * gains.kP[i]
         rhs = (1.0 + gains.alpha) * gains.kI[i]
-        ok = bool(np.isclose(lhs, rhs, rtol=rtol, atol=0.0))
+        ok = bool(np.isclose(lhs, rhs, rtol=TUNING_RTOL, atol=0.0))
         checks.append(TuningCheck("a*kP == (1+alpha)*kI", i, lhs, rhs, ok))
     lhs = 0.5 * gains.kC * float(np.sum(gains.kP))
     checks.append(TuningCheck("(kC/2)*sum(kP) <= 1", None, lhs, 1.0, lhs <= 1.0))

@@ -171,8 +171,7 @@ def _finish_report(sys: ClosedLoopSystem, u0: np.ndarray, iterations: int,
                    tol: float) -> EquilibriumReport:
     """The report at u0, whose stationarity residual max(|dx|, |dz|) must be
     below tol."""
-    v0 = saturate(u0, sys.bounds)
-    x0 = (sys.ic(v0) + sys.agents.w) / sys.agents.a
+    x0 = open_loop_state(sys.ic, sys.agents, u0)
     z0 = -(u0 + sys.gains.kP * x0) / sys.gains.kI
     s0 = ClosedLoopState(x0, z0)
     dx, dz = loop_field(sys, s0, 0.0)
@@ -355,9 +354,8 @@ def _direct_search(ic, agents, cost_of_x, opts: Optional[OracleOptions]):
         if res.fun <= c_best:
             v_best, c_best = np.clip(res.x, bounds.lower, bounds.upper), float(res.fun)
         method += "+nelder-mead"
-    x_best = (ic(v_best) + agents.w) / agents.a
-    return OracleResult(v=v_best, x=x_best, cost=c_best, method=method,
-                        n_evaluations=evals)
+    return OracleResult(v=v_best, x=open_loop_state(ic, agents, v_best), cost=c_best,
+                        method=method, n_evaluations=evals)
 
 
 def oracle_weighted_l1(ic: Interconnection, agents: AgentEnsemble,
@@ -470,25 +468,32 @@ class VerificationVerdict:
         return "\n".join(lines)
 
 
+#: verify_optimality fails a closed-loop cost above the oracle's by more
+#: than OPTIMALITY_TOL*(1 + the cost)
+OPTIMALITY_TOL = 1e-5
+#: verify_global_convergence draws its starts from the box |.|_inf <=
+#: START_BOX_SCALE * the equilibrium's magnitude
+START_BOX_SCALE = 10.0
+
+
 def verify_optimality(
     sys: ClosedLoopSystem,
     report: EquilibriumReport,
-    mode: str,
     n_samples: int = 1000,
     seed: int = 0,
-    tol: float = 1e-5,
     opts: Optional[OracleOptions] = None,
 ) -> VerificationVerdict:
     """Certify an equilibrium against the direct-search oracle and against
     random alternative open-loop equilibria.
 
-    mode "l1w" compares the weighted-L1 cost, "linf" the max cost.  Every
-    sampled alternative with a different saturated input must be strictly
-    costlier than the closed-loop equilibrium.  The alternatives are uniform
-    on the box, drawn from ``seed`` as one stack and evaluated as one.
+    The cost is the one the report's loop minimizes: weighted-L1 ("l1w")
+    for the decentralized loop, the max ("linf") for the coordinating one,
+    within OPTIMALITY_TOL of the oracle's.  Every sampled alternative with a
+    different saturated input must be strictly costlier than the closed-loop
+    equilibrium.  The alternatives are uniform on the box, drawn from
+    ``seed`` as one stack and evaluated as one.
     """
-    if mode not in ("l1w", "linf"):
-        raise ValueError("mode must be 'l1w' or 'linf'")
+    mode = "l1w" if report.mode == DECENTRALIZED else "linf"
     eta, a = sys.ic.eta, sys.agents.a
     if mode == "l1w":
         oracle = oracle_weighted_l1(sys.ic, sys.agents, opts)
@@ -500,7 +505,7 @@ def verify_optimality(
         cost_of_x = linf_cost
     failures = []
     margin = closed_cost - oracle.cost
-    if closed_cost > oracle.cost + tol * (1.0 + closed_cost):
+    if closed_cost > oracle.cost + OPTIMALITY_TOL * (1.0 + closed_cost):
         failures.append(f"closed-loop cost {closed_cost!r} exceeds oracle {oracle.cost!r}")
     # alternatives are drawn in chunks of those still wanted, dropping draws
     # equal to v0, so they are those of drawing one at a time
@@ -566,9 +571,7 @@ def verify_global_convergence(
     seed: int = 0,
     t_max: float = 200.0,
     tol: float = 1e-4,
-    box_scale: float = 10.0,
     force: bool = False,
-    solver_opts=None,
     equilibrium: Optional[EquilibriumReport] = None,
 ) -> VerificationVerdict:
     """Integrate from random initial states and check they all land on the
@@ -576,14 +579,15 @@ def verify_global_convergence(
 
     ``equilibrium`` takes the system's equilibrium when the caller has
     already solved for it; otherwise it is solved here.  Initial states are
-    drawn from the box |.|_inf <= box_scale * equilibrium magnitude, and all
-    of them are stepped together by one stacked integration.  A coordinating
-    run may end on any member of the equilibrium set (see
-    ``_terminal_errors``).  Coordinating systems also check that the
-    trailing 20% of each run stays unsaturated when the disturbance is
-    rejectable.  The details sum the integrator's steps and field
-    evaluations over all starts.  Raises ValueError for n_starts < 1: no
-    start integrated is no evidence.
+    drawn from the box |.|_inf <= START_BOX_SCALE * equilibrium magnitude,
+    and all of them are stepped together by one stacked RK45 integration at
+    the default tolerances of :class:`~capnet.sim.SolverOptions`, sampled
+    every t_max/50.  A coordinating run may end on any member of the
+    equilibrium set (see ``_terminal_errors``).  Coordinating systems also
+    check that the trailing 20% of each run stays unsaturated when the
+    disturbance is rejectable.  The details sum the integrator's steps and
+    field evaluations over all starts.  Raises ValueError for n_starts < 1:
+    no start integrated is no evidence.
     """
     from .sim import SolverOptions, integrate_many  # deferred: sim imports this module
 
@@ -610,8 +614,8 @@ def verify_global_convergence(
     rejectable = rejectable_disturbance(sys) if sys.gains.mode == COORDINATING else False
     unmonitored = no_monitor_reason(sys)
     magnitude = max(float(np.max(np.abs(eq.x0))), float(np.max(np.abs(eq.z0))))
-    half_width = box_scale * (magnitude if magnitude > 0 else 1.0)
-    opts = solver_opts or SolverOptions(output_dt=t_max / 50.0)
+    half_width = START_BOX_SCALE * (magnitude if magnitude > 0 else 1.0)
+    opts = SolverOptions(output_dt=t_max / 50.0)
     rng = np.random.default_rng(seed)
     starts, monitors = [], []
     for _ in range(n_starts):

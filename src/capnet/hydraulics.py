@@ -260,12 +260,15 @@ def _first_failing_row(ok, m: int):
     return k, f"row {k} of {m}: " if m > 1 else ""
 
 
+#: step budget and relative pressure-balance tolerance of the partial-flow Newton
+PARTIAL_FLOW_MAX_ITER = 60
+PARTIAL_FLOW_TOL = 1e-10
+
+
 def solve_flows_partial(
     net: HydraulicNetwork,
     v: np.ndarray,
     fixed_q: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 60,
     warm_start: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Flows when some consumers are throttled to a prescribed flow.
@@ -275,12 +278,12 @@ def solve_flows_partial(
     satisfy a pressure balance; the throttled ones are assumed to own a valve
     position achieving their flow (see :func:`valve_positions_for_flows`).
 
-    Damped Newton on the free flows, within a budget of ``max_iter`` (60)
-    steps of at most 30 step halvings each, until the pressure-balance
-    residual is at most ``tol`` relative to pump_dp.  Raises FlowSolverError
-    when the pump is switched off (pump_dp == 0), when 30 halvings do not
-    lower the squared residual ("line search stalled", with the step count)
-    and when the budget runs out.
+    Damped Newton on the free flows, within a budget of
+    PARTIAL_FLOW_MAX_ITER (60) steps of at most 30 step halvings each, until
+    the pressure-balance residual is at most PARTIAL_FLOW_TOL relative to
+    pump_dp.  Raises FlowSolverError when the pump is switched off
+    (pump_dp == 0), when 30 halvings do not lower the squared residual ("line
+    search stalled", with the step count) and when the budget runs out.
     """
     n = net.n_consumers
     free = ~np.isfinite(fixed_q)
@@ -299,9 +302,9 @@ def solve_flows_partial(
         q[free] = np.sqrt(dp / (path_s + r))[free] / np.sqrt(n)
 
     idx = np.nonzero(free)[0]
-    for it in range(1, max_iter + 1):
+    for it in range(1, PARTIAL_FLOW_MAX_ITER + 1):
         F = (net.consumer_pressure(q) - r * np.abs(q) * q)[idx]
-        if np.max(np.abs(F)) <= tol * dp:
+        if np.max(np.abs(F)) <= PARTIAL_FLOW_TOL * dp:
             return q
         Q = E @ q
         H = (E[:, idx].T * (4.0 * net.pipe_s * np.abs(Q))) @ E[:, idx]
@@ -323,7 +326,8 @@ def solve_flows_partial(
         else:
             raise FlowSolverError("partial-flow line search stalled", iterations=it)
         q = q_try
-    raise FlowSolverError(f"partial-flow Newton did not converge in {max_iter} iterations")
+    raise FlowSolverError(
+        f"partial-flow Newton did not converge in {PARTIAL_FLOW_MAX_ITER} iterations")
 
 
 def valve_positions_for_flows(net: HydraulicNetwork, q: np.ndarray) -> np.ndarray:
@@ -346,11 +350,10 @@ def valve_positions_for_flows(net: HydraulicNetwork, q: np.ndarray) -> np.ndarra
     return v
 
 
-def flow_sensitivity(net: HydraulicNetwork, v, q: Optional[np.ndarray] = None) -> np.ndarray:
-    """dq/dv at the solved operating point, by the implicit function theorem."""
+def flow_sensitivity(net: HydraulicNetwork, v) -> np.ndarray:
+    """dq/dv at the flows solved for v, by the implicit function theorem."""
     v = np.clip(np.asarray(v, dtype=float), -1.0, 1.0)
-    if q is None:
-        q = solve_flows(net, v)
+    q = solve_flows(net, v)
     E = net.path_matrix
     Q = E @ q
     H = (E.T * (4.0 * net.pipe_s * np.abs(Q))) @ E
@@ -664,24 +667,19 @@ def dhn_interconnection(
     """Wrap the network as the interconnection b(v) = coef * q(v).
 
     coef_i = c_pw*rho_w*delta_i/c_i converts flow to heating rate [K/h].
-    The flows of a stack of valve positions are one :func:`solve_flows`
-    call; ``stats`` counts every row and its mass residual.
+    The flows of a stack of valve positions are one solve of the
+    allocator's (:meth:`DhnAllocator._solve`), which ``stats`` counts.
     """
     n = net.n_consumers
     coef = bld.heat_coefficient(n)
-    bounds = SaturationBounds.symmetric(1.0, n)
-
-    def fn(V):
-        q = solve_flows(net, V)
-        if stats is not None:
-            stats.update(net.mass_residual(q))
-        return coef * q
+    allocator = DhnAllocator(net, coef, stats)
 
     def jac(v):
         return coef[:, None] * flow_sensitivity(net, v)
 
-    return Interconnection(fn=fn, eta=np.ones(n), bounds=bounds, jacobian=jac,
-                           name="dhn", allocator=DhnAllocator(net, coef, stats))
+    return Interconnection(fn=lambda V: coef * allocator._solve(V), eta=np.ones(n),
+                           bounds=SaturationBounds.symmetric(1.0, n), jacobian=jac,
+                           name="dhn", allocator=allocator)
 
 
 # ---------------------------------------------------------------------------
@@ -740,25 +738,35 @@ def network_to_dict(net: HydraulicNetwork) -> dict:
     }
 
 
-def network_from_dict(data: dict, capacity_scale: float = 1.0) -> HydraulicNetwork:
-    """Build a network from the documented file schema (strict keys)."""
-    allowed = {"schema_version", "root", "pump_dp", "edges", "consumers"}
-    unknown = set(data) - allowed
+def _entry(entry, allowed, where) -> dict:
+    """The object ``entry`` of a network file; ConfigError unless it is one
+    with no key outside ``allowed``."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: expected an object, got {entry!r}")
+    unknown = set(entry) - allowed
     if unknown:
-        raise ConfigError(f"network: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    return entry
+
+
+def network_from_dict(data: dict, capacity_scale: float = 1.0) -> HydraulicNetwork:
+    """Build a network from the documented file schema (strict keys, in
+    every edge and consumer too); a consumer's missing resistances take the
+    defaults of :class:`Consumer`."""
+    _entry(data, {"schema_version", "root", "pump_dp", "edges", "consumers"}, "network")
     for key in ("root", "pump_dp", "edges", "consumers"):
         if key not in data:
             raise ConfigError(f"network: missing key '{key}'")
     try:
-        pipes = [Pipe(str(e["parent"]), str(e["child"]), float(e["s"]))
-                 for e in data["edges"]]
-        consumers = [
-            Consumer(node=str(c["node"]), s_c=float(c.get("s_c", 2.5)),
-                     valve_base=float(c.get("valve_base", 5.0)),
-                     valve_span=float(c.get("valve_span", 30.0)),
-                     valve_offset=float(c.get("valve_offset", 1.001)))
-            for c in data["consumers"]
-        ]
+        edges = [_entry(e, {"parent", "child", "s"}, f"network: edges[{k}]")
+                 for k, e in enumerate(data["edges"])]
+        entries = [_entry(c, {"node", "s_c", "valve_base", "valve_span", "valve_offset"},
+                          f"network: consumers[{k}]")
+                   for k, c in enumerate(data["consumers"])]
+        pipes = [Pipe(str(e["parent"]), str(e["child"]), float(e["s"])) for e in edges]
+        consumers = [Consumer(node=str(c["node"]),
+                              **{key: float(val) for key, val in c.items() if key != "node"})
+                     for c in entries]
         return HydraulicNetwork(root=str(data["root"]), pipes=pipes, consumers=consumers,
                                 pump_dp=float(data["pump_dp"]) * capacity_scale)
     except (KeyError, TypeError, ValueError) as exc:

@@ -35,6 +35,10 @@ STRICT_MARGIN = 1e-10
 
 _BOUNDARY_TOL = 1e-12
 
+#: probability with which the assumption-1 and lemma-1 checkers pin a
+#: coordinate of a sampled pair equal
+PIN_PROB = 0.5
+
 
 @dataclass(frozen=True, eq=False)
 class Interconnection:
@@ -329,11 +333,11 @@ def _strict_positivity(q, margin):
     return bad, ~bad & (q <= margin)
 
 
-def _distinct_pairs(rng, bounds: SaturationBounds, n_wanted, pin_prob, draw_free):
+def _distinct_pairs(rng, bounds: SaturationBounds, n_wanted, draw_free):
     """Sampled pairs (v, v~) with v != v~, as two stacks in draw order.
 
     Every attempt takes 3n doubles: n for v, n for the pins (a coordinate is
-    pinned equal with probability ``pin_prob``) and n from which
+    pinned equal with probability PIN_PROB) and n from which
     ``draw_free(v, d)`` makes the free coordinates of v~.  Attempts whose two
     points coincide are dropped.  Attempts are drawn in chunks of the pairs
     still wanted, up to 20*n_wanted attempts in all, so the pairs are those
@@ -347,7 +351,7 @@ def _distinct_pairs(rng, bounds: SaturationBounds, n_wanted, pin_prob, draw_free
         attempts += k
         d = rng.random((k, 3 * n))
         v = _uniform(bounds.lower, bounds.upper, d[:, :n])
-        v_alt = np.where(d[:, n:2 * n] < pin_prob, v, draw_free(v, d[:, 2 * n:]))
+        v_alt = np.where(d[:, n:2 * n] < PIN_PROB, v, draw_free(v, d[:, 2 * n:]))
         distinct = np.any(v_alt != v, axis=1)
         firsts.append(v[distinct])
         seconds.append(v_alt[distinct])
@@ -364,7 +368,6 @@ def check_assumption1(
     ic: Interconnection,
     n_samples: int,
     rng_seed: int = 0,
-    pin_prob: float = 0.5,
     margin: float = STRICT_MARGIN,
 ) -> PropertyVerdict:
     """Sample ordered pairs and test competition plus aggregate monotonicity.
@@ -381,7 +384,7 @@ def check_assumption1(
         raise ValueError("n_samples must be >= 1")
     upper = ic.bounds.upper
     v_low, v_high = _distinct_pairs(np.random.default_rng(rng_seed), ic.bounds, n_samples,
-                                    pin_prob, lambda v, d: _uniform(v, upper, d))
+                                    lambda v, d: _uniform(v, upper, d))
     diff = ic(v_high) - ic(v_low)
     # column i < n: competition on coordinate i, negated so that it must be
     # positive (NaN, never listed, where i moved); column n: aggregate
@@ -404,14 +407,13 @@ def check_lemma1(
     ic: Interconnection,
     n_pairs: int,
     rng_seed: int = 0,
-    pin_prob: float = 0.5,
     margin: float = STRICT_MARGIN,
 ) -> PropertyVerdict:
     """Signed-change dominance: for arbitrary pairs v != v~, the eta-weighted
     output change signed by the input change on moved coordinates strictly
     exceeds the absolute output change on unmoved coordinates.
 
-    Coordinates are pinned equal with probability ``pin_prob`` so the unmoved
+    Coordinates are pinned equal with probability PIN_PROB so the unmoved
     index set is frequently nonempty; otherwise the right-hand side is almost
     always trivially zero.  The free coordinates of v~ are uniform on the
     box.  All pairs are drawn first (see :func:`_distinct_pairs`) and b is
@@ -421,7 +423,7 @@ def check_lemma1(
         raise ValueError("n_pairs must be >= 1")
     lo, hi = ic.bounds.lower, ic.bounds.upper
     v, v_alt = _distinct_pairs(np.random.default_rng(rng_seed), ic.bounds, n_pairs,
-                               pin_prob, lambda v, d: _uniform(lo, hi, d))
+                               lambda v, d: _uniform(lo, hi, d))
     diff = ic(v_alt) - ic(v)
     moved = v_alt != v
     lhs = np.sum(np.where(moved, ic.eta * np.sign(v_alt - v) * diff, 0.0), axis=1)

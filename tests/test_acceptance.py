@@ -97,7 +97,7 @@ def test_criterion_4_decentralized_optimality(sys_dec2):
     # 1.5 frozen from an independent 201x201 grid scan of the weighted-L1
     # landscape (optimum at the fully open corner)
     assert abs(eq.cost_l1w - 1.5) < 1e-5
-    verdict = cp.verify_optimality(sys_dec2, eq, "l1w", n_samples=1000, seed=0)
+    verdict = cp.verify_optimality(sys_dec2, eq, n_samples=1000, seed=0)
     assert verdict.passed, verdict.report()
     assert verdict.details["n_alternatives"] == 1000
     assert verdict.details["min_alternative_gap"] > 0
@@ -113,7 +113,7 @@ def test_criterion_5_coordinating_optimality(sys_coord2):
     # landscape (optimum at v = (1, 0.2))
     assert abs(eq.cost_linf - 1.05) < 1e-5
     assert eq.x0.max() - eq.x0.min() < 1e-9
-    verdict = cp.verify_optimality(sys_coord2, eq, "linf", n_samples=1000, seed=0)
+    verdict = cp.verify_optimality(sys_coord2, eq, n_samples=1000, seed=0)
     assert verdict.passed, verdict.report()
     print("\n[PASS] criterion 5: coordinating equilibrium attains the max-error "
           f"oracle minimum 1.05, components equal within 1e-9")

@@ -187,24 +187,42 @@ class TestSimulateCommand:
         where = "system.building" if section == "building" else "network"
         assert capsys.readouterr().err.startswith(f"config error: {where}: ")
 
+    @pytest.mark.parametrize("entry, key", [("edges", "length"), ("consumers", "valve_spam")])
+    def test_dhn_unknown_network_key_exit_2(self, tmp_path, capsys, entry, key):
+        cfg = small_dhn_cfg()
+        cfg["system"]["network"][entry][0][key] = 3
+        assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: network: {entry}[0]: unknown keys ['{key}']")
+
     @pytest.mark.parametrize("system, path, value, section", [
-        pytest.param("linear", ("agents", "a"), 0, "agents", id="a-zero"),
-        pytest.param("linear", ("agents", "a"), [1, -1], "agents", id="a-negative"),
-        pytest.param("linear", ("agents", "a"), "x", "agents", id="a-text"),
-        pytest.param("linear", ("agents", "w"), float("nan"), "agents", id="w-nan"),
-        pytest.param("linear", ("system", "bounds", "lower"), [1, 1], "system.bounds",
+        pytest.param("decentralized", ("agents", "a"), 0, "agents", id="a-zero"),
+        pytest.param("decentralized", ("agents", "a"), [1, -1], "agents", id="a-negative"),
+        pytest.param("decentralized", ("agents", "a"), "x", "agents", id="a-text"),
+        pytest.param("decentralized", ("agents", "w"), float("nan"), "agents", id="w-nan"),
+        pytest.param("decentralized", ("system", "bounds", "lower"), [1, 1], "system.bounds",
                      id="lower-at-upper"),
-        pytest.param("linear", ("system", "bounds", "lower"), [-1], "system.bounds",
+        pytest.param("decentralized", ("system", "bounds", "lower"), [-1], "system.bounds",
                      id="lower-short"),
-        pytest.param("linear", ("system", "bounds", "lower"), [-1, float("-inf")],
+        pytest.param("decentralized", ("system", "bounds", "lower"), [-1, float("-inf")],
                      "system.bounds", id="lower-inf"),
-        pytest.param("linear", ("system", "B"), [[1.0, -0.25], [-0.25]], "system.B",
+        pytest.param("decentralized", ("system", "B"), [[1.0, -0.25], [-0.25]], "system.B",
                      id="B-ragged"),
-        pytest.param("linear", ("system", "B"), [[1.0, -0.25, 0.0], [-0.25, 1.0, 0.0]],
+        pytest.param("decentralized", ("system", "B"), [[1.0, -0.25, 0.0], [-0.25, 1.0, 0.0]],
                      "system.B", id="B-2x3"),
-        pytest.param("linear", ("controller", "kP"), "x", "controller", id="kP-text"),
-        pytest.param("linear", ("controller", "kP"), [1, 2, 3], "controller.kP",
+        pytest.param("decentralized", ("controller", "kP"), "x", "controller", id="kP-text"),
+        pytest.param("decentralized", ("controller", "kP"), [1, 2, 3], "controller.kP",
                      id="kP-length"),
+        pytest.param("decentralized", ("controller", "kP"), float("inf"), "controller",
+                     id="kP-inf"),
+        pytest.param("decentralized", ("controller", "kA"), [0.4, float("inf")],
+                     "controller", id="kA-inf"),
+        pytest.param("coordinating", ("controller", "kC"), float("nan"), "controller",
+                     id="kC-nan"),
+        pytest.param("coordinating", ("controller", "kC"), float("inf"), "controller",
+                     id="kC-inf"),
+        pytest.param("coordinating", ("controller", "alpha"), float("nan"), "controller",
+                     id="alpha-nan"),
         pytest.param("dhn", ("system", "capacity_scale"), "x", "system.capacity_scale",
                      id="dhn-capacity-scale-text"),
         pytest.param("dhn", ("agents", "w"), float("nan"), "agents", id="dhn-w-nan"),
@@ -213,12 +231,14 @@ class TestSimulateCommand:
                      id="dhn-profile-nan"),
     ])
     def test_bad_scenario_value_exit_2(self, tmp_path, capsys, system, path, value, section):
-        if system == "linear":
-            cfg = json.loads(cli.shipped_config_path("linear2_decentralized.cfg").read_text(
+        # under force, so that a bad gain cannot pass as a tuning failure
+        if system == "dhn":
+            cfg = small_dhn_cfg()
+        else:
+            cfg = json.loads(cli.shipped_config_path(f"linear2_{system}.cfg").read_text(
                 encoding="utf-8"))
             cfg["outputs"]["directory"] = str(tmp_path / "out")
-        else:
-            cfg = small_dhn_cfg()
+            cfg["controller"]["force"] = True
         target = cfg
         for key in path[:-1]:
             target = target[key]
@@ -238,6 +258,9 @@ class TestSimulateCommand:
         (["verify", "--stability", "--tol", "inf"], "--tol"),
         (["verify", "--stability", "--tol", "0"], "--tol"),
         (["verify", "--stability", "--tol", "-1"], "--tol"),
+        (["check", "--seed", "-1"], "--seed"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["verify", "--stability", "--seed", "-1"], "--seed"),
     ])
     def test_bad_count_or_horizon_flag_exit_2(self, tmp_path, capsys, argv, flag):
         path = write_cfg(tmp_path, linear_cfg())

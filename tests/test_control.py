@@ -13,14 +13,14 @@ class TestFields:
         s = cp.ClosedLoopState([-1.0], [-1.5])
         u = control_input(scalar_system.gains, s)
         assert u[0] == pytest.approx(3.5)
-        dx, dz = cp.field_decentralized(scalar_system, s)
+        dx, dz = cp.field(scalar_system, s)
         assert dx[0] == pytest.approx(0.0, abs=1e-12)
         assert dz[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_origin_equilibrium_unforced(self, ic2, gains_dec2, bounds2):
         agents = cp.AgentEnsemble(a=[1.0, 1.0], w=[0.0, 0.0])
         sys0 = cp.ClosedLoopSystem(agents=agents, ic=ic2, gains=gains_dec2, bounds=bounds2)
-        dx, dz = cp.field_decentralized(sys0, cp.ClosedLoopState.zero(2))
+        dx, dz = cp.field(sys0, cp.ClosedLoopState.zero(2))
         np.testing.assert_allclose(dx, 0.0)
         np.testing.assert_allclose(dz, 0.0)
 
@@ -28,7 +28,7 @@ class TestFields:
         x0 = np.array([-1.25, -0.25])
         u0 = np.array([4.125, 1.625])
         z0 = -(u0 + sys_dec2.gains.kP * x0) / sys_dec2.gains.kI
-        dx, dz = cp.field_decentralized(sys_dec2, cp.ClosedLoopState(x0, z0))
+        dx, dz = cp.field(sys_dec2, cp.ClosedLoopState(x0, z0))
         np.testing.assert_allclose(dx, 0.0, atol=1e-12)
         np.testing.assert_allclose(dz, 0.0, atol=1e-12)
 
@@ -39,7 +39,7 @@ class TestFields:
         s = cp.ClosedLoopState(x0, z0)
         u = control_input(sys_coord2.gains, s)
         np.testing.assert_allclose(u, u0, atol=1e-12)
-        dx, dz = cp.field_coordinating(sys_coord2, s)
+        dx, dz = cp.field(sys_coord2, s)
         np.testing.assert_allclose(dx, 0.0, atol=1e-12)
         np.testing.assert_allclose(dz, 0.0, atol=1e-12)
 
@@ -57,17 +57,10 @@ class TestFields:
             s = cp.ClosedLoopState(x, z)
             if np.any(cp.deadzone(control_input(gd, s), bounds2) != 0.0):
                 continue
-            dxd, dzd = cp.field_decentralized(sd, s)
-            dxc, dzc = cp.field_coordinating(sc, s)
+            dxd, dzd = cp.field(sd, s)
+            dxc, dzc = cp.field(sc, s)
             np.testing.assert_array_equal(dxd, dxc)
             np.testing.assert_array_equal(dzd, dzc)
-
-    def test_mode_guards(self, sys_dec2, sys_coord2):
-        s = cp.ClosedLoopState.zero(2)
-        with pytest.raises(ValueError):
-            cp.field_coordinating(sys_dec2, s)
-        with pytest.raises(ValueError):
-            cp.field_decentralized(sys_coord2, s)
 
 
 class TestFieldStack:

@@ -170,7 +170,7 @@ class TestDecentralizedEquilibrium:
     def test_residual_is_field_norm(self, sys_dec2):
         rep = cp.find_equilibrium_decentralized(sys_dec2)
         s = cp.ClosedLoopState(rep.x0, rep.z0)
-        dx, dz = cp.field_decentralized(sys_dec2, s)
+        dx, dz = cp.field(sys_dec2, s)
         assert rep.residual == pytest.approx(max(np.max(np.abs(dx)), np.max(np.abs(dz))))
         assert rep.residual < 1e-9
 
@@ -415,13 +415,13 @@ class TestStructuredAllocators:
 class TestVerifyOptimality:
     def test_decentralized_passes(self, sys_dec2):
         rep = cp.find_equilibrium_decentralized(sys_dec2)
-        verdict = cp.verify_optimality(sys_dec2, rep, "l1w", n_samples=1000, seed=0)
+        verdict = cp.verify_optimality(sys_dec2, rep, n_samples=1000, seed=0)
         assert verdict.passed
         assert abs(verdict.details["margin"]) < 1e-6
 
     def test_coordinating_passes(self, sys_coord2):
         rep = cp.find_equilibrium_coordinating(sys_coord2)
-        verdict = cp.verify_optimality(sys_coord2, rep, "linf", n_samples=1000, seed=0)
+        verdict = cp.verify_optimality(sys_coord2, rep, n_samples=1000, seed=0)
         assert verdict.passed
 
     def test_perturbed_input_detected(self, sys_dec2):
@@ -432,12 +432,12 @@ class TestVerifyOptimality:
             mode=rep.mode, u0=wrong_u, x0=x, z0=rep.z0, zeta0=rep.zeta0,
             residual=0.0, cost_l1w=float(np.sum(np.abs(x))),
             cost_linf=float(np.max(np.abs(x))), iterations=0)
-        verdict = cp.verify_optimality(sys_dec2, fake, "l1w", n_samples=200, seed=0)
+        verdict = cp.verify_optimality(sys_dec2, fake, n_samples=200, seed=0)
         assert not verdict.passed
 
     def test_report_is_key_value_text(self, sys_dec2):
         rep = cp.find_equilibrium_decentralized(sys_dec2)
-        verdict = cp.verify_optimality(sys_dec2, rep, "l1w", n_samples=10, seed=0)
+        verdict = cp.verify_optimality(sys_dec2, rep, n_samples=10, seed=0)
         text = verdict.report()
         assert "passed=True" in text
         assert any(line.startswith("margin=") for line in text.splitlines())

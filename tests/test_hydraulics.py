@@ -459,6 +459,20 @@ class TestScenario:
         with pytest.raises(cp.ConfigError):
             cp.network_from_dict(data)
 
+    @pytest.mark.parametrize("section, key", [("edges", "length"), ("consumers", "valve_spam")])
+    def test_network_entry_unknown_key(self, section, key):
+        data = cp.network_to_dict(cp.build_dhn_network())
+        data[section][3][key] = 99
+        with pytest.raises(cp.ConfigError, match=rf"network: {section}\[3\]: .*'{key}'"):
+            cp.network_from_dict(data)
+
+    def test_consumer_defaults_are_the_dataclass_defaults(self):
+        data = {"root": "P", "pump_dp": 1e5, "edges": [{"parent": "P", "child": "A", "s": 0.9}],
+                "consumers": [{"node": "A"}, {"node": "A", "valve_span": 12.0}]}
+        first, second = cp.network_from_dict(data).consumers
+        assert first == cp.Consumer("A")
+        assert second == cp.Consumer("A", valve_span=12.0)
+
     def test_interconnection_values_and_stats(self):
         net, bld, _ = cp.build_dhn_scenario()
         stats = cp.HydraulicStats()

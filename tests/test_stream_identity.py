@@ -286,11 +286,12 @@ def test_lemma2_proposals_match_per_pair_reference(instances, name, seed):
             np.testing.assert_array_equal(v_high[k], want_high)
 
 
-def _off_optimum_report(sys, u0):
-    """A report at an arbitrary input, so that many alternatives beat it."""
+def _off_optimum_report(sys, u0, mode):
+    """A report of the ``mode`` loop at an arbitrary input, so that many
+    alternatives beat it."""
     x0 = equilibria.open_loop_state(sys.ic, sys.agents, u0)
     zeros = np.zeros(sys.n)
-    return EquilibriumReport(mode=sys.gains.mode, u0=u0, x0=x0, z0=zeros, zeta0=zeros,
+    return EquilibriumReport(mode=mode, u0=u0, x0=x0, z0=zeros, zeta0=zeros,
                              residual=0.0, cost_l1w=weighted_l1_cost(sys.ic.eta, sys.agents.a, x0),
                              cost_linf=linf_cost(x0), iterations=0)
 
@@ -305,10 +306,10 @@ def test_verify_optimality_matches_per_pair_reference(instances, name):
     opts = OracleOptions(lhs_samples=300, polish=False)  # the polish: see the oracle test
     for seed in range(5):
         u0 = ic.bounds.sample(np.random.default_rng(100 + seed))
-        report = _off_optimum_report(sys, u0)
-        for mode in ("l1w", "linf"):
-            got = cp.verify_optimality(sys, report, mode, n_samples=200, seed=seed, opts=opts)
-            want = reference_verify_optimality(sys, report, mode, n_samples=200, seed=seed,
+        for mode, norm in (("decentralized", "l1w"), ("coordinating", "linf")):
+            report = _off_optimum_report(sys, u0, mode)
+            got = cp.verify_optimality(sys, report, n_samples=200, seed=seed, opts=opts)
+            want = reference_verify_optimality(sys, report, norm, n_samples=200, seed=seed,
                                                opts=opts)
             assert got.details == want.details
             assert got.failures == want.failures
