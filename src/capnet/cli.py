@@ -1,9 +1,10 @@
 """Command-line interface: simulate, check, verify, reproduce-dhn.
 
-Configuration files are JSON with a versioned schema; unknown keys are
-rejected so typos in scientific configs fail loudly.  Exit codes: 0 success,
-1 counterexample/verdict failure, 2 configuration or tuning error, 3 solver
-error; ``main`` maps each error to its code through ``ERROR_EXITS``.
+Configuration files are JSON with a versioned schema; each section is
+checked for unknown and missing keys so typos in scientific configs fail
+loudly.  Exit codes: 0 success, 1 counterexample/verdict failure, 2
+configuration or tuning error, 3 solver error; ``main`` maps each error to
+its code through ``ERROR_EXITS``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -26,7 +27,7 @@ from .control import ClosedLoopSystem
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, ControllerGains,
                    SaturationBounds, validate_tuning)
 from .errors import (AllocationError, CapnetError, ConfigError, EquilibriumError,
-                     FlowSolverError, IntegrationError, TuningError)
+                     FlowSolverError, IntegrationError, TuningError, strict_object)
 from .interconnect import Interconnection, LinearMMatrix, check_assumption1, \
     check_lemma1, check_lemma2
 
@@ -50,13 +51,19 @@ ERROR_EXITS = {
 SCHEMA_VERSION = 1
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+#: (allowed, required) keys of the system section, by system type
+SYSTEM_KEYS = {
+    "linear": ({"type", "B", "eta", "bounds"}, {"type", "B", "bounds"}),
+    "dhn": ({"type", "network", "building", "capacity_scale"}, {"type", "network"}),
+}
+#: (allowed, required) keys of the controller section, by mode: the
+#: decentralized loop's per-agent anti-windup gain kA, or the coordinating
+#: loop's shared gain kC and its ratio alpha
+CONTROLLER_KEYS = {
+    DECENTRALIZED: ({"mode", "kP", "kI", "kA", "force"}, {"mode", "kP", "kI", "kA"}),
+    COORDINATING: ({"mode", "kP", "kI", "kC", "alpha", "force"},
+                   {"mode", "kP", "kI", "kC", "alpha"}),
+}
 
 
 def load_config(path) -> dict:
@@ -69,7 +76,7 @@ def load_config(path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    validate_config(data, base_dir=Path(path).parent)
+    validate_config(data)
     return data
 
 
@@ -78,45 +85,45 @@ def serialize_config(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def validate_config(data: dict, base_dir: Optional[Path] = None):
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(data, {"schema_version", "system", "agents", "controller",
-                         "sim", "outputs"},
-                  {"schema_version", "system", "controller"}, "config")
+def _variant(section, where: str, key: str, variants: dict) -> str:
+    """Check the object ``section`` against the (allowed, required) keys of
+    the variant its ``key`` names; returns that name."""
+    name = section.get(key) if isinstance(section, dict) else None
+    if isinstance(section, dict) and name not in tuple(variants):
+        raise ConfigError(f"{where}: {key} must be {' or '.join(map(repr, variants))}, "
+                          f"got {name!r}")
+    strict_object(section, where, *variants.get(name, ((), ())))
+    return name
+
+
+def validate_config(data: dict):
+    """Check every section of a scenario config for a non-object and for
+    unknown and missing keys; the keys a section takes follow the system
+    type and the controller mode.  Raises ConfigError naming the section."""
+    strict_object(data, "config", {"schema_version", "system", "agents", "controller",
+                                   "sim", "outputs"},
+                  {"schema_version", "system", "agents", "controller"})
     if data["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data['schema_version']!r}")
-    system = data["system"]
-    if not isinstance(system, dict) or "type" not in system:
-        raise ConfigError("system: needs a 'type' key")
-    if system["type"] == "linear":
-        _require_keys(system, {"type", "B", "eta", "bounds"}, {"type", "B", "bounds"},
-                      "system[linear]")
-        _require_keys(system["bounds"], {"lower", "upper"}, {"lower", "upper"},
-                      "system.bounds")
-        if "agents" not in data:
-            raise ConfigError("linear systems need an 'agents' section")
-    elif system["type"] == "dhn":
-        _require_keys(system, {"type", "network", "building", "capacity_scale"},
-                      {"type", "network"}, "system[dhn]")
-        if "building" in system:
-            _require_keys(system["building"],
-                          {"c", "a_hat", "delta", "T_ref", "c_pw", "rho_w"},
-                          set(), "system.building")
+    system, agents = data["system"], data["agents"]
+    if _variant(system, "system", "type", SYSTEM_KEYS) == "linear":
+        strict_object(system["bounds"], "system.bounds", {"lower", "upper"}, {"lower", "upper"})
+        strict_object(agents, "agents", {"a", "w"}, {"a", "w"})
     else:
-        raise ConfigError(f"system.type must be 'linear' or 'dhn', got {system['type']!r}")
-    if "agents" in data:
-        _require_keys(data["agents"], {"a", "w", "temperature_profile"}, set(), "agents")
-    ctrl = data["controller"]
-    _require_keys(ctrl, {"mode", "kP", "kI", "kA", "kC", "alpha", "force"},
-                  {"mode", "kP", "kI"}, "controller")
-    if ctrl["mode"] not in (DECENTRALIZED, COORDINATING):
-        raise ConfigError(f"controller.mode must be 'decentralized' or 'coordinating'")
-    if "sim" in data:
-        _require_keys(data["sim"], {"t_span", "atol", "rtol", "output_dt", "method",
-                                    "dt_max"}, set(), "sim")
-    if "outputs" in data:
-        _require_keys(data["outputs"], {"directory", "prefix"}, set(), "outputs")
+        strict_object(system.get("building", {}), "system.building",
+                      {f.name for f in fields(hydraulics.BuildingParams)})
+        strict_object(agents, "agents", {"a", "w", "temperature_profile"})
+        if ("w" in agents) == ("temperature_profile" in agents):
+            raise ConfigError("agents: dhn systems take exactly one of 'w' and "
+                              "'temperature_profile'")
+        profile = agents.get("temperature_profile", "builtin")
+        if profile != "builtin":
+            strict_object(profile, "agents.temperature_profile", {"times", "values"},
+                          {"times", "values"})
+    _variant(data["controller"], "controller", "mode", CONTROLLER_KEYS)
+    strict_object(data.get("sim", {}), "sim",
+                  {"t_span", "atol", "rtol", "output_dt", "method", "dt_max"})
+    strict_object(data.get("outputs", {}), "outputs", {"directory", "prefix"})
 
 
 @dataclass
@@ -190,7 +197,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
     """Instantiate every object a run needs from a validated config; policy
     defaults to the controller mode."""
     data = cfg.data
-    system_cfg = data["system"]
+    system_cfg, agents_cfg, ctrl = data["system"], data["agents"], data["controller"]
     hstats = None
     temperature = None
     if system_cfg["type"] == "linear":
@@ -217,9 +224,6 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
                 ic = Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=eta_vec,
                                      bounds=bounds, jacobian=lambda v: B,
                                      name="linear-unchecked")
-        agents_cfg = data["agents"]
-        if "a" not in agents_cfg or "w" not in agents_cfg:
-            raise ConfigError("agents: linear systems need 'a' and 'w'")
         with _section("agents"):
             agents = AgentEnsemble(a=_vector_or_scalar(agents_cfg["a"], n, "agents.a"),
                                    w=_vector_or_scalar(agents_cfg["w"], n, "agents.w"))
@@ -233,53 +237,36 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
         bounds = SaturationBounds.symmetric(1.0, n)
         hstats = hydraulics.HydraulicStats()
         ic = hydraulics.dhn_interconnection(net, bld, hstats)
-        agents_cfg = data.get("agents", {})
         with _section("agents"):
-            a = bld.rates(n)
-            if "a" in agents_cfg:
-                a = _vector_or_scalar(agents_cfg["a"], n, "agents.a")
+            a = (_vector_or_scalar(agents_cfg["a"], n, "agents.a") if "a" in agents_cfg
+                 else bld.rates(n))
             if "temperature_profile" in agents_cfg:
                 ref = agents_cfg["temperature_profile"]
                 if ref == "builtin":
                     temperature = sim.make_temperature_profile()
                 else:
-                    _require_keys(ref, {"times", "values"}, {"times", "values"},
-                                  "agents.temperature_profile")
                     temperature = sim.DisturbanceProfile.piecewise(ref["times"], ref["values"])
                 T_ref = np.broadcast_to(np.asarray(bld.T_ref, dtype=float), (n,))
                 w = temperature.with_thermal_map(a, T_ref)
-            elif "w" in agents_cfg:
-                w = _vector_or_scalar(agents_cfg["w"], n, "agents.w")
             else:
-                raise ConfigError("agents: dhn systems need 'w' or 'temperature_profile'")
+                w = _vector_or_scalar(agents_cfg["w"], n, "agents.w")
             agents = AgentEnsemble(a=a, w=w)
 
-    ctrl = data["controller"]
     with _section("controller"):
-        kwargs = dict(kP=_vector_or_scalar(ctrl["kP"], n, "controller.kP"),
-                      kI=_vector_or_scalar(ctrl["kI"], n, "controller.kI"), mode=ctrl["mode"])
-        if ctrl["mode"] == DECENTRALIZED:
-            if "kA" not in ctrl:
-                raise ConfigError("controller: decentralized mode needs kA")
-            kwargs["kA"] = _vector_or_scalar(ctrl["kA"], n, "controller.kA")
-        else:
-            if "kC" not in ctrl or "alpha" not in ctrl:
-                raise ConfigError("controller: coordinating mode needs kC and alpha")
-            kwargs["kC"] = float(ctrl["kC"])
-            kwargs["alpha"] = float(ctrl["alpha"])
-        gains = ControllerGains(**kwargs)
-        system = ClosedLoopSystem(agents=agents, ic=ic, gains=gains, bounds=bounds)
+        # the gains of the config's mode: kC and alpha are shared scalars
+        gains = {key: float(ctrl[key]) if key in ("kC", "alpha")
+                 else _vector_or_scalar(ctrl[key], n, f"controller.{key}")
+                 for key in ("kP", "kI", "kA", "kC", "alpha") if key in ctrl}
+        system = ClosedLoopSystem(agents=agents, ic=ic, bounds=bounds,
+                                  gains=ControllerGains(mode=ctrl["mode"], **gains))
 
-    sim_cfg = data.get("sim", {})
-    t_span = _time_span(sim_cfg.get("t_span", (0.0, 96.0)))
+    # the settings the sim section gives, over SolverOptions' defaults; a
+    # config samples every 0.25 h unless it says otherwise
+    sim_cfg = {"output_dt": 0.25, **data.get("sim", {})}
+    t_span = _time_span(sim_cfg.pop("t_span", (0.0, 96.0)))
     with _section("sim"):
-        opts = sim.SolverOptions(
-            method=sim_cfg.get("method", "rk45"),
-            atol=float(sim_cfg.get("atol", 1e-8)),
-            rtol=float(sim_cfg.get("rtol", 1e-6)),
-            output_dt=sim_cfg.get("output_dt", 0.25),
-            dt_max=sim_cfg.get("dt_max"),
-        )
+        opts = sim.SolverOptions(**{key: float(val) if key in ("atol", "rtol") else val
+                                    for key, val in sim_cfg.items()})
     out_cfg = data.get("outputs", {})
     out_dir = out_cfg.get("directory")
     if out_dir is not None:
@@ -365,8 +352,12 @@ def cmd_reproduce_dhn(args) -> int:
     for policy in policies:
         mode = policy if policy in (DECENTRALIZED, COORDINATING) else DECENTRALIZED
         cfg = ScenarioConfig.load(shipped_config_path(f"dhn_study_{mode}.cfg"))
-        cfg.data["system"]["capacity_scale"] = args.capacity_scale
-        cfg.data["sim"].update(t_span=[0.0, args.t_end], output_dt=args.output_dt)
+        if args.capacity_scale is not None:
+            cfg.data["system"]["capacity_scale"] = args.capacity_scale
+        if args.t_end is not None:
+            cfg.data["sim"]["t_span"] = [0.0, args.t_end]
+        if args.output_dt is not None:
+            cfg.data["sim"]["output_dt"] = args.output_dt
         cfg.data["outputs"]["directory"] = args.out
         artifacts.append(sim.run_scenario(build_scenario(cfg, policy)))
     lines = ["policy,time,max_deviation,sum_deviation"]
@@ -454,11 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dhn = sub.add_parser("reproduce-dhn", help="run the 22-consumer heating case study")
     p_dhn.add_argument("--policy", default="all",
                        choices=list(sim.POLICIES) + ["all"])
-    p_dhn.add_argument("--capacity-scale", type=float,
-                       default=hydraulics.CALIBRATED_CAPACITY_SCALE)
+    # each flag left out keeps the shipped study config's value
+    p_dhn.add_argument("--capacity-scale", type=float)
     p_dhn.add_argument("--out", default="dhn_out")
-    p_dhn.add_argument("--t-end", type=float, default=96.0)
-    p_dhn.add_argument("--output-dt", type=float, default=0.25)
+    p_dhn.add_argument("--t-end", type=float)
+    p_dhn.add_argument("--output-dt", type=float)
     p_dhn.set_defaults(func=cmd_reproduce_dhn)
     return parser
 

@@ -38,7 +38,7 @@ from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       no_monitor_reason, rejectable_disturbance)
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, saturate,
                    validate_tuning)
-from .errors import DimensionError, EquilibriumError, TuningError
+from .errors import DimensionError, EquilibriumError, FlowSolverError, TuningError
 from .interconnect import Interconnection, eval_jacobian
 
 
@@ -295,13 +295,17 @@ def find_equilibrium_coordinating(
 # direct-search oracles
 
 
+#: the oracle searches a grid up to this many agents and a Latin hypercube,
+#: drawn from seed ORACLE_SEED, beyond
+ORACLE_GRID_DIM_LIMIT = 4
+ORACLE_SEED = 0
+
+
 @dataclass
 class OracleOptions:
-    grid_points: int = 9          # per axis, used when n <= grid_dim_limit
-    grid_dim_limit: int = 4
-    lhs_samples: int = 2000       # used when n > grid_dim_limit
+    grid_points: int = 9          # per axis, used when n <= ORACLE_GRID_DIM_LIMIT
+    lhs_samples: int = 2000       # used when n > ORACLE_GRID_DIM_LIMIT
     polish: bool = True
-    seed: int = 0
 
 
 @dataclass
@@ -315,12 +319,12 @@ class OracleResult:
 
 def _candidate_points(bounds, opts: OracleOptions) -> np.ndarray:
     n = bounds.n
-    if n <= opts.grid_dim_limit:
+    if n <= ORACLE_GRID_DIM_LIMIT:
         axes = [np.linspace(bounds.lower[i], bounds.upper[i], opts.grid_points)
                 for i in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(ORACLE_SEED)
     pts = np.empty((opts.lhs_samples, n))
     for d in range(n):
         # Latin hypercube: one sample per stratum, shuffled per dimension
@@ -344,7 +348,7 @@ def _direct_search(ic, agents, cost_of_x, opts: Optional[OracleOptions]):
 
     best_idx = int(np.argmin(costs))
     v_best, c_best = candidates[best_idx].copy(), float(costs[best_idx])
-    method = "grid" if bounds.n <= opts.grid_dim_limit else "lhs"
+    method = "grid" if bounds.n <= ORACLE_GRID_DIM_LIMIT else "lhs"
     if opts.polish:
         from scipy.optimize import minimize  # deferred: scipy is slow to import
 
@@ -466,6 +470,28 @@ class VerificationVerdict:
         lines.append(f"# {self.name}: {'PASS' if self.passed else 'FAIL'} "
                      f"({len(self.failures)} failures)")
         return "\n".join(lines)
+
+
+def certificate_monitor(sys: ClosedLoopSystem,
+                        equilibrium: Optional[EquilibriumReport] = None):
+    """The Lyapunov decrease monitor of sys's loop as ``(monitor, None)``, or
+    ``(None, reason)`` when no certificate applies to it.
+
+    The decentralized certificate is shifted to the loop's equilibrium:
+    ``equilibrium`` when given, else the one solved here, whose absence is a
+    reason too.
+    """
+    reason = no_monitor_reason(sys)
+    if reason is not None:
+        return None, reason
+    if sys.gains.mode == COORDINATING:
+        return CoordinatingMonitor(sys), None
+    if equilibrium is None:
+        try:
+            equilibrium = find_equilibrium_decentralized(sys)
+        except (EquilibriumError, FlowSolverError) as exc:
+            return None, f"no equilibrium: {exc}"
+    return DecentralizedMonitor(sys, equilibrium.zeta0, equilibrium.u0), None
 
 
 #: verify_optimality fails a closed-loop cost above the oracle's by more
@@ -612,21 +638,14 @@ def verify_global_convergence(
                  "best_residual": eq.best_residual},
                 (f"no equilibrium found: {eq.message}",))
     rejectable = rejectable_disturbance(sys) if sys.gains.mode == COORDINATING else False
-    unmonitored = no_monitor_reason(sys)
     magnitude = max(float(np.max(np.abs(eq.x0))), float(np.max(np.abs(eq.z0))))
     half_width = START_BOX_SCALE * (magnitude if magnitude > 0 else 1.0)
     opts = SolverOptions(output_dt=t_max / 50.0)
     rng = np.random.default_rng(seed)
-    starts, monitors = [], []
-    for _ in range(n_starts):
-        starts.append(ClosedLoopState(rng.uniform(-half_width, half_width, sys.n),
-                                      rng.uniform(-half_width, half_width, sys.n)))
-        monitor = None
-        if unmonitored is None and sys.gains.mode == DECENTRALIZED:
-            monitor = DecentralizedMonitor(sys, eq.zeta0, eq.u0)
-        elif unmonitored is None:
-            monitor = CoordinatingMonitor(sys)
-        monitors.append(monitor)
+    starts = [ClosedLoopState(rng.uniform(-half_width, half_width, sys.n),
+                              rng.uniform(-half_width, half_width, sys.n))
+              for _ in range(n_starts)]
+    monitors = [certificate_monitor(sys, eq)[0] for _ in starts]
     trajs = integrate_many(sys, starts, (0.0, t_max), opts, monitors)
     failures = []
     worst_terminal = 0.0

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the strict-object check
+that raises its ConfigError for config and network files."""
 
 
 class CapnetError(Exception):
@@ -62,3 +63,17 @@ class AllocationError(CapnetError):
 
 class ConfigError(CapnetError):
     """A scenario/network configuration file is malformed or inconsistent."""
+
+
+def strict_object(value, where: str, allowed, required=()) -> dict:
+    """``value`` when it is an object holding every ``required`` key and no
+    key outside ``allowed``; a ConfigError naming ``where`` otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    unknown = set(value) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = set(required) - set(value)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    return value

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import AgentEnsemble, SaturationBounds
-from .errors import ConfigError, DimensionError, FlowSolverError
+from .errors import ConfigError, DimensionError, FlowSolverError, strict_object
 from .interconnect import Interconnection
 
 
@@ -738,30 +738,19 @@ def network_to_dict(net: HydraulicNetwork) -> dict:
     }
 
 
-def _entry(entry, allowed, where) -> dict:
-    """The object ``entry`` of a network file; ConfigError unless it is one
-    with no key outside ``allowed``."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object, got {entry!r}")
-    unknown = set(entry) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    return entry
-
-
 def network_from_dict(data: dict, capacity_scale: float = 1.0) -> HydraulicNetwork:
     """Build a network from the documented file schema (strict keys, in
     every edge and consumer too); a consumer's missing resistances take the
     defaults of :class:`Consumer`."""
-    _entry(data, {"schema_version", "root", "pump_dp", "edges", "consumers"}, "network")
-    for key in ("root", "pump_dp", "edges", "consumers"):
-        if key not in data:
-            raise ConfigError(f"network: missing key '{key}'")
+    strict_object(data, "network", {"schema_version", "root", "pump_dp", "edges", "consumers"},
+                  {"root", "pump_dp", "edges", "consumers"})
     try:
-        edges = [_entry(e, {"parent", "child", "s"}, f"network: edges[{k}]")
+        edges = [strict_object(e, f"network: edges[{k}]", {"parent", "child", "s"},
+                               {"parent", "child", "s"})
                  for k, e in enumerate(data["edges"])]
-        entries = [_entry(c, {"node", "s_c", "valve_base", "valve_span", "valve_offset"},
-                          f"network: consumers[{k}]")
+        entries = [strict_object(c, f"network: consumers[{k}]",
+                                 {"node", "s_c", "valve_base", "valve_span", "valve_offset"},
+                                 {"node"})
                    for k, c in enumerate(data["consumers"])]
         pipes = [Pipe(str(e["parent"]), str(e["child"]), float(e["s"])) for e in edges]
         consumers = [Consumer(node=str(c["node"]),
@@ -769,5 +758,5 @@ def network_from_dict(data: dict, capacity_scale: float = 1.0) -> HydraulicNetwo
                      for c in entries]
         return HydraulicNetwork(root=str(data["root"]), pipes=pipes, consumers=consumers,
                                 pump_dp=float(data["pump_dp"]) * capacity_scale)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"network: {exc}") from exc

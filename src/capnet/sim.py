@@ -22,12 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
-                      DecentralizedMonitor, LyapunovMonitor, field, field_jacobian,
-                      field_stack, no_monitor_reason)
-from .core import DECENTRALIZED, AgentEnsemble
-from .errors import (ConfigError, EquilibriumError, FlowSolverError, IntegrationError,
-                     TuningError)
+from .control import (ClosedLoopState, ClosedLoopSystem, LyapunovMonitor, field,
+                      field_jacobian, field_stack)
+from .core import AgentEnsemble, validate_tuning
+from .errors import ConfigError, IntegrationError, TuningError
 from .hydraulics import HydraulicStats
 from .interconnect import Interconnection
 
@@ -549,23 +547,6 @@ def write_summary(path: Path, summary: dict):
             fh.write(f"{key}={summary[key]}\n")
 
 
-def _setup_monitor(sys: ClosedLoopSystem):
-    reason = no_monitor_reason(sys)
-    if reason is None and sys.gains.mode == DECENTRALIZED:
-        from . import equilibria  # deferred: equilibria imports this module
-
-        try:
-            rep = equilibria.find_equilibrium_decentralized(sys)
-        except (EquilibriumError, FlowSolverError) as exc:  # no anchor for the shifted V
-            reason = f"no equilibrium: {exc}"
-        else:
-            return DecentralizedMonitor(sys, rep.zeta0, rep.u0)
-    if reason is not None:
-        log.info("certificate monitor disabled: %s", reason)
-        return None
-    return CoordinatingMonitor(sys)
-
-
 def _deviation_stats(times, x, temperature):
     """Max/sum absolute deviation over time plus the coldest-sample cut."""
     max_dev = np.max(np.abs(x), axis=1)
@@ -616,7 +597,7 @@ def run_scenario(sc: Scenario) -> RunArtifacts:
 
 
 def _run_closed_loop(sc: Scenario) -> RunArtifacts:
-    from .core import validate_tuning
+    from . import equilibria  # deferred: equilibria imports this module
 
     sys = sc.system
     if sys is None:
@@ -630,7 +611,9 @@ def _run_closed_loop(sc: Scenario) -> RunArtifacts:
                 "tuning rule violated; pass force=True/--force to simulate anyway:\n"
                 + report.summary())
         log.warning("tuning rule violated, continuing under force:\n%s", report.summary())
-    monitor = _setup_monitor(sys)
+    monitor, reason = equilibria.certificate_monitor(sys)
+    if reason is not None:
+        log.info("certificate monitor disabled: %s", reason)
     traj = integrate(sys, ClosedLoopState.zero(sys.n), sc.t_span, sc.opts, monitor=monitor)
     summary = {
         "policy": sc.policy,

@@ -141,7 +141,7 @@ def test_criterion_7_hydraulic_fidelity(dhn_study):
     q_shut = cp.solve_flows(net1, np.array([-1.0]))[0]
     assert abs(q_open - 189.0244025310073) / 189.0244025310073 < 1e-6
     assert abs(q_shut - 0.1414213343169888) / 0.1414213343169888 < 1e-6
-    # every Newton solve of the four-policy study conserved mass
+    # every exact tree flow solve of the four-policy study conserved mass
     summary = dhn_study["summary"]
     residual_keys = [k for k in summary if k.endswith("max_mass_residual")]
     assert len(residual_keys) == 4

@@ -246,6 +246,44 @@ class TestSimulateCommand:
         assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {section}: ")
 
+    @pytest.mark.parametrize("system, edits, message", [
+        pytest.param("linear", {"agents": 5}, "agents: expected an object", id="agents-number"),
+        pytest.param("linear", {"system.bounds": 5}, "system.bounds: expected an object",
+                     id="bounds-number"),
+        pytest.param("dhn", {"system.building": 3}, "system.building: expected an object",
+                     id="building-number"),
+        pytest.param("linear", {"sim": [1]}, "sim: expected an object", id="sim-list"),
+        pytest.param("linear", {"outputs": "x"}, "outputs: expected an object",
+                     id="outputs-text"),
+        pytest.param("linear", {"controller": []}, "controller: expected an object",
+                     id="controller-list"),
+        pytest.param("dhn", {"agents": {"temperature_profile": [1]}},
+                     "agents.temperature_profile: expected an object", id="profile-list"),
+        pytest.param("linear", {"controller.kC": 0.5, "controller.alpha": 1.0},
+                     "controller: unknown keys ['alpha', 'kC']",
+                     id="decentralized-with-kC-alpha"),
+        pytest.param("linear", {"controller": {"mode": "coordinating", "kP": 2.0, "kI": 1.0,
+                                               "kC": 0.5, "alpha": 1.0, "kA": 0.4}},
+                     "controller: unknown keys ['kA']", id="coordinating-with-kA"),
+        pytest.param("dhn", {"agents.temperature_profile": "builtin"},
+                     "agents: dhn systems take exactly one of", id="dhn-w-and-profile"),
+        pytest.param("linear", {"agents.temperature_profile": "builtin"},
+                     "agents: unknown keys ['temperature_profile']", id="linear-profile"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "check", "verify"])
+    def test_malformed_section_exit_2(self, tmp_path, capsys, command, system, edits,
+                                      message):
+        # each section is an object with the keys of its system type and mode
+        cfg = linear_cfg() if system == "linear" else small_dhn_cfg()
+        for path, value in edits.items():
+            *parents, key = path.split(".")
+            target = cfg
+            for name in parents:
+                target = target[name]
+            target[key] = value
+        assert cli.main([command, str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     @pytest.mark.parametrize("argv, flag", [
         (["check", "--samples", "0"], "--samples"),
         (["check", "--samples", "-3"], "--samples"),
@@ -440,6 +478,19 @@ class TestReproduceDhn:
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
+
+    def test_flags_left_out_keep_the_study_config(self, tmp_path, monkeypatch):
+        # without --t-end the run spans the shipped config's t_span
+        shipped = cli.shipped_config_path
+        data = cli.load_config(shipped("dhn_study_decentralized.cfg"))
+        data["sim"]["t_span"] = [0, 2]
+        study = write_cfg(tmp_path, data, "dhn_study_decentralized.cfg")
+        monkeypatch.setattr(cli, "shipped_config_path",
+                            lambda name: study if name == study.name else shipped(name))
+        out = tmp_path / "out"
+        assert cli.main(["reproduce-dhn", "--policy", "oracle-linf", "--out", str(out)]) == 0
+        rows = (out / "dhn_oracle-linf.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 9
 
     def test_single_policy_short(self, tmp_path):
         out = tmp_path / "dhn"

@@ -150,7 +150,7 @@ def reference_direct_search(ic, agents, cost_of_x, opts):
     costs = np.array([cost(v) for v in candidates])
     best_idx = int(np.argmin(costs))
     v_best, c_best = candidates[best_idx].copy(), float(costs[best_idx])
-    method = "grid" if bounds.n <= opts.grid_dim_limit else "lhs"
+    method = "grid" if bounds.n <= equilibria.ORACLE_GRID_DIM_LIMIT else "lhs"
     if opts.polish:
         from scipy.optimize import minimize
 

@@ -4,9 +4,11 @@
 by a timing wrapper, and ``Tracer.active()`` raises KeyError on one the owner
 does not define; its observers read fields off the traced results.
 ``perfbench/workloads.py`` calls the package's public functions and checks
-what they return.  A rename or a changed signature in ``src/capnet`` would
-otherwise break ``perfbench/run.py`` without any test failing.  The tests
-load both files and change nothing in them.
+what they return, and ``perfbench/setup_probe.py`` validates and builds
+scenario configs of its own.  A rename, a changed signature or a stricter
+config schema in ``src/capnet`` would otherwise break ``perfbench/run.py``
+without any test failing.  The tests load these files and change nothing in
+them.
 """
 
 import importlib.util
@@ -71,3 +73,11 @@ def test_certify_allocations_pass_the_workload_checks(tmp_path):
         assert ops[name].check(res).problems == [], name
     assert "x" in results["oracle-l1"] and "x" in results["oracle-linf"]
     assert certify.check_round(results) == []
+
+
+def test_setup_probe_builds_both_configs(capsys):
+    # the probe validates and builds its own DHN study config and the
+    # shipped linear one
+    probe = _load("setup_probe")
+    assert probe.main("dhn") == 0
+    assert probe.main("linear") == 0
