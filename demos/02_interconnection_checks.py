@@ -23,7 +23,7 @@ print("\n-- positive off-diagonal entry: competition is violated --")
 B_bad = np.array([[1.0, 0.25], [-0.25, 1.0]])
 # fn maps a stack of points (one per row) to the stack of their outputs
 ic_bad = cp.Interconnection(fn=lambda V: (B_bad @ V[..., None])[..., 0], eta=np.ones(2),
-                            bounds=bounds, jacobian=lambda v: B_bad)
+                            bounds=bounds, linearization=lambda v: (B_bad @ v, B_bad))
 verdict = cp.check_assumption1(ic_bad, 2000, rng_seed=0)
 print(verdict.summary())
 

@@ -99,11 +99,14 @@ def _variant(section, where: str, key: str, variants: dict) -> str:
 def validate_config(data: dict):
     """Check every section of a scenario config for a non-object and for
     unknown and missing keys; the keys a section takes follow the system
-    type and the controller mode.  Raises ConfigError naming the section."""
+    type and the controller mode.  ``schema_version`` must be the integer 1
+    and ``controller.force``, when given, a boolean.  Raises ConfigError
+    naming the section."""
     strict_object(data, "config", {"schema_version", "system", "agents", "controller",
                                    "sim", "outputs"},
                   {"schema_version", "system", "agents", "controller"})
-    if data["schema_version"] != SCHEMA_VERSION:
+    # type first: true == 1 and 1.0 == 1 in Python
+    if type(data["schema_version"]) is not int or data["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data['schema_version']!r}")
     system, agents = data["system"], data["agents"]
     if _variant(system, "system", "type", SYSTEM_KEYS) == "linear":
@@ -121,6 +124,9 @@ def validate_config(data: dict):
             strict_object(profile, "agents.temperature_profile", {"times", "values"},
                           {"times", "values"})
     _variant(data["controller"], "controller", "mode", CONTROLLER_KEYS)
+    force = data["controller"].get("force", False)
+    if not isinstance(force, bool):
+        raise ConfigError(f"controller.force: expected true or false, got {force!r}")
     strict_object(data.get("sim", {}), "sim",
                   {"t_span", "atol", "rtol", "output_dt", "method", "dt_max"})
     strict_object(data.get("outputs", {}), "outputs", {"directory", "prefix"})
@@ -222,7 +228,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
                             "wrapping it unchecked for property checking", exc)
                 eta_vec = np.ones(n) if eta is None else np.asarray(eta, dtype=float)
                 ic = Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=eta_vec,
-                                     bounds=bounds, jacobian=lambda v: B,
+                                     bounds=bounds, linearization=lambda v: (B @ v, B),
                                      name="linear-unchecked")
         with _section("agents"):
             agents = AgentEnsemble(a=_vector_or_scalar(agents_cfg["a"], n, "agents.a"),
@@ -274,7 +280,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
     return sim.Scenario(
         policy=policy or ctrl["mode"],
         agents=agents, ic=ic, t_span=t_span, opts=opts, system=system,
-        force=bool(ctrl.get("force", False)), temperature=temperature,
+        force=ctrl.get("force", False), temperature=temperature,
         hydraulic_stats=hstats, out_dir=out_dir,
         prefix=out_cfg.get("prefix", "run"))
 

@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, ControllerGains,
-                   SaturationBounds, as_vector, deadzone, saturate)
+                   SaturationBounds, as_vector, deadzone)
 from .errors import DimensionError, TuningError
-from .interconnect import Interconnection, eval_jacobian
+from .interconnect import Interconnection
 
 #: multiplicative slack for the certificate-decrease monitors; discrete
 #: integration may produce increases of this order without meaning anything
@@ -85,58 +85,93 @@ def control_input(gains: ControllerGains, s: ClosedLoopState) -> np.ndarray:
 
 def field(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
     """Time derivatives (dx, dz) of the loop the gains select, at time t:
-    the stack of one of :func:`field_stack`."""
-    dx, dz = field_stack(sys, s.x[None], s.z[None], t)
-    return dx[0], dz[0]
+    :func:`field_stack` of one state."""
+    return field_stack(sys, s.x, s.z, t)
 
 
 def field_stack(sys: ClosedLoopSystem, x, z, t=0.0):
     """Time derivatives (dx, dz) of the loop the gains select, for a stack
-    of states.
+    of states or for one.
 
-    x and z are (m, n) arrays holding one state per row; t is one time for
-    every row or an (m,) array of them.  Both loops share
-    dx = -a*x + b(v) + w with v the clipped PI input u = -kP*x - kI*z.  The
-    decentralized integrator gets dz = x + kA*(u - v), its own excess; the
-    coordinating one gets dz = x + kC*sum_j (u - v)_j, the same shared sum in
-    every agent.  u is clipped into the box once for the whole stack, so b(v)
-    comes from one call of the raw ``ic.fn`` on the stack: a clipped v cannot
-    fail the domain check of ``eval_interconnection``.
+    x and z are (m, n) arrays holding one state per row, or (n,) arrays of
+    one state; t is one time for every row or an (m,) array of them.  Both
+    loops share dx = -a*x + b(v) + w with v the clipped PI input
+    u = -kP*x - kI*z.  The decentralized integrator gets dz = x + kA*(u - v),
+    its own excess; the coordinating one gets dz = x + kC*sum_j (u - v)_j,
+    the same shared sum in every agent.  u is clipped into the box once for
+    the whole stack, so b(v) comes from one call of the raw ``ic.fn`` on the
+    stack: a clipped v cannot fail the domain check of
+    ``eval_interconnection``.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if x.ndim != 2 or x.shape != z.shape or x.shape[1] != sys.n:
-        raise DimensionError(f"x and z must both have shape (m, {sys.n})")
+    if x.ndim not in (1, 2) or x.shape != z.shape or x.shape[-1] != sys.n:
+        raise DimensionError(f"x and z must both have shape (m, {sys.n}) or ({sys.n},)")
+    u = -sys.gains.kP * x - sys.gains.kI * z
+    # np.clip's bits from its two ufuncs, without its wrapper's cost per call
+    v = np.minimum(np.maximum(u, sys.bounds.lower), sys.bounds.upper)
+    b = np.asarray(sys.ic.fn(v if v.ndim == 2 else v[None]), dtype=float)
+    return _derivatives(sys, x, u, v, b.reshape(v.shape), t)
+
+
+def _derivatives(sys: ClosedLoopSystem, x, u, v, b, t):
+    """(dx, dz) at the states x with PI inputs u, clipped inputs v and
+    resources b = b(v), one state or a stack."""
     gains, agents = sys.gains, sys.agents
-    u = -gains.kP * x - gains.kI * z
-    v = np.clip(u, sys.bounds.lower, sys.bounds.upper)
-    b = np.asarray(sys.ic.fn(v), dtype=float)
     w = agents.w if agents.w_is_constant else agents.w_at(t)
     dx = -agents.a * x + b + w
     if gains.mode == DECENTRALIZED:
         dz = x + gains.kA * (u - v)
     else:
-        dz = x + gains.kC * (u - v).sum(axis=1, keepdims=True)
+        dz = x + gains.kC * (u - v).sum(axis=-1, keepdims=True)
     return dx, dz
 
 
-def field_jacobian(sys: ClosedLoopSystem, s: ClosedLoopState) -> np.ndarray:
-    """d(dx, dz)/d(x, z) of either loop, as a 2n x 2n matrix.  Agents strictly
-    inside the box pass du to b(v), saturated ones to the anti-windup term."""
-    n = sys.n
-    u = control_input(sys.gains, s)
-    free = (u > sys.bounds.lower) & (u < sys.bounds.upper)
-    du = np.hstack([np.diag(-sys.gains.kP), np.diag(-sys.gains.kI)])  # du/d(x, z)
-    excess = (~free)[:, None] * du                                      # d(u - v)/d(x, z)
+def field_linearization(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
+    """The derivatives (dx, dz) of either loop at one state and time t, and
+    their 2n x 2n Jacobian d(dx, dz)/d(x, z), from one
+    :meth:`~capnet.interconnect.Interconnection.linearize` call.
+
+    du/d(x, z) = (-kP, -kI) reaches b(v) through the agents strictly inside
+    the box, and the anti-windup excess u - v through the saturated ones.
+    So the top blocks are db/dv's columns of the free agents, scaled by -kP
+    and -kI, with -a on the diagonal; below, the identity from dz = x + ...
+    and the saturated agents' excess, on the diagonals for the decentralized
+    loop and in every row for the coordinating one.
+    """
+    n, gains, bounds = sys.n, sys.gains, sys.bounds
+    u = control_input(gains, s)
+    v = np.clip(u, bounds.lower, bounds.upper)
+    b, Jb = sys.ic.linearize(v)
+    dx, dz = _derivatives(sys, s.x, u, v, b, t)
+    free = (u > bounds.lower) & (u < bounds.upper)
+    du = np.array([-gains.kP, -gains.kI])
+    to_b = du * free
+    excess = du - to_b
     J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = np.diag(-sys.agents.a)
-    J[:n] += (eval_jacobian(sys.ic, saturate(u, sys.bounds)) * free) @ du
-    J[n:, :n] = np.eye(n)
-    if sys.gains.mode == DECENTRALIZED:
-        J[n:] += sys.gains.kA[:, None] * excess
+    np.multiply(Jb, to_b[0], out=J[:n, :n])
+    np.multiply(Jb, to_b[1], out=J[:n, n:])
+    _diagonal(J, 0, 0, n)[:] -= sys.agents.a
+    if gains.mode == DECENTRALIZED:
+        _diagonal(J, n, 0, n)[:] = gains.kA * excess[0]
+        _diagonal(J, n, n, n)[:] = gains.kA * excess[1]
     else:
-        J[n:] += sys.gains.kC * excess.sum(axis=0)
-    return J
+        J[n:, :n] = gains.kC * excess[0]
+        J[n:, n:] = gains.kC * excess[1]
+    _diagonal(J, n, 0, n)[:] += 1.0
+    return dx, dz, J
+
+
+def _diagonal(J, row, col, n):
+    """A writable view of the n-entry diagonal of the square matrix J that
+    starts at (row, col)."""
+    return J.reshape(-1)[row * len(J) + col::len(J) + 1][:n]
+
+
+def field_jacobian(sys: ClosedLoopSystem, s: ClosedLoopState) -> np.ndarray:
+    """d(dx, dz)/d(x, z) of either loop at one state, as a 2n x 2n matrix:
+    the Jacobian of :func:`field_linearization`."""
+    return field_linearization(sys, s)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, saturate,
                    validate_tuning)
 from .errors import DimensionError, EquilibriumError, FlowSolverError, TuningError
-from .interconnect import Interconnection, eval_jacobian
+from .interconnect import Interconnection
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +126,9 @@ def _solve_normal_map(ic: Interconnection, a, r, c, u, tol, steps, max_steps):
     """Semismooth Newton for N(u) = b(sat u) + r + c*(u - sat u) = 0.
 
     The generalized Jacobian keeps the columns of J_b(sat u) for agents
-    strictly inside the box and puts c_j on the diagonal for the others.
-    Stops once max|N/a| < tol.  ``steps`` is the running count of Newton
+    strictly inside the box and puts c_j on the diagonal for the others; N
+    and J_b at each iterate come from one ``ic.linearize`` call, and the
+    line search evaluates b alone.  Stops once max|N/a| < tol.  ``steps`` is the running count of Newton
     steps, carried over from earlier solves; returns (u, steps).  Raises
     EquilibriumError when ``max_steps`` is reached, the line search uses up
     MAX_BACKTRACKS halvings, or the Jacobian is singular.
@@ -138,17 +139,22 @@ def _solve_normal_map(ic: Interconnection, a, r, c, u, tol, steps, max_steps):
         v = np.clip(u, lo, hi)
         return ic(v) + r + c * (u - v)
 
+    def linearization(u):
+        # N(u) and its generalized Jacobian from one linearization of b
+        v = np.clip(u, lo, hi)
+        b, J = ic.linearize(v)
+        inside = (u > lo) & (u < hi)
+        return b + r + c * (u - v), np.where(inside[None, :], J, np.diag(c))
+
     def fail(reason):
         return _unconverged(f"Newton solve stopped ({reason})",
                             float(np.max(np.abs(n_u / a))), tol, steps, u, ic.bounds)
 
-    n_u = normal_map(u)
+    n_u, J = linearization(u)
     while float(np.max(np.abs(n_u / a))) >= tol:
         if steps >= max_steps:
             raise fail(f"budget of {max_steps} steps used up")
         steps += 1
-        inside = (u > lo) & (u < hi)
-        J = np.where(inside[None, :], eval_jacobian(ic, np.clip(u, lo, hi)), np.diag(c))
         try:
             d = np.linalg.solve(J, -n_u)
         except np.linalg.LinAlgError:
@@ -163,7 +169,8 @@ def _solve_normal_map(ic: Interconnection, a, r, c, u, tol, steps, max_steps):
             t *= 0.5
         else:
             raise fail(f"no sufficient decrease in {MAX_BACKTRACKS} backtracks")
-        u, n_u = u_try, n_try
+        u = u_try
+        n_u, J = linearization(u)
     return u, steps
 
 

@@ -124,6 +124,14 @@ class HydraulicNetwork:
                 E[parent_pipe[cur], i] = 1.0
                 cur = self.pipes[parent_pipe[cur]].parent
         self.path_matrix = E
+        # C[e, k] = 1 if pipe e lies on the root path of pipe k's child
+        C = np.zeros((len(self.pipes), len(self.pipes)))
+        for k, p in enumerate(self.pipes):
+            cur = p.child
+            while cur != self.root:
+                C[parent_pipe[cur], k] = 1.0
+                cur = self.pipes[parent_pipe[cur]].parent
+        self._child_paths = C
         self.pipe_s = np.array([p.s for p in self.pipes])
         self.n_nodes = len(node_id)
         self.consumer_node = np.array([node_id[c.node] for c in self.consumers])
@@ -350,17 +358,33 @@ def valve_positions_for_flows(net: HydraulicNetwork, q: np.ndarray) -> np.ndarra
     return v
 
 
-def flow_sensitivity(net: HydraulicNetwork, v) -> np.ndarray:
-    """dq/dv at the flows solved for v, by the implicit function theorem."""
-    v = np.clip(np.asarray(v, dtype=float), -1.0, 1.0)
-    q = solve_flows(net, v)
+def flow_sensitivity(net: HydraulicNetwork, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """dq/dv at the valves v, in closed form from the flows q that
+    :func:`solve_flows` gives there; no solve of its own.
+
+    Consumer i at node k draws q_i = sqrt(p_k / r_i), so
+    dq_i = q_i (-r_i'/(2 r_i) dv_i + d ln p_k / 2).  Below a pipe e, the
+    subtree resistance R = p_child/Q_e^2 moves with r_j as (q_j/Q_e)^3, and
+    the pipe's pressure ratio p_child/p_parent = R/(2 s_e + R) with it, so
+    d ln p_k/dv_j sums -mu_e q_j^3 r_j' over the pipes on both root paths:
+
+        dq/dv = -1/2 [diag(q r'/r) + diag(q) E^T diag(mu) E diag(q^3 r')],
+        mu_e = -2 s_e Q_e / (p_child p_parent),
+
+    with the pipe flows Q = E q and the pressures at either end of each pipe
+    taken from q by the path balance.
+    """
     E = net.path_matrix
+    r = net.consumer_resistance(v)
+    r_slope = net.consumer_resistance_slope(v)
     Q = E @ q
-    H = (E.T * (4.0 * net.pipe_s * np.abs(Q))) @ E
-    H[np.diag_indices(net.n_consumers)] += 2.0 * net.consumer_resistance(v) * np.abs(q)
-    # residual_i depends on v only through r_i:  dF_i/dv_i = -r'(v_i)|q_i|q_i
-    dF_dv = -net.consumer_resistance_slope(v) * np.abs(q) * q
-    return np.linalg.solve(H, np.diag(dF_dv))
+    loss = net._s2 * Q * Q
+    p_child = net.pump_dp - loss @ net._child_paths
+    mu = -2.0 * net.pipe_s * Q / (p_child * (p_child + loss))
+    S = (E.T * (-0.5 * mu)) @ (E * (q * q * q * r_slope))
+    S *= q[:, None]
+    S.reshape(-1)[::len(q) + 1] -= 0.5 * q * r_slope / r
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -668,18 +692,21 @@ def dhn_interconnection(
 
     coef_i = c_pw*rho_w*delta_i/c_i converts flow to heating rate [K/h].
     The flows of a stack of valve positions are one solve of the
-    allocator's (:meth:`DhnAllocator._solve`), which ``stats`` counts.
+    allocator's (:meth:`DhnAllocator._solve`), which ``stats`` counts; the
+    linearization at one point takes b and its closed-form Jacobian
+    (:func:`flow_sensitivity`) from the same solve.
     """
     n = net.n_consumers
     coef = bld.heat_coefficient(n)
     allocator = DhnAllocator(net, coef, stats)
 
-    def jac(v):
-        return coef[:, None] * flow_sensitivity(net, v)
+    def linearization(v):
+        q = allocator._solve(v)
+        return coef * q, coef[:, None] * flow_sensitivity(net, v, q)
 
     return Interconnection(fn=lambda V: coef * allocator._solve(V), eta=np.ones(n),
-                           bounds=SaturationBounds.symmetric(1.0, n), jacobian=jac,
-                           name="dhn", allocator=allocator)
+                           bounds=SaturationBounds.symmetric(1.0, n),
+                           linearization=linearization, name="dhn", allocator=allocator)
 
 
 # ---------------------------------------------------------------------------

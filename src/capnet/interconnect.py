@@ -51,8 +51,9 @@ class Interconnection:
     ``(B @ V[..., None])[..., 0]``, which gives every row the arithmetic of
     ``B @ v`` alone (``V @ B.T`` rounds differently and depends on m).
     ``fn`` must be pure and finite on the box (spot-checked at construction).
-    ``jacobian`` optionally returns d(fn)/dv at an interior point; without it
-    the equilibrium Newton and the lemma-2 proposals use finite differences.
+    ``linearization`` optionally maps one point v of the box to the pair
+    (b(v), db/dv) from one evaluation, b with the bits ``fn`` gives v in a
+    stack of one; without it :meth:`linearize` uses finite differences.
     ``allocator`` optionally provides ``l1(a, W)`` and ``linf(a, W)``, the
     exact open-loop optima of the weighted-L1 and of the max error.  Each
     takes the (n,) rates a and an (m, n) stack W of disturbances, one per
@@ -65,7 +66,7 @@ class Interconnection:
     fn: Callable[[np.ndarray], np.ndarray]
     eta: np.ndarray
     bounds: SaturationBounds
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    linearization: Optional[Callable[[np.ndarray], tuple]] = None
     name: str = ""
     allocator: Optional[object] = None  # exact open-loop optima, see equilibria
 
@@ -105,6 +106,20 @@ class Interconnection:
     def __call__(self, v) -> np.ndarray:
         return eval_interconnection(self, v)
 
+    def linearize(self, v):
+        """(b(v), db/dv) at one point v of the box, from one call: its own
+        ``linearization`` when it has one, otherwise one-sided finite
+        differences (forward, or backward where a forward step would leave
+        the box), with v and its n steps evaluated as one stack."""
+        if self.linearization is not None:
+            return self.linearization(v)
+        eps = 1e-6
+        steps = np.where(v + eps <= self.bounds.upper, eps, -eps)
+        points = np.tile(v, (self.n + 1, 1))
+        points[np.arange(1, self.n + 1), np.arange(self.n)] += steps
+        b = self(points)
+        return b[0], (b[1:] - b[0]).T / steps
+
 
 def eval_interconnection(ic: Interconnection, v) -> np.ndarray:
     """Evaluate b(v) for v in the box, or b of each row of an (m, n) stack of
@@ -125,19 +140,8 @@ def eval_interconnection(ic: Interconnection, v) -> np.ndarray:
 
 
 def eval_jacobian(ic: Interconnection, v) -> np.ndarray:
-    """d b / d v at v in the box: the interconnection's own ``jacobian`` when
-    it has one, otherwise one-sided finite differences (forward, or backward
-    where a forward step would leave the box), all n + 1 points evaluated as
-    one stack."""
-    v = np.asarray(v, dtype=float)
-    if ic.jacobian is not None:
-        return np.asarray(ic.jacobian(v), dtype=float)
-    eps = 1e-6
-    steps = np.where(v + eps <= ic.bounds.upper, eps, -eps)
-    points = np.tile(v, (ic.n + 1, 1))
-    points[np.arange(1, ic.n + 1), np.arange(ic.n)] += steps
-    b = ic(points)
-    return (b[1:] - b[0]).T / steps
+    """d b / d v at v in the box, from :meth:`Interconnection.linearize`."""
+    return ic.linearize(np.asarray(v, dtype=float))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,7 @@ class LinearMMatrix:
             fn=lambda V: (B @ V[..., None])[..., 0],
             eta=self.eta,
             bounds=bounds,
-            jacobian=lambda v: B,
+            linearization=lambda v: (B @ v, B),
             name="linear",
             allocator=LinearAllocator(B, self.eta, bounds),
         )
@@ -469,7 +473,7 @@ def _lemma2_proposals(ic: Interconnection, rng, n_pairs):
     mode = d[start + n]
     after = start + n + 1  # the first double after the mode
     v_high = np.full_like(v_low, np.nan)
-    aimed = (mode < 0.5) & (ic.jacobian is not None or n <= 8)
+    aimed = (mode < 0.5) & (ic.linearization is not None or n <= 8)
 
     k = np.flatnonzero(aimed)
     if len(k):

@@ -6,7 +6,8 @@ own step control, so many starts cost one loop of field evaluations on the
 stack; ``integrate`` is the stack of one.  Stiff runs such as the
 district-heating study use RODAS4 (``rosenbrock``) on the analytic
 closed-loop Jacobian, one start at a time, stepping exactly on disturbance
-kinks.  Both return each row's accepted steps (time, state and derivative at
+kinks; the field and its Jacobian at each accepted state come from one
+linearization of the interconnection.  Both return each row's accepted steps (time, state and derivative at
 every step end); the certificate monitors check them, and the output grid is
 sampled from them by cubic Hermite interpolation, each in one pass after the
 run.
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .control import (ClosedLoopState, ClosedLoopSystem, LyapunovMonitor, field,
-                      field_jacobian, field_stack)
+                      field_linearization, field_stack)
 from .core import AgentEnsemble, validate_tuning
 from .errors import ConfigError, IntegrationError, TuningError
 from .hydraulics import HydraulicStats
@@ -324,11 +325,13 @@ _RO_CC = [np.array(row) for row in (
      -6.058818238834054))]
 
 
-def _integrate_rosenbrock(fun, jac, t0, t1, y0, opts, stops, dfdt):
+def _integrate_rosenbrock(fun, lin, t0, t1, y0, opts, stops, dfdt):
     """RODAS4 under PI step control (Gustafsson 1991; Hairer's beta = 0.04).
 
     Every step ends exactly on each time in ``stops`` (sorted, ending at t1),
     and ``dfdt(a, b)`` is the constant df/dt between consecutive stops a, b.
+    ``fun(t, y)`` gives f at the stages, and ``lin(t, y)`` the pair (f, J)
+    at the start and at each accepted state, from one evaluation there.
     One inverse of I/(h*gamma) - J per attempted step serves all six stages.
     At most ``opts.max_steps`` steps are attempted.  Returns the accepted
     steps as arrays (T, Y, F), as :func:`_integrate_rk45` gives one row's,
@@ -340,10 +343,9 @@ def _integrate_rosenbrock(fun, jac, t0, t1, y0, opts, stops, dfdt):
     n = len(y0)
     stats = IntegrationStats()
     t, y = t0, y0.copy()
-    f = fun(t, y)
+    f, J = lin(t, y)
     stats.n_field_evals += 1
     steps = [(t, y, f)]
-    J = jac(t, y)
     err_prev, rejected_last = 1.0, False
     k = np.empty((6, n))
     for stop in stops:
@@ -369,12 +371,11 @@ def _integrate_rosenbrock(fun, jac, t0, t1, y0, opts, stops, dfdt):
             scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
             err = float(np.sqrt(np.mean((k[5] / scale) ** 2)))
             if err <= 1.0:
-                t_new = stop if landing else t + h
-                f_new = fun(t_new, y_new)
+                t = stop if landing else t + h
+                y = y_new
+                f, J = lin(t, y)
                 stats.n_field_evals += 1
-                t, y, f = t_new, y_new, f_new
                 steps.append((t, y, f))
-                J = jac(t, y)
                 stats.accepted += 1
                 err = max(err, 1e-10)
                 factor = min(5.0, max(0.2, 0.9 * err ** -0.22 * err_prev ** 0.04))
@@ -460,13 +461,14 @@ def integrate_many(
             slope = (sys.agents.w_at(tb) - sys.agents.w_at(ta)) / (tb - ta)
             return np.concatenate([slope, np.zeros(n)])
 
-        def jac(t, y):
-            return field_jacobian(sys, ClosedLoopState(y[:n], y[n:]))
-
         def fun(t, y):
-            return fun_stack(t, y[None])[0]
+            return np.concatenate(field_stack(sys, y[:n], y[n:], t))
 
-        steps, stats = zip(*(_integrate_rosenbrock(fun, jac, t0, t1, row, opts, stops, dfdt)
+        def lin(t, y):
+            dx, dz, J = field_linearization(sys, ClosedLoopState(y[:n], y[n:]), t)
+            return np.concatenate([dx, dz]), J
+
+        steps, stats = zip(*(_integrate_rosenbrock(fun, lin, t0, t1, row, opts, stops, dfdt)
                              for row in y0))
     grid = None if opts.output_dt is None else _output_grid(t0, t1, opts.output_dt)
     trajs = []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet import cli, equilibria
+from capnet import cli, equilibria, hydraulics
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -75,6 +75,29 @@ class TestConfig:
         cfg["schema_version"] = 99
         with pytest.raises(cp.ConfigError, match="schema_version"):
             cli.load_config(write_cfg(tmp_path, cfg))
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_schema_version_must_be_the_integer(self, tmp_path, capsys, version):
+        # true == 1 and 1.0 == 1 in Python, so the version's type is checked
+        cfg = linear_cfg()
+        cfg["schema_version"] = version
+        assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: unsupported schema_version")
+
+    @pytest.mark.parametrize("force", ["false", "true", 0, 1, None, [True]])
+    def test_non_boolean_force_exit_2(self, tmp_path, capsys, force):
+        # kP*kA = 2 breaks the decentralized rule, which only a JSON true may
+        # force; bool("false") is True
+        cfg = linear_cfg(tmp_path / "out", kA=1.0, force=force)
+        assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: controller.force: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("force, rc", [(False, 2), (True, 0)])
+    def test_boolean_force(self, tmp_path, capsys, force, rc):
+        cfg = linear_cfg(tmp_path / "out", kA=1.0, force=force)
+        assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == rc
+        assert ("tuning error" in capsys.readouterr().err) == (not force)
 
     def test_shipped_configs_load(self):
         # every shipped file is a scenario that builds or a network that loads
@@ -465,6 +488,23 @@ class TestReproduceDhn:
             assert ((tmp_path / "out" / name).read_bytes()
                     == (dhn_study["out"] / name).read_bytes()), name
 
+    @pytest.mark.parametrize("policy", ["decentralized", "coordinating"])
+    def test_flow_solves_counts_every_solved_row(self, tmp_path, monkeypatch, policy):
+        # every row through the solve is counted, the Jacobians' included
+        rows = []
+        solve = hydraulics.solve_flows
+
+        def counted(net, v, *args, **kwargs):
+            rows.append(1 if np.ndim(v) == 1 else len(v))
+            return solve(net, v, *args, **kwargs)
+
+        monkeypatch.setattr(hydraulics, "solve_flows", counted)
+        assert cli.main(["reproduce-dhn", "--policy", policy, "--t-end", "4",
+                         "--out", str(tmp_path)]) == 0
+        summary = dict(line.split("=", 1) for line in (
+            tmp_path / f"dhn_{policy}_summary.txt").read_text(encoding="utf-8").splitlines())
+        assert sum(rows) == int(summary["flow_solves"])
+
     def test_closed_loop_run_never_imports_scipy(self, tmp_path):
         # scipy costs about 20 MB of resident memory; on the study profile
         # the min-max oracle is all closed forms and needs no root search
@@ -472,7 +512,7 @@ class TestReproduceDhn:
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import capnet.cli as cli; "
                 "assert all(cli.main(['reproduce-dhn', '--policy', policy, "
                 "'--t-end', '1', '--out', sys.argv[2]]) == 0 "
-                "for policy in ('decentralized', 'oracle-linf')); "
+                "for policy in ('decentralized', 'coordinating', 'oracle-linf')); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         res = subprocess.run([sys.executable, "-c", code, src, str(tmp_path)],
                              capture_output=True, text=True, timeout=120)

@@ -83,7 +83,7 @@ def dhn_system(mode, ic=None):
 
 
 class CountingInterconnection:
-    """A DHN interconnection whose fn and jacobian calls are counted."""
+    """A DHN interconnection whose fn and linearization calls are counted."""
 
     def __init__(self):
         net, bld, _ = cp.build_dhn_scenario(T_o=-26.5,
@@ -98,7 +98,7 @@ class CountingInterconnection:
             return wrapper
 
         self.ic = cp.Interconnection(fn=counted(base.fn), eta=base.eta, bounds=base.bounds,
-                                     jacobian=counted(base.jacobian), name="dhn",
+                                     linearization=counted(base.linearization), name="dhn",
                                      allocator=base.allocator)
         self.calls = 0  # construction probes fn
 
@@ -284,7 +284,7 @@ class TestIndependentOfOpenLoopRoute:
     def test_dhn(self, no_open_loop_route):
         base = dhn_system("decentralized").ic
         ic = cp.Interconnection(fn=base.fn, eta=base.eta, bounds=base.bounds,
-                                jacobian=base.jacobian, name="dhn",
+                                linearization=base.linearization, name="dhn",
                                 allocator=no_open_loop_route)
         dec = cp.find_equilibrium_decentralized(dhn_system("decentralized", ic))
         coord = cp.find_equilibrium_coordinating(dhn_system("coordinating", ic))
@@ -294,7 +294,7 @@ class TestIndependentOfOpenLoopRoute:
     def test_linear(self, no_open_loop_route, sys_dec2, sys_coord2):
         base = sys_dec2.ic
         ic = cp.Interconnection(fn=base.fn, eta=base.eta, bounds=base.bounds,
-                                jacobian=base.jacobian, name="linear",
+                                linearization=base.linearization, name="linear",
                                 allocator=no_open_loop_route)
         dec = cp.ClosedLoopSystem(agents=sys_dec2.agents, ic=ic, gains=sys_dec2.gains,
                                   bounds=sys_dec2.bounds)

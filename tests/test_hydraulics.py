@@ -142,8 +142,8 @@ class TestNetworkSolver:
         for w in (np.ones(22), -np.ones(22), np.linspace(-1, 1, 22)):
             used(w)
         np.testing.assert_array_equal(used(v), fresh)
-        np.testing.assert_array_equal(used.jacobian(v),
-                                      cp.dhn_interconnection(net, bld).jacobian(v))
+        for got, want in zip(used.linearize(v), cp.dhn_interconnection(net, bld).linearize(v)):
+            np.testing.assert_array_equal(got, want)
 
     def test_pressure_scaling_sqrt(self):
         base = cp.build_dhn_network(1.0)
@@ -222,8 +222,8 @@ class TestNetworkSolver:
     def test_jacobian_matches_finite_differences(self):
         net = cp.build_dhn_network()
         v = np.full(net.n_consumers, 0.3)
-        J = cp.flow_sensitivity(net, v)
         q0 = cp.solve_flows(net, v)
+        J = cp.flow_sensitivity(net, v, q0)
         eps = 1e-6
         for j in (0, 11, 21):
             vp = v.copy()
@@ -251,6 +251,63 @@ class TestTreeSolveProperties:
 
 def study_network():
     return cp.build_dhn_network(cp.CALIBRATED_CAPACITY_SCALE)
+
+
+def implicit_sensitivity(net, v):
+    """Reference dq/dv by the implicit function theorem: the dense solve of
+    the path balances' Jacobian H dq = -dF/dv at the solved flows."""
+    q = cp.solve_flows(net, v)
+    E = net.path_matrix
+    s = np.array([p.s for p in net.pipes])
+    Q = E @ q
+    H = (E.T * (4.0 * s * np.abs(Q))) @ E
+    H[np.diag_indices(net.n_consumers)] += 2.0 * net.consumer_resistance(v) * np.abs(q)
+    # residual_i depends on v only through r_i:  dF_i/dv_i = -r'(v_i)|q_i|q_i
+    return np.linalg.solve(H, np.diag(-net.consumer_resistance_slope(v) * np.abs(q) * q))
+
+
+def closed_form_error(net, v):
+    """Largest deviation of the closed form from the reference, relative to
+    the reference's largest entry."""
+    want = implicit_sensitivity(net, v)
+    got = cp.flow_sensitivity(net, v, cp.solve_flows(net, v))
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestFlowSensitivity:
+    def test_matches_implicit_function_on_study_states(self):
+        net = study_network()
+        rng = np.random.default_rng(21)
+        corners = [np.ones(22), -np.ones(22), *rng.choice([-1.0, 1.0], (20, 22))]
+        for v in [*rng.uniform(-1.0, 1.0, (200, 22)), *corners]:
+            assert closed_form_error(net, v) < 1e-13
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(random_trees())
+    def test_matches_implicit_function_on_random_trees(self, tree):
+        assert closed_form_error(*tree) < 1e-12
+
+    def test_all_open_corner_dominance_margin(self):
+        # the worst case of the column-dominance margin that sampled valve
+        # states miss; four consumers tie for it
+        net = study_network()
+        v = np.ones(22)
+        S = cp.flow_sensitivity(net, v, cp.solve_flows(net, v))
+        diag = np.diag(S)
+        off = S - np.diag(diag)
+        assert np.all(off[~np.eye(22, dtype=bool)] < 0.0)
+        margin = (diag - np.abs(off).sum(axis=0)) / diag
+        assert margin.min() == pytest.approx(0.011676, abs=5e-7)
+        np.testing.assert_array_equal(
+            np.flatnonzero(margin < margin.min() * (1 + 1e-9)), [6, 7, 20, 21])
+
+    def test_no_flow_solve_of_its_own(self, monkeypatch):
+        net = study_network()
+        v = np.linspace(-1.0, 1.0, 22)
+        q = cp.solve_flows(net, v)
+        monkeypatch.setattr(hydraulics, "solve_flows", None)
+        monkeypatch.setattr(np.linalg, "solve", None)
+        cp.flow_sensitivity(net, v, q)
 
 
 def valve_stack(rng, m, n):

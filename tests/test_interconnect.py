@@ -260,7 +260,7 @@ class TestLemma2:
                 return np.zeros((2, 2)) if singular_half and v[0] < 0 else B_REF
             return cp.Interconnection(fn=lambda V: (B_REF @ V[..., None])[..., 0], eta=np.ones(2),
                                       bounds=cp.SaturationBounds.symmetric(1.0, 2),
-                                      jacobian=jac)
+                                      linearization=lambda v: (B_REF @ v, jac(v)))
 
         regular = cp.check_lemma2(with_jacobian(False), 400, rng_seed=3, margin=np.inf)
         calls.clear()

@@ -297,11 +297,11 @@ class TestStackedRk45:
 
 def _attempts_until_budget(sys_, s0, opts):
     """Steps attempted before the budget ran out, counted from the field
-    evaluations: RK45 takes one, then six per attempted step; RODAS4 takes one
-    and a Jacobian, then five per attempted step and one more, with a
-    Jacobian, per accepted one."""
-    calls = {"field": 0, "jacobian": 0}
-    real_stack, real_field, real_jac = sim.field_stack, sim.loop_field, sim.field_jacobian
+    evaluations: RK45 takes one, then six per attempted step; RODAS4 takes
+    five per attempted step, besides the field-and-Jacobian evaluations
+    (``field_linearization``) at the start and at each accepted state."""
+    calls = {"field": 0}
+    real_stack, real_field = sim.field_stack, sim.loop_field
 
     def field_stack(*args, **kwargs):
         calls["field"] += 1
@@ -311,25 +311,22 @@ def _attempts_until_budget(sys_, s0, opts):
         calls["field"] += 1
         return real_field(*args, **kwargs)
 
-    def field_jacobian(*args, **kwargs):
-        calls["jacobian"] += 1
-        return real_jac(*args, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "field_stack", field_stack)
         mp.setattr(sim, "loop_field", loop_field)
-        mp.setattr(sim, "field_jacobian", field_jacobian)
         with pytest.raises(IntegrationError, match="budget"):
             cp.integrate(sys_, s0, (0.0, 100.0), opts)
     if opts.method == "rk45":
         return (calls["field"] - 1) // 6
-    accepted = calls["jacobian"] - 1
-    return (calls["field"] - 1 - accepted) // 5
+    assert calls["field"] % 5 == 0, calls
+    return calls["field"] // 5
 
 
 def _rosenbrock(fun, jac, t1, y0, opts, dfdt):
-    """Integrate fun from 0 to t1 with RODAS4; the final state and the stats."""
-    (_, Y, _), stats = sim._integrate_rosenbrock(fun, jac, 0.0, t1, np.asarray(y0, dtype=float),
+    """Integrate fun from 0 to t1 with RODAS4, linearized by jac; the final
+    state and the stats."""
+    (_, Y, _), stats = sim._integrate_rosenbrock(fun, lambda t, y: (fun(t, y), jac(t, y)),
+                                                 0.0, t1, np.asarray(y0, dtype=float),
                                                  opts, [t1], dfdt)
     return Y[-1], stats
 
@@ -439,6 +436,31 @@ class TestFieldJacobian:
         eps = 1e-6
         J_fd = np.column_stack([(f(y + eps * e) - f(y - eps * e)) / (2 * eps)
                                 for e in np.eye(4)])
+        np.testing.assert_allclose(J, J_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(J)))
+
+
+class TestDhnFieldJacobian:
+    @pytest.mark.parametrize("mode", ["decentralized", "coordinating"])
+    def test_matches_central_differences(self, mode):
+        # the study's 22-consumer loop, agents spread from deep saturation on
+        # either side through the box and kept 0.01 away from every kink
+        sys_ = cli.build_scenario(cli.ScenarioConfig.load(
+            cli.shipped_config_path(f"dhn_study_{mode}.cfg"))).system
+        n = sys_.n
+        u = np.linspace(-2.0, 2.0, n)
+        u[np.abs(np.abs(u) - 1.0) < 0.01] += 0.05
+        assert 0 < np.sum(np.abs(u) < 1.0) < n
+        z = np.linspace(0.3, -0.2, n)
+        x = -(u + sys_.gains.kI * z) / sys_.gains.kP
+        y = np.concatenate([x, z])
+
+        def f(y):
+            return np.concatenate(field(sys_, cp.ClosedLoopState(y[:n], y[n:]), 50.0))
+
+        J = field_jacobian(sys_, cp.ClosedLoopState(x, z))
+        eps = 1e-6
+        J_fd = np.column_stack([(f(y + eps * e) - f(y - eps * e)) / (2 * eps)
+                                for e in np.eye(2 * n)])
         np.testing.assert_allclose(J, J_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(J)))
 
 

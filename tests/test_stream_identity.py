@@ -88,7 +88,7 @@ def reference_lemma2_proposal(ic, rng, v_low):
     lo, hi = ic.bounds.lower, ic.bounds.upper
     n = ic.n
     mode = rng.random()
-    if mode < 0.5 and (ic.jacobian is not None or n <= 8):
+    if mode < 0.5 and (ic.linearization is not None or n <= 8):
         J = eval_jacobian(ic, v_low)
         rhs = rng.uniform(0.1, 1.0, n)
         scale = 10.0 ** rng.uniform(-2.7, -0.7)  # drawn before the solve
@@ -214,7 +214,7 @@ def reference_verify_optimality(sys, report, mode, n_samples=1000, seed=0, tol=1
 
 
 def _no_jacobian_mmatrix(n=9):
-    """An M-matrix coupling on an asymmetric box, without a jacobian and with
+    """An M-matrix coupling on an asymmetric box, without a linearization and with
     n > 8, so lemma 2 never aims through the Jacobian."""
     rng = np.random.default_rng(11)
     B = np.diag(rng.uniform(1.0, 2.0, n)) - rng.uniform(0.0, 0.1, (n, n)) * (1 - np.eye(n))
