@@ -20,10 +20,8 @@ for check in (cp.check_assumption1, cp.check_lemma1, cp.check_lemma2):
     print(check(ic, 2000, rng_seed=0).summary())
 
 print("\n-- positive off-diagonal entry: competition is violated --")
-B_bad = np.array([[1.0, 0.25], [-0.25, 1.0]])
-# fn maps a stack of points (one per row) to the stack of their outputs
-ic_bad = cp.Interconnection(fn=lambda V: (B_bad @ V[..., None])[..., 0], eta=np.ones(2),
-                            bounds=bounds, linearization=lambda v: (B_bad @ v, B_bad))
+# b(v) = B v without LinearMMatrix's sign check, so the checker can show the violation
+ic_bad = cp.linear_interconnection(np.array([[1.0, 0.25], [-0.25, 1.0]]), np.ones(2), bounds)
 verdict = cp.check_assumption1(ic_bad, 2000, rng_seed=0)
 print(verdict.summary())
 

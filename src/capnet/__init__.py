@@ -14,7 +14,8 @@ from .core import (AgentEnsemble, ControllerGains, SaturationBounds, TuningRepor
                    validate_decentralized_tuning, validate_tuning)
 from .interconnect import (Interconnection, LinearAllocator, LinearMMatrix,
                            PropertyVerdict, check_assumption1, check_lemma1,
-                           check_lemma2, eval_interconnection, positive_left_weight)
+                           check_lemma2, eval_interconnection, linear_interconnection,
+                           positive_left_weight)
 from .hydraulics import (CALIBRATED_CAPACITY_SCALE, BuildingParams, Consumer,
                          HydraulicNetwork, HydraulicStats, Pipe,
                          build_dhn_network, build_dhn_scenario, dhn_interconnection,

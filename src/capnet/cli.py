@@ -28,8 +28,8 @@ from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, ControllerGains,
                    SaturationBounds, validate_tuning)
 from .errors import (AllocationError, CapnetError, ConfigError, EquilibriumError,
                      FlowSolverError, IntegrationError, TuningError, strict_object)
-from .interconnect import Interconnection, LinearMMatrix, check_assumption1, \
-    check_lemma1, check_lemma2
+from .interconnect import LinearMMatrix, check_assumption1, check_lemma1, check_lemma2, \
+    linear_interconnection
 
 log = logging.getLogger(__name__)
 
@@ -226,10 +226,8 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
                 # checkers can exhibit the violation instead of refusing to build
                 log.warning("linear map is not an admissible M-matrix (%s); "
                             "wrapping it unchecked for property checking", exc)
-                eta_vec = np.ones(n) if eta is None else np.asarray(eta, dtype=float)
-                ic = Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=eta_vec,
-                                     bounds=bounds, linearization=lambda v: (B @ v, B),
-                                     name="linear-unchecked")
+                ic = linear_interconnection(B, np.ones(n) if eta is None else eta, bounds,
+                                            name="linear-unchecked")
         with _section("agents"):
             agents = AgentEnsemble(a=_vector_or_scalar(agents_cfg["a"], n, "agents.a"),
                                    w=_vector_or_scalar(agents_cfg["w"], n, "agents.w"))
@@ -299,22 +297,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     system = build_scenario(ScenarioConfig.load(args.config)).system
-    wanted = [name for name, on in (("assumption1", args.assumption1),
-                                    ("lemma1", args.lemma1),
-                                    ("lemma2", args.lemma2),
-                                    ("tuning", args.tuning)) if on]
-    if not wanted:
-        wanted = ["assumption1", "lemma1", "lemma2", "tuning"]
+    checkers = {"assumption1": check_assumption1, "lemma1": check_lemma1,
+                "lemma2": check_lemma2, "tuning": None}
     failed = False
-    for name in wanted:
+    # the checks asked for, or all of them, in this order
+    for name in [name for name in checkers if getattr(args, name)] or checkers:
         if name == "tuning":
             report = validate_tuning(system.agents, system.gains)
             print(report.summary())
             failed = failed or not report.passed
             continue
-        checker = {"assumption1": check_assumption1, "lemma1": check_lemma1,
-                   "lemma2": check_lemma2}[name]
-        verdict = checker(system.ic, args.samples, rng_seed=args.seed)
+        verdict = checkers[name](system.ic, args.samples, rng_seed=args.seed)
         print(verdict.summary())
         failed = failed or not verdict.passed
     return EXIT_FAIL if failed else EXIT_OK

@@ -168,12 +168,6 @@ def _diagonal(J, row, col, n):
     return J.reshape(-1)[row * len(J) + col::len(J) + 1][:n]
 
 
-def field_jacobian(sys: ClosedLoopSystem, s: ClosedLoopState) -> np.ndarray:
-    """d(dx, dz)/d(x, z) of either loop at one state, as a 2n x 2n matrix:
-    the Jacobian of :func:`field_linearization`."""
-    return field_linearization(sys, s)[2]
-
-
 # ---------------------------------------------------------------------------
 # coordinates
 
@@ -355,8 +349,7 @@ class CoordinatingMonitor(LyapunovMonitor):
                                    deadzone(zeta, bounds), deadzone(u, bounds))
 
     def in_scope(self, x, z) -> np.ndarray:
-        gains = self.sys.gains
-        return np.any(deadzone(-gains.kP * x - gains.kI * z, self.sys.bounds) != 0.0,
+        return np.any(deadzone(_zeta_u(self.sys.gains, x, z)[1], self.sys.bounds) != 0.0,
                       axis=-1)
 
 

@@ -1,4 +1,4 @@
-"""Core vector types, actuator nonlinearities and controller tuning rules.
+"""Core vector types, actuator nonlinearities, tuning rules and shared solvers.
 
 Everything here is plain numpy on 1-D float arrays.  The types are frozen
 dataclasses and the operations are pure functions, so they are safe to share
@@ -8,7 +8,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -270,3 +270,57 @@ def validate_tuning(agents: AgentEnsemble, gains: ControllerGains) -> TuningRepo
     if gains.mode == DECENTRALIZED:
         return validate_decentralized_tuning(agents, gains)
     return validate_coordinating_tuning(agents, gains)
+
+
+# ---------------------------------------------------------------------------
+# iterative solvers shared by every module
+
+#: step halvings the Armijo line search may take within one Newton step
+MAX_BACKTRACKS = 30
+_ARMIJO = 1e-4
+#: iterations a bracketed root search may take
+ROOT_MAX_ITER = 100
+
+
+def damped_newton(lin: Callable, res: Callable, x, done: Callable, max_steps: int,
+                  fail: Callable, steps: int = 0):
+    """Newton on F(x) = 0 with Armijo backtracking on 0.5*|F|^2: ``lin(x)``
+    gives (F, dF/dx), ``res(x)`` F alone at the line search's trial points,
+    and ``done(F)`` stops it.  ``steps`` counts on from earlier solves up to
+    ``max_steps``; returns (x, steps).  Raises ``fail(reason, x, F, steps)``
+    at the last accepted x when the budget runs out, dF/dx is singular or
+    MAX_BACKTRACKS halvings bring no sufficient decrease."""
+    F, J = lin(x)
+    while not done(F):
+        if steps >= max_steps:
+            raise fail(f"budget of {max_steps} steps used up", x, F, steps)
+        steps += 1
+        try:
+            d = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            raise fail("singular Jacobian", x, F, steps) from None
+        phi = float(F @ F)
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS + 1):
+            x_try = x + t * d
+            F_try = res(x_try)
+            if float(F_try @ F_try) <= (1.0 - 2.0 * _ARMIJO * t) * phi:
+                break
+            t *= 0.5
+        else:
+            raise fail(f"no sufficient decrease in {MAX_BACKTRACKS} backtracks", x, F, steps)
+        x = x_try
+        F, J = lin(x)
+    return x, steps
+
+
+def bracketed_root(f: Callable, lo: float, hi: float, fail: Callable, xtol: float = 2e-12):
+    """The root of the scalar f, which changes sign between lo and hi, by
+    Brent's method; raises ``fail(iterations)`` after ROOT_MAX_ITER."""
+    from scipy.optimize import brentq  # deferred: scipy is slow to import
+
+    root, info = brentq(f, lo, hi, xtol=xtol, maxiter=ROOT_MAX_ITER, full_output=True,
+                        disp=False)
+    if not info.converged:
+        raise fail(info.iterations)
+    return root

@@ -4,12 +4,13 @@ Both closed-loop equilibria are zeros of a normal map on the control input,
 
     N(u) = b(sat u) + r + c*(u - sat u),
 
-found by one semismooth Newton method (Qi & Sun 1993) with Armijo
-backtracking on 0.5*|N|^2, inside a budget of Newton steps and backtracks
-fixed before it starts.  The decentralized loop is N with r = w and
-c = a*kA.  The coordinating loop couples every agent through the shared
-excess sum S = sum(u - sat u); for a fixed S it is N with r = w + a*kC*S and
-c = a*kC, and S is the root of a scalar slack found by a bracketed search.
+found by semismooth Newton (Qi & Sun 1993) on the damped Newton of
+:mod:`capnet.core`, which the partial-flow solve of the hydraulics shares:
+Armijo backtracking on 0.5*|N|^2, in a budget of steps and backtracks fixed
+before it starts.  The decentralized loop is N with r = w and c = a*kA.
+The coordinating loop couples every agent through the shared excess sum
+S = sum(u - sat u); for a fixed S it is N with r = w + a*kC*S and c = a*kC,
+and S is the root of a scalar slack, by core's bracketed root search.
 
 The open-loop optima that certify them come from two independent routes:
 
@@ -36,8 +37,8 @@ import numpy as np
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       DecentralizedMonitor, control_input, field as loop_field,
                       no_monitor_reason, rejectable_disturbance)
-from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, saturate,
-                   validate_tuning)
+from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, bracketed_root,
+                   damped_newton, saturate, validate_tuning)
 from .errors import DimensionError, EquilibriumError, FlowSolverError, TuningError
 from .interconnect import Interconnection
 
@@ -109,11 +110,6 @@ def open_loop_state(ic: Interconnection, agents: AgentEnsemble, v) -> np.ndarray
 # ---------------------------------------------------------------------------
 # closed-loop equilibria
 
-#: step halvings the Armijo line search may take within one Newton step
-MAX_BACKTRACKS = 30
-_ARMIJO = 1e-4
-
-
 def _unconverged(reason, residual, tol, steps, u, bounds) -> EquilibriumError:
     saturated = int(np.count_nonzero((u <= bounds.lower) | (u >= bounds.upper)))
     return EquilibriumError(
@@ -123,15 +119,15 @@ def _unconverged(reason, residual, tol, steps, u, bounds) -> EquilibriumError:
 
 
 def _solve_normal_map(ic: Interconnection, a, r, c, u, tol, steps, max_steps):
-    """Semismooth Newton for N(u) = b(sat u) + r + c*(u - sat u) = 0.
+    """Semismooth Newton for N(u) = b(sat u) + r + c*(u - sat u) = 0, by
+    :func:`~capnet.core.damped_newton` from u until max|N/a| < tol.
 
     The generalized Jacobian keeps the columns of J_b(sat u) for agents
     strictly inside the box and puts c_j on the diagonal for the others; N
     and J_b at each iterate come from one ``ic.linearize`` call, and the
-    line search evaluates b alone.  Stops once max|N/a| < tol.  ``steps`` is the running count of Newton
+    line search evaluates b alone.  ``steps`` is the running count of Newton
     steps, carried over from earlier solves; returns (u, steps).  Raises
-    EquilibriumError when ``max_steps`` is reached, the line search uses up
-    MAX_BACKTRACKS halvings, or the Jacobian is singular.
+    EquilibriumError where the Newton solve stops short.
     """
     lo, hi = ic.bounds.lower, ic.bounds.upper
 
@@ -146,32 +142,13 @@ def _solve_normal_map(ic: Interconnection, a, r, c, u, tol, steps, max_steps):
         inside = (u > lo) & (u < hi)
         return b + r + c * (u - v), np.where(inside[None, :], J, np.diag(c))
 
-    def fail(reason):
+    def fail(reason, u, n_u, steps):
         return _unconverged(f"Newton solve stopped ({reason})",
                             float(np.max(np.abs(n_u / a))), tol, steps, u, ic.bounds)
 
-    n_u, J = linearization(u)
-    while float(np.max(np.abs(n_u / a))) >= tol:
-        if steps >= max_steps:
-            raise fail(f"budget of {max_steps} steps used up")
-        steps += 1
-        try:
-            d = np.linalg.solve(J, -n_u)
-        except np.linalg.LinAlgError:
-            raise fail("singular generalized Jacobian") from None
-        phi = float(n_u @ n_u)
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS + 1):
-            u_try = u + t * d
-            n_try = normal_map(u_try)
-            if float(n_try @ n_try) <= (1.0 - 2.0 * _ARMIJO * t) * phi:
-                break
-            t *= 0.5
-        else:
-            raise fail(f"no sufficient decrease in {MAX_BACKTRACKS} backtracks")
-        u = u_try
-        n_u, J = linearization(u)
-    return u, steps
+    return damped_newton(linearization, normal_map, u,
+                         lambda n_u: float(np.max(np.abs(n_u / a))) < tol, max_steps, fail,
+                         steps)
 
 
 def _finish_report(sys: ClosedLoopSystem, u0: np.ndarray, iterations: int,
@@ -229,13 +206,13 @@ def find_equilibrium_coordinating(
     previous S.  When u(0) carries no excess it is the equilibrium (the
     disturbance is rejectable).  Otherwise S is the root of a slack that is
     the largest excess while one remains and minus the smallest distance to
-    the saturating bound after, bracketed by brentq between 0 and the largest
-    |S| that aggregate monotonicity allows; S is then put on the agents at
-    that bound.  Returns :class:`NoEquilibrium` with the reason when the
-    reduced problem shows there is none.  ``max_iter`` bounds the Newton
-    steps of all reduced solves together; exhausting it, or a stationarity
-    residual max(|dx|, |dz|) not below ``tol`` at the end, raises
-    EquilibriumError.
+    the saturating bound after, bracketed between 0 and the largest |S| that
+    aggregate monotonicity allows (:func:`~capnet.core.bracketed_root`); S
+    is then put on the agents at that bound.  Returns :class:`NoEquilibrium`
+    with the reason when the reduced problem shows there is none.
+    ``max_iter`` bounds the Newton steps of all reduced solves together;
+    exhausting it or the root search's budget, or a stationarity residual
+    max(|dx|, |dz|) not below ``tol`` at the end, raises EquilibriumError.
     """
     if sys.gains.mode != COORDINATING:
         raise ValueError("system gains are not coordinating")
@@ -257,10 +234,11 @@ def find_equilibrium_coordinating(
             solved[S] = u
         return solved[S]
 
+    def residual(u):  # of the coordinating loop, over the errors
+        v = np.clip(u, lo, hi)
+        return float(np.max(np.abs((ic(v) + w) / a + kC * np.sum(u - v))))
+
     def no_equilibrium(message):
-        def residual(u):
-            v = np.clip(u, lo, hi)
-            return float(np.max(np.abs((ic(v) + w) / a + kC * np.sum(u - v))))
         best = min(solved.values(), key=residual)
         return NoEquilibrium(best, residual(best), steps, message)
 
@@ -283,9 +261,11 @@ def find_equilibrium_coordinating(
     if not s_max > 0.0 or slack(s_max) > 0.0:
         return no_equilibrium(f"no excess sum up to {max(s_max, 0.0):.6g} clears "
                               f"the excess")
-    from scipy.optimize import brentq  # deferred: scipy is slow to import
+    def fail(iterations):
+        return _unconverged(f"excess-sum search stopped after {iterations} iterations",
+                            residual(u), tol, steps, u, sys.bounds)
 
-    s_root = brentq(slack, 0.0, s_max, xtol=4 * np.finfo(float).eps * s_max)
+    s_root = bracketed_root(slack, 0.0, s_max, fail, xtol=4 * np.finfo(float).eps * s_max)
     S = sgn * s_root
     u_S = solve_at(S)
     v = np.clip(u_S, lo, hi)

@@ -19,9 +19,10 @@ class TuningError(CapnetError):
 
 
 class FlowSolverError(CapnetError):
-    """A hydraulic flow solve produced no valid flow vector: a switched-off
-    pump, valves outside [-1, 1], non-positive flow, a failed pressure-balance
-    check, or a partial-flow solve that did not converge."""
+    """A hydraulic solve produced no valid answer: a switched-off pump,
+    valves outside [-1, 1], non-positive flow, a failed pressure-balance
+    check, or a partial-flow Newton or min-max level search that stopped
+    short.  Carries the relative residual and the steps taken, where known."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
@@ -30,7 +31,7 @@ class FlowSolverError(CapnetError):
 
 
 class IntegrationError(CapnetError):
-    """Time integration failed (step-size underflow, inner Newton failure)."""
+    """Time integration failed (step-size underflow, step budget, singular matrix)."""
 
     def __init__(self, message, t=None, state=None):
         super().__init__(message)
@@ -39,8 +40,8 @@ class IntegrationError(CapnetError):
 
 
 class EquilibriumError(CapnetError):
-    """The Newton solve for a closed-loop equilibrium ended without one: its
-    step or backtracking budget ran out, its Jacobian was singular, or the
+    """The solve for a closed-loop equilibrium ended without one: a Newton
+    or root-search budget ran out, the Jacobian was singular, or the
     residual stayed above tolerance.  Carries the residual reached, the
     Newton steps taken and the number of saturated agents."""
 

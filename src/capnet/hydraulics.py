@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import AgentEnsemble, SaturationBounds
+from .core import AgentEnsemble, SaturationBounds, bracketed_root, damped_newton
 from .errors import ConfigError, DimensionError, FlowSolverError, strict_object
 from .interconnect import Interconnection
 
@@ -114,16 +114,6 @@ class HydraulicNetwork:
         unreached = sorted(nodes - node_id.keys())
         if unreached:
             raise ValueError(f"node {unreached[0]} is not connected to the root by a unique path")
-        # path incidence: E[e, i] = 1 if pipe e lies on the root path of consumer i
-        E = np.zeros((len(self.pipes), self.n_consumers))
-        for i, c in enumerate(self.consumers):
-            if c.node not in node_id:
-                raise ValueError(f"consumer {i} attaches to unknown node {c.node}")
-            cur = c.node
-            while cur != self.root:
-                E[parent_pipe[cur], i] = 1.0
-                cur = self.pipes[parent_pipe[cur]].parent
-        self.path_matrix = E
         # C[e, k] = 1 if pipe e lies on the root path of pipe k's child
         C = np.zeros((len(self.pipes), len(self.pipes)))
         for k, p in enumerate(self.pipes):
@@ -132,6 +122,14 @@ class HydraulicNetwork:
                 C[parent_pipe[cur], k] = 1.0
                 cur = self.pipes[parent_pipe[cur]].parent
         self._child_paths = C
+        # path incidence E[e, i]: C's column of the pipe into consumer i's node
+        E = np.zeros((len(self.pipes), self.n_consumers))
+        for i, c in enumerate(self.consumers):
+            if c.node not in node_id:
+                raise ValueError(f"consumer {i} attaches to unknown node {c.node}")
+            if c.node != self.root:
+                E[:, i] = C[:, parent_pipe[c.node]]
+        self.path_matrix = E
         self.pipe_s = np.array([p.s for p in self.pipes])
         self.n_nodes = len(node_id)
         self.consumer_node = np.array([node_id[c.node] for c in self.consumers])
@@ -286,14 +284,12 @@ def solve_flows_partial(
     satisfy a pressure balance; the throttled ones are assumed to own a valve
     position achieving their flow (see :func:`valve_positions_for_flows`).
 
-    Damped Newton on the free flows, within a budget of
-    PARTIAL_FLOW_MAX_ITER (60) steps of at most 30 step halvings each, until
-    the pressure-balance residual is at most PARTIAL_FLOW_TOL relative to
-    pump_dp.  Raises FlowSolverError when the pump is switched off
-    (pump_dp == 0), when 30 halvings do not lower the squared residual ("line
-    search stalled", with the step count) and when the budget runs out.
+    Newton on the free flows (:func:`~capnet.core.damped_newton`) in at most
+    PARTIAL_FLOW_MAX_ITER steps, to a pressure-balance residual of at most
+    PARTIAL_FLOW_TOL relative to pump_dp.  Raises FlowSolverError on a
+    switched-off pump (pump_dp == 0) and, with the relative residual and the
+    steps taken, where the Newton solve stops short.
     """
-    n = net.n_consumers
     free = ~np.isfinite(fixed_q)
     q = np.where(free, np.nan, fixed_q)
     if not np.any(free):
@@ -303,39 +299,30 @@ def solve_flows_partial(
         raise FlowSolverError("pump differential pressure is zero; flow problem is degenerate")
     E = net.path_matrix
     r = net.consumer_resistance(np.clip(v, -1.0, 1.0))
-    path_s = net._s2 @ E if len(net.pipes) else np.zeros(n)
     if warm_start is not None and np.all(warm_start[free] > 0):
         q[free] = warm_start[free]
     else:
-        q[free] = np.sqrt(dp / (path_s + r))[free] / np.sqrt(n)
+        q[free] = np.sqrt(dp / (net._s2 @ E + r))[free] / np.sqrt(len(q))
+    idx = np.flatnonzero(free)
 
-    idx = np.nonzero(free)[0]
-    for it in range(1, PARTIAL_FLOW_MAX_ITER + 1):
-        F = (net.consumer_pressure(q) - r * np.abs(q) * q)[idx]
-        if np.max(np.abs(F)) <= PARTIAL_FLOW_TOL * dp:
-            return q
-        Q = E @ q
-        H = (E[:, idx].T * (4.0 * net.pipe_s * np.abs(Q))) @ E[:, idx]
-        H[np.diag_indices(len(idx))] += 2.0 * r[idx] * np.abs(q[idx])
-        try:
-            step = np.linalg.solve(H, F)
-        except np.linalg.LinAlgError:
-            H[np.diag_indices(len(idx))] += 1e-12 * (1.0 + np.trace(H) / len(idx))
-            step = np.linalg.solve(H, F)
-        t = 1.0
-        merit_prev = float(F @ F)
-        for _ in range(30):
-            q_try = q.copy()
-            q_try[idx] = q[idx] + t * step
-            Ft = (net.consumer_pressure(q_try) - r * np.abs(q_try) * q_try)[idx]
-            if float(Ft @ Ft) < merit_prev:
-                break
-            t *= 0.5
-        else:
-            raise FlowSolverError("partial-flow line search stalled", iterations=it)
-        q = q_try
-    raise FlowSolverError(
-        f"partial-flow Newton did not converge in {PARTIAL_FLOW_MAX_ITER} iterations")
+    def balance(x):  # the pressure left over at each free consumer, with q[idx] = x
+        q[idx] = x
+        return (net.consumer_pressure(q) - r * np.abs(q) * q)[idx]
+
+    def linearization(x):
+        F = balance(x)
+        H = (E[:, idx].T * (4.0 * net.pipe_s * np.abs(E @ q))) @ E[:, idx]
+        H[np.diag_indices(len(idx))] += 2.0 * r[idx] * np.abs(x)
+        return F, -H
+
+    def fail(reason, x, F, steps):
+        return FlowSolverError(f"partial-flow Newton stopped ({reason})",
+                               residual=float(np.max(np.abs(F))) / dp, iterations=steps)
+
+    q[idx], _ = damped_newton(linearization, balance, q[idx],
+                              lambda F: np.max(np.abs(F)) <= PARTIAL_FLOW_TOL * dp,
+                              PARTIAL_FLOW_MAX_ITER, fail)
+    return q
 
 
 def valve_positions_for_flows(net: HydraulicNetwork, q: np.ndarray) -> np.ndarray:
@@ -548,7 +535,7 @@ class DhnAllocator:
         free valves' pressure margin to b.  The root lies between lam_prev,
         the level before the last change of ``pinned`` (0 before any), and
         the error of the free agent worst off with every free valve at b.
-        brentq gets 100 iterations; FlowSolverError when they run out."""
+        FlowSolverError when the root search's budget runs out."""
         net = self.net
         r_b = net.consumer_resistance(np.full(net.n_consumers, b))
 
@@ -562,13 +549,8 @@ class DhnAllocator:
         lam_b = b * float(np.min(b * x_b[~pinned]))
         if margin(lam_b) <= 0.0:  # zero up to rounding: that agent binds at lam_b
             return lam_b
-        from scipy.optimize import brentq  # deferred: scipy is slow to import
-
-        lam, info = brentq(margin, lam_prev, lam_b, full_output=True, disp=False)
-        if not info.converged:
-            raise FlowSolverError("min-max level search did not converge",
-                                  iterations=info.iterations)
-        return lam
+        return bracketed_root(margin, lam_prev, lam_b, lambda iterations: FlowSolverError(
+            "min-max level search did not converge", iterations=iterations))
 
     def _signed_level(self, a, w, b):
         """Valves and errors at the level lam where a valve binds at b.  A

@@ -139,13 +139,17 @@ def eval_interconnection(ic: Interconnection, v) -> np.ndarray:
     return b.reshape(v.shape)
 
 
-def eval_jacobian(ic: Interconnection, v) -> np.ndarray:
-    """d b / d v at v in the box, from :meth:`Interconnection.linearize`."""
-    return ic.linearize(np.asarray(v, dtype=float))[1]
-
-
 # ---------------------------------------------------------------------------
 # linear special case
+
+
+def linear_interconnection(B: np.ndarray, eta, bounds: SaturationBounds,
+                           name: str = "linear", allocator=None) -> Interconnection:
+    """b(v) = B v on the box, with its exact linearization (B v, B) and no
+    check of B's sign pattern; :meth:`LinearMMatrix.as_interconnection`
+    checks it first."""
+    return Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=eta, bounds=bounds,
+                           linearization=lambda v: (B @ v, B), name=name, allocator=allocator)
 
 
 def positive_left_weight(B) -> np.ndarray:
@@ -247,15 +251,8 @@ class LinearMMatrix:
     def as_interconnection(self, bounds: SaturationBounds) -> Interconnection:
         if bounds.n != self.n:
             raise DimensionError("bounds dimension does not match B")
-        B = self.B
-        return Interconnection(
-            fn=lambda V: (B @ V[..., None])[..., 0],
-            eta=self.eta,
-            bounds=bounds,
-            linearization=lambda v: (B @ v, B),
-            name="linear",
-            allocator=LinearAllocator(B, self.eta, bounds),
-        )
+        return linear_interconnection(self.B, self.eta, bounds,
+                                      allocator=LinearAllocator(self.B, self.eta, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +474,7 @@ def _lemma2_proposals(ic: Interconnection, rng, n_pairs):
 
     k = np.flatnonzero(aimed)
     if len(k):
-        J = np.array([eval_jacobian(ic, v) for v in v_low[k]])
+        J = np.array([ic.linearize(v)[1] for v in v_low[k]])
         rhs = _uniform(0.1, 1.0, d[after[k, None] + cols])
         length = np.array([10.0 ** float(e) for e in _uniform(-2.7, -0.7, d[after[k] + n])])
         try:

@@ -144,14 +144,13 @@ class IntegrationStats:
 
 @dataclass
 class Trajectory:
-    """Sampled closed-loop run: states, inputs, resource shares, certificate."""
+    """Sampled closed-loop run: states, inputs, saturated inputs, certificate."""
 
     times: np.ndarray
     x: np.ndarray
     z: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    b: np.ndarray
     lyapunov: Optional[np.ndarray]
     stats: IntegrationStats
     monitor: Optional[LyapunovMonitor] = None
@@ -485,9 +484,8 @@ def _trajectory(sys, times, ys, stats, monitor) -> Trajectory:
     xs, zs = ys[:, :n], ys[:, n:]
     us = -sys.gains.kP * xs - sys.gains.kI * zs
     vs = np.clip(us, sys.bounds.lower, sys.bounds.upper)
-    bs = sys.ic(vs)
     lyap = None if monitor is None else monitor.value(xs, zs)
-    return Trajectory(times=times, x=xs, z=zs, u=us, v=vs, b=bs,
+    return Trajectory(times=times, x=xs, z=zs, u=us, v=vs,
                       lyapunov=lyap, stats=stats, monitor=monitor)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 import capnet as cp
-from capnet import equilibria, interconnect, sim
+from capnet import core, equilibria, interconnect, sim
 from capnet.equilibria import NoEquilibrium
 from tests.conftest import B_REF, W_REF
 
@@ -259,6 +259,16 @@ class TestNewtonBudget:
         with pytest.raises(cp.EquilibriumError, match=r"residual \d\.\d+e[+-]\d+") as info:
             SOLVERS[mode](dhn_system(mode), max_iter=1)
         assert info.value.iterations == 1
+        assert info.value.residual > 0.0
+        assert info.value.saturated is not None
+
+    def test_exhausted_root_budget_raises_typed_error(self, monkeypatch):
+        # the excess-sum search on the calibrated DHN takes more than one
+        # root iteration; out of them it raises EquilibriumError, not scipy's
+        monkeypatch.setattr(core, "ROOT_MAX_ITER", 1)
+        with pytest.raises(cp.EquilibriumError, match=r"excess-sum search stopped") as info:
+            cp.find_equilibrium_coordinating(dhn_system("coordinating"))
+        assert info.value.iterations > 0
         assert info.value.residual > 0.0
         assert info.value.saturated is not None
 

@@ -465,6 +465,18 @@ class TestInverseMaps:
         q_mixed = solve_flows_partial(net, v, fixed)
         np.testing.assert_allclose(q_mixed, q_full, rtol=1e-8)
 
+    def test_partial_solve_out_of_budget_raises_with_steps(self, monkeypatch):
+        # the same mixed case takes several Newton steps from its cold start
+        net = cp.build_dhn_network()
+        v = np.full(net.n_consumers, 0.5)
+        fixed = np.full(net.n_consumers, np.nan)
+        fixed[::2] = cp.solve_flows(net, v)[::2]
+        monkeypatch.setattr(hydraulics, "PARTIAL_FLOW_MAX_ITER", 1)
+        with pytest.raises(FlowSolverError, match=r"budget of 1 steps used up") as info:
+            solve_flows_partial(net, v, fixed)
+        assert info.value.iterations == 1
+        assert info.value.residual > hydraulics.PARTIAL_FLOW_TOL
+
 
 class TestBuildings:
     def test_heat_coefficient(self):

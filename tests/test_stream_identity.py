@@ -15,8 +15,7 @@ import capnet as cp
 from capnet import equilibria, interconnect
 from capnet.equilibria import (EquilibriumReport, OracleOptions, OracleResult,
                                VerificationVerdict, linf_cost, weighted_l1_cost)
-from capnet.interconnect import (STRICT_MARGIN, Counterexample, PropertyVerdict,
-                                 eval_jacobian)
+from capnet.interconnect import STRICT_MARGIN, Counterexample, PropertyVerdict
 from tests.test_equilibria import random_linear_instance
 from tests.test_interconnect import bad_matrix_interconnection
 
@@ -89,7 +88,7 @@ def reference_lemma2_proposal(ic, rng, v_low):
     n = ic.n
     mode = rng.random()
     if mode < 0.5 and (ic.linearization is not None or n <= 8):
-        J = eval_jacobian(ic, v_low)
+        J = ic.linearize(v_low)[1]
         rhs = rng.uniform(0.1, 1.0, n)
         scale = 10.0 ** rng.uniform(-2.7, -0.7)  # drawn before the solve
         try:

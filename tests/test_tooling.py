@@ -8,9 +8,11 @@ what they return, and ``perfbench/setup_probe.py`` validates and builds
 scenario configs of its own.  A rename, a changed signature or a stricter
 config schema in ``src/capnet`` would otherwise break ``perfbench/run.py``
 without any test failing.  The tests load these files and change nothing in
-them.
+them.  One more keeps each iterative solve on the one routine of
+``capnet.core`` that does its job.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ import capnet as cp
 from capnet import equilibria, interconnect, sim
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "capnet"
 
 
 def _load(name):
@@ -81,3 +84,19 @@ def test_setup_probe_builds_both_configs(capsys):
     probe = _load("setup_probe")
     assert probe.main("dhn") == 0
     assert probe.main("linear") == 0
+
+
+def test_root_search_and_line_search_live_in_core_only():
+    # every damped Newton runs core.damped_newton and every scalar root
+    # search core.bracketed_root: no other module names brentq or the
+    # line search's budget
+    shared = {"brentq", "MAX_BACKTRACKS"}
+    users = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in shared:
+                users.setdefault(name, set()).add(path.name)
+    assert users == {name: {"core.py"} for name in shared}
