@@ -361,10 +361,9 @@ def cmd_reproduce_dhn(args) -> int:
         artifacts.append(sim.run_scenario(build_scenario(cfg, policy)))
     lines = ["policy,time,max_deviation,sum_deviation"]
     for arts in artifacts:
-        for k, t in enumerate(arts.times):
-            lines.append(f"{arts.policy},{t:.17g},"
-                         f"{np.max(np.abs(arts.x[k])):.17g},"
-                         f"{np.sum(np.abs(arts.x[k])):.17g}")
+        dev = np.abs(arts.x)
+        lines += [f"{arts.policy},{t:.17g},{most:.17g},{total:.17g}" for t, most, total in
+                  zip(arts.times.tolist(), dev.max(axis=1).tolist(), dev.sum(axis=1).tolist())]
     out_dir.mkdir(parents=True, exist_ok=True)
     comparison = out_dir / "dhn_comparison.csv"
     comparison.write_text("\n".join(lines) + "\n", encoding="utf-8")

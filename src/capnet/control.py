@@ -107,19 +107,26 @@ def field_stack(sys: ClosedLoopSystem, x, z, t=0.0):
     z = np.asarray(z, dtype=float)
     if x.ndim not in (1, 2) or x.shape != z.shape or x.shape[-1] != sys.n:
         raise DimensionError(f"x and z must both have shape (m, {sys.n}) or ({sys.n},)")
-    u = -sys.gains.kP * x - sys.gains.kI * z
-    # np.clip's bits from its two ufuncs, without its wrapper's cost per call
-    v = np.minimum(np.maximum(u, sys.bounds.lower), sys.bounds.upper)
+    u, v = _inputs(sys, x, z)
     b = np.asarray(sys.ic.fn(v if v.ndim == 2 else v[None]), dtype=float)
-    return _derivatives(sys, x, u, v, b.reshape(v.shape), t)
-
-
-def _derivatives(sys: ClosedLoopSystem, x, u, v, b, t):
-    """(dx, dz) at the states x with PI inputs u, clipped inputs v and
-    resources b = b(v), one state or a stack."""
-    gains, agents = sys.gains, sys.agents
+    agents = sys.agents
     w = agents.w if agents.w_is_constant else agents.w_at(t)
-    dx = -agents.a * x + b + w
+    return _derivatives(sys, x, u, v, b.reshape(v.shape), w)
+
+
+def _inputs(sys: ClosedLoopSystem, x, z):
+    """The PI inputs u and their clipped values v, one state or a stack;
+    v has np.clip's bits from its two ufuncs, without its wrapper's cost
+    per call."""
+    u = -sys.gains.kP * x - sys.gains.kI * z
+    return u, np.minimum(np.maximum(u, sys.bounds.lower), sys.bounds.upper)
+
+
+def _derivatives(sys: ClosedLoopSystem, x, u, v, b, w):
+    """(dx, dz) at the states x with PI inputs u, clipped inputs v,
+    resources b = b(v) and disturbance w, one state or a stack."""
+    gains = sys.gains
+    dx = -sys.agents.a * x + b + w
     if gains.mode == DECENTRALIZED:
         dz = x + gains.kA * (u - v)
     else:
@@ -127,45 +134,112 @@ def _derivatives(sys: ClosedLoopSystem, x, u, v, b, t):
     return dx, dz
 
 
-def field_linearization(sys: ClosedLoopSystem, s: ClosedLoopState, t: float = 0.0):
-    """The derivatives (dx, dz) of either loop at one state and time t, and
-    their 2n x 2n Jacobian d(dx, dz)/d(x, z), from one
+def field_linearization(sys: ClosedLoopSystem, s: ClosedLoopState, t: float):
+    """The derivatives (dx, dz) of either loop at one state and time t, with
+    their Jacobian J = d(dx, dz)/d(x, z) in block form: db/dv and the mask
+    of the agents strictly inside the box, from one
     :meth:`~capnet.interconnect.Interconnection.linearize` call.
 
-    du/d(x, z) = (-kP, -kI) reaches b(v) through the agents strictly inside
-    the box, and the anti-windup excess u - v through the saturated ones.
-    So the top blocks are db/dv's columns of the free agents, scaled by -kP
-    and -kI, with -a on the diagonal; below, the identity from dz = x + ...
-    and the saturated agents' excess, on the diagonals for the decentralized
-    loop and in every row for the coordinating one.
+    du/d(x, z) = (-kP, -kI) reaches b(v) through the free agents, and the
+    anti-windup excess u - v through the saturated ones.  With p = -kP and
+    i = -kI on the free agents, e = -kP and g = -kI on the saturated ones
+    (zero elsewhere), and K = diag(kA) for the decentralized loop or
+    kC*1*1' for the coordinating one:
+
+        J = [[db/dv diag(p) - diag(a),  db/dv diag(i)],
+             [I + K diag(e),            K diag(g)    ]].
+
+    :func:`loop_factor` solves with I/(h*gamma) - J in this form.
     """
-    n, gains, bounds = sys.n, sys.gains, sys.bounds
-    u = control_input(gains, s)
-    v = np.clip(u, bounds.lower, bounds.upper)
-    b, Jb = sys.ic.linearize(v)
-    dx, dz = _derivatives(sys, s.x, u, v, b, t)
-    free = (u > bounds.lower) & (u < bounds.upper)
-    du = np.array([-gains.kP, -gains.kI])
-    to_b = du * free
-    excess = du - to_b
-    J = np.zeros((2 * n, 2 * n))
-    np.multiply(Jb, to_b[0], out=J[:n, :n])
-    np.multiply(Jb, to_b[1], out=J[:n, n:])
-    _diagonal(J, 0, 0, n)[:] -= sys.agents.a
-    if gains.mode == DECENTRALIZED:
-        _diagonal(J, n, 0, n)[:] = gains.kA * excess[0]
-        _diagonal(J, n, n, n)[:] = gains.kA * excess[1]
-    else:
-        J[n:, :n] = gains.kC * excess[0]
-        J[n:, n:] = gains.kC * excess[1]
-    _diagonal(J, n, 0, n)[:] += 1.0
-    return dx, dz, J
+    return _linearization(sys, s.x, s.z, sys.agents.w_at(t), sys.ic.linearize)
 
 
-def _diagonal(J, row, col, n):
-    """A writable view of the n-entry diagonal of the square matrix J that
-    starts at (row, col)."""
-    return J.reshape(-1)[row * len(J) + col::len(J) + 1][:n]
+def _linearization(sys: ClosedLoopSystem, x, z, w, linearize):
+    """:func:`field_linearization` at the state (x, z) under the
+    disturbance w, with db/dv from ``linearize``."""
+    u, v = _inputs(sys, x, z)
+    b, Jb = linearize(v)
+    dx, dz = _derivatives(sys, x, u, v, b, w)
+    return dx, dz, Jb, (u > sys.bounds.lower) & (u < sys.bounds.upper)
+
+
+def loop_factor(sys: ClosedLoopSystem, Jb, free):
+    """``factor(c)`` for the loop Jacobian J of :func:`field_linearization`'s
+    db/dv and free mask: a solver ``solve(r)`` of (c*I - J) k = r, for a
+    2n-vector r = (r1, r2), from one n x n factorization per c.
+
+    The z block D = c*I - K diag(g) is diagonal for the decentralized loop,
+    and c*I less the rank-1 kC*1*g' for the coordinating one, inverted by
+    Sherman-Morrison.  The x part of k solves the Schur complement
+    S = c*I - J11 - J12 D^-1 J21, an n x n matrix: k_x = S^-1 (r1 +
+    J12 D^-1 r2) = W r with W = S^-1 [I, J12 D^-1], and then
+    k_z = D^-1 (r2 + J21 k_x).  Since i and e, g are zero on complementary
+    agents, S = diag(c + a) + db/dv diag(kP + kI/c on the free agents)
+    less, coordinating, a rank-1 term.  S is inverted once per c, which
+    raises LinAlgError where it is singular.
+    """
+    n, gains, a = sys.n, sys.gains, sys.agents.a
+    saturated = ~free
+    to_b = -gains.kI * free
+    excess_x, excess_z = -gains.kP * saturated, -gains.kI * saturated
+
+    def factor(c):
+        S = Jb * (free * (gains.kP + gains.kI / c))
+        R = Jb * (to_b / c)  # J12 D^-1
+        if gains.mode != DECENTRALIZED:
+            to_b_sum = (Jb @ to_b)[:, None]
+            scale = gains.kC / (c * (c - gains.kC * excess_z.sum()))
+            alpha, beta = scale * excess_z, scale * (excess_z + c * excess_x)
+            S -= to_b_sum * beta
+            R += to_b_sum * alpha
+        S.reshape(-1)[::n + 1] += c + a
+        S_inv = np.linalg.inv(S)
+        W = np.concatenate((S_inv, S_inv @ R), axis=1)
+        if gains.mode == DECENTRALIZED:
+            d, j21 = c - gains.kA * excess_z, 1.0 + gains.kA * excess_x
+
+            def solve(r):
+                kx = W @ r
+                return np.concatenate((kx, (r[n:] + j21 * kx) / d))
+        else:
+            # k_z = (r2 + k_x)/c plus the shared term alpha.r2 + beta.k_x = g.r
+            g = beta @ W
+            g[n:] += alpha
+
+            def solve(r):
+                kx = W @ r
+                return np.concatenate((kx, (r[n:] + kx) / c + g @ r))
+
+        return solve
+
+    return factor
+
+
+def state_maps(sys: ClosedLoopSystem):
+    """The maps RODAS4 evaluates at one state y = (x, z) of the loop, built
+    once per run: ``fun(t, y)`` is the field, ``lin(t, y)`` the pair of the
+    field and :func:`loop_factor` of its Jacobian there, and ``check()``
+    runs the interconnection's deferred checks
+    (:meth:`~capnet.interconnect.Interconnection.point_maps`) on every
+    evaluation since its last call.  Each gives the bits of
+    :func:`field_stack` and :func:`field_linearization` at that state; the
+    shapes are checked here, once, and w(t) is one ``eval`` of the profile.
+    """
+    n, agents = sys.n, sys.agents
+    b_at, linearize, check = sys.ic.point_maps()
+    agents.w_at(0.0)  # checks the shape of w(t) once
+    w_at = (lambda t: agents.w) if agents.w_is_constant else agents.w.eval
+
+    def fun(t, y):
+        x = y[:n]
+        u, v = _inputs(sys, x, y[n:])
+        return np.concatenate(_derivatives(sys, x, u, v, b_at(v), w_at(t)))
+
+    def lin(t, y):
+        dx, dz, Jb, free = _linearization(sys, y[:n], y[n:], w_at(t), linearize)
+        return np.concatenate((dx, dz)), loop_factor(sys, Jb, free)
+
+    return fun, lin, check
 
 
 # ---------------------------------------------------------------------------

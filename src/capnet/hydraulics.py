@@ -188,7 +188,11 @@ def _over_paths(x, M):
     return x @ M if x.ndim == 1 else (x[..., None, :] @ M)[..., 0, :]
 
 
-def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
+#: relative pressure-balance tolerance of a flow solve
+FLOW_TOL = 1e-10
+
+
+def solve_flows(net: HydraulicNetwork, v, tol: Optional[float] = FLOW_TOL) -> np.ndarray:
     """Solve consumer flows q > 0 balancing the pump pressure on every
     root-to-consumer path, exactly, by two passes over the tree: for one
     valve vector v, or for each row of an (m, n) stack of them.
@@ -202,6 +206,13 @@ def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
     and on a switched-off pump (pump_dp == 0); in a stack, one bad row fails
     the whole stack, and the message names the first such row.  Each check
     runs on the whole stack first and looks for that row only if it fails.
+
+    With ``tol`` None the pressure-balance check is left to the caller, who
+    runs :func:`check_flows` on these flows before using any result built
+    on them.  The closed loop's one-point maps (:func:`dhn_interconnection`)
+    solve their rows so and check the stack of every row a RODAS4 step
+    solved, and the linearization before them, once per attempted step,
+    before the step is accepted or rejected.
     """
     n = net.n_consumers
     v = np.asarray(v, dtype=float)
@@ -248,6 +259,24 @@ def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
         _, row = _first_failing_row(q.min(axis=-1) > 0.0, m)
         raise FlowSolverError(f"{row}solved flows are not all positive")
 
+    if tol is not None:
+        _check_balance(net, q, r, tol, m)
+    return q.reshape(v.shape)
+
+
+def check_flows(net: HydraulicNetwork, v, q):
+    """The pressure-balance check :func:`solve_flows` runs at its default
+    tolerance, on flows q that it solved at valves v with ``tol`` None: one
+    vector of each or (m, n) stacks of them, checked as one stack."""
+    r = net.consumer_resistance(np.minimum(np.maximum(v, -1.0), 1.0))
+    _check_balance(net, q, r, FLOW_TOL, len(q) if q.ndim == 2 else 1)
+
+
+def _check_balance(net, q, r, tol, m):
+    """FlowSolverError, naming the first failing row of the m, where the
+    pressure left at the flows q through resistances r is off balance by
+    more than tol relative to pump_dp."""
+    dp = net.pump_dp
     F = net.consumer_pressure(q) - r * q * q
     if not abs(F).max(initial=0.0) / dp <= tol:
         residual = abs(F).max(axis=-1) / dp
@@ -256,7 +285,6 @@ def solve_flows(net: HydraulicNetwork, v, tol: float = 1e-10) -> np.ndarray:
         raise FlowSolverError(
             f"{row}flow solve failed its pressure-balance check "
             f"(relative residual {residual:.3e})", residual=residual)
-    return q.reshape(v.shape)
 
 
 def _first_failing_row(ok, m: int):
@@ -486,9 +514,14 @@ class DhnAllocator:
         """The flows at valves v, one vector or a stack; ``stats`` counts
         every row and its mass residual."""
         q = solve_flows(self.net, v)
+        self._count(q)
+        return q
+
+    def _count(self, q):
+        """``stats`` counts the solved flows q, one vector or a stack, with
+        their mass residuals."""
         if self.stats is not None:
             self.stats.update(self.net.mass_residual(q))
-        return q
 
     def _errors(self, a, w, v):
         """The valves v clipped to the box and the errors they leave, for
@@ -677,18 +710,43 @@ def dhn_interconnection(
     allocator's (:meth:`DhnAllocator._solve`), which ``stats`` counts; the
     linearization at one point takes b and its closed-form Jacobian
     (:func:`flow_sensitivity`) from the same solve.
+
+    Its one-point maps (``points``) solve one row each, with the box,
+    finite and positive-flow checks inline, and leave the pressure-balance
+    and mass-residual checks, and the count, to ``check()``: one stacked
+    :func:`check_flows` and one stacked mass residual over every row solved
+    since the last call.
     """
     n = net.n_consumers
     coef = bld.heat_coefficient(n)
     allocator = DhnAllocator(net, coef, stats)
 
-    def linearization(v):
-        q = allocator._solve(v)
+    def sensitivity(v, q):
         return coef * q, coef[:, None] * flow_sensitivity(net, v, q)
+
+    def points():
+        valves, flows = [], []
+
+        def solve(v):
+            q = solve_flows(net, v, tol=None)
+            valves.append(v)
+            flows.append(q)
+            return q
+
+        def check():
+            if flows:
+                V, Q = np.array(valves), np.array(flows)
+                valves.clear()
+                flows.clear()
+                check_flows(net, V, Q)
+                allocator._count(Q)
+
+        return (lambda v: coef * solve(v)), (lambda v: sensitivity(v, solve(v))), check
 
     return Interconnection(fn=lambda V: coef * allocator._solve(V), eta=np.ones(n),
                            bounds=SaturationBounds.symmetric(1.0, n),
-                           linearization=linearization, name="dhn", allocator=allocator)
+                           linearization=lambda v: sensitivity(v, allocator._solve(v)),
+                           name="dhn", allocator=allocator, points=points)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ class Interconnection:
     row, and returns (V, X, methods): the (m, n) stacks of valves and errors
     of the optimum of each row, and a list of m method names.  One
     disturbance is a stack of one; callers go through
-    :mod:`capnet.equilibria`, which checks the shape once.
+    :mod:`capnet.equilibria`, which checks the shape once.  ``points``
+    optionally builds the maps of :meth:`point_maps`.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -69,6 +70,7 @@ class Interconnection:
     linearization: Optional[Callable[[np.ndarray], tuple]] = None
     name: str = ""
     allocator: Optional[object] = None  # exact open-loop optima, see equilibria
+    points: Optional[Callable[[], tuple]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "eta", as_vector(self.eta, "eta"))
@@ -119,6 +121,19 @@ class Interconnection:
         points[np.arange(1, self.n + 1), np.arange(self.n)] += steps
         b = self(points)
         return b[0], (b[1:] - b[0]).T / steps
+
+    def point_maps(self):
+        """(b, linearize, check) for a run of evaluations at one point each
+        of the box, such as an integrator's stages: ``b(v)`` gives b with
+        the bits ``fn`` gives v in a stack of one, ``linearize(v)`` the pair
+        of :meth:`linearize`, and ``check()`` runs the checks they leave
+        for later on everything they evaluated since its last call.  From
+        ``points`` when given; otherwise ``fn`` on a stack of one and
+        :meth:`linearize`, which check as they go."""
+        if self.points is not None:
+            return self.points()
+        return (lambda v: np.asarray(self.fn(v[None]), dtype=float)[0], self.linearize,
+                lambda: None)
 
 
 def eval_interconnection(ic: Interconnection, v) -> np.ndarray:

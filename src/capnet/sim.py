@@ -6,11 +6,15 @@ own step control, so many starts cost one loop of field evaluations on the
 stack; ``integrate`` is the stack of one.  Stiff runs such as the
 district-heating study use RODAS4 (``rosenbrock``) on the analytic
 closed-loop Jacobian, one start at a time, stepping exactly on disturbance
-kinks; the field and its Jacobian at each accepted state come from one
-linearization of the interconnection.  Both return each row's accepted steps (time, state and derivative at
-every step end); the certificate monitors check them, and the output grid is
-sampled from them by cubic Hermite interpolation, each in one pass after the
-run.
+kinks.  Its maps at one state, built once per run by
+:func:`~capnet.control.state_maps`, give the stage field, the field with a
+factor of I/(h*gamma) - J at each accepted state from one linearization of
+the interconnection (an n x n Schur complement, one factorization per
+attempted step), and the checks the one-point solves defer, run once per
+attempted step.  Both integrators return each row's accepted steps (time,
+state and derivative at every step end); the certificate monitors check
+them, and the output grid is sampled from them by cubic Hermite
+interpolation, each in one pass after the run.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .control import (ClosedLoopState, ClosedLoopSystem, LyapunovMonitor, field,
-                      field_linearization, field_stack)
+from .control import (ClosedLoopState, ClosedLoopSystem, LyapunovMonitor, field, field_stack,
+                      state_maps)
 from .core import AgentEnsemble, validate_tuning
 from .errors import ConfigError, IntegrationError, TuningError
 from .hydraulics import HydraulicStats
@@ -33,7 +37,8 @@ from .interconnect import Interconnection
 log = logging.getLogger(__name__)
 
 #: the one-state closed-loop field under the name that perfbench/tracing.py
-#: wraps; both integrators evaluate stacks through field_stack instead
+#: wraps; RK45 evaluates stacks through field_stack instead, and RODAS4 one
+#: state through control.state_maps
 loop_field = field
 
 POLICIES = ("decentralized", "coordinating", "oracle-l1", "oracle-linf")
@@ -84,11 +89,12 @@ class DisturbanceProfile:
 
     def eval(self, t) -> np.ndarray:
         """Disturbance vector at time t, or the (m, n) stack of them at
-        each of a 1-D array of m times."""
-        raw = self.raw(t)
+        each of a 1-D array of m times; a shared series is one np.interp."""
         if self.values.ndim == 1:
-            raw = np.asarray(raw)[..., None]
-        return np.asarray(self.scale * (raw - self.offset), dtype=float)
+            raw = np.interp(t, self.times, self.values)[..., None]
+        else:
+            raw = self.raw(t)
+        return self.scale * (raw - self.offset)
 
     def with_thermal_map(self, a, T_ref) -> "DisturbanceProfile":
         """Map a raw temperature series into w(t) = a * (T(t) - T_ref)."""
@@ -324,29 +330,32 @@ _RO_CC = [np.array(row) for row in (
      -6.058818238834054))]
 
 
-def _integrate_rosenbrock(fun, lin, t0, t1, y0, opts, stops, dfdt):
+def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, dfdt):
     """RODAS4 under PI step control (Gustafsson 1991; Hairer's beta = 0.04).
 
     Every step ends exactly on each time in ``stops`` (sorted, ending at t1),
     and ``dfdt(a, b)`` is the constant df/dt between consecutive stops a, b.
-    ``fun(t, y)`` gives f at the stages, and ``lin(t, y)`` the pair (f, J)
-    at the start and at each accepted state, from one evaluation there.
-    One inverse of I/(h*gamma) - J per attempted step serves all six stages.
-    At most ``opts.max_steps`` steps are attempted.  Returns the accepted
-    steps as arrays (T, Y, F), as :func:`_integrate_rk45` gives one row's,
-    and the IntegrationStats.
+    ``fun(t, y)`` gives f at the stages, and ``lin(t, y)`` the pair
+    (f, factor) at the start and at each accepted state, from one
+    evaluation there: ``factor(c)`` returns a solver of (c*I - J) k = r
+    and raises LinAlgError where that matrix is singular.  One factor of
+    I/(h*gamma) - J per attempted step serves all six stages.  ``check()``
+    runs the checks that ``fun`` and ``lin`` defer, once per attempted
+    step, before it is accepted or rejected, and once at the end.  At most
+    ``opts.max_steps`` steps are attempted.  Returns the accepted steps as
+    arrays (T, Y, F), as :func:`_integrate_rk45` gives one row's, and the
+    IntegrationStats.
     """
     span = t1 - t0
     dt_max = opts.dt_max if opts.dt_max is not None else span / 64.0
     dt = opts.dt_init if opts.dt_init is not None else min(dt_max, span / 100.0)
-    n = len(y0)
     stats = IntegrationStats()
     t, y = t0, y0.copy()
-    f, J = lin(t, y)
+    f, factor = lin(t, y)
     stats.n_field_evals += 1
     steps = [(t, y, f)]
     err_prev, rejected_last = 1.0, False
-    k = np.empty((6, n))
+    k = np.empty((6, len(y0)))
     for stop in stops:
         ft = dfdt(t, stop)
         while t < stop:
@@ -357,35 +366,38 @@ def _integrate_rosenbrock(fun, lin, t0, t1, y0, opts, stops, dfdt):
             if stats.accepted + stats.rejected >= opts.max_steps:
                 raise IntegrationError("step budget exhausted", t=t, state=y.copy())
             try:
-                inv = np.linalg.inv(np.eye(n) / (h * _RO_GAMMA) - J)
+                solve = factor(1.0 / (h * _RO_GAMMA))
             except np.linalg.LinAlgError as exc:
                 raise IntegrationError(f"singular Rosenbrock matrix: {exc}",
                                        t=t, state=y.copy()) from exc
-            k[0] = inv @ (f + (h * _RO_D[0]) * ft)
+            k[0] = solve(f + (h * _RO_D[0]) * ft)
             for i in range(1, 6):
                 fi = fun(t + _RO_C[i] * h, y + _RO_A[i] @ k[:i])
-                k[i] = inv @ (fi + (_RO_CC[i] @ k[:i]) / h + (h * _RO_D[i]) * ft)
+                k[i] = solve(fi + (_RO_CC[i] @ k[:i]) / h + (h * _RO_D[i]) * ft)
             stats.n_field_evals += 5
+            check()
             y_new = y + _RO_A[5] @ k[:5] + k[5]
             scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((k[5] / scale) ** 2)))
+            e = k[5] / scale
+            err = math.sqrt((e * e).sum() / len(e))  # np.mean's bits, without its wrapper
             if err <= 1.0:
                 t = stop if landing else t + h
                 y = y_new
-                f, J = lin(t, y)
+                f, factor = lin(t, y)
                 stats.n_field_evals += 1
                 steps.append((t, y, f))
                 stats.accepted += 1
                 err = max(err, 1e-10)
-                factor = min(5.0, max(0.2, 0.9 * err ** -0.22 * err_prev ** 0.04))
+                growth = min(5.0, max(0.2, 0.9 * err ** -0.22 * err_prev ** 0.04))
                 if rejected_last:
-                    factor = min(factor, 1.0)
+                    growth = min(growth, 1.0)
                 err_prev, rejected_last = err, False
             else:  # also when err is NaN: max(0.2, nan) is 0.2
                 stats.rejected += 1
-                factor = max(0.2, 0.9 * err ** -0.25)
+                growth = max(0.2, 0.9 * err ** -0.25)
                 rejected_last = True
-            dt = h * factor
+            dt = h * growth
+    check()
     return tuple(np.array(col) for col in zip(*steps)), stats
 
 
@@ -460,14 +472,8 @@ def integrate_many(
             slope = (sys.agents.w_at(tb) - sys.agents.w_at(ta)) / (tb - ta)
             return np.concatenate([slope, np.zeros(n)])
 
-        def fun(t, y):
-            return np.concatenate(field_stack(sys, y[:n], y[n:], t))
-
-        def lin(t, y):
-            dx, dz, J = field_linearization(sys, ClosedLoopState(y[:n], y[n:]), t)
-            return np.concatenate([dx, dz]), J
-
-        steps, stats = zip(*(_integrate_rosenbrock(fun, lin, t0, t1, row, opts, stops, dfdt)
+        maps = state_maps(sys)
+        steps, stats = zip(*(_integrate_rosenbrock(*maps, t0, t1, row, opts, stops, dfdt)
                              for row in y0))
     grid = None if opts.output_dt is None else _output_grid(t0, t1, opts.output_dt)
     trajs = []

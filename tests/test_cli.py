@@ -504,6 +504,8 @@ class TestReproduceDhn:
         summary = dict(line.split("=", 1) for line in (
             tmp_path / f"dhn_{policy}_summary.txt").read_text(encoding="utf-8").splitlines())
         assert sum(rows) == int(summary["flow_solves"])
+        # one solve per field evaluation, besides the interconnection probe's rows
+        assert int(summary["flow_solves"]) == int(summary["field_evaluations"]) + 6
 
     def test_closed_loop_run_never_imports_scipy(self, tmp_path):
         # scipy costs about 20 MB of resident memory; on the study profile

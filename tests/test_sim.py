@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet import cli, equilibria, sim
-from capnet.control import field, field_linearization
-from capnet.errors import IntegrationError
+from capnet import cli, equilibria, hydraulics, sim
+from capnet.control import field, field_linearization, loop_factor
+from capnet.errors import FlowSolverError, IntegrationError
 from capnet.sim import (Scenario, SolverOptions, integrate_many, make_temperature_profile,
                         run_scenario, write_trajectory_csv)
 
@@ -296,22 +296,28 @@ class TestStackedRk45:
 def _attempts_until_budget(sys_, s0, opts):
     """Steps attempted before the budget ran out, counted from the field
     evaluations: RK45 takes one, then six per attempted step; RODAS4 takes
-    five per attempted step, besides the field-and-Jacobian evaluations
-    (``field_linearization``) at the start and at each accepted state."""
+    five per attempted step through the stage map of ``state_maps``,
+    besides the field-and-factor evaluations (its ``lin``) at the start and
+    at each accepted state."""
     calls = {"field": 0}
-    real_stack, real_field = sim.field_stack, sim.loop_field
+    real_stack, real_maps = sim.field_stack, sim.state_maps
 
     def field_stack(*args, **kwargs):
         calls["field"] += 1
         return real_stack(*args, **kwargs)
 
-    def loop_field(*args, **kwargs):
-        calls["field"] += 1
-        return real_field(*args, **kwargs)
+    def state_maps(sys_):
+        fun, lin, check = real_maps(sys_)
+
+        def stage(t, y):
+            calls["field"] += 1
+            return fun(t, y)
+
+        return stage, lin, check
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "field_stack", field_stack)
-        mp.setattr(sim, "loop_field", loop_field)
+        mp.setattr(sim, "state_maps", state_maps)
         with pytest.raises(IntegrationError, match="budget"):
             cp.integrate(sys_, s0, (0.0, 100.0), opts)
     if opts.method == "rk45":
@@ -321,11 +327,19 @@ def _attempts_until_budget(sys_, s0, opts):
 
 
 def _rosenbrock(fun, jac, t1, y0, opts, dfdt):
-    """Integrate fun from 0 to t1 with RODAS4, linearized by jac; the final
-    state and the stats."""
-    (_, Y, _), stats = sim._integrate_rosenbrock(fun, lambda t, y: (fun(t, y), jac(t, y)),
-                                                 0.0, t1, np.asarray(y0, dtype=float),
-                                                 opts, [t1], dfdt)
+    """Integrate fun from 0 to t1 with RODAS4, linearized by jac and solved
+    with a dense inverse of c*I - jac; the final state and the stats."""
+    def lin(t, y):
+        J = jac(t, y)
+
+        def factor(c):
+            inv = np.linalg.inv(c * np.eye(len(J)) - J)
+            return lambda r: inv @ r
+
+        return fun(t, y), factor
+
+    (_, Y, _), stats = sim._integrate_rosenbrock(fun, lin, lambda: None, 0.0, t1,
+                                                 np.asarray(y0, dtype=float), opts, [t1], dfdt)
     return Y[-1], stats
 
 
@@ -430,7 +444,7 @@ class TestFieldJacobian:
         def f(y):
             return np.concatenate(field(sys_, cp.ClosedLoopState(y[:2], y[2:])))
 
-        J = field_linearization(sys_, cp.ClosedLoopState(x, z))[2]
+        J = _dense_jacobian(sys_, *field_linearization(sys_, cp.ClosedLoopState(x, z), 0.0)[2:])
         eps = 1e-6
         J_fd = np.column_stack([(f(y + eps * e) - f(y - eps * e)) / (2 * eps)
                                 for e in np.eye(4)])
@@ -442,8 +456,7 @@ class TestDhnFieldJacobian:
     def test_matches_central_differences(self, mode):
         # the study's 22-consumer loop, agents spread from deep saturation on
         # either side through the box and kept 0.01 away from every kink
-        sys_ = cli.build_scenario(cli.ScenarioConfig.load(
-            cli.shipped_config_path(f"dhn_study_{mode}.cfg"))).system
+        sys_ = _study_system(mode)
         n = sys_.n
         u = np.linspace(-2.0, 2.0, n)
         u[np.abs(np.abs(u) - 1.0) < 0.01] += 0.05
@@ -455,11 +468,102 @@ class TestDhnFieldJacobian:
         def f(y):
             return np.concatenate(field(sys_, cp.ClosedLoopState(y[:n], y[n:]), 50.0))
 
-        J = field_linearization(sys_, cp.ClosedLoopState(x, z))[2]
+        J = _dense_jacobian(sys_, *field_linearization(sys_, cp.ClosedLoopState(x, z), 50.0)[2:])
         eps = 1e-6
         J_fd = np.column_stack([(f(y + eps * e) - f(y - eps * e)) / (2 * eps)
                                 for e in np.eye(2 * n)])
         np.testing.assert_allclose(J, J_fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(J)))
+
+
+def _study_system(mode):
+    return cli.build_scenario(cli.ScenarioConfig.load(
+        cli.shipped_config_path(f"dhn_study_{mode}.cfg"))).system
+
+
+def _dense_jacobian(sys_, Jb, free):
+    """The 2n x 2n loop Jacobian assembled from the block form of
+    ``field_linearization``: db/dv and the mask of the free agents."""
+    n, gains = sys_.n, sys_.gains
+    saturated = ~free
+    K = np.diag(gains.kA) if gains.mode == "decentralized" else np.full((n, n), gains.kC)
+    return np.block([[Jb * (-gains.kP * free) - np.diag(sys_.agents.a), Jb * (-gains.kI * free)],
+                     [np.eye(n) + K * (-gains.kP * saturated), K * (-gains.kI * saturated)]])
+
+
+class TestLoopFactor:
+    @pytest.mark.parametrize("mode", ["decentralized", "coordinating"])
+    def test_matches_dense_solve_on_the_study_loop(self, mode):
+        # seeded states of the 22-consumer study loop with mixed saturation,
+        # then the all-free and the all-saturated corners, each at its own
+        # step size h and right-hand side
+        sys_ = _study_system(mode)
+        n = sys_.n
+        rng = np.random.default_rng(5)
+        U = np.vstack([rng.uniform(-2.5, 2.5, (200, n)), rng.uniform(-0.95, 0.95, (20, n)),
+                       rng.choice([-1.0, 1.0], (20, n)) * rng.uniform(1.05, 3.0, (20, n))])
+        free = (np.abs(U) < 1.0).sum(axis=1)
+        assert np.sum((free > 0) & (free < n)) >= 200
+        assert np.sum(free == n) == 20 and np.sum(free == 0) == 20
+        worst = 0.0
+        for u in U:
+            z = rng.uniform(-0.5, 0.5, n)
+            x = -(u + sys_.gains.kI * z) / sys_.gains.kP
+            s = cp.ClosedLoopState(x, z)
+            Jb, free = field_linearization(sys_, s, float(rng.uniform(0.0, 96.0)))[2:]
+            c = 1.0 / (float(10.0 ** rng.uniform(-3.0, 0.3)) * sim._RO_GAMMA)
+            r = rng.standard_normal(2 * n)
+            got = loop_factor(sys_, Jb, free)(c)(r)
+            want = np.linalg.solve(c * np.eye(2 * n) - _dense_jacobian(sys_, Jb, free), r)
+            worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+        assert worst <= 1e-12, worst
+
+    def test_failed_stage_balance_stops_the_run(self, monkeypatch):
+        # the one-point stage solves leave their pressure-balance check to
+        # the step's stacked check, which must stop the run on the first
+        # attempted step: the linearization at the start and five stages
+        sys_ = _study_system("decentralized")
+        solves = []
+        real_solve = hydraulics.solve_flows
+        real_pressure = hydraulics.HydraulicNetwork.consumer_pressure
+
+        def solve_flows(net, v, *args, **kwargs):
+            solves.append(1)
+            return real_solve(net, v, *args, **kwargs)
+
+        def consumer_pressure(net, q):
+            p = real_pressure(net, q)
+            if q.ndim == 2:  # the last stage's row is off balance
+                p[-1] += 1e-6 * net.pump_dp
+            return p
+
+        monkeypatch.setattr(hydraulics, "solve_flows", solve_flows)
+        monkeypatch.setattr(hydraulics.HydraulicNetwork, "consumer_pressure", consumer_pressure)
+        with pytest.raises(FlowSolverError, match="row 5 of 6: flow solve failed its "
+                                                  "pressure-balance check") as info:
+            cp.integrate(sys_, cp.ClosedLoopState.zero(sys_.n), (0.0, 96.0),
+                         SolverOptions(method="rosenbrock", rtol=1e-6, atol=1e-6))
+        assert not isinstance(info.value, IntegrationError)
+        assert info.value.residual == pytest.approx(1e-6, rel=1e-3)
+        assert len(solves) == 6
+
+    def test_starts_share_the_maps_and_their_checks(self):
+        # integrate_many builds the RODAS4 maps once for all its starts: each
+        # row keeps the bits it gets alone, and every solve of every row is
+        # checked and counted once, the last linearization of each included
+        sc = cli.build_scenario(cli.ScenarioConfig.load(
+            cli.shipped_config_path("dhn_study_coordinating.cfg")))
+        sys_, stats = sc.system, sc.hydraulic_stats
+        rng = np.random.default_rng(3)
+        starts = [cp.ClosedLoopState(rng.uniform(-3.0, 3.0, sys_.n),
+                                     rng.uniform(-1.0, 1.0, sys_.n)) for _ in range(3)]
+        opts = SolverOptions(method="rosenbrock", rtol=1e-6, atol=1e-6)
+        before = stats.n_solves
+        trajs = integrate_many(sys_, starts, (0.0, 4.0), opts)
+        assert stats.n_solves - before == sum(traj.stats.n_field_evals for traj in trajs)
+        for s0, traj in zip(starts, trajs):
+            alone = cp.integrate(sys_, s0, (0.0, 4.0), opts)
+            np.testing.assert_array_equal(traj.times, alone.times)
+            np.testing.assert_array_equal(np.hstack([traj.x, traj.z]), np.hstack([alone.x, alone.z]))
 
 
 class TestCsv:

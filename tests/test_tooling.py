@@ -9,7 +9,8 @@ scenario configs of its own.  A rename, a changed signature or a stricter
 config schema in ``src/capnet`` would otherwise break ``perfbench/run.py``
 without any test failing.  The tests load these files and change nothing in
 them.  One more keeps each iterative solve on the one routine of
-``capnet.core`` that does its job.
+``capnet.core`` that does its job, and another keeps the RODAS4 integrator
+free of the hydraulics and of a dense inverse.
 """
 
 import ast
@@ -100,3 +101,27 @@ def test_root_search_and_line_search_live_in_core_only():
             if name in shared:
                 users.setdefault(name, set()).add(path.name)
     assert users == {name: {"core.py"} for name in shared}
+
+
+def test_rosenbrock_integrator_is_generic_and_inverts_nothing():
+    # the integrator takes its stage map, factor and deferred checks from
+    # control.state_maps: no name of capnet.hydraulics and no np.linalg.inv
+    # appear in it, so there is no DHN-only branch and no dense inverse
+    hydraulic = {"hydraulics"}
+    for node in ast.parse((PACKAGE / "hydraulics.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            hydraulic.add(node.name)
+        elif isinstance(node, ast.Assign):
+            hydraulic.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert {"solve_flows", "HydraulicStats", "CALIBRATED_CAPACITY_SCALE"} <= hydraulic
+    functions = {node.name: node for node in ast.parse((PACKAGE / "sim.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("_integrate_rosenbrock", "integrate_many"):
+        names = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not names & hydraulic, (name, names & hydraulic)
+        assert "inv" not in names, name
