@@ -9,8 +9,8 @@ heating hydraulic model as the worked interconnection, and a reproducible
 simulation pipeline with a CLI.
 """
 
-from .core import (AgentEnsemble, ControllerGains, SaturationBounds, TuningReport,
-                   deadzone, saturate, validate_coordinating_tuning,
+from .core import (AgentEnsemble, ControllerGains, DisturbanceProfile, SaturationBounds,
+                   TuningReport, deadzone, saturate, validate_coordinating_tuning,
                    validate_decentralized_tuning, validate_tuning)
 from .interconnect import (Interconnection, LinearAllocator, LinearMMatrix,
                            PropertyVerdict, check_assumption1, check_lemma1,
@@ -25,9 +25,8 @@ from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       DecentralizedMonitor, control_input, field, from_zeta_u,
                       lyapunov_coordinating, lyapunov_decentralized,
                       rejectable_disturbance, to_zeta_u)
-from .sim import (DisturbanceProfile, RunArtifacts, Scenario, SolverOptions,
-                  Trajectory, integrate, make_temperature_profile, run_scenario,
-                  write_trajectory_csv)
+from .sim import (RunArtifacts, Scenario, SolverOptions, Trajectory, integrate,
+                  make_temperature_profile, run_scenario, write_trajectory_csv)
 from .equilibria import (AllocationResult, EquilibriumReport, NoEquilibrium,
                          OracleOptions, OracleResult, VerificationVerdict,
                          find_equilibrium_coordinating, find_equilibrium_decentralized,
@@ -37,6 +36,6 @@ from .equilibria import (AllocationResult, EquilibriumReport, NoEquilibrium,
                          weighted_l1_cost)
 from .errors import (AllocationError, CapnetError, ConfigError, DimensionError,
                      DomainError, EquilibriumError, FlowSolverError,
-                     IntegrationError, TuningError)
+                     IntegrationError, TuningError, VaryingDisturbanceError)
 
 __version__ = "0.1.0"

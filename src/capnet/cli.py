@@ -27,7 +27,8 @@ from .control import ClosedLoopSystem
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, ControllerGains,
                    SaturationBounds, validate_tuning)
 from .errors import (AllocationError, CapnetError, ConfigError, EquilibriumError,
-                     FlowSolverError, IntegrationError, TuningError, strict_object)
+                     FlowSolverError, IntegrationError, TuningError,
+                     VaryingDisturbanceError, strict_object)
 from .interconnect import LinearMMatrix, check_assumption1, check_lemma1, check_lemma2, \
     linear_interconnection
 
@@ -42,6 +43,7 @@ EXIT_SOLVER = 3
 ERROR_EXITS = {
     ConfigError: (EXIT_CONFIG, "config error"),
     TuningError: (EXIT_CONFIG, "tuning error"),
+    VaryingDisturbanceError: (EXIT_CONFIG, "config error"),
     FlowSolverError: (EXIT_SOLVER, "solver error"),
     IntegrationError: (EXIT_SOLVER, "solver error"),
     EquilibriumError: (EXIT_SOLVER, "solver error"),
@@ -230,7 +232,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
                                             name="linear-unchecked")
         with _section("agents"):
             agents = AgentEnsemble(a=_vector_or_scalar(agents_cfg["a"], n, "agents.a"),
-                                   w=_vector_or_scalar(agents_cfg["w"], n, "agents.w"))
+                                   w=agents_cfg["w"])
     else:
         with _section("system.capacity_scale"):
             capacity_scale = float(system_cfg.get("capacity_scale", 1.0))
@@ -250,10 +252,9 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
                     temperature = sim.make_temperature_profile()
                 else:
                     temperature = sim.DisturbanceProfile.piecewise(ref["times"], ref["values"])
-                T_ref = np.broadcast_to(np.asarray(bld.T_ref, dtype=float), (n,))
-                w = temperature.with_thermal_map(a, T_ref)
+                w = temperature.with_thermal_map(a, bld.T_ref)
             else:
-                w = _vector_or_scalar(agents_cfg["w"], n, "agents.w")
+                w = agents_cfg["w"]
             agents = AgentEnsemble(a=a, w=w)
 
     with _section("controller"):
@@ -316,6 +317,7 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     scenario = build_scenario(ScenarioConfig.load(args.config))
     system = scenario.system
+    system.agents.constant_w("verify")
     verdicts = []
     rep = None
     if args.optimality or not args.stability:

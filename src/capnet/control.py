@@ -14,6 +14,7 @@ slack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,6 +27,8 @@ from .interconnect import Interconnection
 #: multiplicative slack for the certificate-decrease monitors; discrete
 #: integration may produce increases of this order without meaning anything
 MONITOR_SLACK = 1e-7
+#: :func:`no_monitor_reason` for a disturbance that varies in time
+TIME_VARYING_W = "time-varying w"
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +112,7 @@ def field_stack(sys: ClosedLoopSystem, x, z, t=0.0):
         raise DimensionError(f"x and z must both have shape (m, {sys.n}) or ({sys.n},)")
     u, v = _inputs(sys, x, z)
     b = np.asarray(sys.ic.fn(v if v.ndim == 2 else v[None]), dtype=float)
-    agents = sys.agents
-    w = agents.w if agents.w_is_constant else agents.w_at(t)
-    return _derivatives(sys, x, u, v, b.reshape(v.shape), w)
+    return _derivatives(sys, x, u, v, b.reshape(v.shape), sys.agents.disturbance.eval(t))
 
 
 def _inputs(sys: ClosedLoopSystem, x, z):
@@ -151,7 +152,7 @@ def field_linearization(sys: ClosedLoopSystem, s: ClosedLoopState, t: float):
 
     :func:`loop_factor` solves with I/(h*gamma) - J in this form.
     """
-    return _linearization(sys, s.x, s.z, sys.agents.w_at(t), sys.ic.linearize)
+    return _linearization(sys, s.x, s.z, sys.agents.disturbance.eval(t), sys.ic.linearize)
 
 
 def _linearization(sys: ClosedLoopSystem, x, z, w, linearize):
@@ -222,13 +223,13 @@ def state_maps(sys: ClosedLoopSystem):
     runs the interconnection's deferred checks
     (:meth:`~capnet.interconnect.Interconnection.point_maps`) on every
     evaluation since its last call.  Each gives the bits of
-    :func:`field_stack` and :func:`field_linearization` at that state; the
-    shapes are checked here, once, and w(t) is one ``eval`` of the profile.
+    :func:`field_stack` and :func:`field_linearization` at that state.  w(t)
+    is evaluated once per distinct time: RODAS4's stages 4 and 5 and the
+    next linearization all sit at t + h, so the last one is kept.
     """
-    n, agents = sys.n, sys.agents
+    n = sys.n
     b_at, linearize, check = sys.ic.point_maps()
-    agents.w_at(0.0)  # checks the shape of w(t) once
-    w_at = (lambda t: agents.w) if agents.w_is_constant else agents.w.eval
+    w_at = lru_cache(maxsize=1)(sys.agents.disturbance.eval)
 
     def fun(t, y):
         x = y[:n]
@@ -428,9 +429,9 @@ class CoordinatingMonitor(LyapunovMonitor):
 
 
 def rejectable_disturbance(sys: ClosedLoopSystem) -> bool:
-    """True when b(upper)+w > 0 > b(lower)+w at t = 0, i.e. exact rejection
-    of w is feasible strictly inside the actuator box."""
-    w = sys.agents.w_at(0.0)
+    """True when b(upper)+w > 0 > b(lower)+w, i.e. exact rejection of the
+    constant w is feasible strictly inside the actuator box."""
+    w = sys.agents.constant_w("rejectable_disturbance")
     hi = sys.ic(sys.bounds.upper) + w
     lo = sys.ic(sys.bounds.lower) + w
     return bool(np.all(hi > 0) and np.all(lo < 0))
@@ -441,10 +442,11 @@ def no_monitor_reason(sys: ClosedLoopSystem) -> Optional[str]:
 
     Both certificates need a constant disturbance and a positive tuning
     margin d = a - kI/kP; the coordinating one also needs w rejectable
-    strictly inside the box.
+    strictly inside the box.  This is the one place a varying disturbance
+    refuses a monitor: the reason is then TIME_VARYING_W.
     """
-    if not sys.agents.w_is_constant:
-        return "time-varying w"
+    if sys.agents.disturbance.varies:
+        return TIME_VARYING_W
     if np.any(sys.d_margin <= 0):
         return "tuning margin <= 0"
     if sys.gains.mode == COORDINATING and not rejectable_disturbance(sys):

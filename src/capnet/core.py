@@ -7,12 +7,12 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, VaryingDisturbanceError
 
 DECENTRALIZED = "decentralized"
 COORDINATING = "coordinating"
@@ -91,59 +91,145 @@ def deadzone(u, bounds: SaturationBounds) -> np.ndarray:
     return u - np.clip(u, bounds.lower, bounds.upper)
 
 
-@dataclass(frozen=True)
-class AgentEnsemble:
-    """Internal decay rates a_i > 0 and disturbances w_i of every agent.
+@dataclass(frozen=True, eq=False)
+class DisturbanceProfile:
+    """A disturbance w(t), in one of three forms that :meth:`eval` reads.
 
-    ``w`` is either a constant vector or any object with an ``eval(t)``
-    method returning the disturbance vector at time t, and the (m, n) stack
-    of them at a 1-D array of m times (see
-    :class:`capnet.sim.DisturbanceProfile`).
+    A piecewise-linear profile holds a shared scalar series (k,) or a
+    per-agent series (k, n) of ``values`` at the breakpoint ``times``; an
+    affine map w = scale*(value - offset) turns a raw series such as an
+    outdoor temperature into the disturbance each agent sees (scale=a,
+    offset=T_ref).  A constant one holds its one vector as ``values`` and no
+    breakpoints.  One with a ``source`` is ``source.eval`` with no known
+    breakpoints.
     """
 
-    a: np.ndarray
-    w: object
+    values: np.ndarray
+    times: np.ndarray
+    scale: np.ndarray | float = 1.0
+    offset: np.ndarray | float = 0.0
+    source: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_vector(self.a, "a"))
-        if not np.all((self.a > 0) & (self.a < np.inf)):
-            raise ValueError("agent rates a_i must be strictly positive and finite")
-        if not self.w_is_constant:
-            return
-        object.__setattr__(self, "w", as_vector(self.w, "w"))
-        if len(self.w) != self.n:
-            raise DimensionError("w and a differ in length")
-        if not np.all(np.isfinite(self.w)):
-            raise ValueError("disturbances w_i must be finite")
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        t = np.asarray(self.times, dtype=float)
+        if t.ndim != 1 or len(t) == 1:
+            raise ValueError("piecewise profile needs at least two breakpoints")
+        if not np.all(np.diff(t) > 0):
+            raise ValueError("breakpoint times must be strictly increasing")
+        if len(t) and self.values.shape[0] != len(t):
+            raise ValueError("values and times disagree in length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(self.values))):
+            raise ValueError("profile times and values must be finite")
+        object.__setattr__(self, "times", t)
+
+    @classmethod
+    def piecewise(cls, times, values) -> "DisturbanceProfile":
+        if len(times) < 2:  # no breakpoints at all is the constant form
+            raise ValueError("piecewise profile needs at least two breakpoints")
+        return cls(values=values, times=times)
 
     @property
-    def n(self) -> int:
-        return len(self.a)
+    def varies(self) -> bool:
+        """Whether w changes in time: it has breakpoints or a source."""
+        return self.source is not None or len(self.times) > 0
 
-    @property
-    def w_is_constant(self) -> bool:
-        return not hasattr(self.w, "eval")
+    def raw(self, t):
+        """Interpolated raw value(s) before the affine map, at time t or
+        at each of a 1-D array of times (stacked along the first axis)."""
+        if self.values.ndim == 1:
+            return np.interp(t, self.times, self.values)
+        return np.stack([np.interp(t, self.times, col) for col in self.values.T], axis=-1)
 
-    def w_at(self, t) -> np.ndarray:
-        """Disturbance vector at time t, or the (m, n) stack of them at each
-        of a 1-D array of m times."""
-        if self.w_is_constant:
-            return self.w if np.ndim(t) == 0 else np.tile(self.w, (len(t), 1))
-        w = np.asarray(self.w.eval(t), dtype=float)
-        _check_len(w, self.n, "w(t)")
-        return w
+    def eval(self, t) -> np.ndarray:
+        """Disturbance vector at time t, or the (m, n) stack of them at
+        each of a 1-D array of m times; a constant one returns its stored
+        vector itself at one time."""
+        if self.source is not None:
+            return self.source.eval(t)
+        if not len(self.times):
+            if isinstance(t, np.ndarray) and t.ndim:
+                return np.repeat(self.values[None], len(t), axis=0)
+            return self.values
+        raw = self.raw(t)
+        return self.scale * ((raw if self.values.ndim == 2 else raw[..., None]) - self.offset)
+
+    def with_thermal_map(self, a, T_ref) -> "DisturbanceProfile":
+        """Map a raw temperature series into w(t) = a * (T(t) - T_ref)."""
+        return replace(self, scale=a, offset=T_ref)
 
 
-def _broadcast_gain(value, n, name) -> np.ndarray:
+def _per_agent(value, n, name, ok=np.isfinite, what="finite") -> np.ndarray:
+    """A scalar or an (n,) vector as a read-only (n,) vector, every entry of
+    which must be ``ok``."""
     v = np.asarray(value, dtype=float)
     if v.ndim == 0:
         v = np.full(n, float(v))
     v = as_vector(v, name)
     if len(v) != n:
         raise DimensionError(f"{name} has length {len(v)}, expected {n}")
-    if not np.all((v > 0) & (v < np.inf)):  # NaN fails too
-        raise ValueError(f"{name} must be strictly positive and finite")
+    if not np.all(ok(v)):  # NaN fails too
+        raise ValueError(f"{name} must be {what}")
     return v
+
+
+def _as_disturbance(w, n) -> DisturbanceProfile:
+    """w as the DisturbanceProfile of n agents (see :class:`AgentEnsemble`)."""
+    if isinstance(w, DisturbanceProfile) and not w.varies:
+        w = w.values
+    if not hasattr(w, "eval"):
+        return DisturbanceProfile(_per_agent(w, n, "w"), ())
+    if not isinstance(w, DisturbanceProfile):
+        w = DisturbanceProfile((), (), source=w)
+    if w.source is not None:
+        _per_agent(w.eval(0.0), n, "w(0)")
+        return w
+    if w.values.ndim == 2:
+        _check_len(w.values, n, "w values")
+    return replace(w, scale=_per_agent(w.scale, n, "w scale"),
+                   offset=_per_agent(w.offset, n, "w offset"))
+
+
+@dataclass(frozen=True)
+class AgentEnsemble:
+    """Internal decay rates a_i > 0 and disturbances w_i of every agent.
+
+    ``w`` is a constant scalar or vector, a :class:`DisturbanceProfile` (its
+    scale and offset broadcast to the n agents, so a shared series reaches
+    every agent) or any other object with ``eval(t)``, taken to vary in time
+    with no known breakpoints.  It becomes ``disturbance``, the one profile
+    every consumer evaluates, its shape and values checked here, once; ``w``
+    stays the (n,) vector when it is constant.
+    """
+
+    a: np.ndarray
+    w: object
+    disturbance: DisturbanceProfile = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", as_vector(self.a, "a"))
+        if not np.all((self.a > 0) & (self.a < np.inf)):
+            raise ValueError("agent rates a_i must be strictly positive and finite")
+        disturbance = _as_disturbance(self.w, self.n)
+        object.__setattr__(self, "disturbance", disturbance)
+        object.__setattr__(self, "w", disturbance if disturbance.varies else disturbance.values)
+
+    @property
+    def n(self) -> int:
+        return len(self.a)
+
+    def constant_w(self, what: str) -> np.ndarray:
+        """The constant w, which ``what`` needs: VaryingDisturbanceError
+        naming it when w varies in time."""
+        if self.disturbance.varies:
+            raise VaryingDisturbanceError(f"{what} needs a constant agents.w; "
+                                          "this one varies in time")
+        return self.w
+
+
+def _broadcast_gain(value, n, name) -> np.ndarray:
+    return _per_agent(value, n, name, lambda v: (v > 0) & (v < np.inf),
+                      "strictly positive and finite")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ The open-loop optima that certify them come from two independent routes:
 
 The closed-loop solves call neither route, and neither route touches the
 controller equations, so agreement between them is a genuine cross-check.
+Both, like the equilibria, are defined for a constant disturbance w: each
+raises VaryingDisturbanceError for one that varies in time.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ def linf_cost(x):
 
 def open_loop_state(ic: Interconnection, agents: AgentEnsemble, v) -> np.ndarray:
     """x solving the agent dynamics at rest for the saturated input v, or
-    for each row of an (m, n) stack of inputs."""
+    for each row of an (m, n) stack of inputs, under the constant w."""
     v = saturate(np.asarray(v, dtype=float), ic.bounds)
-    return (ic(v) + agents.w) / agents.a
+    return (ic(v) + agents.constant_w("open_loop_state")) / agents.a
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +186,8 @@ def find_equilibrium_decentralized(
     """
     if sys.gains.mode != DECENTRALIZED:
         raise ValueError("system gains are not decentralized")
-    if not sys.agents.w_is_constant:
-        raise ValueError("equilibria are defined for constant disturbances")
-    a = sys.agents.a
-    u, steps = _solve_normal_map(sys.ic, a, sys.agents.w, a * sys.gains.kA,
+    a, w = sys.agents.a, sys.agents.constant_w("find_equilibrium_decentralized")
+    u, steps = _solve_normal_map(sys.ic, a, w, a * sys.gains.kA,
                                  0.5 * (sys.bounds.lower + sys.bounds.upper),
                                  tol, 0, max_iter)
     return _finish_report(sys, u, steps, tol)
@@ -216,9 +216,8 @@ def find_equilibrium_coordinating(
     """
     if sys.gains.mode != COORDINATING:
         raise ValueError("system gains are not coordinating")
-    if not sys.agents.w_is_constant:
-        raise ValueError("equilibria are defined for constant disturbances")
-    ic, a, w, kC = sys.ic, sys.agents.a, sys.agents.w, sys.gains.kC
+    ic, a, kC = sys.ic, sys.agents.a, sys.gains.kC
+    w = sys.agents.constant_w("find_equilibrium_coordinating")
     lo, hi = sys.bounds.lower, sys.bounds.upper
     c = a * kC
     u = 0.5 * (lo + hi)
@@ -380,12 +379,13 @@ class AllocationResult:
 
 
 def _allocate(ic, agents, name, cost_of_x, oracle) -> AllocationResult:
+    w = agents.constant_w(f"solve_{name}_allocation")
     if ic.allocator is None:
         res = oracle(ic, agents)
         return AllocationResult(v=res.v, x=res.x, cost=res.cost,
                                 iterations=res.n_evaluations, converged=True,
                                 method="oracle:" + res.method)
-    V, X, methods = getattr(ic.allocator, name)(agents.a, agents.w[None])
+    V, X, methods = getattr(ic.allocator, name)(agents.a, w[None])
     return AllocationResult(v=V[0], x=X[0], cost=cost_of_x(X[0]), iterations=1,
                             converged=True, method=methods[0])
 

@@ -18,6 +18,10 @@ class TuningError(CapnetError):
     """Controller gains violate a structural requirement of an operation."""
 
 
+class VaryingDisturbanceError(CapnetError):
+    """An operation defined for a constant disturbance w met a varying one."""
+
+
 class FlowSolverError(CapnetError):
     """A hydraulic solve produced no valid answer: a switched-off pump,
     valves outside [-1, 1], non-positive flow, a failed pressure-balance

@@ -1,4 +1,4 @@
-"""Time integration, disturbance profiles and scenario execution.
+"""Time integration, the study's temperature profile and scenario execution.
 
 The default integrator is an embedded Dormand-Prince Runge-Kutta 5(4) pair.
 It steps a stack of states at once (``integrate_many``), every row under its
@@ -27,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .control import (ClosedLoopState, ClosedLoopSystem, LyapunovMonitor, field, field_stack,
-                      state_maps)
-from .core import AgentEnsemble, validate_tuning
+from .control import (TIME_VARYING_W, ClosedLoopState, ClosedLoopSystem, LyapunovMonitor,
+                      field, field_stack, no_monitor_reason, state_maps)
+from .core import AgentEnsemble, DisturbanceProfile, validate_tuning
 from .errors import ConfigError, IntegrationError, TuningError
 from .hydraulics import HydraulicStats
 from .interconnect import Interconnection
@@ -45,62 +45,7 @@ POLICIES = ("decentralized", "coordinating", "oracle-l1", "oracle-linf")
 
 
 # ---------------------------------------------------------------------------
-# disturbance profiles
-
-
-@dataclass(frozen=True, eq=False)
-class DisturbanceProfile:
-    """Piecewise-linear disturbance; a constant one is a plain vector w.
-
-    ``values`` is a shared scalar series (k,) or a per-agent series (k, n)
-    at the breakpoint ``times``.  An affine map w = scale*(value - offset)
-    turns a raw series such as an outdoor temperature into the disturbance
-    each agent sees (scale=a, offset=T_ref).
-    """
-
-    values: np.ndarray
-    times: np.ndarray
-    scale: np.ndarray | float = 1.0
-    offset: np.ndarray | float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) < 2:
-            raise ValueError("piecewise profile needs at least two breakpoints")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("breakpoint times must be strictly increasing")
-        if self.values.shape[0] != len(t):
-            raise ValueError("values and times disagree in length")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(self.values))):
-            raise ValueError("profile times and values must be finite")
-        object.__setattr__(self, "times", t)
-
-    @classmethod
-    def piecewise(cls, times, values) -> "DisturbanceProfile":
-        return cls(values=values, times=times)
-
-    def raw(self, t):
-        """Interpolated raw value(s) before the affine map, at time t or
-        at each of a 1-D array of times (stacked along the first axis)."""
-        if self.values.ndim == 1:
-            return np.interp(t, self.times, self.values)
-        return np.stack([np.interp(t, self.times, col) for col in self.values.T], axis=-1)
-
-    def eval(self, t) -> np.ndarray:
-        """Disturbance vector at time t, or the (m, n) stack of them at
-        each of a 1-D array of m times; a shared series is one np.interp."""
-        if self.values.ndim == 1:
-            raw = np.interp(t, self.times, self.values)[..., None]
-        else:
-            raw = self.raw(t)
-        return self.scale * (raw - self.offset)
-
-    def with_thermal_map(self, a, T_ref) -> "DisturbanceProfile":
-        """Map a raw temperature series into w(t) = a * (T(t) - T_ref)."""
-        return DisturbanceProfile(values=self.values, times=self.times,
-                                  scale=np.asarray(a, dtype=float),
-                                  offset=np.asarray(T_ref, dtype=float))
+# the study's outdoor temperature
 
 
 #: synthetic 96-hour outdoor temperature [degC]: mild start, daily swings,
@@ -411,9 +356,9 @@ def integrate(
     """Integrate the closed loop over t_span and sample the output grid.
 
     The monitor, when given, checks the certificate across every accepted
-    step once the run ends.  It is refused and disabled with a notice when
-    the disturbance varies in time, since the decrease certificates assume a
-    constant disturbance.
+    step once the run ends.  It is refused and disabled with a notice where
+    :func:`~capnet.control.no_monitor_reason` finds the disturbance varying
+    in time, since the decrease certificates assume a constant one.
     """
     return integrate_many(sys, [s0], t_span, opts, [monitor])[0]
 
@@ -434,7 +379,9 @@ def integrate_many(
     them per row: ``monitors`` holds one LyapunovMonitor or None per start,
     and each monitor checks its row's accepted states at once
     (:meth:`~capnet.control.LyapunovMonitor.check`), then the output grid is
-    sampled from the same steps.
+    sampled from the same steps; the monitors are refused as in
+    :func:`integrate`.  w(t) is ``sys.agents.disturbance``, and RODAS4 also
+    steps exactly onto each of its breakpoints.
 
     The steps are held until the last row ends, (1 + 4n)*8 bytes per
     accepted row-step: under 1 MB on the shipped workloads, but about 120 MB
@@ -451,7 +398,8 @@ def integrate_many(
     monitors = [None] * len(starts) if monitors is None else list(monitors)
     if len(monitors) != len(starts):
         raise ValueError("need one monitor (or None) per start")
-    if any(mon is not None for mon in monitors) and not sys.agents.w_is_constant:
+    if (any(mon is not None for mon in monitors)
+            and no_monitor_reason(sys) == TIME_VARYING_W):
         log.info("disturbance varies in time: Lyapunov monitor disabled")
         monitors = [None] * len(starts)
 
@@ -464,12 +412,12 @@ def integrate_many(
     if opts.method == "rk45":
         steps, stats = _integrate_rk45(fun_stack, t0, t1, y0, opts)
     else:
-        # w(t) is affine between consecutive breakpoints of its profile
-        w_times = getattr(sys.agents.w, "times", None)
-        stops = [tb for tb in (() if w_times is None else w_times) if t0 < tb < t1] + [t1]
+        # w(t) is affine between consecutive breakpoints
+        w = sys.agents.disturbance
+        stops = [tb for tb in w.times if t0 < tb < t1] + [t1]
 
         def dfdt(ta, tb):
-            slope = (sys.agents.w_at(tb) - sys.agents.w_at(ta)) / (tb - ta)
+            slope = (w.eval(tb) - w.eval(ta)) / (tb - ta)
             return np.concatenate([slope, np.zeros(n)])
 
         maps = state_maps(sys)
@@ -652,7 +600,7 @@ def _run_oracle_policy(sc: Scenario) -> RunArtifacts:
     t0, t1 = sc.t_span
     dt = sc.opts.output_dt if sc.opts.output_dt is not None else (t1 - t0) / 200.0
     times = _output_grid(t0, t1, dt)
-    vs, xs = equilibria.solve_allocations(sc.ic, sc.agents.a, sc.agents.w_at(times),
+    vs, xs = equilibria.solve_allocations(sc.ic, sc.agents.a, sc.agents.disturbance.eval(times),
                                           sc.policy.removeprefix("oracle-"))
     summary = {
         "policy": sc.policy,

@@ -427,6 +427,14 @@ class TestVerifyCommand:
         assert cli.main(["verify", str(path), "--stability", "--starts", "5",
                          "--t-max", "120", "--seed", "0"]) == 0
 
+    @pytest.mark.parametrize("flags", [["--optimality"], ["--stability"]])
+    def test_time_varying_w_exit_2(self, capsys, flags):
+        # equilibria and their certificates need a constant agents.w
+        path = cli.shipped_config_path("dhn_study_decentralized.cfg")
+        assert cli.main(["verify", str(path)] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: verify needs a constant agents.w; this one varies in time"]
+
     def test_report_written(self, tmp_path):
         path = write_cfg(tmp_path, linear_cfg())
         report_dir = tmp_path / "reports"

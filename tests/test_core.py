@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet.errors import DimensionError
+from capnet.errors import DimensionError, VaryingDisturbanceError
+
+
+class Ramp:
+    """A disturbance known only by its eval: (t, -t, t, ...) on ``n`` agents."""
+
+    def __init__(self, n):
+        self.sign = np.resize([1.0, -1.0], n)
+
+    def eval(self, t):
+        return self.sign * t
 
 
 def bounds11():
@@ -81,8 +91,40 @@ class TestTypes:
     def test_agents_profile_disturbance(self):
         prof = cp.DisturbanceProfile.piecewise([0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]])
         agents = cp.AgentEnsemble(a=[1.0, 1.0], w=prof)
-        assert not agents.w_is_constant
-        np.testing.assert_allclose(agents.w_at(0.5), [1.0, 2.0])
+        assert agents.disturbance.varies
+        np.testing.assert_allclose(agents.disturbance.eval(0.5), [1.0, 2.0])
+
+    def test_shared_series_reaches_every_agent(self):
+        # a (k,) series with the default scalar scale and offset
+        agents = cp.AgentEnsemble(a=[1.0, 1.0], w=cp.DisturbanceProfile.piecewise([0, 1], [1, 2]))
+        np.testing.assert_array_equal(agents.disturbance.eval(0.5), [1.5, 1.5])
+        stack = agents.disturbance.eval(np.array([0.0, 0.5, 1.0]))
+        np.testing.assert_array_equal(stack, [[1.0, 1.0], [1.5, 1.5], [2.0, 2.0]])
+
+    def test_constant_disturbance_is_one_stored_vector(self):
+        agents = cp.AgentEnsemble(a=[1.0, 1.0, 1.0], w=-0.5)
+        w = agents.disturbance
+        assert not w.varies and len(w.times) == 0
+        np.testing.assert_array_equal(agents.w, [-0.5, -0.5, -0.5])
+        assert w.eval(3.0) is agents.w and agents.constant_w("test") is agents.w
+        np.testing.assert_array_equal(w.eval(np.array([0.0, 1.0])), [agents.w, agents.w])
+
+    def test_eval_only_disturbance_varies(self):
+        agents = cp.AgentEnsemble(a=[1.0, 1.0], w=Ramp(2))
+        assert agents.disturbance.varies and len(agents.disturbance.times) == 0
+        np.testing.assert_array_equal(agents.disturbance.eval(2.0), [2.0, -2.0])
+        with pytest.raises(VaryingDisturbanceError, match="test needs a constant agents.w"):
+            agents.constant_w("test")
+
+    @pytest.mark.parametrize("w", [
+        [0.0, 1.0, 2.0],
+        cp.DisturbanceProfile.piecewise([0.0, 1.0], [[0.0, 1.0, 2.0], [2.0, 3.0, 4.0]]),
+        cp.DisturbanceProfile.piecewise([0.0, 1.0], [0.0, 1.0]).with_thermal_map([1.0] * 3, 0.0),
+        Ramp(3),
+    ], ids=["vector", "per-agent series", "scale", "eval-only"])
+    def test_disturbance_shape_checked_once(self, w):
+        with pytest.raises(DimensionError):
+            cp.AgentEnsemble(a=[1.0, 1.0], w=w)
 
     def test_gain_mode_consistency(self):
         with pytest.raises(ValueError):

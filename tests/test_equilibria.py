@@ -103,6 +103,34 @@ class CountingInterconnection:
         self.calls = 0  # construction probes fn
 
 
+class TestVaryingDisturbance:
+    """Each operation defined for a constant w refuses a varying one with
+    VaryingDisturbanceError naming the operation."""
+
+    @pytest.fixture(scope="class")
+    def varying(self, ic2, gains_dec2, gains_coord2, bounds2):
+        agents = cp.AgentEnsemble(a=[1.0, 1.0], w=cp.DisturbanceProfile.piecewise(
+            [0.0, 1.0], [W_REF, 2.0 * W_REF]))
+        return {mode: cp.ClosedLoopSystem(agents=agents, ic=ic2, gains=gains, bounds=bounds2)
+                for mode, gains in (("decentralized", gains_dec2),
+                                    ("coordinating", gains_coord2))}
+
+    @pytest.mark.parametrize("name, mode", [
+        ("open_loop_state", "decentralized"),
+        ("solve_l1_allocation", "decentralized"),
+        ("solve_linf_allocation", "decentralized"),
+        ("find_equilibrium_decentralized", "decentralized"),
+        ("find_equilibrium_coordinating", "coordinating"),
+    ])
+    def test_refused(self, varying, name, mode):
+        sys_ = varying[mode]
+        args = {"open_loop_state": (sys_.ic, sys_.agents, np.zeros(2)),
+                "solve_l1_allocation": (sys_.ic, sys_.agents),
+                "solve_linf_allocation": (sys_.ic, sys_.agents)}.get(name, (sys_,))
+        with pytest.raises(cp.VaryingDisturbanceError, match=f"^{name} needs a constant"):
+            getattr(cp, name)(*args)
+
+
 class TestDecentralizedEquilibrium:
     def test_scalar_against_bisection(self, scalar_system):
         rep = cp.find_equilibrium_decentralized(scalar_system)

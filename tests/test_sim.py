@@ -18,6 +18,11 @@ class TestDisturbanceProfile:
         with pytest.raises(ValueError):
             cp.DisturbanceProfile.piecewise([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("times", [[], [0.0]])
+    def test_piecewise_needs_two_breakpoints(self, times):
+        with pytest.raises(ValueError, match="at least two breakpoints"):
+            cp.DisturbanceProfile.piecewise(times, [1.0] * len(times))
+
     def test_thermal_map(self):
         prof = cp.DisturbanceProfile.piecewise([0.0, 1.0], [-25.0, -25.0])
         w = prof.with_thermal_map(np.array([0.6, 0.6]), np.array([20.0, 20.0]))
@@ -398,6 +403,25 @@ class TestRosenbrock:
         for tb in (0.7, 1.3, 2.9, 4.1):
             assert tb in traj.times
 
+    def test_study_evaluates_w_once_per_distinct_time(self, monkeypatch):
+        # RODAS4's stages 4 and 5 and the next linearization share t + h;
+        # dw/dt evaluates w once more at both ends of each stretch between
+        # stops, times the stage maps evaluate too
+        times = []
+        real = cp.DisturbanceProfile.eval
+
+        def counted(self, t):
+            times.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(cp.DisturbanceProfile, "eval", counted)
+        sc = cli.build_scenario(cli.ScenarioConfig.load(
+            cli.shipped_config_path("dhn_study_decentralized.cfg")))
+        sc.out_dir = None
+        run_scenario(sc)
+        stops = [t for t in sim.TEMPERATURE_TIMES if 0.0 < t < 96.0] + [96.0]
+        assert len(times) == len(set(times)) + 2 * len(stops)
+
     def test_dhn_field_evaluation_budget(self, dhn_study):
         # RK45 needed about 19000 per policy, held at its stability limit
         for policy in ("decentralized", "coordinating"):
@@ -695,6 +719,7 @@ class TestRunScenario:
         arts = run_scenario(sc)
         solve = {"oracle-l1": cp.solve_l1_allocation, "oracle-linf": cp.solve_linf_allocation}
         for k, t in enumerate(arts.times):
-            res = solve[policy](sc.ic, cp.AgentEnsemble(a=sc.agents.a, w=sc.agents.w_at(t)))
+            w = sc.agents.disturbance.eval(t)
+            res = solve[policy](sc.ic, cp.AgentEnsemble(a=sc.agents.a, w=w))
             np.testing.assert_array_equal(arts.v[k], res.v)
             np.testing.assert_array_equal(arts.x[k], res.x)

@@ -9,14 +9,17 @@ scenario configs of its own.  A rename, a changed signature or a stricter
 config schema in ``src/capnet`` would otherwise break ``perfbench/run.py``
 without any test failing.  The tests load these files and change nothing in
 them.  One more keeps each iterative solve on the one routine of
-``capnet.core`` that does its job, and another keeps the RODAS4 integrator
-free of the hydraulics and of a dense inverse.
+``capnet.core`` that does its job, another keeps the RODAS4 integrator free
+of the hydraulics and of a dense inverse, and a third leaves the kind of
+disturbance to ``capnet.core``.
 """
 
 import ast
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import capnet as cp
 from capnet import equilibria, interconnect, sim
@@ -125,3 +128,51 @@ def test_rosenbrock_integrator_is_generic_and_inverts_nothing():
                 names.add(node.attr)
         assert not names & hydraulic, (name, names & hydraulic)
         assert "inv" not in names, name
+
+
+def _reads_disturbance_kind(node):
+    """Whether node names w_is_constant, calls hasattr(..., "eval") or reads
+    .times off agents.w (as an attribute or through getattr)."""
+    def is_agents_w(expr):
+        return (isinstance(expr, ast.Attribute) and expr.attr == "w"
+                and (getattr(expr.value, "attr", None) == "agents"
+                     or getattr(expr.value, "id", None) == "agents"))
+
+    if isinstance(node, ast.Name):
+        return node.id == "w_is_constant"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "w_is_constant" or (node.attr == "times" and is_agents_w(node.value))
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("hasattr", "getattr"):
+        attr = node.args[1].value if isinstance(node.args[1], ast.Constant) else None
+        return ((node.func.id == "hasattr" and attr == "eval")
+                or (attr == "times" and is_agents_w(node.args[0])))
+    return False
+
+
+def test_disturbance_kind_is_decided_in_core_only():
+    # AgentEnsemble turns every w into one DisturbanceProfile; the other
+    # modules evaluate it and never ask which kind of w they hold
+    readers = {path.name for path in PACKAGE.glob("*.py") if path.name != "core.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if _reads_disturbance_kind(node)}
+    assert readers == set()
+
+
+def test_eval_only_disturbance_gives_the_profile_bits():
+    # perfbench/reference.py builds the study loops with a w known only by
+    # its eval; the field must equal, bit for bit, that of the loop the CLI
+    # builds from the shipped profile
+    from capnet import cli, control
+
+    reference = _load("reference")
+    rng = np.random.default_rng(0)
+    for policy in ("decentralized", "coordinating"):
+        ours = reference.study_system(policy)
+        shipped = cli.build_scenario(cli.ScenarioConfig.load(
+            cli.shipped_config_path(f"dhn_study_{policy}.cfg"))).system
+        assert ours.agents.disturbance.varies and not len(ours.agents.disturbance.times)
+        for _ in range(1000):
+            s = control.ClosedLoopState(*rng.uniform(-2.0, 2.0, (2, ours.n)))
+            t = rng.uniform(0.0, 96.0)
+            for got, want in zip(control.field(ours, s, t), control.field(shipped, s, t)):
+                np.testing.assert_array_equal(got, want)
