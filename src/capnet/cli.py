@@ -228,8 +228,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
                 # checkers can exhibit the violation instead of refusing to build
                 log.warning("linear map is not an admissible M-matrix (%s); "
                             "wrapping it unchecked for property checking", exc)
-                ic = linear_interconnection(B, np.ones(n) if eta is None else eta, bounds,
-                                            name="linear-unchecked")
+                ic = linear_interconnection(B, np.ones(n) if eta is None else eta, bounds)
         with _section("agents"):
             agents = AgentEnsemble(a=_vector_or_scalar(agents_cfg["a"], n, "agents.a"),
                                    w=agents_cfg["w"])
@@ -277,8 +276,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
     if out_dir is not None:
         out_dir = Path(out_dir)  # relative paths resolve against the CWD
     return sim.Scenario(
-        policy=policy or ctrl["mode"],
-        agents=agents, ic=ic, t_span=t_span, opts=opts, system=system,
+        policy=policy or ctrl["mode"], system=system, t_span=t_span, opts=opts,
         force=ctrl.get("force", False), temperature=temperature,
         hydraulic_stats=hstats, out_dir=out_dir,
         prefix=out_cfg.get("prefix", "run"))

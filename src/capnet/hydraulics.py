@@ -208,11 +208,11 @@ def solve_flows(net: HydraulicNetwork, v, tol: Optional[float] = FLOW_TOL) -> np
     runs on the whole stack first and looks for that row only if it fails.
 
     With ``tol`` None the pressure-balance check is left to the caller, who
-    runs :func:`check_flows` on these flows before using any result built
-    on them.  The closed loop's one-point maps (:func:`dhn_interconnection`)
-    solve their rows so and check the stack of every row a RODAS4 step
-    solved, and the linearization before them, once per attempted step,
-    before the step is accepted or rejected.
+    runs :meth:`HydraulicStats.check` on these flows before using any result
+    built on them.  The closed loop's one-point maps
+    (:func:`dhn_interconnection`) solve their rows so and check the stack of
+    every row a RODAS4 step solved, and the linearization before them, once
+    per attempted step, before the step is accepted or rejected.
     """
     n = net.n_consumers
     v = np.asarray(v, dtype=float)
@@ -262,14 +262,6 @@ def solve_flows(net: HydraulicNetwork, v, tol: Optional[float] = FLOW_TOL) -> np
     if tol is not None:
         _check_balance(net, q, r, tol, m)
     return q.reshape(v.shape)
-
-
-def check_flows(net: HydraulicNetwork, v, q):
-    """The pressure-balance check :func:`solve_flows` runs at its default
-    tolerance, on flows q that it solved at valves v with ``tol`` None: one
-    vector of each or (m, n) stacks of them, checked as one stack."""
-    r = net.consumer_resistance(np.minimum(np.maximum(v, -1.0), 1.0))
-    _check_balance(net, q, r, FLOW_TOL, len(q) if q.ndim == 2 else 1)
 
 
 def _check_balance(net, q, r, tol, m):
@@ -445,18 +437,39 @@ class BuildingParams:
 
 @dataclass
 class HydraulicStats:
-    """Accumulated diagnostics across all flow solves of one scenario; a
-    stack of m rows counts as m solves."""
+    """The one meter of a DHN interconnection's flow solves and its
+    allocator's: it checks and counts each solve after its two tree passes,
+    and reports the counts.  A stack of m rows counts as m solves, each with
+    the mass residual of :meth:`HydraulicNetwork.mass_residual`."""
 
     n_solves: int = 0
     max_mass_residual: float = 0.0
 
-    def update(self, mass_residuals):
-        """Count the solves of a stack from their (m,) mass residuals, or
-        one solve from its float."""
-        mass_residuals = np.atleast_1d(mass_residuals)
-        self.n_solves += len(mass_residuals)
-        self.max_mass_residual = max([self.max_mass_residual, *mass_residuals.tolist()])
+    def solve(self, net: HydraulicNetwork, v) -> np.ndarray:
+        """The flows at valves v, one vector or a stack: :func:`solve_flows`
+        at FLOW_TOL, every row counted."""
+        q = solve_flows(net, v)
+        self._count(net, q)
+        return q
+
+    def check(self, net: HydraulicNetwork, V: np.ndarray, Q: np.ndarray):
+        """The pressure-balance check :func:`solve_flows` runs at FLOW_TOL,
+        on the (m, n) stack of flows Q it solved at the valves V with ``tol``
+        None, as one stack; every row counted."""
+        r = net.consumer_resistance(np.minimum(np.maximum(V, -1.0), 1.0))
+        _check_balance(net, Q, r, FLOW_TOL, len(Q))
+        self._count(net, Q)
+
+    def _count(self, net, q):
+        residuals = np.atleast_1d(net.mass_residual(q))
+        self.n_solves += len(residuals)
+        self.max_mass_residual = max([self.max_mass_residual, *residuals.tolist()])
+
+    def summary(self) -> dict:
+        """The keys a run's summary gives its flow solves; the tree solve is
+        exact, so ``max_newton_iterations`` is always 0 (the key is kept)."""
+        return {"flow_solves": self.n_solves, "max_mass_residual": self.max_mass_residual,
+                "max_newton_iterations": 0}
 
 
 class DhnAllocator:
@@ -498,36 +511,24 @@ class DhnAllocator:
     fully open level and the exact rejection; the rows neither holds go
     through :meth:`_signed_level`.
 
-    ``stats``, when given, counts every flow solve that sets a returned
-    error, and ``l1``'s all-open solves, with their mass residuals.  Errors
-    raise FlowSolverError.  Used by the benchmark policies; the generic
-    direct-search oracles remain the independent reference.
+    Every :func:`solve_flows` of theirs goes through the meter ``stats`` (a
+    fresh :class:`HydraulicStats` when none is given); the partial-flow
+    solves are Newton solves of their own.  Errors raise FlowSolverError.  Used by the
+    benchmark policies; the generic direct-search oracles remain the
+    independent reference.
     """
 
     def __init__(self, net: HydraulicNetwork, coef: np.ndarray,
                  stats: Optional[HydraulicStats] = None):
         self.net = net
         self.coef = coef
-        self.stats = stats
-
-    def _solve(self, v):
-        """The flows at valves v, one vector or a stack; ``stats`` counts
-        every row and its mass residual."""
-        q = solve_flows(self.net, v)
-        self._count(q)
-        return q
-
-    def _count(self, q):
-        """``stats`` counts the solved flows q, one vector or a stack, with
-        their mass residuals."""
-        if self.stats is not None:
-            self.stats.update(self.net.mass_residual(q))
+        self.stats = HydraulicStats() if stats is None else stats
 
     def _errors(self, a, w, v):
         """The valves v clipped to the box and the errors they leave, for
         one vector or a stack."""
         v = np.clip(v, -1.0, 1.0)
-        return v, (self.coef * self._solve(v) + w) / a
+        return v, (self.coef * self.stats.solve(self.net, v) + w) / a
 
     def _flows(self, a, w, lam, b=1.0, pinned=None):
         """Flows with the agents outside ``pinned`` at error lam (no flow
@@ -578,7 +579,7 @@ class DhnAllocator:
 
         if margin(lam_prev) >= 0.0:  # the change does not move the level
             return lam_prev
-        x_b = (self.coef * solve_flows(net, np.where(pinned, -b, b)) + w) / a
+        x_b = (self.coef * self.stats.solve(net, np.where(pinned, -b, b)) + w) / a
         lam_b = b * float(np.min(b * x_b[~pinned]))
         if margin(lam_b) <= 0.0:  # zero up to rounding: that agent binds at lam_b
             return lam_b
@@ -686,7 +687,7 @@ class DhnAllocator:
             # set's tol; otherwise this is the active set's first iterate
             surplus = W[rows] >= 0.0
             V[rows] = np.where(surplus, -1.0, 1.0)
-            Q = self._solve(V[rows])
+            Q = self.stats.solve(self.net, V[rows])
             X[rows] = (self.coef * Q + W[rows]) / a
             pinned = ~surplus & (X[rows] <= self._l1_tol(W[rows])[:, None])
             active = ~np.all(surplus | pinned, axis=1)
@@ -705,21 +706,23 @@ def dhn_interconnection(
 ) -> Interconnection:
     """Wrap the network as the interconnection b(v) = coef * q(v).
 
-    coef_i = c_pw*rho_w*delta_i/c_i converts flow to heating rate [K/h].
-    The flows of a stack of valve positions are one solve of the
-    allocator's (:meth:`DhnAllocator._solve`), which ``stats`` counts; the
-    linearization at one point takes b and its closed-form Jacobian
-    (:func:`flow_sensitivity`) from the same solve.
+    coef_i = c_pw*rho_w*delta_i/c_i converts flow to heating rate [K/h], and
+    the weight eta_i = max(coef)/coef_i, exactly 1 for a uniform building
+    stock: the total flow rises as any valve opens, so sum_i b_i/coef_i does.
+    The flows of a stack of valve positions are one checked, counted solve
+    of the meter ``stats`` (:meth:`HydraulicStats.solve`; a fresh meter when
+    none is given), which the allocator shares; the linearization at one
+    point takes b and its closed-form Jacobian (:func:`flow_sensitivity`)
+    from the same solve.
 
     Its one-point maps (``points``) solve one row each, with the box,
     finite and positive-flow checks inline, and leave the pressure-balance
     and mass-residual checks, and the count, to ``check()``: one stacked
-    :func:`check_flows` and one stacked mass residual over every row solved
-    since the last call.
+    :meth:`HydraulicStats.check` over every row solved since the last call.
     """
     n = net.n_consumers
     coef = bld.heat_coefficient(n)
-    allocator = DhnAllocator(net, coef, stats)
+    stats = HydraulicStats() if stats is None else stats
 
     def sensitivity(v, q):
         return coef * q, coef[:, None] * flow_sensitivity(net, v, q)
@@ -738,15 +741,14 @@ def dhn_interconnection(
                 V, Q = np.array(valves), np.array(flows)
                 valves.clear()
                 flows.clear()
-                check_flows(net, V, Q)
-                allocator._count(Q)
+                stats.check(net, V, Q)
 
         return (lambda v: coef * solve(v)), (lambda v: sensitivity(v, solve(v))), check
 
-    return Interconnection(fn=lambda V: coef * allocator._solve(V), eta=np.ones(n),
+    return Interconnection(fn=lambda V: coef * stats.solve(net, V), eta=np.max(coef) / coef,
                            bounds=SaturationBounds.symmetric(1.0, n),
-                           linearization=lambda v: sensitivity(v, allocator._solve(v)),
-                           name="dhn", allocator=allocator, points=points)
+                           linearization=lambda v: sensitivity(v, stats.solve(net, v)),
+                           allocator=DhnAllocator(net, coef, stats), points=points)
 
 
 # ---------------------------------------------------------------------------

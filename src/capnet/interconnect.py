@@ -68,7 +68,6 @@ class Interconnection:
     eta: np.ndarray
     bounds: SaturationBounds
     linearization: Optional[Callable[[np.ndarray], tuple]] = None
-    name: str = ""
     allocator: Optional[object] = None  # exact open-loop optima, see equilibria
     points: Optional[Callable[[], tuple]] = None
 
@@ -159,12 +158,12 @@ def eval_interconnection(ic: Interconnection, v) -> np.ndarray:
 
 
 def linear_interconnection(B: np.ndarray, eta, bounds: SaturationBounds,
-                           name: str = "linear", allocator=None) -> Interconnection:
+                           allocator=None) -> Interconnection:
     """b(v) = B v on the box, with its exact linearization (B v, B) and no
     check of B's sign pattern; :meth:`LinearMMatrix.as_interconnection`
     checks it first."""
     return Interconnection(fn=lambda V: (B @ V[..., None])[..., 0], eta=eta, bounds=bounds,
-                           linearization=lambda v: (B @ v, B), name=name, allocator=allocator)
+                           linearization=lambda v: (B @ v, B), allocator=allocator)
 
 
 def positive_left_weight(B) -> np.ndarray:

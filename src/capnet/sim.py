@@ -29,10 +29,9 @@ import numpy as np
 
 from .control import (TIME_VARYING_W, ClosedLoopState, ClosedLoopSystem, LyapunovMonitor,
                       field, field_stack, no_monitor_reason, state_maps)
-from .core import AgentEnsemble, DisturbanceProfile, validate_tuning
+from .core import DisturbanceProfile, validate_tuning
 from .errors import ConfigError, IntegrationError, TuningError
 from .hydraulics import HydraulicStats
-from .interconnect import Interconnection
 
 log = logging.getLogger(__name__)
 
@@ -452,11 +451,9 @@ class Scenario:
     """Everything run_scenario needs, already built into objects."""
 
     policy: str
-    agents: AgentEnsemble
-    ic: Interconnection
+    system: ClosedLoopSystem  # its agents and interconnection serve every policy
     t_span: tuple
     opts: SolverOptions
-    system: Optional[ClosedLoopSystem] = None       # PI policies
     force: bool = False
     temperature: Optional[DisturbanceProfile] = None  # raw T_o(t), for summaries
     hydraulic_stats: Optional[HydraulicStats] = None
@@ -530,12 +527,7 @@ def run_scenario(sc: Scenario) -> RunArtifacts:
     else:
         arts = _run_oracle_policy(sc)
     if sc.hydraulic_stats is not None:
-        arts.summary.update({
-            "flow_solves": sc.hydraulic_stats.n_solves,
-            "max_mass_residual": sc.hydraulic_stats.max_mass_residual,
-            # the tree flow solve is exact: no Newton iterations, key kept
-            "max_newton_iterations": 0,
-        })
+        arts.summary.update(sc.hydraulic_stats.summary())
     if sc.out_dir is not None:
         out = Path(sc.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -554,8 +546,6 @@ def _run_closed_loop(sc: Scenario) -> RunArtifacts:
     from . import equilibria  # deferred: equilibria imports this module
 
     sys = sc.system
-    if sys is None:
-        raise ConfigError(f"policy {sc.policy} needs a closed-loop system")
     if sys.gains.mode != sc.policy:
         raise ConfigError(f"policy {sc.policy} does not match gains mode {sys.gains.mode}")
     report = validate_tuning(sys.agents, sys.gains)
@@ -600,11 +590,12 @@ def _run_oracle_policy(sc: Scenario) -> RunArtifacts:
     t0, t1 = sc.t_span
     dt = sc.opts.output_dt if sc.opts.output_dt is not None else (t1 - t0) / 200.0
     times = _output_grid(t0, t1, dt)
-    vs, xs = equilibria.solve_allocations(sc.ic, sc.agents.a, sc.agents.disturbance.eval(times),
+    agents = sc.system.agents
+    vs, xs = equilibria.solve_allocations(sc.system.ic, agents.a, agents.disturbance.eval(times),
                                           sc.policy.removeprefix("oracle-"))
     summary = {
         "policy": sc.policy,
-        "n_agents": sc.ic.n,
+        "n_agents": sc.system.n,
         "t0": t0,
         "t1": t1,
         "monitor_enabled": False,

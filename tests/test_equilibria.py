@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 import capnet as cp
-from capnet import core, equilibria, interconnect, sim
+from capnet import cli, core, equilibria, interconnect, sim
 from capnet.equilibria import NoEquilibrium
+from capnet.hydraulics import DhnAllocator
 from tests.conftest import B_REF, W_REF
 
 
@@ -98,7 +99,7 @@ class CountingInterconnection:
             return wrapper
 
         self.ic = cp.Interconnection(fn=counted(base.fn), eta=base.eta, bounds=base.bounds,
-                                     linearization=counted(base.linearization), name="dhn",
+                                     linearization=counted(base.linearization),
                                      allocator=base.allocator)
         self.calls = 0  # construction probes fn
 
@@ -322,17 +323,47 @@ class TestIndependentOfOpenLoopRoute:
     def test_dhn(self, no_open_loop_route):
         base = dhn_system("decentralized").ic
         ic = cp.Interconnection(fn=base.fn, eta=base.eta, bounds=base.bounds,
-                                linearization=base.linearization, name="dhn",
+                                linearization=base.linearization,
                                 allocator=no_open_loop_route)
         dec = cp.find_equilibrium_decentralized(dhn_system("decentralized", ic))
         coord = cp.find_equilibrium_coordinating(dhn_system("coordinating", ic))
         assert dec.residual < 1e-12
         assert isinstance(coord, cp.EquilibriumReport) and coord.residual < 1e-10
 
+    def test_dhn_closed_loop_never_calls_the_allocator(self, monkeypatch, tmp_path):
+        # b(v) reaches the flow solve through the interconnection's meter,
+        # not through the allocator it carries: both equilibria, the three
+        # checkers and four hours of the study's RODAS4 run call no method
+        # of it (building the interconnection still builds the allocator)
+        systems = {mode: dhn_system(mode) for mode in SOLVERS}
+        cfg = cli.ScenarioConfig.load(cli.shipped_config_path("dhn_study_decentralized.cfg"))
+        cfg.data["sim"]["t_span"] = [0.0, 4.0]
+        cfg.data["outputs"]["directory"] = str(tmp_path)
+        study = cli.build_scenario(cfg)
+        called = []
+        for name, attr in list(vars(DhnAllocator).items()):
+            fn = attr.__func__ if isinstance(attr, staticmethod) else attr
+            if name == "__init__" or not callable(fn):
+                continue
+
+            def spy(*args, _name=name, _fn=fn, **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(DhnAllocator, name,
+                                staticmethod(spy) if isinstance(attr, staticmethod) else spy)
+        for mode, sys_ in systems.items():
+            assert isinstance(SOLVERS[mode](sys_), cp.EquilibriumReport)
+        for check in (cp.check_assumption1, cp.check_lemma1, cp.check_lemma2):
+            check(systems["decentralized"].ic, 100)
+        sim.run_scenario(study)
+        assert study.hydraulic_stats.n_solves > 6
+        assert called == []
+
     def test_linear(self, no_open_loop_route, sys_dec2, sys_coord2):
         base = sys_dec2.ic
         ic = cp.Interconnection(fn=base.fn, eta=base.eta, bounds=base.bounds,
-                                linearization=base.linearization, name="linear",
+                                linearization=base.linearization,
                                 allocator=no_open_loop_route)
         dec = cp.ClosedLoopSystem(agents=sys_dec2.agents, ic=ic, gains=sys_dec2.gains,
                                   bounds=sys_dec2.bounds)

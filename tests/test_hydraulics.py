@@ -430,6 +430,62 @@ class TestStackedSolve:
             ic(np.vstack([np.zeros(ic.n), v]))
 
 
+class TestOneMeter:
+    """One interconnection's meter checks and counts every row it solves,
+    once, whichever hook solved it."""
+
+    def test_each_hook_counts_each_row_once(self):
+        net, bld = study_network(), cp.BuildingParams()
+        V = valve_stack(np.random.default_rng(4), 12, net.n_consumers)
+        meters = {}
+
+        def fresh(hook):
+            meters[hook] = cp.HydraulicStats()
+            ic = cp.dhn_interconnection(net, bld, meters[hook])
+            assert meters[hook].n_solves == 6  # the construction probe
+            return ic
+
+        fresh("stack")(V)
+        ic = fresh("linearize")
+        for v in V:
+            ic.linearize(v)
+        b_at, linearize, check = fresh("points").point_maps()
+        for v, lin in zip(V, [False, True] * 6):
+            (linearize if lin else b_at)(v)
+        assert meters["points"].n_solves == 6  # left for check()
+        check()
+        check()  # nothing new since the last call
+        assert {hook: meter.n_solves for hook, meter in meters.items()} == dict.fromkeys(
+            meters, 6 + len(V))
+        assert len({meter.max_mass_residual for meter in meters.values()}) == 1
+
+    @pytest.mark.parametrize("w", [[-0.05, -30.0], [3.0, -1.0], [-5.0, -0.01]])
+    @pytest.mark.parametrize("solve", [cp.solve_l1_allocation, cp.solve_linf_allocation])
+    def test_allocator_solves_through_the_meter(self, monkeypatch, dhn_small, solve, w):
+        # w = [-0.05, -30] sends the min-max level through its root search
+        net, bld, _ = dhn_small
+        meter = cp.HydraulicStats()
+        ic = cp.dhn_interconnection(net, bld, meter)
+        rows = []
+        real = hydraulics.solve_flows
+
+        def counted(net, v, *args, **kwargs):
+            rows.append(1 if np.ndim(v) == 1 else len(v))
+            return real(net, v, *args, **kwargs)
+
+        monkeypatch.setattr(hydraulics, "solve_flows", counted)
+        solve(ic, cp.AgentEnsemble(a=bld.rates(2), w=w))
+        assert meter.n_solves - 6 == sum(rows) > 0
+
+    def test_summary_reports_the_counts(self):
+        meter = cp.HydraulicStats()
+        ic = cp.dhn_interconnection(study_network(), cp.BuildingParams(), meter)
+        ic(np.zeros((3, ic.n)))
+        assert meter.summary() == {"flow_solves": 9, "max_mass_residual": meter.max_mass_residual,
+                                   "max_newton_iterations": 0}
+        assert 0.0 < meter.max_mass_residual < 1e-8
+
+
 class TestInverseMaps:
     def test_valve_positions_on_stacks(self):
         # rows that need a valve beyond fully open (+inf), that get
@@ -503,6 +559,47 @@ class TestBuildings:
     def test_non_finite_T_ref_refused(self, T_ref):
         with pytest.raises(ValueError, match="building parameter T_ref must be finite"):
             cp.BuildingParams(T_ref=T_ref)
+
+
+def spread_stock(spread):
+    """The default stock with delta spread linearly by +-spread around 50 K
+    over the 22 consumers, in a seeded order."""
+    delta = np.random.default_rng(0).permutation(np.linspace(50.0 * (1.0 - spread),
+                                                             50.0 * (1.0 + spread), 22))
+    return cp.BuildingParams(delta=delta)
+
+
+class TestHeterogeneousStock:
+    """eta = max(coef)/coef: the weighted total sum_i b_i/coef_i is the total
+    flow, which rises as any valve opens."""
+
+    @pytest.mark.parametrize("spread", [0.1, 0.3])
+    def test_calibrated_network_meets_assumption1_and_lemma1(self, spread):
+        ic = cp.dhn_interconnection(study_network(), spread_stock(spread))
+        assert cp.check_assumption1(ic, 1000, rng_seed=0).passed
+        assert cp.check_lemma1(ic, 1000, rng_seed=0).passed
+
+    @pytest.mark.parametrize("bld", [cp.BuildingParams(), cp.BuildingParams(delta=47.3, c=1.7)])
+    def test_uniform_stock_weighs_one(self, bld):
+        eta = cp.dhn_interconnection(study_network(), bld).eta
+        np.testing.assert_array_equal(eta, np.ones(22))
+
+    @pytest.mark.parametrize("w", [-26.5, -10.0, -5.0, [-12.0, 1.5, -20.0]])
+    def test_decentralized_equilibrium_is_the_weighted_l1_optimum(self, w):
+        net = cp.HydraulicNetwork(
+            "P", [cp.Pipe("P", "A", 0.9), cp.Pipe("A", "B", 0.3), cp.Pipe("A", "C", 0.5)],
+            [cp.Consumer("A"), cp.Consumer("B"), cp.Consumer("C")], 0.6e6 * 2e-5)
+        bld = cp.BuildingParams(delta=np.array([65.0, 35.0, 50.0]))
+        ic = cp.dhn_interconnection(net, bld)
+        a = bld.rates(3)
+        # a scalar is an outdoor temperature
+        agents = cp.AgentEnsemble(a=a, w=bld.disturbance(3, w) if np.isscalar(w) else w)
+        gains = cp.ControllerGains(kP=np.ones(3), kI=np.full(3, 0.4), mode="decentralized",
+                                   kA=np.full(3, 0.9))
+        eq = cp.find_equilibrium_decentralized(
+            cp.ClosedLoopSystem(agents=agents, ic=ic, gains=gains, bounds=ic.bounds))
+        oracle = cp.oracle_weighted_l1(ic, agents, cp.OracleOptions(grid_points=21))
+        assert eq.cost_l1w == pytest.approx(oracle.cost, rel=1e-9, abs=1e-9)
 
 
 class TestScenario:

@@ -85,8 +85,8 @@ def unchecked_linear(tmp_path, B):
            "sim": {"t_span": [0.0, 1.0]}}
     path = tmp_path / "unchecked.cfg"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    ic = cli.build_scenario(cli.ScenarioConfig.load(path)).ic
-    assert ic.name == "linear-unchecked"
+    ic = cli.build_scenario(cli.ScenarioConfig.load(path)).system.ic
+    assert ic.allocator is None  # the unchecked fallback carries no allocator
     return ic
 
 

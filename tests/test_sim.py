@@ -633,9 +633,8 @@ class TestCsv:
 
 class TestRunScenario:
     def _scenario(self, sys_dec2, tmp_path, **kw):
-        defaults = dict(policy="decentralized", agents=sys_dec2.agents, ic=sys_dec2.ic,
-                        t_span=(0.0, 20.0), opts=SolverOptions(output_dt=0.5),
-                        system=sys_dec2, out_dir=tmp_path, prefix="t")
+        defaults = dict(policy="decentralized", system=sys_dec2, t_span=(0.0, 20.0),
+                        opts=SolverOptions(output_dt=0.5), out_dir=tmp_path, prefix="t")
         defaults.update(kw)
         return Scenario(**defaults)
 
@@ -663,8 +662,8 @@ class TestRunScenario:
         gains = cp.ControllerGains(kP=[2.0, 2.0], kI=[1.0, 1.0],
                                    mode="decentralized", kA=[0.4, 0.4])
         sysd = cp.ClosedLoopSystem(agents=agents, ic=ic2, gains=gains, bounds=bounds2)
-        sc = Scenario(policy="decentralized", agents=agents, ic=ic2, t_span=(0.0, 1.0),
-                      opts=SolverOptions(), system=sysd, out_dir=tmp_path)
+        sc = Scenario(policy="decentralized", system=sysd, t_span=(0.0, 1.0),
+                      opts=SolverOptions(), out_dir=tmp_path)
         with pytest.raises(cp.TuningError):
             run_scenario(sc)
         sc.force = True
@@ -690,7 +689,7 @@ class TestRunScenario:
         assert rows and all(row.endswith(",") for row in rows)
 
     def test_oracle_linf_equalizes(self, sys_coord2, tmp_path):
-        sc = Scenario(policy="oracle-linf", agents=sys_coord2.agents, ic=sys_coord2.ic,
+        sc = Scenario(policy="oracle-linf", system=sys_coord2,
                       t_span=(0.0, 2.0), opts=SolverOptions(output_dt=1.0),
                       out_dir=tmp_path, prefix="o")
         arts = run_scenario(sc)
@@ -701,7 +700,7 @@ class TestRunScenario:
 
     def test_oracle_l1_matches_decentralized_equilibrium_cost(self, sys_dec2, tmp_path):
         rep = cp.find_equilibrium_decentralized(sys_dec2)
-        sc = Scenario(policy="oracle-l1", agents=sys_dec2.agents, ic=sys_dec2.ic,
+        sc = Scenario(policy="oracle-l1", system=sys_dec2,
                       t_span=(0.0, 1.0), opts=SolverOptions(output_dt=1.0),
                       out_dir=tmp_path, prefix="o1")
         arts = run_scenario(sc)
@@ -718,8 +717,9 @@ class TestRunScenario:
         sc = cli.build_scenario(cfg, policy)
         arts = run_scenario(sc)
         solve = {"oracle-l1": cp.solve_l1_allocation, "oracle-linf": cp.solve_linf_allocation}
+        agents = sc.system.agents
         for k, t in enumerate(arts.times):
-            w = sc.agents.disturbance.eval(t)
-            res = solve[policy](sc.ic, cp.AgentEnsemble(a=sc.agents.a, w=w))
+            res = solve[policy](sc.system.ic,
+                                cp.AgentEnsemble(a=agents.a, w=agents.disturbance.eval(t)))
             np.testing.assert_array_equal(arts.v[k], res.v)
             np.testing.assert_array_equal(arts.x[k], res.x)

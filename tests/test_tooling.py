@@ -10,8 +10,9 @@ config schema in ``src/capnet`` would otherwise break ``perfbench/run.py``
 without any test failing.  The tests load these files and change nothing in
 them.  One more keeps each iterative solve on the one routine of
 ``capnet.core`` that does its job, another keeps the RODAS4 integrator free
-of the hydraulics and of a dense inverse, and a third leaves the kind of
-disturbance to ``capnet.core``.
+of the hydraulics and of a dense inverse, a third leaves the kind of
+disturbance to ``capnet.core``, and a fourth keeps the flow checks with the
+solve and its meter.
 """
 
 import ast
@@ -128,6 +129,21 @@ def test_rosenbrock_integrator_is_generic_and_inverts_nothing():
                 names.add(node.attr)
         assert not names & hydraulic, (name, names & hydraulic)
         assert "inv" not in names, name
+
+
+def test_flow_checks_are_run_by_the_solve_and_the_meter_only():
+    # every DHN flow solve is checked inline by solve_flows or, deferred, by
+    # HydraulicStats, which also takes every mass residual: no other
+    # top-level function or class calls _check_balance or mass_residual
+    owned = {"_check_balance", "mass_residual"}
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (getattr(node.func, "id", None) in owned
+                                                   or getattr(node.func, "attr", None) in owned):
+                    callers.add((path.name, top.name))
+    assert callers == {("hydraulics.py", "solve_flows"), ("hydraulics.py", "HydraulicStats")}
 
 
 def _reads_disturbance_kind(node):
