@@ -125,6 +125,10 @@ def validate_config(data: dict):
         if profile != "builtin":
             strict_object(profile, "agents.temperature_profile", {"times", "values"},
                           {"times", "values"})
+            values = profile["values"]
+            if not isinstance(values, list) or any(isinstance(v, (list, dict)) for v in values):
+                raise ConfigError("agents.temperature_profile: values must be one number per "
+                                  "time; the outdoor temperature is one series")
     _variant(data["controller"], "controller", "mode", CONTROLLER_KEYS)
     force = data["controller"].get("force", False)
     if not isinstance(force, bool):
@@ -206,8 +210,6 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
     defaults to the controller mode."""
     data = cfg.data
     system_cfg, agents_cfg, ctrl = data["system"], data["agents"], data["controller"]
-    hstats = None
-    temperature = None
     if system_cfg["type"] == "linear":
         with _section("system.bounds"):
             bounds = SaturationBounds(system_cfg["bounds"]["lower"],
@@ -240,17 +242,14 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
             bld = hydraulics.BuildingParams(**system_cfg.get("building", {}))
         n = net.n_consumers
         bounds = SaturationBounds.symmetric(1.0, n)
-        hstats = hydraulics.HydraulicStats()
-        ic = hydraulics.dhn_interconnection(net, bld, hstats)
+        ic = hydraulics.dhn_interconnection(net, bld)
         with _section("agents"):
             a = (_vector_or_scalar(agents_cfg["a"], n, "agents.a") if "a" in agents_cfg
                  else bld.rates(n))
             if "temperature_profile" in agents_cfg:
                 ref = agents_cfg["temperature_profile"]
-                if ref == "builtin":
-                    temperature = sim.make_temperature_profile()
-                else:
-                    temperature = sim.DisturbanceProfile.piecewise(ref["times"], ref["values"])
+                temperature = (sim.make_temperature_profile() if ref == "builtin" else
+                               sim.DisturbanceProfile.piecewise(ref["times"], ref["values"]))
                 w = temperature.with_thermal_map(a, bld.T_ref)
             else:
                 w = agents_cfg["w"]
@@ -277,9 +276,7 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
         out_dir = Path(out_dir)  # relative paths resolve against the CWD
     return sim.Scenario(
         policy=policy or ctrl["mode"], system=system, t_span=t_span, opts=opts,
-        force=ctrl.get("force", False), temperature=temperature,
-        hydraulic_stats=hstats, out_dir=out_dir,
-        prefix=out_cfg.get("prefix", "run"))
+        force=ctrl.get("force", False), out_dir=out_dir, prefix=out_cfg.get("prefix", "run"))
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,9 @@ class HydraulicNetwork:
         """Max junction imbalance: inflow minus child-pipe and local consumer
         outflow at every node, with pipe flows summed from the consumer flows
         along their root paths (independent of the solver's accumulation).
-        A float for one flow vector, an (m,) array for an (m, n) stack."""
+        A float for one flow vector, an (m,) array for an (m, n) stack.  It
+        is rounding for any q, solved or not, since those pipe flows are sums
+        of q: the pressure balance is the check that catches a wrong solve."""
         r = abs(_along_paths(self.node_incidence, _along_paths(self._flows_of_q, q))).max(axis=-1)
         return float(r) if q.ndim == 1 else r
 
@@ -440,7 +442,8 @@ class HydraulicStats:
     """The one meter of a DHN interconnection's flow solves and its
     allocator's: it checks and counts each solve after its two tree passes,
     and reports the counts.  A stack of m rows counts as m solves, each with
-    the mass residual of :meth:`HydraulicNetwork.mass_residual`."""
+    the mass residual of :meth:`HydraulicNetwork.mass_residual` (rounding
+    whatever the flows; the pressure-balance check rejects a wrong solve)."""
 
     n_solves: int = 0
     max_mass_residual: float = 0.0
@@ -699,21 +702,17 @@ class DhnAllocator:
         return V, X, ["dhn-complementarity"] * len(W)
 
 
-def dhn_interconnection(
-    net: HydraulicNetwork,
-    bld: BuildingParams,
-    stats: Optional[HydraulicStats] = None,
-) -> Interconnection:
+def dhn_interconnection(net: HydraulicNetwork, bld: BuildingParams) -> Interconnection:
     """Wrap the network as the interconnection b(v) = coef * q(v).
 
     coef_i = c_pw*rho_w*delta_i/c_i converts flow to heating rate [K/h], and
     the weight eta_i = max(coef)/coef_i, exactly 1 for a uniform building
     stock: the total flow rises as any valve opens, so sum_i b_i/coef_i does.
     The flows of a stack of valve positions are one checked, counted solve
-    of the meter ``stats`` (:meth:`HydraulicStats.solve`; a fresh meter when
-    none is given), which the allocator shares; the linearization at one
-    point takes b and its closed-form Jacobian (:func:`flow_sensitivity`)
-    from the same solve.
+    of the interconnection's own meter (:meth:`HydraulicStats.solve`), which
+    the allocator shares and whose summary keys are ``counts``; the
+    linearization at one point takes b and its closed-form Jacobian
+    (:func:`flow_sensitivity`) from the same solve.
 
     Its one-point maps (``points``) solve one row each, with the box,
     finite and positive-flow checks inline, and leave the pressure-balance
@@ -722,7 +721,7 @@ def dhn_interconnection(
     """
     n = net.n_consumers
     coef = bld.heat_coefficient(n)
-    stats = HydraulicStats() if stats is None else stats
+    stats = HydraulicStats()
 
     def sensitivity(v, q):
         return coef * q, coef[:, None] * flow_sensitivity(net, v, q)
@@ -748,7 +747,8 @@ def dhn_interconnection(
     return Interconnection(fn=lambda V: coef * stats.solve(net, V), eta=np.max(coef) / coef,
                            bounds=SaturationBounds.symmetric(1.0, n),
                            linearization=lambda v: sensitivity(v, stats.solve(net, v)),
-                           allocator=DhnAllocator(net, coef, stats), points=points)
+                           allocator=DhnAllocator(net, coef, stats), points=points,
+                           counts=stats.summary)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,9 @@ class Interconnection:
     of the optimum of each row, and a list of m method names.  One
     disturbance is a stack of one; callers go through
     :mod:`capnet.equilibria`, which checks the shape once.  ``points``
-    optionally builds the maps of :meth:`point_maps`.
+    optionally builds the maps of :meth:`point_maps`, and ``counts``
+    optionally reports the summary keys of the interconnection's own
+    counters, which a run's summary ends with.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -70,6 +72,7 @@ class Interconnection:
     linearization: Optional[Callable[[np.ndarray], tuple]] = None
     allocator: Optional[object] = None  # exact open-loop optima, see equilibria
     points: Optional[Callable[[], tuple]] = None
+    counts: Optional[Callable[[], dict]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "eta", as_vector(self.eta, "eta"))

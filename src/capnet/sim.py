@@ -31,7 +31,6 @@ from .control import (TIME_VARYING_W, ClosedLoopState, ClosedLoopSystem, Lyapuno
                       field, field_stack, no_monitor_reason, state_maps)
 from .core import DisturbanceProfile, validate_tuning
 from .errors import ConfigError, IntegrationError, TuningError
-from .hydraulics import HydraulicStats
 
 log = logging.getLogger(__name__)
 
@@ -274,11 +273,11 @@ _RO_CC = [np.array(row) for row in (
      -6.058818238834054))]
 
 
-def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, dfdt):
+def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, slopes):
     """RODAS4 under PI step control (Gustafsson 1991; Hairer's beta = 0.04).
 
     Every step ends exactly on each time in ``stops`` (sorted, ending at t1),
-    and ``dfdt(a, b)`` is the constant df/dt between consecutive stops a, b.
+    and ``slopes`` holds the constant df/dt on the stretch up to each stop.
     ``fun(t, y)`` gives f at the stages, and ``lin(t, y)`` the pair
     (f, factor) at the start and at each accepted state, from one
     evaluation there: ``factor(c)`` returns a solver of (c*I - J) k = r
@@ -300,8 +299,7 @@ def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, dfdt):
     steps = [(t, y, f)]
     err_prev, rejected_last = 1.0, False
     k = np.empty((6, len(y0)))
-    for stop in stops:
-        ft = dfdt(t, stop)
+    for stop, ft in zip(stops, slopes):
         while t < stop:
             landing = t + min(dt, dt_max) >= stop - 1e-12 * max(1.0, abs(stop))
             h = stop - t if landing else min(dt, dt_max)
@@ -411,16 +409,15 @@ def integrate_many(
     if opts.method == "rk45":
         steps, stats = _integrate_rk45(fun_stack, t0, t1, y0, opts)
     else:
-        # w(t) is affine between consecutive breakpoints
+        # w(t) is affine between consecutive breakpoints: one slope per
+        # stretch, from w at t0 and at each stop, each evaluated once
         w = sys.agents.disturbance
-        stops = [tb for tb in w.times if t0 < tb < t1] + [t1]
-
-        def dfdt(ta, tb):
-            slope = (w.eval(tb) - w.eval(ta)) / (tb - ta)
-            return np.concatenate([slope, np.zeros(n)])
-
+        ends = [t0] + [tb for tb in w.times if t0 < tb < t1] + [t1]
+        ws = [w.eval(t) for t in ends]
+        slopes = [np.concatenate([(wb - wa) / (tb - ta), np.zeros(n)])
+                  for ta, tb, wa, wb in zip(ends, ends[1:], ws, ws[1:])]
         maps = state_maps(sys)
-        steps, stats = zip(*(_integrate_rosenbrock(*maps, t0, t1, row, opts, stops, dfdt)
+        steps, stats = zip(*(_integrate_rosenbrock(*maps, t0, t1, row, opts, ends[1:], slopes)
                              for row in y0))
     grid = None if opts.output_dt is None else _output_grid(t0, t1, opts.output_dt)
     trajs = []
@@ -448,15 +445,13 @@ def _trajectory(sys, times, ys, stats, monitor) -> Trajectory:
 
 @dataclass
 class Scenario:
-    """Everything run_scenario needs, already built into objects."""
+    """The settings of one run; its summary reads everything else off ``system``."""
 
     policy: str
     system: ClosedLoopSystem  # its agents and interconnection serve every policy
     t_span: tuple
     opts: SolverOptions
     force: bool = False
-    temperature: Optional[DisturbanceProfile] = None  # raw T_o(t), for summaries
-    hydraulic_stats: Optional[HydraulicStats] = None
     out_dir: Optional[Path] = None
     prefix: str = "run"
 
@@ -498,16 +493,18 @@ def write_summary(path: Path, summary: dict):
             fh.write(f"{key}={summary[key]}\n")
 
 
-def _deviation_stats(times, x, temperature):
-    """Max/sum absolute deviation over time plus the coldest-sample cut."""
+def _deviation_stats(times, x, w: DisturbanceProfile):
+    """Max/sum absolute deviation over time, plus the cut at the coldest
+    sample where w is a shared piecewise series, such as an outdoor
+    temperature (its raw values, before the thermal map)."""
     max_dev = np.max(np.abs(x), axis=1)
     sum_dev = np.sum(np.abs(x), axis=1)
     out = {
         "max_deviation_overall": float(np.max(max_dev)),
         "time_of_max_deviation": float(times[int(np.argmax(max_dev))]),
     }
-    if temperature is not None:
-        temps = temperature.raw(times)
+    if len(w.times) and w.values.ndim == 1:
+        temps = w.raw(times)
         k = int(np.argmin(temps))
         out.update({
             "coldest_time": float(times[k]),
@@ -519,15 +516,16 @@ def _deviation_stats(times, x, temperature):
 
 
 def run_scenario(sc: Scenario) -> RunArtifacts:
-    """Execute one policy and write its trajectory CSV and summary record."""
+    """Execute one policy and write its trajectory CSV and summary record,
+    which ends with the interconnection's ``counts()`` where it has them."""
     if sc.policy not in POLICIES:
         raise ConfigError(f"unknown policy {sc.policy!r}")
     if sc.policy in ("decentralized", "coordinating"):
         arts = _run_closed_loop(sc)
     else:
         arts = _run_oracle_policy(sc)
-    if sc.hydraulic_stats is not None:
-        arts.summary.update(sc.hydraulic_stats.summary())
+    if sc.system.ic.counts is not None:
+        arts.summary.update(sc.system.ic.counts())
     if sc.out_dir is not None:
         out = Path(sc.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -573,7 +571,7 @@ def _run_closed_loop(sc: Scenario) -> RunArtifacts:
         "steps_rejected": traj.stats.rejected,
         "field_evaluations": traj.stats.n_field_evals,
     }
-    summary.update(_deviation_stats(traj.times, traj.x, sc.temperature))
+    summary.update(_deviation_stats(traj.times, traj.x, sys.agents.disturbance))
     return RunArtifacts(policy=sc.policy, trajectory=traj, times=traj.times,
                         x=traj.x, v=traj.v, summary=summary)
 
@@ -601,6 +599,6 @@ def _run_oracle_policy(sc: Scenario) -> RunArtifacts:
         "monitor_enabled": False,
         "resolve_interval": dt,
     }
-    summary.update(_deviation_stats(times, xs, sc.temperature))
+    summary.update(_deviation_stats(times, xs, agents.disturbance))
     return RunArtifacts(policy=sc.policy, trajectory=None, times=times,
                         x=xs, v=vs, summary=summary)

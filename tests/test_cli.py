@@ -269,6 +269,26 @@ class TestSimulateCommand:
         assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {section}: ")
 
+    @pytest.mark.parametrize("command", ["simulate", "check", "verify"])
+    def test_per_agent_temperature_profile_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        # the outdoor temperature is one series: a profile with a row of
+        # values per time is refused before anything is integrated
+        cfg = json.loads(cli.shipped_config_path("dhn_study_decentralized.cfg").read_text(
+            encoding="utf-8"))
+        cfg["agents"]["temperature_profile"] = {
+            "times": [0, 48, 96], "values": [[-5] * 22, [-26.5] * 22, [-10] * 22]}
+        cfg["outputs"]["directory"] = str(tmp_path / "out")
+
+        def integrate_many(*args, **kwargs):
+            raise AssertionError("integrated a refused config")
+
+        monkeypatch.setattr(cli.sim, "integrate_many", integrate_many)
+        assert cli.main([command, str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: agents.temperature_profile: values must be one number per time")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("system, edits, message", [
         pytest.param("linear", {"agents": 5}, "agents: expected an object", id="agents-number"),
         pytest.param("linear", {"system.bounds": 5}, "system.bounds: expected an object",

@@ -411,9 +411,9 @@ class TestStackedSolve:
     def test_interconnection_counts_every_row(self):
         net, bld = study_network(), cp.BuildingParams()
         V = valve_stack(np.random.default_rng(9), 30, net.n_consumers)
-        stacked, rows = cp.HydraulicStats(), cp.HydraulicStats()
-        b = cp.dhn_interconnection(net, bld, stacked)(V)
-        ic = cp.dhn_interconnection(net, bld, rows)
+        stacked_ic, ic = cp.dhn_interconnection(net, bld), cp.dhn_interconnection(net, bld)
+        stacked, rows = stacked_ic.allocator.stats, ic.allocator.stats
+        b = stacked_ic(V)
         np.testing.assert_array_equal(b, [ic(v) for v in V])
         # construction probes a stack of 6 on either side
         assert stacked.n_solves == rows.n_solves == 6 + len(V)
@@ -440,8 +440,8 @@ class TestOneMeter:
         meters = {}
 
         def fresh(hook):
-            meters[hook] = cp.HydraulicStats()
-            ic = cp.dhn_interconnection(net, bld, meters[hook])
+            ic = cp.dhn_interconnection(net, bld)
+            meters[hook] = ic.allocator.stats
             assert meters[hook].n_solves == 6  # the construction probe
             return ic
 
@@ -464,8 +464,8 @@ class TestOneMeter:
     def test_allocator_solves_through_the_meter(self, monkeypatch, dhn_small, solve, w):
         # w = [-0.05, -30] sends the min-max level through its root search
         net, bld, _ = dhn_small
-        meter = cp.HydraulicStats()
-        ic = cp.dhn_interconnection(net, bld, meter)
+        ic = cp.dhn_interconnection(net, bld)
+        meter = ic.allocator.stats
         rows = []
         real = hydraulics.solve_flows
 
@@ -477,11 +477,27 @@ class TestOneMeter:
         solve(ic, cp.AgentEnsemble(a=bld.rates(2), w=w))
         assert meter.n_solves - 6 == sum(rows) > 0
 
+    def test_mass_residual_checks_rounding_not_the_solve(self):
+        # the pipe flows are summed from the consumer flows themselves, so
+        # every junction balances to rounding for any flow vector, solved or
+        # not; the pressure balance is the check that catches a wrong solve
+        net = study_network()
+        Q = np.random.default_rng(2).uniform(0.0, 1.0, (1000, net.n_consumers))
+        for flows in (Q, -Q):
+            assert np.all(net.mass_residual(flows) <= 1e-14 * abs(flows).sum(axis=1))
+        V = valve_stack(np.random.default_rng(3), 4, net.n_consumers)
+        solved = cp.solve_flows(net, V)
+        assert net.mass_residual(1.01 * solved).max() <= 1e-14 * solved.sum(axis=1).max()
+        meter = cp.dhn_interconnection(net, cp.BuildingParams()).allocator.stats
+        meter.check(net, V, solved)
+        with pytest.raises(FlowSolverError, match="pressure-balance check"):
+            meter.check(net, V, 1.01 * solved)
+
     def test_summary_reports_the_counts(self):
-        meter = cp.HydraulicStats()
-        ic = cp.dhn_interconnection(study_network(), cp.BuildingParams(), meter)
+        ic = cp.dhn_interconnection(study_network(), cp.BuildingParams())
+        meter = ic.allocator.stats
         ic(np.zeros((3, ic.n)))
-        assert meter.summary() == {"flow_solves": 9, "max_mass_residual": meter.max_mass_residual,
+        assert ic.counts() == {"flow_solves": 9, "max_mass_residual": meter.max_mass_residual,
                                    "max_newton_iterations": 0}
         assert 0.0 < meter.max_mass_residual < 1e-8
 
@@ -641,8 +657,8 @@ class TestScenario:
 
     def test_interconnection_values_and_stats(self):
         net, bld, _ = cp.build_dhn_scenario()
-        stats = cp.HydraulicStats()
-        ic = cp.dhn_interconnection(net, bld, stats)
+        ic = cp.dhn_interconnection(net, bld)
+        stats = ic.allocator.stats
         v = np.zeros(22)
         np.testing.assert_allclose(ic(v), 29.0 * cp.solve_flows(net, v), rtol=1e-9)
         assert stats.n_solves >= 1

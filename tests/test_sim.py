@@ -344,7 +344,8 @@ def _rosenbrock(fun, jac, t1, y0, opts, dfdt):
         return fun(t, y), factor
 
     (_, Y, _), stats = sim._integrate_rosenbrock(fun, lin, lambda: None, 0.0, t1,
-                                                 np.asarray(y0, dtype=float), opts, [t1], dfdt)
+                                                 np.asarray(y0, dtype=float), opts, [t1],
+                                                 [dfdt(0.0, t1)])
     return Y[-1], stats
 
 
@@ -405,8 +406,8 @@ class TestRosenbrock:
 
     def test_study_evaluates_w_once_per_distinct_time(self, monkeypatch):
         # RODAS4's stages 4 and 5 and the next linearization share t + h;
-        # dw/dt evaluates w once more at both ends of each stretch between
-        # stops, times the stage maps evaluate too
+        # the slopes of w between stops take w once more at t0 and at each
+        # stop, times the stage maps evaluate too
         times = []
         real = cp.DisturbanceProfile.eval
 
@@ -420,7 +421,7 @@ class TestRosenbrock:
         sc.out_dir = None
         run_scenario(sc)
         stops = [t for t in sim.TEMPERATURE_TIMES if 0.0 < t < 96.0] + [96.0]
-        assert len(times) == len(set(times)) + 2 * len(stops)
+        assert len(times) == len(set(times)) + len(stops) + 1
 
     def test_dhn_field_evaluation_budget(self, dhn_study):
         # RK45 needed about 19000 per policy, held at its stability limit
@@ -576,7 +577,7 @@ class TestLoopFactor:
         # checked and counted once, the last linearization of each included
         sc = cli.build_scenario(cli.ScenarioConfig.load(
             cli.shipped_config_path("dhn_study_coordinating.cfg")))
-        sys_, stats = sc.system, sc.hydraulic_stats
+        sys_, stats = sc.system, sc.system.ic.allocator.stats
         rng = np.random.default_rng(3)
         starts = [cp.ClosedLoopState(rng.uniform(-3.0, 3.0, sys_.n),
                                      rng.uniform(-1.0, 1.0, sys_.n)) for _ in range(3)]
@@ -706,6 +707,32 @@ class TestRunScenario:
         arts = run_scenario(sc)
         cost = np.sum(np.abs(arts.x[0]) * sys_dec2.agents.a * sys_dec2.ic.eta)
         assert cost == pytest.approx(rep.cost_l1w, abs=1e-6)
+
+    def test_hand_built_study_gives_the_cli_summary(self):
+        # the decentralized study's loop built by hand: the coldest-hour cut
+        # comes from the system's disturbance and the flow counts from its
+        # interconnection, so the summary is the one build_scenario's gives
+        cfg = cli.ScenarioConfig.load(cli.shipped_config_path("dhn_study_decentralized.cfg"))
+        cfg.data["sim"]["t_span"] = [0.0, 60.0]
+        built = run_scenario(cli.build_scenario(cfg)).summary
+        net, bld = cp.build_dhn_network(cp.CALIBRATED_CAPACITY_SCALE), cp.BuildingParams()
+        n = net.n_consumers
+        a = bld.rates(n)
+        system = cp.ClosedLoopSystem(
+            agents=cp.AgentEnsemble(a=a, w=make_temperature_profile().with_thermal_map(
+                a, bld.T_ref)),
+            ic=cp.dhn_interconnection(net, bld), bounds=cp.SaturationBounds.symmetric(1.0, n),
+            gains=cp.ControllerGains(mode="decentralized", **dict.fromkeys(
+                ("kP", "kI", "kA"), np.ones(n))))
+        by_hand = run_scenario(Scenario(
+            policy="decentralized", system=system, t_span=(0.0, 60.0), force=True,
+            opts=SolverOptions(method="rosenbrock", atol=1e-6, rtol=1e-6, output_dt=0.25)))
+        assert {"coldest_temperature", "flow_solves"} <= set(built)
+        assert by_hand.summary == built
+
+    def test_linear_summary_has_no_coldest_hour_or_flow_keys(self, sys_dec2, tmp_path):
+        summary = run_scenario(self._scenario(sys_dec2, tmp_path)).summary
+        assert not {"coldest_time", "flow_solves"} & set(summary)
 
     @pytest.mark.parametrize("policy", ["oracle-l1", "oracle-linf"])
     def test_oracle_policy_matches_per_time_loop(self, policy, tmp_path):

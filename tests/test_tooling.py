@@ -146,6 +146,26 @@ def test_flow_checks_are_run_by_the_solve_and_the_meter_only():
     assert callers == {("hydraulics.py", "solve_flows"), ("hydraulics.py", "HydraulicStats")}
 
 
+def test_a_run_summary_comes_from_its_system_alone():
+    # a Scenario holds run settings only; the coldest-hour cut and the flow
+    # counts are read off its closed-loop system, so sim names nothing of
+    # capnet.hydraulics and no module but hydraulics makes a flow meter
+    from dataclasses import fields
+
+    assert [f.name for f in fields(sim.Scenario)] == [
+        "policy", "system", "t_span", "opts", "force", "out_dir", "prefix"]
+    imported = set()  # the modules imported from and the names imported
+    for node in ast.walk(ast.parse((PACKAGE / "sim.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {getattr(node, "module", None) or "", *(a.name for a in node.names)}
+    assert not {name for name in imported if name.split(".")[-1] == "hydraulics"}
+    makers = {path.name for path in PACKAGE.glob("*.py") if path.name != "hydraulics.py"
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and "HydraulicStats" in (
+                  getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert makers == set()
+
+
 def _reads_disturbance_kind(node):
     """Whether node names w_is_constant, calls hasattr(..., "eval") or reads
     .times off agents.w (as an attribute or through getattr)."""
