@@ -29,11 +29,11 @@ from .sim import (RunArtifacts, Scenario, SolverOptions, Trajectory, integrate,
                   make_temperature_profile, run_scenario, write_trajectory_csv)
 from .equilibria import (AllocationResult, EquilibriumReport, NoEquilibrium,
                          OracleOptions, OracleResult, VerificationVerdict,
-                         find_equilibrium_coordinating, find_equilibrium_decentralized,
-                         linf_cost, open_loop_state, oracle_linf, oracle_weighted_l1,
-                         solve_l1_allocation, solve_linf_allocation,
-                         verify_global_convergence, verify_optimality,
-                         weighted_l1_cost)
+                         find_equilibrium, find_equilibrium_coordinating,
+                         find_equilibrium_decentralized, linf_cost, open_loop_state,
+                         oracle_linf, oracle_weighted_l1, solve_l1_allocation,
+                         solve_linf_allocation, verify_global_convergence,
+                         verify_optimality, weighted_l1_cost)
 from .errors import (AllocationError, CapnetError, ConfigError, DimensionError,
                      DomainError, EquilibriumError, FlowSolverError,
                      IntegrationError, TuningError, VaryingDisturbanceError)

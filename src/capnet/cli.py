@@ -3,8 +3,8 @@
 Configuration files are JSON with a versioned schema; each section is
 checked for unknown and missing keys so typos in scientific configs fail
 loudly.  Exit codes: 0 success, 1 counterexample/verdict failure, 2
-configuration or tuning error, 3 solver error; ``main`` maps each error to
-its code through ``ERROR_EXITS``.
+configuration, tuning or output-path error, 3 solver error; ``main`` maps
+each error to its code through ``ERROR_EXITS``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ ERROR_EXITS = {
     IntegrationError: (EXIT_SOLVER, "solver error"),
     EquilibriumError: (EXIT_SOLVER, "solver error"),
     AllocationError: (EXIT_SOLVER, "solver error"),
+    OSError: (EXIT_CONFIG, "output error"),  # unreadable configs raise ConfigError
 }
 
 SCHEMA_VERSION = 1
@@ -270,6 +271,8 @@ def build_scenario(cfg: ScenarioConfig, policy: Optional[str] = None) -> sim.Sce
     with _section("sim"):
         opts = sim.SolverOptions(**{key: float(val) if key in ("atol", "rtol") else val
                                     for key, val in sim_cfg.items()})
+        if opts.output_dt is not None:
+            sim._output_grid(*t_span, opts.output_dt)  # a grid past its budget fails here
     out_cfg = data.get("outputs", {})
     out_dir = out_cfg.get("directory")
     if out_dir is not None:
@@ -313,16 +316,15 @@ def cmd_verify(args) -> int:
     scenario = build_scenario(ScenarioConfig.load(args.config))
     system = scenario.system
     system.agents.constant_w("verify")
+    if args.report_dir:
+        Path(args.report_dir).mkdir(parents=True, exist_ok=True)
     verdicts = []
     rep = None
     if args.optimality or not args.stability:
-        if system.gains.mode == DECENTRALIZED:
-            rep = equilibria.find_equilibrium_decentralized(system)
-        else:
-            rep = equilibria.find_equilibrium_coordinating(system)
-            if isinstance(rep, equilibria.NoEquilibrium):
-                print(f"no equilibrium: {rep.message}", file=sys.stderr)
-                return EXIT_FAIL
+        rep = equilibria.find_equilibrium(system)
+        if isinstance(rep, equilibria.NoEquilibrium):
+            print(f"no equilibrium: {rep.message}", file=sys.stderr)
+            return EXIT_FAIL
         verdicts.append(equilibria.verify_optimality(
             system, rep, n_samples=args.samples, seed=args.seed))
     if args.stability:
@@ -332,9 +334,7 @@ def cmd_verify(args) -> int:
     for verdict in verdicts:
         print(verdict.report())
         if args.report_dir:
-            out = Path(args.report_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"verdict_{verdict.name}.txt").write_text(
+            (Path(args.report_dir) / f"verdict_{verdict.name}.txt").write_text(
                 verdict.report() + "\n", encoding="utf-8")
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_FAIL
 

@@ -27,8 +27,6 @@ from .interconnect import Interconnection
 #: multiplicative slack for the certificate-decrease monitors; discrete
 #: integration may produce increases of this order without meaning anything
 MONITOR_SLACK = 1e-7
-#: :func:`no_monitor_reason` for a disturbance that varies in time
-TIME_VARYING_W = "time-varying w"
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,13 +343,15 @@ class LyapunovMonitor:
     scope, ``in_scope``.  Both take a stack of states as two (m, n) arrays x
     and z and return one entry per row.  :meth:`check` flags every step that
     starts in scope and on which V increased by more than slack*(1 + V) of
-    its start, with ``slack`` the module's MONITOR_SLACK.
+    its start, with ``slack`` the module's MONITOR_SLACK.  A varying w, for
+    which no certificate holds, is refused here (VaryingDisturbanceError).
     """
 
     name = "lyapunov"
     slack = MONITOR_SLACK
 
     def __init__(self, sys: ClosedLoopSystem):
+        sys.agents.constant_w(f"the {self.name} monitor")
         self.sys = sys
         self.violations: list = []
 
@@ -442,11 +442,10 @@ def no_monitor_reason(sys: ClosedLoopSystem) -> Optional[str]:
 
     Both certificates need a constant disturbance and a positive tuning
     margin d = a - kI/kP; the coordinating one also needs w rejectable
-    strictly inside the box.  This is the one place a varying disturbance
-    refuses a monitor: the reason is then TIME_VARYING_W.
+    strictly inside the box.
     """
     if sys.agents.disturbance.varies:
-        return TIME_VARYING_W
+        return "time-varying w"
     if np.any(sys.d_margin <= 0):
         return "tuning margin <= 0"
     if sys.gains.mode == COORDINATING and not rejectable_disturbance(sys):

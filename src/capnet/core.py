@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, VaryingDisturbanceError
+from .errors import DimensionError, TuningError, VaryingDisturbanceError
 
 DECENTRALIZED = "decentralized"
 COORDINATING = "coordinating"
@@ -356,6 +356,17 @@ def validate_tuning(agents: AgentEnsemble, gains: ControllerGains) -> TuningRepo
     if gains.mode == DECENTRALIZED:
         return validate_decentralized_tuning(agents, gains)
     return validate_coordinating_tuning(agents, gains)
+
+
+def enforce_tuning(agents: AgentEnsemble, gains: ControllerGains, force: bool) -> TuningReport:
+    """The :func:`validate_tuning` report; unless it passed or ``force`` is
+    set, a one-line TuningError that lists the failed checks and the switch."""
+    report = validate_tuning(agents, gains)
+    if not report.passed and not force:
+        raise TuningError(f"tuning rule violated ({'; '.join(map(str, report.failures()))}); "
+                          "set \"force\": true in the config's controller section, or pass "
+                          "force=True from Python, to run anyway")
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       DecentralizedMonitor, control_input, field as loop_field,
                       no_monitor_reason, rejectable_disturbance)
 from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, bracketed_root,
-                   damped_newton, saturate, validate_tuning)
-from .errors import DimensionError, EquilibriumError, FlowSolverError, TuningError
+                   damped_newton, enforce_tuning, saturate)
+from .errors import DimensionError, EquilibriumError, FlowSolverError
 from .interconnect import Interconnection
 
 
@@ -275,6 +275,14 @@ def find_equilibrium_coordinating(
     u = v.copy()
     u[binding] = bound[binding] + S / np.count_nonzero(binding)
     return _finish_report(sys, u, steps, tol)
+
+
+def find_equilibrium(sys: ClosedLoopSystem):
+    """The equilibrium of the loop sys's gains select, by
+    :func:`find_equilibrium_decentralized` or :func:`find_equilibrium_coordinating`."""
+    if sys.gains.mode == DECENTRALIZED:
+        return find_equilibrium_decentralized(sys)
+    return find_equilibrium_coordinating(sys)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +598,8 @@ def verify_global_convergence(
     """Integrate from random initial states and check they all land on the
     computed equilibrium, with the decrease monitor silent throughout.
 
-    ``equilibrium`` takes the system's equilibrium when the caller has
-    already solved for it; otherwise it is solved here.  Initial states are
+    ``equilibrium`` is the system's equilibrium when the caller has solved
+    it already, else :func:`find_equilibrium` solves it.  Initial states are
     drawn from the box |.|_inf <= START_BOX_SCALE * equilibrium magnitude,
     and all of them are stepped together by one stacked RK45 integration at
     the default tolerances of :class:`~capnet.sim.SolverOptions`, sampled
@@ -608,22 +616,13 @@ def verify_global_convergence(
         raise ValueError("n_starts must be >= 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number above 0, got {tol!r}")
-    report = validate_tuning(sys.agents, sys.gains)
-    if not report.passed and not force:
-        raise TuningError("tuning rule violated; use force=True to verify anyway:\n"
-                          + report.summary())
-    if equilibrium is not None:
-        eq = equilibrium
-    elif sys.gains.mode == DECENTRALIZED:
-        eq = find_equilibrium_decentralized(sys)
-    else:
-        eq = find_equilibrium_coordinating(sys)
-        if isinstance(eq, NoEquilibrium):
-            return VerificationVerdict(
-                "global-convergence", False,
-                {"mode": sys.gains.mode, "equilibrium": "none",
-                 "best_residual": eq.best_residual},
-                (f"no equilibrium found: {eq.message}",))
+    enforce_tuning(sys.agents, sys.gains, force)
+    eq = equilibrium if equilibrium is not None else find_equilibrium(sys)
+    if isinstance(eq, NoEquilibrium):
+        return VerificationVerdict(
+            "global-convergence", False,
+            {"mode": sys.gains.mode, "equilibrium": "none", "best_residual": eq.best_residual},
+            (f"no equilibrium found: {eq.message}",))
     rejectable = rejectable_disturbance(sys) if sys.gains.mode == COORDINATING else False
     magnitude = max(float(np.max(np.abs(eq.x0))), float(np.max(np.abs(eq.z0))))
     half_width = START_BOX_SCALE * (magnitude if magnitude > 0 else 1.0)

@@ -19,7 +19,8 @@ class TuningError(CapnetError):
 
 
 class VaryingDisturbanceError(CapnetError):
-    """An operation defined for a constant disturbance w met a varying one."""
+    """An operation defined for a constant disturbance w met a varying one, or
+    RODAS4, which steps on a varying w's breakpoints, met one without any."""
 
 
 class FlowSolverError(CapnetError):

@@ -27,10 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .control import (TIME_VARYING_W, ClosedLoopState, ClosedLoopSystem, LyapunovMonitor,
-                      field, field_stack, no_monitor_reason, state_maps)
-from .core import DisturbanceProfile, validate_tuning
-from .errors import ConfigError, IntegrationError, TuningError
+from .control import (ClosedLoopState, ClosedLoopSystem, LyapunovMonitor, field, field_stack,
+                      state_maps)
+from .core import DisturbanceProfile, enforce_tuning
+from .errors import ConfigError, IntegrationError, VaryingDisturbanceError
 
 log = logging.getLogger(__name__)
 
@@ -151,11 +151,21 @@ def _hermite(t, t0, y0, f0, t1, y1, f1):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
+#: the most times an output grid may hold
+MAX_OUTPUT_ROWS = 1_000_000
+
+
 def _output_grid(t0, t1, dt):
-    """Times t0, t0 + dt, ... ending exactly on t1."""
-    m = int(np.floor((t1 - t0) / dt + 1e-9))
+    """Times t0, t0 + dt, ... ending exactly on t1.  Their count is worked
+    out first: ValueError, before any array is made, beyond MAX_OUTPUT_ROWS."""
+    steps = (t1 - t0) / dt + 1e-9
+    m = int(steps) if steps < MAX_OUTPUT_ROWS else MAX_OUTPUT_ROWS
+    short = t0 + dt * m < t1 - 1e-9 * max(1.0, abs(t1))  # t1 is appended
+    if m + 1 + short > MAX_OUTPUT_ROWS:
+        raise ValueError(f"output_dt {dt!r} over t_span ({t0!r}, {t1!r}) gives more than "
+                         f"{MAX_OUTPUT_ROWS} output times")
     grid = t0 + dt * np.arange(m + 1)
-    if grid[-1] < t1 - 1e-9 * max(1.0, abs(t1)):
+    if short:
         return np.append(grid, t1)
     grid[-1] = t1
     return grid
@@ -353,9 +363,7 @@ def integrate(
     """Integrate the closed loop over t_span and sample the output grid.
 
     The monitor, when given, checks the certificate across every accepted
-    step once the run ends.  It is refused and disabled with a notice where
-    :func:`~capnet.control.no_monitor_reason` finds the disturbance varying
-    in time, since the decrease certificates assume a constant one.
+    step once the run ends; a monitor holds a constant w by construction.
     """
     return integrate_many(sys, [s0], t_span, opts, [monitor])[0]
 
@@ -376,9 +384,9 @@ def integrate_many(
     them per row: ``monitors`` holds one LyapunovMonitor or None per start,
     and each monitor checks its row's accepted states at once
     (:meth:`~capnet.control.LyapunovMonitor.check`), then the output grid is
-    sampled from the same steps; the monitors are refused as in
-    :func:`integrate`.  w(t) is ``sys.agents.disturbance``, and RODAS4 also
-    steps exactly onto each of its breakpoints.
+    sampled from the same steps, a grid built before the first step.  w(t)
+    is ``sys.agents.disturbance``; RODAS4 steps exactly onto each of its
+    breakpoints and refuses a varying one without any (VaryingDisturbanceError).
 
     The steps are held until the last row ends, (1 + 4n)*8 bytes per
     accepted row-step: under 1 MB on the shipped workloads, but about 120 MB
@@ -395,11 +403,7 @@ def integrate_many(
     monitors = [None] * len(starts) if monitors is None else list(monitors)
     if len(monitors) != len(starts):
         raise ValueError("need one monitor (or None) per start")
-    if (any(mon is not None for mon in monitors)
-            and no_monitor_reason(sys) == TIME_VARYING_W):
-        log.info("disturbance varies in time: Lyapunov monitor disabled")
-        monitors = [None] * len(starts)
-
+    grid = None if opts.output_dt is None else _output_grid(t0, t1, opts.output_dt)
     y0 = np.array([np.concatenate([s0.x, s0.z]) for s0 in starts])
 
     def fun_stack(t, y):
@@ -412,6 +416,10 @@ def integrate_many(
         # w(t) is affine between consecutive breakpoints: one slope per
         # stretch, from w at t0 and at each stop, each evaluated once
         w = sys.agents.disturbance
+        if w.varies and not len(w.times):
+            raise VaryingDisturbanceError(
+                "method 'rosenbrock' steps on the breakpoints of a varying w, and this one "
+                "is known only through eval; use method 'rk45'")
         ends = [t0] + [tb for tb in w.times if t0 < tb < t1] + [t1]
         ws = [w.eval(t) for t in ends]
         slopes = [np.concatenate([(wb - wa) / (tb - ta), np.zeros(n)])
@@ -419,7 +427,6 @@ def integrate_many(
         maps = state_maps(sys)
         steps, stats = zip(*(_integrate_rosenbrock(*maps, t0, t1, row, opts, ends[1:], slopes)
                              for row in y0))
-    grid = None if opts.output_dt is None else _output_grid(t0, t1, opts.output_dt)
     trajs = []
     for (T, Y, F), st, mon in zip(steps, stats, monitors):
         if mon is not None:
@@ -517,9 +524,13 @@ def _deviation_stats(times, x, w: DisturbanceProfile):
 
 def run_scenario(sc: Scenario) -> RunArtifacts:
     """Execute one policy and write its trajectory CSV and summary record,
-    which ends with the interconnection's ``counts()`` where it has them."""
+    which ends with the interconnection's ``counts()`` where it has them.
+    The output directory is made before the run, so a path that cannot be
+    one fails (OSError) before anything integrates."""
     if sc.policy not in POLICIES:
         raise ConfigError(f"unknown policy {sc.policy!r}")
+    if sc.out_dir is not None:
+        Path(sc.out_dir).mkdir(parents=True, exist_ok=True)
     if sc.policy in ("decentralized", "coordinating"):
         arts = _run_closed_loop(sc)
     else:
@@ -528,7 +539,6 @@ def run_scenario(sc: Scenario) -> RunArtifacts:
         arts.summary.update(sc.system.ic.counts())
     if sc.out_dir is not None:
         out = Path(sc.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"{sc.prefix}_{sc.policy}.csv"
         lyap = arts.trajectory.lyapunov if arts.trajectory is not None else None
         u = arts.trajectory.u if arts.trajectory is not None else arts.v
@@ -546,12 +556,8 @@ def _run_closed_loop(sc: Scenario) -> RunArtifacts:
     sys = sc.system
     if sys.gains.mode != sc.policy:
         raise ConfigError(f"policy {sc.policy} does not match gains mode {sys.gains.mode}")
-    report = validate_tuning(sys.agents, sys.gains)
+    report = enforce_tuning(sys.agents, sys.gains, sc.force)
     if not report.passed:
-        if not sc.force:
-            raise TuningError(
-                "tuning rule violated; pass force=True/--force to simulate anyway:\n"
-                + report.summary())
         log.warning("tuning rule violated, continuing under force:\n%s", report.summary())
     monitor, reason = equilibria.certificate_monitor(sys)
     if reason is not None:

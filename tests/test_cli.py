@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet import cli, equilibria, hydraulics
+from capnet import cli, equilibria, hydraulics, sim
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -371,6 +371,48 @@ class TestSimulateCommand:
         assert cli.main(argv[:1] + [str(path)] + argv[1:]) == 2
         assert capsys.readouterr().err.startswith("tuning error: ")
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["verify", "--stability"]])
+    def test_tuning_refusal_names_the_config_switch(self, tmp_path, capsys, argv):
+        # the shipped decentralized config with kI raised past kP*a = 2 and no
+        # force: one line naming the controller section's force key, which
+        # is the switch; capnet has no --force flag
+        cfg = json.loads(cli.shipped_config_path("linear2_decentralized.cfg").read_text())
+        cfg["controller"]["kI"] = 3.0
+        cfg["outputs"]["directory"] = str(tmp_path / "out")
+        assert cli.main(argv[:1] + [str(write_cfg(tmp_path, cfg))] + argv[1:]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("tuning error: tuning rule violated ([FAIL] kP*a > kI (agent 0)")
+        assert "\"force\": true in the config's controller section" in line
+        assert "--force" not in line
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce-dhn", "--policy", "decentralized", "--t-end", "1", "--output-dt", "1e-300"],
+        ["simulate"],  # a grid one time past the budget
+    ])
+    def test_too_fine_output_grid_exit_2(self, tmp_path, capsys, argv):
+        cfg = linear_cfg(tmp_path / "out")
+        cfg["sim"].update(t_span=[0.0, float(sim.MAX_OUTPUT_ROWS)], output_dt=1.0)
+        argv = argv + ([str(write_cfg(tmp_path, cfg))] if argv == ["simulate"]
+                       else ["--out", str(tmp_path / "out")])
+        assert cli.main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: sim: output_dt ")
+        assert line.endswith(f"gives more than {sim.MAX_OUTPUT_ROWS} output times")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["simulate", "CFG"],
+                                      ["verify", "CFG", "--report-dir", "FILE"]])
+    def test_unwritable_output_path_exit_2(self, tmp_path, capsys, argv):
+        # the output directory is an existing file: refused before the run
+        # with one line naming it
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        path = write_cfg(tmp_path, linear_cfg(taken))
+        assert cli.main([{"CFG": str(path), "FILE": str(taken)}.get(a, a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"output error: [Errno 17] File exists: '{taken}'"]
+        assert "verdict=" not in out
+
     @pytest.mark.parametrize("command", ["simulate", "check", "verify"])
     def test_dhn_zero_capacity_exit_3(self, tmp_path, capsys, command):
         cfg = {
@@ -446,6 +488,21 @@ class TestVerifyCommand:
         path = write_cfg(tmp_path, cfg)
         assert cli.main(["verify", str(path), "--stability", "--starts", "5",
                          "--t-max", "120", "--seed", "0"]) == 0
+
+    @pytest.mark.parametrize("flags", [["--optimality"], ["--stability"]])
+    def test_no_equilibrium_fails(self, tmp_path, capsys, flags):
+        # excess of both signs: the coordinating loop has no equilibrium
+        cfg = json.loads(cli.shipped_config_path("linear2_coordinating.cfg").read_text())
+        cfg["agents"]["w"] = [-3.0, 3.0]
+        assert cli.main(["verify", str(write_cfg(tmp_path, cfg))] + flags) == 1
+        out, err = capsys.readouterr()
+        if flags == ["--optimality"]:
+            assert (out, err) == ("", "no equilibrium: excess of both signs at S = 0\n")
+        else:
+            assert err == ""
+            assert {"passed=False", "equilibrium=none",
+                    "failure=no equilibrium found: excess of both signs at S = 0"} <= set(
+                        out.splitlines())
 
     @pytest.mark.parametrize("flags", [["--optimality"], ["--stability"]])
     def test_time_varying_w_exit_2(self, capsys, flags):

@@ -132,6 +132,15 @@ class TestVaryingDisturbance:
             getattr(cp, name)(*args)
 
 
+@pytest.mark.parametrize("mode, system", [("decentralized", "sys_dec2"),
+                                          ("coordinating", "sys_coord2")])
+def test_find_equilibrium_takes_the_solve_of_the_gains_mode(request, mode, system):
+    sys_ = request.getfixturevalue(system)
+    got, want = cp.find_equilibrium(sys_), SOLVERS[mode](sys_)
+    assert got.mode == mode
+    np.testing.assert_array_equal(got.u0, want.u0)
+
+
 class TestDecentralizedEquilibrium:
     def test_scalar_against_bisection(self, scalar_system):
         rep = cp.find_equilibrium_decentralized(scalar_system)
@@ -452,10 +461,13 @@ class TestStructuredAllocators:
                 equilibria.solve_allocations(ic, np.ones(2), np.zeros(shape), norm)
 
     @pytest.mark.parametrize("norm", ["l1", "linf"])
-    @pytest.mark.parametrize("system", ["linear", "dhn"])
+    @pytest.mark.parametrize("system", ["linear", "dhn", "no-allocator"])
     def test_stack_matches_allocation_per_w(self, ic2, system, norm):
-        if system == "linear":
+        # without an allocator, each row is the direct-search oracle's
+        if system != "dhn":
             ic, a = ic2, np.array([1.0, 2.0])
+            if system == "no-allocator":
+                ic = cp.Interconnection(fn=ic2.fn, eta=ic2.eta, bounds=ic2.bounds)
             W = np.array([[-2.0, -1.0], [0.3, -0.4], [-0.5, 1.2], [1.0, 1.0]])
         else:
             # the study's hours whose weighted-L1 rows need the active set

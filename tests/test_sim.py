@@ -133,20 +133,82 @@ class TestIntegrate:
         assert calls == [count for traj in trajs
                          for count in (1 + traj.stats.accepted, traj.n_points)]
 
-    def test_time_varying_disturbance_disables_monitor(self, ic2, gains_dec2, bounds2):
+    def test_time_varying_disturbance_disables_monitor(self, ic2, gains_dec2, gains_coord2,
+                                                       bounds2):
+        # the certificates assume a constant w, so each monitor refuses a
+        # varying one when it is built; the run itself takes any w and goes
+        # unmonitored
         prof = cp.DisturbanceProfile.piecewise([0.0, 100.0], [[-2.0, -1.0], [-1.0, -0.5]])
         agents = cp.AgentEnsemble(a=[1.0, 1.0], w=prof)
-        sysd = cp.ClosedLoopSystem(agents=agents, ic=ic2, gains=gains_dec2, bounds=bounds2)
-        monitor = cp.DecentralizedMonitor(sysd, np.zeros(2), np.zeros(2))
-        traj = cp.integrate(sysd, cp.ClosedLoopState.zero(2), (0.0, 5.0),
-                            SolverOptions(), monitor=monitor)
+        sysd, sysc = (cp.ClosedLoopSystem(agents=agents, ic=ic2, gains=gains, bounds=bounds2)
+                      for gains in (gains_dec2, gains_coord2))
+        with pytest.raises(cp.VaryingDisturbanceError,
+                           match="^the decentralized-lyapunov monitor needs a constant"):
+            cp.DecentralizedMonitor(sysd, np.zeros(2), np.zeros(2))
+        with pytest.raises(cp.VaryingDisturbanceError,
+                           match="^the coordinating-lyapunov monitor needs a constant"):
+            cp.CoordinatingMonitor(sysc)
+        traj = cp.integrate(sysd, cp.ClosedLoopState.zero(2), (0.0, 5.0), SolverOptions())
         assert traj.monitor is None
         assert traj.lyapunov is None
+
+    @pytest.mark.parametrize("t_span", [(5.0, 5.0), (5.0, 0.0)])
+    def test_span_must_move_forward(self, sys_dec2, t_span):
+        with pytest.raises(ValueError, match="t1 > t0"):
+            integrate_many(sys_dec2, [cp.ClosedLoopState.zero(2)], t_span)
+
+    def test_no_starts_give_no_trajectories(self, sys_dec2):
+        assert integrate_many(sys_dec2, [], (0.0, 5.0)) == []
+
+    @pytest.mark.parametrize("n_monitors", [0, 2])
+    def test_one_monitor_slot_per_start(self, sys_dec2, n_monitors):
+        with pytest.raises(ValueError, match="one monitor"):
+            integrate_many(sys_dec2, [cp.ClosedLoopState.zero(2)], (0.0, 5.0),
+                           monitors=[None] * n_monitors)
+
+    @pytest.mark.parametrize("method", ["rk45", "rosenbrock"])
+    def test_too_fine_output_grid_refused_before_the_first_step(self, sys_dec2, monkeypatch,
+                                                                method):
+        calls = []
+        monkeypatch.setattr(sim, "field_stack", lambda *args: calls.append(args))
+        monkeypatch.setattr(sim, "state_maps", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="more than 1000000 output times"):
+            cp.integrate(sys_dec2, cp.ClosedLoopState.zero(2), (0.0, 1.0),
+                         SolverOptions(method=method, output_dt=1e-300))
+        assert calls == []
 
     def test_aux_records(self, sys_dec2):
         traj = cp.integrate(sys_dec2, cp.ClosedLoopState.zero(2), (0.0, 5.0),
                             SolverOptions(output_dt=1.0))
         np.testing.assert_allclose(traj.v, np.clip(traj.u, -1.0, 1.0))
+
+
+class TestOutputGrid:
+    def test_span_not_a_multiple_of_dt_ends_on_t1(self):
+        grid = sim._output_grid(1.0, 2.0, 0.3)
+        np.testing.assert_array_equal(grid, [1.0 + 0.3 * k for k in range(4)] + [2.0])
+        # within 1e-9 of a whole number of steps, the last step lands on t1
+        np.testing.assert_array_equal(sim._output_grid(0.0, 1.0 + 1e-12, 0.25),
+                                      [0.0, 0.25, 0.5, 0.75, 1.0 + 1e-12])
+
+    def test_row_budget(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_OUTPUT_ROWS", 10)
+        assert len(sim._output_grid(0.0, 9.0, 1.0)) == 10
+        for t1 in (10.0, 9.5):  # 11 times: one more step, or t1 appended
+            with pytest.raises(ValueError, match="more than 10 output times"):
+                sim._output_grid(0.0, t1, 1.0)
+
+    @pytest.mark.parametrize("t1, dt", [(96.0, 1e-300), (96.0, 5e-324), (None, 1.0)])
+    def test_count_is_refused_before_any_array(self, monkeypatch, t1, dt):
+        # t1 = None: one time past the budget
+        t1 = float(sim.MAX_OUTPUT_ROWS) if t1 is None else t1
+
+        def no_array(*args, **kwargs):
+            raise AssertionError("an array was made")
+
+        monkeypatch.setattr(np, "arange", no_array)
+        with pytest.raises(ValueError, match="output times"):
+            sim._output_grid(0.0, t1, dt)
 
 
 class TestDenseOutput:
@@ -403,6 +465,21 @@ class TestRosenbrock:
         assert traj.times[0] == 0.2 and traj.times[-1] == 5.0
         for tb in (0.7, 1.3, 2.9, 4.1):
             assert tb in traj.times
+
+    def test_eval_only_disturbance_refused(self, ic2, gains_dec2, bounds2, monkeypatch):
+        # a varying w with no breakpoints would get one secant slope for the
+        # whole span; RK45 takes it, RODAS4 refuses it before stepping
+        class Wave:
+            def eval(self, t):
+                return np.array([-2.0, -1.0]) * (1.0 + 0.5 * np.sin(np.asarray(t)))[..., None]
+
+        sysd = cp.ClosedLoopSystem(agents=cp.AgentEnsemble(a=[1.0, 1.0], w=Wave()), ic=ic2,
+                                   gains=gains_dec2, bounds=bounds2)
+        s0 = cp.ClosedLoopState.zero(2)
+        assert cp.integrate(sysd, s0, (0.0, 5.0), SolverOptions()).stats.accepted > 0
+        monkeypatch.setattr(sim, "state_maps", None)  # not reached
+        with pytest.raises(cp.VaryingDisturbanceError, match="use method 'rk45'"):
+            cp.integrate(sysd, s0, (0.0, 5.0), SolverOptions(method="rosenbrock"))
 
     def test_study_evaluates_w_once_per_distinct_time(self, monkeypatch):
         # RODAS4's stages 4 and 5 and the next linearization share t + h;

@@ -12,7 +12,9 @@ them.  One more keeps each iterative solve on the one routine of
 ``capnet.core`` that does its job, another keeps the RODAS4 integrator free
 of the hydraulics and of a dense inverse, a third leaves the kind of
 disturbance to ``capnet.core``, and a fourth keeps the flow checks with the
-solve and its meter.
+solve and its meter.  The last three give each premise of a closed-loop
+claim one owner: the tuning refusal, the choice of equilibrium solve, and
+the constant w that the certificate monitors need.
 """
 
 import ast
@@ -212,3 +214,47 @@ def test_eval_only_disturbance_gives_the_profile_bits():
             t = rng.uniform(0.0, 96.0)
             for got, want in zip(control.field(ours, s, t), control.field(shipped, s, t)):
                 np.testing.assert_array_equal(got, want)
+
+
+def _functions():
+    """(file, name, node) of every top-level function and method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in [top] + (top.body if isinstance(top, ast.ClassDef) else []):
+                if isinstance(node, ast.FunctionDef):
+                    yield path.name, node.name, node
+
+
+def _names(tree):
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            if isinstance(node, ast.Attribute) else node.name
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_one_function_raises_the_tuning_refusal():
+    # sim and verify both refuse out-of-rule gains through core.enforce_tuning
+    raisers = {(path, name) for path, name, fn in _functions()
+               for node in ast.walk(fn) if isinstance(node, ast.Raise)
+               for const in ast.walk(node) if isinstance(const, ast.Constant)
+               and "tuning rule violated" in str(const.value)}
+    assert raisers == {("core.py", "enforce_tuning")}
+
+
+def test_one_function_picks_the_equilibrium_solve():
+    # a function that compares a mode and names both solves chooses between
+    # them: only equilibria.find_equilibrium may
+    solves = {"find_equilibrium_decentralized", "find_equilibrium_coordinating"}
+    pickers = {(path, name) for path, name, fn in _functions()
+               if solves <= _names(fn) and any(
+                   isinstance(node, ast.Compare) and any(
+                       getattr(side, "attr", None) == "mode"
+                       for side in [node.left, *node.comparators])
+                   for node in ast.walk(fn))}
+    assert pickers == {("equilibria.py", "find_equilibrium")}
+
+
+def test_sim_leaves_the_constant_w_to_the_monitors():
+    # a certificate monitor refuses a varying w when it is built, so the
+    # integrator has no reason to inspect one
+    names = _names(ast.parse((PACKAGE / "sim.py").read_text()))
+    assert not names & {"no_monitor_reason", "TIME_VARYING_W"}
