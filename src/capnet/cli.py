@@ -102,9 +102,11 @@ def _variant(section, where: str, key: str, variants: dict) -> str:
 def validate_config(data: dict):
     """Check every section of a scenario config for a non-object and for
     unknown and missing keys; the keys a section takes follow the system
-    type and the controller mode.  ``schema_version`` must be the integer 1
-    and ``controller.force``, when given, a boolean.  Raises ConfigError
-    naming the section."""
+    type and the controller mode.  ``schema_version`` must be the integer 1,
+    ``controller.force``, when given, a boolean, and ``outputs.prefix``, the
+    stem of every output file's name, a name: no path separator ("/" or
+    "\\") or NUL, and not empty, "." or "..".  Raises ConfigError naming the
+    section."""
     strict_object(data, "config", {"schema_version", "system", "agents", "controller",
                                    "sim", "outputs"},
                   {"schema_version", "system", "agents", "controller"})
@@ -136,7 +138,13 @@ def validate_config(data: dict):
         raise ConfigError(f"controller.force: expected true or false, got {force!r}")
     strict_object(data.get("sim", {}), "sim",
                   {"t_span", "atol", "rtol", "output_dt", "method", "dt_max"})
-    strict_object(data.get("outputs", {}), "outputs", {"directory", "prefix"})
+    outputs = data.get("outputs", {})
+    strict_object(outputs, "outputs", {"directory", "prefix"})
+    prefix = outputs.get("prefix", "run")
+    if not (isinstance(prefix, str) and prefix not in ("", ".", "..")
+            and not set(prefix) & set("/\\\0")):
+        raise ConfigError("outputs: prefix must be a file-name stem, with no '/', '\\' or "
+                          f"NUL and not '', '.' or '..'; got {prefix!r}")
 
 
 @dataclass

@@ -178,24 +178,29 @@ def loop_factor(sys: ClosedLoopSystem, Jb, free):
     raises LinAlgError where it is singular.
     """
     n, gains, a = sys.n, sys.gains, sys.agents.a
+    decentralized = gains.mode == DECENTRALIZED
     saturated = ~free
     to_b = -gains.kI * free
     excess_x, excess_z = -gains.kP * saturated, -gains.kI * saturated
+    # what depends on the linearization alone, once for every c
+    if decentralized:
+        d_sat, j21 = gains.kA * excess_z, 1.0 + gains.kA * excess_x
+    else:
+        to_b_sum, shared_z = (Jb @ to_b)[:, None], gains.kC * excess_z.sum()
 
     def factor(c):
         S = Jb * (free * (gains.kP + gains.kI / c))
         R = Jb * (to_b / c)  # J12 D^-1
-        if gains.mode != DECENTRALIZED:
-            to_b_sum = (Jb @ to_b)[:, None]
-            scale = gains.kC / (c * (c - gains.kC * excess_z.sum()))
+        if not decentralized:
+            scale = gains.kC / (c * (c - shared_z))
             alpha, beta = scale * excess_z, scale * (excess_z + c * excess_x)
             S -= to_b_sum * beta
             R += to_b_sum * alpha
         S.reshape(-1)[::n + 1] += c + a
         S_inv = np.linalg.inv(S)
         W = np.concatenate((S_inv, S_inv @ R), axis=1)
-        if gains.mode == DECENTRALIZED:
-            d, j21 = c - gains.kA * excess_z, 1.0 + gains.kA * excess_x
+        if decentralized:
+            d = c - d_sat
 
             def solve(r):
                 kx = W @ r
@@ -220,10 +225,13 @@ def state_maps(sys: ClosedLoopSystem):
     field and :func:`loop_factor` of its Jacobian there, and ``check()``
     runs the interconnection's deferred checks
     (:meth:`~capnet.interconnect.Interconnection.point_maps`) on every
-    evaluation since its last call.  Each gives the bits of
-    :func:`field_stack` and :func:`field_linearization` at that state.  w(t)
-    is evaluated once per distinct time: RODAS4's stages 4 and 5 and the
-    next linearization all sit at t + h, so the last one is kept.
+    evaluation since its last call.  ``fun`` and ``lin`` check nothing of
+    b(v) themselves: on the DHN every check of a row's flow solve (valve
+    box, pump, positive flows, pressure balance) runs in ``check()``, once
+    per attempted step, on the stack of the step's rows.  Each gives the
+    bits of :func:`field_stack` and :func:`field_linearization` at that
+    state.  w(t) is evaluated once per distinct time: RODAS4's stages 4 and
+    5 and the next linearization all sit at t + h, so the last one is kept.
     """
     n = sys.n
     b_at, linearize, check = sys.ic.point_maps()

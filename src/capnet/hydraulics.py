@@ -204,66 +204,99 @@ def solve_flows(net: HydraulicNetwork, v, tol: Optional[float] = FLOW_TOL) -> np
     statements over (m,) rows, one per node, with numpy.  Every row gets the
     same bits either way.  Each row is checked: ``tol`` bounds its
     pressure-balance residual relative to pump_dp.  Raises FlowSolverError
-    above it, on non-positive flow, on valves outside [-1, 1] or not finite,
-    and on a switched-off pump (pump_dp == 0); in a stack, one bad row fails
-    the whole stack, and the message names the first such row.  Each check
-    runs on the whole stack first and looks for that row only if it fails.
+    above it, on non-positive flow, on valves outside [-1, 1] (by more than
+    VALVE_SLACK, which is clipped) or not finite, and on a switched-off pump
+    (pump_dp == 0); in a stack, one bad row fails the whole stack, and the
+    message names the first such row.  Each check runs on the whole stack
+    first and looks for that row only if it fails.
 
-    With ``tol`` None the pressure-balance check is left to the caller, who
-    runs :meth:`HydraulicStats.check` on these flows before using any result
-    built on them.  The closed loop's one-point maps
-    (:func:`dhn_interconnection`) solve their rows so and check the stack of
-    every row a RODAS4 step solved, and the linearization before them, once
-    per attempted step, before the step is accepted or rejected.
+    With ``tol`` None, v is one (n,) float array in [-1, 1], such as the
+    clipped input the closed loop builds, and the call runs the two passes
+    and returns: it coerces, clips and checks nothing.  Every check of the
+    row is then the caller's, who runs :meth:`HydraulicStats.check` on the
+    stack of such rows before using any result built on them.  On a row in
+    the box the flows have the bits of the checked solve.  The closed loop's
+    one-point maps (:func:`dhn_interconnection`) solve their rows so and
+    check the stack of every row a RODAS4 step solved, and the
+    linearization before them, once per attempted step, before the step is
+    accepted or rejected.
     """
+    if tol is None:
+        return _tree_passes(net, net.consumer_resistance(v))
     n = net.n_consumers
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != n:
         raise DimensionError(f"v has shape {v.shape}, expected ({n},) or (m, {n})")
     m = len(v) if v.ndim == 2 else 1
     V = v.reshape(n) if m == 1 else v
-    reach = abs(V).max(initial=0.0)  # NaN propagates and fails the test
-    if not reach <= 1.0 + 1e-12:
-        _, row = _first_failing_row(abs(V).max(axis=-1) <= 1.0 + 1e-12, m)
-        raise FlowSolverError(f"{row}valve positions must lie in [-1, 1]")
-    if reach > 1.0:
+    if _check_valves(V, m) > 1.0:
         V = V.clip(-1.0, 1.0)
-    dp = net.pump_dp
-    if dp <= 0.0:
-        raise FlowSolverError("pump differential pressure is zero; flow problem is degenerate")
-
+    _check_pump(net)
     r = net.consumer_resistance(V)
+    q = _tree_passes(net, r)
+    _check_positive(q, m)
+    _check_balance(net, q, r, tol, m)
+    return q.reshape(v.shape)
+
+
+def _tree_passes(net, r):
+    """The consumer flows through the resistances r, one row or an (m, n)
+    stack: the two passes over the tree, with no check."""
     g = 1.0 / np.sqrt(r)  # consumer conductance r^(-1/2)
     # node values: Python floats for one row, (m,) rows for a stack (node
     # by node, so that a node's row is contiguous)
-    if V.ndim == 1:
+    if r.ndim == 1:
         G = np.bincount(net.consumer_node, weights=g, minlength=net.n_nodes).tolist()
         sqrt, sqrt_p = math.sqrt, [0.0] * net.n_nodes
     else:
-        G = np.zeros((net.n_nodes, m))
+        G = np.zeros((net.n_nodes, len(r)))
         np.add.at(G, net.consumer_node, g.T)  # adds in consumer order, as bincount
-        sqrt, sqrt_p = np.sqrt, np.zeros((net.n_nodes, m))
+        sqrt, sqrt_p = np.sqrt, np.zeros((net.n_nodes, len(r)))
     # bottom-up: G[node] = R_eq^(-1/2) of everything below the node; a pipe
     # in series with its subtree conducts G / sqrt(1 + 2s G^2), and
-    # share = sqrt(p_child / p_parent) = 1 / sqrt(1 + 2s G^2)
-    shares = []
+    # share = sqrt(p_child / p_parent) = 1 / sqrt(1 + 2s G^2), kept in the
+    # child's slot of sqrt_p until the top-down pass reaches it
     for parent, child, s2 in reversed(net._flow_pipes):
         G_child = G[child]
         share = 1.0 / sqrt(1.0 + s2 * G_child * G_child)
         G[parent] += G_child * share
-        shares.append(share)
-    # top-down: square root of the pressure across each node
-    sqrt_p[0] = math.sqrt(dp)
-    for (parent, child, _), share in zip(net._flow_pipes, reversed(shares)):
-        sqrt_p[child] = sqrt_p[parent] * share
-    q = np.asarray(sqrt_p)[net.consumer_node].T * g
+        sqrt_p[child] = share
+    # top-down: square root of the pressure across each node, the parent's
+    # times the child's share
+    sqrt_p[0] = math.sqrt(net.pump_dp)
+    for parent, child, _ in net._flow_pipes:
+        sqrt_p[child] *= sqrt_p[parent]
+    return np.asarray(sqrt_p)[net.consumer_node].T * g
+
+
+#: how far outside [-1, 1] a valve may lie as round-off; the checked solve
+#: clips such a valve into the box
+VALVE_SLACK = 1e-12
+
+
+def _check_valves(V, m):
+    """FlowSolverError, naming the first failing row of the m, where a
+    valve of V lies outside [-1, 1] by more than VALVE_SLACK or is not
+    finite (NaN fails); else the largest |valve|."""
+    reach = abs(V).max(initial=0.0)  # NaN propagates and fails the test
+    if not reach <= 1.0 + VALVE_SLACK:
+        _, row = _first_failing_row(abs(V).max(axis=-1) <= 1.0 + VALVE_SLACK, m)
+        raise FlowSolverError(f"{row}valve positions must lie in [-1, 1]")
+    return reach
+
+
+def _check_pump(net):
+    """FlowSolverError on a switched-off pump: no pressure to split."""
+    if net.pump_dp <= 0.0:
+        raise FlowSolverError("pump differential pressure is zero; flow problem is degenerate")
+
+
+def _check_positive(q, m):
+    """FlowSolverError, naming the first failing row of the m, where a flow
+    of q is not positive (NaN fails)."""
     if not q.min(initial=1.0) > 0.0:
         _, row = _first_failing_row(q.min(axis=-1) > 0.0, m)
         raise FlowSolverError(f"{row}solved flows are not all positive")
-
-    if tol is not None:
-        _check_balance(net, q, r, tol, m)
-    return q.reshape(v.shape)
 
 
 def _check_balance(net, q, r, tol, m):
@@ -316,9 +349,8 @@ def solve_flows_partial(
     q = np.where(free, np.nan, fixed_q)
     if not np.any(free):
         return q
+    _check_pump(net)
     dp = net.pump_dp
-    if dp <= 0.0:
-        raise FlowSolverError("pump differential pressure is zero; flow problem is degenerate")
     E = net.path_matrix
     r = net.consumer_resistance(np.clip(v, -1.0, 1.0))
     if warm_start is not None and np.all(warm_start[free] > 0):
@@ -456,11 +488,19 @@ class HydraulicStats:
         return q
 
     def check(self, net: HydraulicNetwork, V: np.ndarray, Q: np.ndarray):
-        """The pressure-balance check :func:`solve_flows` runs at FLOW_TOL,
-        on the (m, n) stack of flows Q it solved at the valves V with ``tol``
-        None, as one stack; every row counted."""
-        r = net.consumer_resistance(np.minimum(np.maximum(V, -1.0), 1.0))
-        _check_balance(net, Q, r, FLOW_TOL, len(Q))
+        """Every check :func:`solve_flows` runs on a row, on the (m, n)
+        stack of flows Q that its one-point form (``tol`` None) solved at
+        the valves V, as one stack: the shapes, the valve box (NaN fails),
+        the pump, positive flows and the pressure balance at FLOW_TOL, each
+        FlowSolverError naming the first failing row; every row counted."""
+        m = len(Q)
+        if V.shape != Q.shape or V.shape[1:] != (net.n_consumers,):
+            raise DimensionError(f"valves {V.shape} and flows {Q.shape} are not both "
+                                 f"(m, {net.n_consumers}) stacks")
+        _check_valves(V, m)
+        _check_pump(net)
+        _check_positive(Q, m)
+        _check_balance(net, Q, net.consumer_resistance(V), FLOW_TOL, m)
         self._count(net, Q)
 
     def _count(self, net, q):
@@ -714,9 +754,11 @@ def dhn_interconnection(net: HydraulicNetwork, bld: BuildingParams) -> Interconn
     linearization at one point takes b and its closed-form Jacobian
     (:func:`flow_sensitivity`) from the same solve.
 
-    Its one-point maps (``points``) solve one row each, with the box,
-    finite and positive-flow checks inline, and leave the pressure-balance
-    and mass-residual checks, and the count, to ``check()``: one stacked
+    Its one-point maps (``points``) solve one clipped row each by the
+    one-point form of :func:`solve_flows` (``tol`` None), which checks
+    nothing, and leave every check of those rows (valves in the box and
+    finite, the pump, positive flows, the pressure balance), their mass
+    residuals and their count to ``check()``: one stacked
     :meth:`HydraulicStats.check` over every row solved since the last call.
     """
     n = net.n_consumers

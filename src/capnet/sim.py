@@ -304,6 +304,7 @@ def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, slopes):
     dt = opts.dt_init if opts.dt_init is not None else min(dt_max, span / 100.0)
     stats = IntegrationStats()
     t, y = t0, y0.copy()
+    abs_y = np.abs(y)
     f, factor = lin(t, y)
     stats.n_field_evals += 1
     steps = [(t, y, f)]
@@ -324,17 +325,20 @@ def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, slopes):
                                        t=t, state=y.copy()) from exc
             k[0] = solve(f + (h * _RO_D[0]) * ft)
             for i in range(1, 6):
-                fi = fun(t + _RO_C[i] * h, y + _RO_A[i] @ k[:i])
-                k[i] = solve(fi + (_RO_CC[i] @ k[:i]) / h + (h * _RO_D[i]) * ft)
+                ki = k[:i]
+                y_stage = y + _RO_A[i] @ ki
+                fi = fun(t + _RO_C[i] * h, y_stage)
+                k[i] = solve(fi + (_RO_CC[i] @ ki) / h + (h * _RO_D[i]) * ft)
             stats.n_field_evals += 5
             check()
-            y_new = y + _RO_A[5] @ k[:5] + k[5]
-            scale = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            y_new = y_stage + k[5]  # the last stage sits at y + _RO_A[5] @ k[:5]
+            abs_new = np.abs(y_new)
+            scale = opts.atol + opts.rtol * np.maximum(abs_y, abs_new)
             e = k[5] / scale
             err = math.sqrt((e * e).sum() / len(e))  # np.mean's bits, without its wrapper
             if err <= 1.0:
                 t = stop if landing else t + h
-                y = y_new
+                y, abs_y = y_new, abs_new
                 f, factor = lin(t, y)
                 stats.n_field_evals += 1
                 steps.append((t, y, f))
@@ -525,16 +529,16 @@ def _deviation_stats(times, x, w: DisturbanceProfile):
 def run_scenario(sc: Scenario) -> RunArtifacts:
     """Execute one policy and write its trajectory CSV and summary record,
     which ends with the interconnection's ``counts()`` where it has them.
-    The output directory is made before the run, so a path that cannot be
-    one fails (OSError) before anything integrates."""
+    A closed-loop policy's own refusals come first (:func:`_tuning_report`),
+    so a refused run makes no output directory; the directory is made next,
+    so a path that cannot be one fails (OSError) before anything integrates."""
     if sc.policy not in POLICIES:
         raise ConfigError(f"unknown policy {sc.policy!r}")
+    closed_loop = sc.policy in ("decentralized", "coordinating")
+    report = _tuning_report(sc) if closed_loop else None
     if sc.out_dir is not None:
         Path(sc.out_dir).mkdir(parents=True, exist_ok=True)
-    if sc.policy in ("decentralized", "coordinating"):
-        arts = _run_closed_loop(sc)
-    else:
-        arts = _run_oracle_policy(sc)
+    arts = _run_closed_loop(sc, report) if closed_loop else _run_oracle_policy(sc)
     if sc.system.ic.counts is not None:
         arts.summary.update(sc.system.ic.counts())
     if sc.out_dir is not None:
@@ -550,15 +554,23 @@ def run_scenario(sc: Scenario) -> RunArtifacts:
     return arts
 
 
-def _run_closed_loop(sc: Scenario) -> RunArtifacts:
-    from . import equilibria  # deferred: equilibria imports this module
-
+def _tuning_report(sc: Scenario):
+    """The tuning report of a closed-loop policy's gains, after its own
+    refusals: ConfigError where the policy is not the gains' mode, and
+    TuningError for out-of-rule gains without force (core.enforce_tuning)."""
     sys = sc.system
     if sys.gains.mode != sc.policy:
         raise ConfigError(f"policy {sc.policy} does not match gains mode {sys.gains.mode}")
     report = enforce_tuning(sys.agents, sys.gains, sc.force)
     if not report.passed:
         log.warning("tuning rule violated, continuing under force:\n%s", report.summary())
+    return report
+
+
+def _run_closed_loop(sc: Scenario, report) -> RunArtifacts:
+    from . import equilibria  # deferred: equilibria imports this module
+
+    sys = sc.system
     monitor, reason = equilibria.certificate_monitor(sys)
     if reason is not None:
         log.info("certificate monitor disabled: %s", reason)

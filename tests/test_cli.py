@@ -385,6 +385,34 @@ class TestSimulateCommand:
         assert "\"force\": true in the config's controller section" in line
         assert "--force" not in line
 
+    def test_tuning_refusal_makes_no_output_directory(self, tmp_path, capsys):
+        # the shipped decentralized config with kI 3 and no force: refused
+        # before the output directory is made, so none is left behind
+        cfg = json.loads(cli.shipped_config_path("linear2_decentralized.cfg").read_text())
+        cfg["controller"]["kI"] = 3.0
+        cfg["outputs"]["directory"] = str(tmp_path / "out")
+        assert cli.main(["simulate", str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("tuning error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("prefix", ["sub/run", "sub\\run", "", ".", "..", "run\0", 5, None])
+    def test_prefix_not_a_file_stem_exit_2(self, tmp_path, capsys, monkeypatch, prefix):
+        # a prefix names files inside outputs.directory: anything else is
+        # refused when the config is read, before anything integrates or
+        # any directory is made
+        cfg = linear_cfg(tmp_path / "out")
+        cfg["outputs"]["prefix"] = prefix
+        path = write_cfg(tmp_path, cfg)
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("the run integrated")
+
+        monkeypatch.setattr(sim, "integrate", integrate)
+        assert cli.main(["simulate", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: outputs: prefix must be a file-name stem")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["reproduce-dhn", "--policy", "decentralized", "--t-end", "1", "--output-dt", "1e-300"],
         ["simulate"],  # a grid one time past the budget

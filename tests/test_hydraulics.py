@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -492,6 +493,65 @@ class TestOneMeter:
         meter.check(net, V, solved)
         with pytest.raises(FlowSolverError, match="pressure-balance check"):
             meter.check(net, V, 1.01 * solved)
+
+    def test_point_solve_gives_the_checked_bits(self):
+        # the one-point form runs the two passes alone: on rows in the box,
+        # entries at exactly -1 and 1 and whole rows at either bound
+        # included, its flows are the checked solve's, bit for bit
+        net = study_network()
+        rng = np.random.default_rng(11)
+        V = rng.uniform(-1.0, 1.0, (240, net.n_consumers))
+        V[rng.random(V.shape) < 0.1] = -1.0
+        V[rng.random(V.shape) < 0.1] = 1.0
+        V[:2] = [[-1.0], [1.0]]
+        assert np.sum(np.abs(V) == 1.0) > 900
+        points = np.array([cp.solve_flows(net, v, tol=None) for v in V])
+        np.testing.assert_array_equal(points, [cp.solve_flows(net, v) for v in V])
+        np.testing.assert_array_equal(points, cp.solve_flows(net, V))
+
+    @pytest.mark.parametrize("bad, match", [
+        ("nan valve", r"^row 3 of 6: valve positions must lie in \[-1, 1\]$"),
+        ("outside the box", r"^row 3 of 6: valve positions must lie in \[-1, 1\]$"),
+        ("non-positive flow", r"^row 3 of 6: solved flows are not all positive$"),
+    ])
+    def test_check_names_the_failing_row(self, bad, match):
+        # the point maps check nothing inline: each bad row is solved, and
+        # the stacked check refuses the stack, naming its first bad row,
+        # before it counts any of it
+        net = study_network()
+        ic = cp.dhn_interconnection(net, cp.BuildingParams())
+        b_at, linearize, check = ic.point_maps()
+        V = np.random.default_rng(6).uniform(-1.0, 1.0, (6, net.n_consumers))
+        if bad == "non-positive flow":  # a wrong solve's flows, to the meter itself
+            Q = np.array([cp.solve_flows(net, v, tol=None) for v in V])
+            Q[3, 7] = 0.0
+            check = partial(ic.allocator.stats.check, net, V, Q)
+        else:
+            V[3, 5] = np.nan if bad == "nan valve" else 1.0 + 2e-12
+            for k, v in enumerate(V):
+                (linearize if k % 2 else b_at)(v)
+        with pytest.raises(FlowSolverError, match=match):
+            check()
+        assert ic.allocator.stats.n_solves == 6  # the construction probe only
+
+    def test_check_refuses_a_switched_off_pump(self):
+        # the one-point form solves a network with no pump pressure to zero
+        # flows; the stacked check refuses it as the checked solve does
+        net = cp.build_dhn_network(0.0)
+        V = np.zeros((3, net.n_consumers))
+        Q = np.array([cp.solve_flows(net, v, tol=None) for v in V])
+        meter = hydraulics.HydraulicStats()
+        with pytest.raises(FlowSolverError, match="pump differential pressure is zero"):
+            meter.check(net, V, Q)
+        assert meter.n_solves == 0
+
+    def test_check_refuses_mismatched_stacks(self):
+        net = study_network()
+        V = np.zeros((3, net.n_consumers))
+        Q = np.array([cp.solve_flows(net, v, tol=None) for v in V])
+        for valves, flows in ((V[:2], Q), (V[:, :5], Q[:, :5]), (V[0], Q[0])):
+            with pytest.raises(cp.DimensionError):
+                hydraulics.HydraulicStats().check(net, valves, flows)
 
     def test_summary_reports_the_counts(self):
         ic = cp.dhn_interconnection(study_network(), cp.BuildingParams())

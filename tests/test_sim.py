@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet import cli, equilibria, hydraulics, sim
+from capnet import cli, control, equilibria, hydraulics, sim
 from capnet.control import field, field_linearization, loop_factor
 from capnet.errors import FlowSolverError, IntegrationError
 from capnet.sim import (Scenario, SolverOptions, integrate_many, make_temperature_profile,
@@ -648,6 +648,31 @@ class TestLoopFactor:
         assert info.value.residual == pytest.approx(1e-6, rel=1e-3)
         assert len(solves) == 6
 
+    def test_nan_stage_valve_stops_the_run_at_the_check(self, monkeypatch):
+        # the one-point stage solves check nothing inline: a stage valve
+        # forced to NaN is solved, and the attempted step's stacked check
+        # refuses it, naming its row, before the step is accepted or
+        # rejected: the start's linearization and five stages, no more
+        sys_ = _study_system("decentralized")
+        calls = []
+        real_inputs = control._inputs
+
+        def inputs(sys_, x, z):
+            u, v = real_inputs(sys_, x, z)
+            calls.append(1)
+            if len(calls) == 3:  # the second stage of the first step
+                v = v.copy()
+                v[4] = np.nan
+            return u, v
+
+        monkeypatch.setattr(control, "_inputs", inputs)
+        with pytest.raises(FlowSolverError, match=r"^row 2 of 6: valve positions must lie "
+                                                  r"in \[-1, 1\]$") as info:
+            cp.integrate(sys_, cp.ClosedLoopState.zero(sys_.n), (0.0, 96.0),
+                         SolverOptions(method="rosenbrock", rtol=1e-6, atol=1e-6))
+        assert not isinstance(info.value, IntegrationError)
+        assert len(calls) == 6
+
     def test_starts_share_the_maps_and_their_checks(self):
         # integrate_many builds the RODAS4 maps once for all its starts: each
         # row keeps the bits it gets alone, and every solve of every row is
@@ -734,6 +759,20 @@ class TestRunScenario:
         sc = self._scenario(sys_dec2, tmp_path, policy="coordinating")
         with pytest.raises(cp.ConfigError):
             run_scenario(sc)
+
+    def test_refused_run_makes_no_output_directory(self, sys_dec2, ic2, bounds2, tmp_path):
+        # the policy/gains-mode check and the tuning refusal both come
+        # before the output directory is made
+        agents = cp.AgentEnsemble(a=[0.3, 0.3], w=[-2.0, -1.0])
+        out_of_rule = cp.ClosedLoopSystem(agents=agents, ic=ic2, bounds=bounds2, gains=(
+            cp.ControllerGains(kP=[2.0, 2.0], kI=[1.0, 1.0], mode="decentralized",
+                               kA=[0.4, 0.4])))
+        for system, policy, error in ((sys_dec2, "coordinating", cp.ConfigError),
+                                      (out_of_rule, "decentralized", cp.TuningError)):
+            sc = self._scenario(system, tmp_path / "out", policy=policy)
+            with pytest.raises(error):
+                run_scenario(sc)
+            assert not (tmp_path / "out").exists()
 
     def test_tuning_violation_needs_force(self, ic2, bounds2, tmp_path):
         agents = cp.AgentEnsemble(a=[0.3, 0.3], w=[-2.0, -1.0])

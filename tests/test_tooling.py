@@ -11,10 +11,11 @@ without any test failing.  The tests load these files and change nothing in
 them.  One more keeps each iterative solve on the one routine of
 ``capnet.core`` that does its job, another keeps the RODAS4 integrator free
 of the hydraulics and of a dense inverse, a third leaves the kind of
-disturbance to ``capnet.core``, and a fourth keeps the flow checks with the
-solve and its meter.  The last three give each premise of a closed-loop
-claim one owner: the tuning refusal, the choice of equilibrium solve, and
-the constant w that the certificate monitors need.
+disturbance to ``capnet.core``, and a fourth keeps every row check of a flow
+solve (valve box, positive flows, pressure balance) and every mass residual
+with the solve and its meter.  The last three give each premise of a
+closed-loop claim one owner: the tuning refusal, the choice of equilibrium
+solve, and the constant w that the certificate monitors need.
 """
 
 import ast
@@ -134,10 +135,12 @@ def test_rosenbrock_integrator_is_generic_and_inverts_nothing():
 
 
 def test_flow_checks_are_run_by_the_solve_and_the_meter_only():
-    # every DHN flow solve is checked inline by solve_flows or, deferred, by
-    # HydraulicStats, which also takes every mass residual: no other
-    # top-level function or class calls _check_balance or mass_residual
-    owned = {"_check_balance", "mass_residual"}
+    # every DHN flow solve's rows are checked inline by solve_flows or,
+    # deferred from its one-point form, by HydraulicStats, which also takes
+    # every mass residual: no other top-level function or class calls the
+    # valve-box, positive-flow or pressure-balance row check or
+    # mass_residual
+    owned = {"_check_valves", "_check_positive", "_check_balance", "mass_residual"}
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
