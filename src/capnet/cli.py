@@ -103,10 +103,10 @@ def validate_config(data: dict):
     """Check every section of a scenario config for a non-object and for
     unknown and missing keys; the keys a section takes follow the system
     type and the controller mode.  ``schema_version`` must be the integer 1,
-    ``controller.force``, when given, a boolean, and ``outputs.prefix``, the
-    stem of every output file's name, a name: no path separator ("/" or
-    "\\") or NUL, and not empty, "." or "..".  Raises ConfigError naming the
-    section."""
+    ``controller.force``, when given, a boolean, ``outputs.directory``, when
+    given, a path string, and ``outputs.prefix``, the stem of every output
+    file's name, a name: no path separator ("/" or "\\") or NUL, and not
+    empty, "." or "..".  Raises ConfigError naming the section."""
     strict_object(data, "config", {"schema_version", "system", "agents", "controller",
                                    "sim", "outputs"},
                   {"schema_version", "system", "agents", "controller"})
@@ -140,6 +140,9 @@ def validate_config(data: dict):
                   {"t_span", "atol", "rtol", "output_dt", "method", "dt_max"})
     outputs = data.get("outputs", {})
     strict_object(outputs, "outputs", {"directory", "prefix"})
+    if "directory" in outputs and not isinstance(outputs["directory"], str):
+        raise ConfigError("outputs: directory must be a path string, "
+                          f"got {outputs['directory']!r}")
     prefix = outputs.get("prefix", "run")
     if not (isinstance(prefix, str) and prefix not in ("", ".", "..")
             and not set(prefix) & set("/\\\0")):

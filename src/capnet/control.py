@@ -13,6 +13,7 @@ slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -150,16 +151,38 @@ def field_linearization(sys: ClosedLoopSystem, s: ClosedLoopState, t: float):
 
     :func:`loop_factor` solves with I/(h*gamma) - J in this form.
     """
-    return _linearization(sys, s.x, s.z, sys.agents.disturbance.eval(t), sys.ic.linearize)
+    return _linearization(sys, s.x, s.z, sys.agents.disturbance.eval(t), sys.ic.linearize)[:4]
 
 
 def _linearization(sys: ClosedLoopSystem, x, z, w, linearize):
     """:func:`field_linearization` at the state (x, z) under the
-    disturbance w, with db/dv from ``linearize``."""
+    disturbance w, with db/dv from ``linearize``, then the input u."""
     u, v = _inputs(sys, x, z)
     b, Jb = linearize(v)
     dx, dz = _derivatives(sys, x, u, v, b, w)
-    return dx, dz, Jb, (u > sys.bounds.lower) & (u < sys.bounds.upper)
+    return dx, dz, Jb, (u > sys.bounds.lower) & (u < sys.bounds.upper), u
+
+
+def _first_switch(lower, upper, u, du, ddu):
+    """The time until the first agent's input u reaches the bound ahead of
+    it along u + du*t + ddu*t^2/2, where the field's Jacobian jumps: the
+    next bound above u where du > 0 and below it where du < 0.  inf when no
+    agent moves toward a bound or each one that does turns before it.  All
+    five are sequences with one float per agent; a loop over them beats
+    a dozen array operations at the sizes here."""
+    first = math.inf
+    for ui, di, ddi, lo, hi in zip(u, du, ddu, lower, upper):
+        if di > 0:
+            gap = (lo if ui < lo else hi) - ui
+        elif di < 0:
+            gap = (hi if ui > hi else lo) - ui
+        else:
+            continue
+        disc = di * di + 2.0 * ddi * gap
+        if di * gap > 0 and disc >= 0:
+            # the smaller positive root, free of cancellation
+            first = min(first, 2.0 * gap / (di + math.copysign(math.sqrt(disc), di)))
+    return first
 
 
 def loop_factor(sys: ClosedLoopSystem, Jb, free):
@@ -175,7 +198,9 @@ def loop_factor(sys: ClosedLoopSystem, Jb, free):
     k_z = D^-1 (r2 + J21 k_x).  Since i and e, g are zero on complementary
     agents, S = diag(c + a) + db/dv diag(kP + kI/c on the free agents)
     less, coordinating, a rank-1 term.  S is inverted once per c, which
-    raises LinAlgError where it is singular.
+    raises LinAlgError where it is singular, and the rows of k_x and k_z
+    are assembled into the 2n x 2n inverse M of c*I - J, so that
+    ``solve(r)`` is the one product M r.
     """
     n, gains, a = sys.n, sys.gains, sys.agents.a
     decentralized = gains.mode == DECENTRALIZED
@@ -197,33 +222,33 @@ def loop_factor(sys: ClosedLoopSystem, Jb, free):
             S -= to_b_sum * beta
             R += to_b_sum * alpha
         S.reshape(-1)[::n + 1] += c + a
-        S_inv = np.linalg.inv(S)
-        W = np.concatenate((S_inv, S_inv @ R), axis=1)
+        M = np.empty((2 * n, 2 * n))
+        W = M[:n]  # k_x = W r
+        W[:, :n] = np.linalg.inv(S)
+        np.matmul(W[:, :n], R, out=W[:, n:])
         if decentralized:
+            # k_z = (r2 + j21*k_x)/d
             d = c - d_sat
-
-            def solve(r):
-                kx = W @ r
-                return np.concatenate((kx, (r[n:] + j21 * kx) / d))
+            np.multiply((j21 / d)[:, None], W, out=M[n:])
+            M.reshape(-1)[2 * n * n + n::2 * n + 1] += 1.0 / d
         else:
             # k_z = (r2 + k_x)/c plus the shared term alpha.r2 + beta.k_x = g.r
             g = beta @ W
             g[n:] += alpha
-
-            def solve(r):
-                kx = W @ r
-                return np.concatenate((kx, (r[n:] + kx) / c + g @ r))
-
-        return solve
+            np.add(W / c, g, out=M[n:])
+            M.reshape(-1)[2 * n * n + n::2 * n + 1] += 1.0 / c
+        return M.__matmul__
 
     return factor
 
 
 def state_maps(sys: ClosedLoopSystem):
     """The maps RODAS4 evaluates at one state y = (x, z) of the loop, built
-    once per run: ``fun(t, y)`` is the field, ``lin(t, y)`` the pair of the
-    field and :func:`loop_factor` of its Jacobian there, and ``check()``
-    runs the interconnection's deferred checks
+    once per run: ``fun(t, y)`` is the field, ``lin(t, y, dfdt)`` the
+    triple of the field, :func:`loop_factor` of its Jacobian there and the
+    time until the first saturation switch that the linearization predicts
+    (:func:`_first_switch`), with dfdt = (dw/dt, 0) the field's slope in t
+    ahead, and ``check()`` runs the interconnection's deferred checks
     (:meth:`~capnet.interconnect.Interconnection.point_maps`) on every
     evaluation since its last call.  ``fun`` and ``lin`` check nothing of
     b(v) themselves: on the DHN every check of a row's flow solve (valve
@@ -231,20 +256,37 @@ def state_maps(sys: ClosedLoopSystem):
     per attempted step, on the stack of the step's rows.  Each gives the
     bits of :func:`field_stack` and :func:`field_linearization` at that
     state.  w(t) is evaluated once per distinct time: RODAS4's stages 4 and
-    5 and the next linearization all sit at t + h, so the last one is kept.
+    5 and the next linearization all sit at t + h, so the last one is kept,
+    and w at each breakpoint of its profile, where a step that lands and is
+    rejected leaves for another that lands there later, is kept for the run.
     """
     n = sys.n
     b_at, linearize, check = sys.ic.point_maps()
-    w_at = lru_cache(maxsize=1)(sys.agents.disturbance.eval)
+    w = sys.agents.disturbance
+    breakpoints = frozenset(w.times.tolist())
+    w_last, w_breakpoint = lru_cache(maxsize=1)(w.eval), lru_cache(maxsize=None)(w.eval)
+
+    def w_at(t):
+        return (w_breakpoint if t in breakpoints else w_last)(t)
 
     def fun(t, y):
         x = y[:n]
         u, v = _inputs(sys, x, y[n:])
         return np.concatenate(_derivatives(sys, x, u, v, b_at(v), w_at(t)))
 
-    def lin(t, y):
-        dx, dz, Jb, free = _linearization(sys, y[:n], y[n:], w_at(t), linearize)
-        return np.concatenate((dx, dz)), loop_factor(sys, Jb, free)
+    du_dx, du_dz = -sys.gains.kP, -sys.gains.kI
+    lower, upper = sys.bounds.lower.tolist(), sys.bounds.upper.tolist()
+
+    def lin(t, y, dfdt):
+        dx, dz, Jb, free, u = _linearization(sys, y[:n], y[n:], w_at(t), linearize)
+        # u's rate du and its change ddu along J (dx, dz) + dfdt, in J's
+        # block form: v moves with u on the free agents only
+        du = du_dx * dx + du_dz * dz
+        dv = free * du
+        ddx, ddz = _derivatives(sys, dx, du, dv, Jb @ dv, dfdt[:n])
+        ddu = du_dx * ddx + du_dz * ddz
+        return (np.concatenate((dx, dz)), loop_factor(sys, Jb, free),
+                _first_switch(lower, upper, u.tolist(), du.tolist(), ddu.tolist()))
 
     return fun, lin, check
 

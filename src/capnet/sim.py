@@ -6,15 +6,16 @@ own step control, so many starts cost one loop of field evaluations on the
 stack; ``integrate`` is the stack of one.  Stiff runs such as the
 district-heating study use RODAS4 (``rosenbrock``) on the analytic
 closed-loop Jacobian, one start at a time, stepping exactly on disturbance
-kinks.  Its maps at one state, built once per run by
+kinks and across each saturation switch that a linearization predicts in
+a short step of its own.  Its maps at one state, built once per run by
 :func:`~capnet.control.state_maps`, give the stage field, the field with a
-factor of I/(h*gamma) - J at each accepted state from one linearization of
-the interconnection (an n x n Schur complement, one factorization per
-attempted step), and the checks the one-point solves defer, run once per
-attempted step.  Both integrators return each row's accepted steps (time,
-state and derivative at every step end); the certificate monitors check
-them, and the output grid is sampled from them by cubic Hermite
-interpolation, each in one pass after the run.
+factor of I/(h*gamma) - J and the time to the next switch at each accepted
+state from one linearization of the interconnection (an n x n Schur
+complement, one factorization per attempted step), and the checks the
+one-point solves defer, run once per attempted step.  Both integrators
+return each row's accepted steps (time, state and derivative at every step
+end); the certificate monitors check them, and the output grid is sampled
+from them by cubic Hermite interpolation, each in one pass after the run.
 """
 
 from __future__ import annotations
@@ -281,23 +282,57 @@ _RO_CC = [np.array(row) for row in (
     (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.7089089320616),
     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.3193054312314,
      -6.058818238834054))]
+#: each stage's two tableau rows, a_i and c_i, applied to k[:i] as one product
+_RO_AC = [np.array([a, cc]) for a, cc in zip(_RO_A, _RO_CC)]
+
+
+#: a step that would pass the first saturation switch that ``lin``
+#: predicts stops this factor short of it, on the side it linearized; the
+#: prediction is good to about 1e-3 of itself
+_SWITCH_SHORT = 0.98
+#: the next step then crosses the switch and ends this factor past it, so
+#: that the linearization after it is on the far side
+_SWITCH_PAST = 1.01
+#: a switch predicted within this fraction of a step's start does not cut
+#: the step short: the step is taken whole, which keeps a switch that
+#: recurs at every step, as at an equilibrium with some u_i on its bound,
+#: from shrinking the steps without end; nor is a crossing step shorter
+#: than this fraction of the short step before it
+_SWITCH_NEAR = 0.01
 
 
 def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, slopes):
-    """RODAS4 under PI step control (Gustafsson 1991; Hairer's beta = 0.04).
+    """RODAS4 under PI step control (Gustafsson 1991; Hairer's beta = 0.04),
+    stepping onto the kinks of the field (Hairer & Wanner, Solving ODEs II,
+    sec. IV.7; Gear & Osterby 1984).
 
     Every step ends exactly on each time in ``stops`` (sorted, ending at t1),
     and ``slopes`` holds the constant df/dt on the stretch up to each stop.
-    ``fun(t, y)`` gives f at the stages, and ``lin(t, y)`` the pair
-    (f, factor) at the start and at each accepted state, from one
-    evaluation there: ``factor(c)`` returns a solver of (c*I - J) k = r
-    and raises LinAlgError where that matrix is singular.  One factor of
-    I/(h*gamma) - J per attempted step serves all six stages.  ``check()``
-    runs the checks that ``fun`` and ``lin`` defer, once per attempted
-    step, before it is accepted or rejected, and once at the end.  At most
-    ``opts.max_steps`` steps are attempted.  Returns the accepted steps as
-    arrays (T, Y, F), as :func:`_integrate_rk45` gives one row's, and the
-    IntegrationStats.
+    ``fun(t, y)`` gives f at the stages, and ``lin(t, y, dfdt)`` the triple
+    (f, factor, switch) at the start and at each accepted state, from one
+    evaluation there, with dfdt the slope of the stretch ahead:
+    ``factor(c)`` returns a solver of (c*I - J) k = r and raises
+    LinAlgError where that matrix is singular, and ``switch`` is the time
+    until the first kink of f that the linearization predicts (inf for
+    none).  A step with its end past that kink is cut in two: it stops
+    just short of the kink (_SWITCH_SHORT), and the next step crosses it
+    and ends just past it (_SWITCH_PAST), unless the kink is within
+    _SWITCH_NEAR of the step's start.  A step that ends past a kink gets
+    no error estimate to trust: its stages there follow another Jacobian,
+    and its error grows with the distance it runs past the kink, where the
+    estimate does not see it.  So only the short crossing step runs past
+    one, and the step after it resumes at the size proposed before it.  On
+    the first step from a stop, where df/dt jumps, the stiff modes form a
+    layer whose error shrinks like h^2 rather than h^4, so a rejection
+    there shrinks the step by err^(-1/2) rather than err^(-1/4).
+
+    One factor of I/(h*gamma) - J per attempted step serves all six
+    stages; each stage applies its two tableau rows to the earlier stages
+    as one product.  ``check()`` runs the checks that ``fun`` and ``lin``
+    defer, once per attempted step, before it is accepted or rejected, and
+    once at the end.  At most ``opts.max_steps`` steps are attempted.
+    Returns the accepted steps as arrays (T, Y, F), as
+    :func:`_integrate_rk45` gives one row's, and the IntegrationStats.
     """
     span = t1 - t0
     dt_max = opts.dt_max if opts.dt_max is not None else span / 64.0
@@ -305,15 +340,26 @@ def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, slopes):
     stats = IntegrationStats()
     t, y = t0, y0.copy()
     abs_y = np.abs(y)
-    f, factor = lin(t, y)
+    f, factor, switch = lin(t, y, slopes[0])
     stats.n_field_evals += 1
     steps = [(t, y, f)]
-    err_prev, rejected_last = 1.0, False
+    err_prev, rejected_last, restart = 1.0, False, False
+    short_step = 0.0  # the length of the accepted step that stopped short of a switch
     k = np.empty((6, len(y0)))
-    for stop, ft in zip(stops, slopes):
+    last = len(stops) - 1
+    for stretch, (stop, ft) in enumerate(zip(stops, slopes)):
         while t < stop:
-            landing = t + min(dt, dt_max) >= stop - 1e-12 * max(1.0, abs(stop))
-            h = stop - t if landing else min(dt, dt_max)
+            h = min(dt, dt_max)
+            landing = t + h >= stop - 1e-12 * max(1.0, abs(stop))
+            if landing:
+                h = stop - t
+            cut = None
+            if short_step:
+                if _SWITCH_PAST * switch < h:
+                    h = max(_SWITCH_PAST * switch, _SWITCH_NEAR * short_step)
+                    landing, cut = False, "cross"
+            elif _SWITCH_NEAR * h <= switch < h:
+                h, landing, cut = _SWITCH_SHORT * switch, False, "short"
             if h < 1e-14 * max(1.0, abs(t)):
                 raise IntegrationError("step size underflow", t=t, state=y.copy())
             if stats.accepted + stats.rejected >= opts.max_steps:
@@ -325,21 +371,19 @@ def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, slopes):
                                        t=t, state=y.copy()) from exc
             k[0] = solve(f + (h * _RO_D[0]) * ft)
             for i in range(1, 6):
-                ki = k[:i]
-                y_stage = y + _RO_A[i] @ ki
-                fi = fun(t + _RO_C[i] * h, y_stage)
-                k[i] = solve(fi + (_RO_CC[i] @ ki) / h + (h * _RO_D[i]) * ft)
+                ac = _RO_AC[i] @ k[:i]
+                y_stage = y + ac[0]
+                k[i] = solve(fun(t + _RO_C[i] * h, y_stage) + ac[1] / h + (h * _RO_D[i]) * ft)
             stats.n_field_evals += 5
             check()
             y_new = y_stage + k[5]  # the last stage sits at y + _RO_A[5] @ k[:5]
             abs_new = np.abs(y_new)
-            scale = opts.atol + opts.rtol * np.maximum(abs_y, abs_new)
-            e = k[5] / scale
-            err = math.sqrt((e * e).sum() / len(e))  # np.mean's bits, without its wrapper
+            e = k[5] / (opts.atol + opts.rtol * np.maximum(abs_y, abs_new))
+            err = math.sqrt(e @ e / len(e))
             if err <= 1.0:
                 t = stop if landing else t + h
                 y, abs_y = y_new, abs_new
-                f, factor = lin(t, y)
+                f, factor, switch = lin(t, y, slopes[min(stretch + landing, last)])
                 stats.n_field_evals += 1
                 steps.append((t, y, f))
                 stats.accepted += 1
@@ -347,12 +391,16 @@ def _integrate_rosenbrock(fun, lin, check, t0, t1, y0, opts, stops, slopes):
                 growth = min(5.0, max(0.2, 0.9 * err ** -0.22 * err_prev ** 0.04))
                 if rejected_last:
                     growth = min(growth, 1.0)
-                err_prev, rejected_last = err, False
+                err_prev, rejected_last, restart = err, False, landing
+                short_step = h if cut == "short" else 0.0
+                # the sliver that crossed a switch tells nothing of the step
+                # the field allows: the step proposed before it stands
+                floor = dt if cut == "cross" else 0.0
             else:  # also when err is NaN: max(0.2, nan) is 0.2
                 stats.rejected += 1
-                growth = max(0.2, 0.9 * err ** -0.25)
-                rejected_last = True
-            dt = h * growth
+                growth = max(0.2, 0.9 * err ** (-0.5 if restart else -0.25))
+                rejected_last, floor = True, 0.0
+            dt = max(floor, h * growth)
     check()
     return tuple(np.array(col) for col in zip(*steps)), stats
 

@@ -413,6 +413,22 @@ class TestSimulateCommand:
         assert line.startswith("config error: outputs: prefix must be a file-name stem")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("directory", [5, None, ["out"]])
+    def test_directory_not_a_string_exit_2(self, tmp_path, capsys, monkeypatch, directory):
+        # a directory that is not a path string is refused when the config
+        # is read, with one line, before anything integrates
+        cfg = json.loads(cli.shipped_config_path("linear2_decentralized.cfg").read_text())
+        cfg["outputs"]["directory"] = directory
+        path = write_cfg(tmp_path, cfg)
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("the run integrated")
+
+        monkeypatch.setattr(sim, "integrate", integrate)
+        assert cli.main(["simulate", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: outputs: directory must be a path string")
+
     @pytest.mark.parametrize("argv", [
         ["reproduce-dhn", "--policy", "decentralized", "--t-end", "1", "--output-dt", "1e-300"],
         ["simulate"],  # a grid one time past the budget

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -393,22 +395,22 @@ def _attempts_until_budget(sys_, s0, opts):
     return calls["field"] // 5
 
 
-def _rosenbrock(fun, jac, t1, y0, opts, dfdt):
+def _rosenbrock(fun, jac, t1, y0, opts, dfdt, switch=lambda t: np.inf):
     """Integrate fun from 0 to t1 with RODAS4, linearized by jac and solved
-    with a dense inverse of c*I - jac; the final state and the stats."""
-    def lin(t, y):
+    with a dense inverse of c*I - jac, with ``switch(t)`` the time from t to
+    the next kink predicted there (none by default); the accepted steps
+    (T, Y, F) and the stats."""
+    def lin(t, y, dfdt):
         J = jac(t, y)
 
         def factor(c):
             inv = np.linalg.inv(c * np.eye(len(J)) - J)
             return lambda r: inv @ r
 
-        return fun(t, y), factor
+        return fun(t, y), factor, switch(t)
 
-    (_, Y, _), stats = sim._integrate_rosenbrock(fun, lin, lambda: None, 0.0, t1,
-                                                 np.asarray(y0, dtype=float), opts, [t1],
-                                                 [dfdt(0.0, t1)])
-    return Y[-1], stats
+    return sim._integrate_rosenbrock(fun, lin, lambda: None, 0.0, t1,
+                                     np.asarray(y0, dtype=float), opts, [t1], [dfdt(0.0, t1)])
 
 
 class TestRosenbrock:
@@ -428,11 +430,11 @@ class TestRosenbrock:
         for h in (0.1, 0.05):
             # tolerances so loose that every step is accepted at dt_max
             opts = SolverOptions(method="rosenbrock", atol=1e6, rtol=1e6, dt_init=h, dt_max=h)
-            y1, stats = _rosenbrock(self._fun, self._jac, 1.0, [1.0, 1.0], opts,
-                                    lambda ta, tb: np.array([1.0, 0.0]))
+            (_, Y, _), stats = _rosenbrock(self._fun, self._jac, 1.0, [1.0, 1.0], opts,
+                                           lambda ta, tb: np.array([1.0, 0.0]))
             assert stats.rejected == 0
             assert stats.accepted == pytest.approx(1.0 / h)
-            errors.append(np.max(np.abs(y1 - exact)))
+            errors.append(np.max(np.abs(Y[-1] - exact)))
         assert errors[0] / errors[1] >= 12.0, errors
 
     def test_singular_iteration_matrix_raises(self):
@@ -452,6 +454,32 @@ class TestRosenbrock:
             _rosenbrock(self._fun, self._jac, 1.0, [1.0, 1.0],
                         SolverOptions(method="rosenbrock", max_steps=3),
                         lambda ta, tb: np.array([1.0, 0.0]))
+
+    def test_steps_stop_short_of_a_predicted_kink_and_cross_it_just_past(self):
+        # a kink at t = 0.5 that every linearization before it predicts:
+        # the step that would pass it stops short of it, and the next one
+        # crosses it and ends just past it
+        kink = 0.5
+        (T, _, _), stats = _rosenbrock(self._fun, self._jac, 1.0, [1.0, 1.0],
+                                       SolverOptions(method="rosenbrock"),
+                                       lambda ta, tb: np.array([1.0, 0.0]),
+                                       lambda t: kink - t if t < kink else np.inf)
+        j = np.searchsorted(T, kink) - 1  # the last step end before the kink
+        short = sim._SWITCH_SHORT * (kink - T[j - 1])
+        assert T[j] == pytest.approx(T[j - 1] + short, rel=1e-12)
+        assert T[j + 1] - kink == pytest.approx((sim._SWITCH_PAST - 1) * (kink - T[j]))
+        assert stats.rejected == 0
+
+    def test_kink_predicted_at_every_step_does_not_stall(self):
+        # round-off at an equilibrium with some u_i on its bound can predict
+        # a switch a hair ahead of every state; such a step is taken whole,
+        # so the run takes the steps it takes with no kink at all
+        opts = SolverOptions(method="rosenbrock", max_steps=1000)
+        args = (self._fun, self._jac, 1.0, [1.0, 1.0], opts,
+                lambda ta, tb: np.array([1.0, 0.0]))
+        (T, _, _), _ = _rosenbrock(*args)
+        (T_kinked, _, _), _ = _rosenbrock(*args, lambda t: 1e-9)
+        np.testing.assert_array_equal(T_kinked, T)
 
     def test_steps_end_on_profile_breakpoints(self, ic2, gains_dec2, bounds2):
         times = [0.0, 0.7, 1.3, 2.9, 4.1, 6.0]
@@ -504,6 +532,29 @@ class TestRosenbrock:
         # RK45 needed about 19000 per policy, held at its stability limit
         for policy in ("decentralized", "coordinating"):
             assert int(dhn_study["summary"][f"{policy}.field_evaluations"]) <= 8000, policy
+
+    def test_dhn_rejected_steps_budget(self, dhn_study):
+        # most rejections used to straddle a saturation switch or restart
+        # at a profile breakpoint: 109 (decentralized) and 71 (coordinating)
+        # before steps landed just past each predicted switch
+        for policy, before in (("decentralized", 109), ("coordinating", 71)):
+            assert int(dhn_study["summary"][f"{policy}.steps_rejected"]) <= before // 2, policy
+
+    @pytest.mark.parametrize("mode", ["decentralized", "coordinating"])
+    def test_equilibrium_on_a_bound_does_not_stall(self, ic2, bounds2, gains_dec2,
+                                                   gains_coord2, mode):
+        # w = -B (1, 0.2) puts the equilibrium's first input exactly on its
+        # upper bound, so a switch of u_1 is predicted near every state the
+        # run ends on; before steps landed on predicted switches RODAS4 took
+        # 104 (decentralized) and 105 (coordinating) attempted steps
+        gains = gains_dec2 if mode == "decentralized" else gains_coord2
+        agents = cp.AgentEnsemble(a=[1.0, 1.0], w=-ic2(np.array([1.0, 0.2])))
+        sys_ = cp.ClosedLoopSystem(agents=agents, ic=ic2, gains=gains, bounds=bounds2)
+        traj = cp.integrate(sys_, cp.ClosedLoopState.zero(2), (0.0, 200.0),
+                            SolverOptions(method="rosenbrock", rtol=1e-6, atol=1e-6))
+        assert traj.stats.accepted + traj.stats.rejected <= 1.2 * 105
+        np.testing.assert_allclose(traj.x[-1], 0.0, atol=1e-9)
+        np.testing.assert_allclose(traj.v[-1], [1.0, 0.2], atol=1e-9)
 
     def test_dhn_headline_converged_in_tolerance(self, dhn_study):
         # at rtol = atol = 1e-8 the decentralized run takes about 15000
@@ -590,6 +641,34 @@ def _dense_jacobian(sys_, Jb, free):
     K = np.diag(gains.kA) if gains.mode == "decentralized" else np.full((n, n), gains.kC)
     return np.block([[Jb * (-gains.kP * free) - np.diag(sys_.agents.a), Jb * (-gains.kI * free)],
                      [np.eye(n) + K * (-gains.kP * saturated), K * (-gains.kI * saturated)]])
+
+
+def _first_switch(sys_, u, du, ddu):
+    return control._first_switch(sys_.bounds.lower.tolist(), sys_.bounds.upper.tolist(),
+                                 u, du, ddu)
+
+
+class TestFirstSwitch:
+    def test_time_to_the_bound_ahead(self, sys_dec2):
+        # each agent heads for the next bound in the direction it moves:
+        # from inside to the upper one, from above the box back to it
+        assert _first_switch(sys_dec2, [0.5, 2.0], [1.0, -2.0], [0.0, 0.0]) == 0.5
+        assert _first_switch(sys_dec2, [2.0, 0.5], [-2.0, 1.0], [0.0, 0.0]) == 0.5
+        assert _first_switch(sys_dec2, [-0.5, -3.0], [-1.0, 1.0], [0.0, 0.0]) == 0.5
+        # an accelerating approach arrives sooner, at 0.5 = tau + tau^2
+        assert _first_switch(sys_dec2, [0.5, 0.5], [1.0, 0.0],
+                             [2.0, 0.0]) == pytest.approx((math.sqrt(3) - 1) / 2)
+
+    def test_no_switch_where_no_agent_reaches_a_bound(self, sys_dec2):
+        # at rest, moving out of the box, on the bound moving outward, or
+        # decelerating to a stop short of the bound (an equilibrium on it)
+        cases = [([0.5, -0.5], [0.0, 0.0], [0.0, 0.0]),
+                 ([2.0, -3.0], [1.0, -1.0], [0.0, 0.0]),
+                 ([1.0, -1.0], [1.0, -1.0], [5.0, -5.0]),
+                 ([0.5, 0.5], [1.0, 1.0], [-1.5, -4.0]),
+                 ([np.nan, 0.5], [1.0, 0.0], [0.0, 0.0])]
+        for u, du, ddu in cases:
+            assert _first_switch(sys_dec2, u, du, ddu) == np.inf, u
 
 
 class TestLoopFactor:
