@@ -7,6 +7,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -411,13 +412,42 @@ def damped_newton(lin: Callable, res: Callable, x, done: Callable, max_steps: in
     return x, steps
 
 
-def bracketed_root(f: Callable, lo: float, hi: float, fail: Callable, xtol: float = 2e-12):
+def bracketed_root(f: Callable, lo: float, hi: float, fail: Callable):
     """The root of the scalar f, which changes sign between lo and hi, by
-    Brent's method; raises ``fail(iterations)`` after ROOT_MAX_ITER."""
+    Brent's method to within 2e-12; raises ``fail(iterations)`` after
+    ROOT_MAX_ITER."""
     from scipy.optimize import brentq  # deferred: scipy is slow to import
 
-    root, info = brentq(f, lo, hi, xtol=xtol, maxiter=ROOT_MAX_ITER, full_output=True,
+    root, info = brentq(f, lo, hi, xtol=2e-12, maxiter=ROOT_MAX_ITER, full_output=True,
                         disp=False)
     if not info.converged:
         raise fail(info.iterations)
     return root
+
+
+def bracketed_newton(f: Callable, lo: float, hi: float, fail: Callable, xtol: float):
+    """The root of the scalar f, positive at lo and not positive at hi, by
+    Newton steps from lo kept inside the bracket: ``f(x)`` gives f(x) and
+    the step to the root of the caller's local model of f, -f/f' for a
+    smooth f.  A step that would leave the bracket, or that is more than
+    half the step before it, bisects instead.  Returns the last point
+    evaluated once f is zero there, the step from it is at most xtol or the
+    bracket is at most xtol wide; raises ``fail(ROOT_MAX_ITER)`` when
+    ROOT_MAX_ITER iterations, each one evaluation of f beyond the one at
+    lo, end without one of these."""
+    x, last = lo, math.inf
+    fx, step = f(x)
+    for _ in range(ROOT_MAX_ITER):
+        if abs(step) <= xtol:
+            return x
+        if not lo < x + step < hi or 2.0 * abs(step) > abs(last):
+            step = 0.5 * (lo + hi) - x
+        x, last = x + step, step
+        fx, step = f(x)
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+        if fx == 0.0 or hi - lo <= xtol:
+            return x
+    raise fail(ROOT_MAX_ITER)

@@ -9,8 +9,9 @@ found by semismooth Newton (Qi & Sun 1993) on the damped Newton of
 Armijo backtracking on 0.5*|N|^2, in a budget of steps and backtracks fixed
 before it starts.  The decentralized loop is N with r = w and c = a*kA.
 The coordinating loop couples every agent through the shared excess sum
-S = sum(u - sat u); for a fixed S it is N with r = w + a*kC*S and c = a*kC,
-and S is the root of a scalar slack, by core's bracketed root search.
+S = sum(u - sat u); for a fixed S it is N with r = w + a*kC*S and c an
+excess scale read off the interconnection, and S is the root of a scalar
+slack, by core's bracketed Newton search with slopes from the reduced solves.
 
 The open-loop optima that certify them come from two independent routes:
 
@@ -39,7 +40,7 @@ import numpy as np
 from .control import (ClosedLoopState, ClosedLoopSystem, CoordinatingMonitor,
                       DecentralizedMonitor, control_input, field as loop_field,
                       no_monitor_reason, rejectable_disturbance)
-from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, bracketed_root,
+from .core import (COORDINATING, DECENTRALIZED, AgentEnsemble, bracketed_newton,
                    damped_newton, enforce_tuning, saturate)
 from .errors import DimensionError, EquilibriumError, FlowSolverError
 from .interconnect import Interconnection
@@ -128,10 +129,12 @@ def _solve_normal_map(ic: Interconnection, a, r, c, u, tol, steps, max_steps):
     strictly inside the box and puts c_j on the diagonal for the others; N
     and J_b at each iterate come from one ``ic.linearize`` call, and the
     line search evaluates b alone.  ``steps`` is the running count of Newton
-    steps, carried over from earlier solves; returns (u, steps).  Raises
-    EquilibriumError where the Newton solve stops short.
+    steps, carried over from earlier solves; returns (u, steps, G) with G
+    the generalized Jacobian at u.  Raises EquilibriumError where the
+    Newton solve stops short.
     """
     lo, hi = ic.bounds.lower, ic.bounds.upper
+    G = None  # at the last linearized iterate, which is the one returned
 
     def normal_map(u):
         v = np.clip(u, lo, hi)
@@ -139,18 +142,21 @@ def _solve_normal_map(ic: Interconnection, a, r, c, u, tol, steps, max_steps):
 
     def linearization(u):
         # N(u) and its generalized Jacobian from one linearization of b
+        nonlocal G
         v = np.clip(u, lo, hi)
         b, J = ic.linearize(v)
         inside = (u > lo) & (u < hi)
-        return b + r + c * (u - v), np.where(inside[None, :], J, np.diag(c))
+        G = np.where(inside[None, :], J, np.diag(c))
+        return b + r + c * (u - v), G
 
     def fail(reason, u, n_u, steps):
         return _unconverged(f"Newton solve stopped ({reason})",
                             float(np.max(np.abs(n_u / a))), tol, steps, u, ic.bounds)
 
-    return damped_newton(linearization, normal_map, u,
-                         lambda n_u: float(np.max(np.abs(n_u / a))) < tol, max_steps, fail,
-                         steps)
+    u, steps = damped_newton(linearization, normal_map, u,
+                             lambda n_u: float(np.max(np.abs(n_u / a))) < tol, max_steps,
+                             fail, steps)
+    return u, steps, G
 
 
 def _finish_report(sys: ClosedLoopSystem, u0: np.ndarray, iterations: int,
@@ -187,9 +193,9 @@ def find_equilibrium_decentralized(
     if sys.gains.mode != DECENTRALIZED:
         raise ValueError("system gains are not decentralized")
     a, w = sys.agents.a, sys.agents.constant_w("find_equilibrium_decentralized")
-    u, steps = _solve_normal_map(sys.ic, a, w, a * sys.gains.kA,
-                                 0.5 * (sys.bounds.lower + sys.bounds.upper),
-                                 tol, 0, max_iter)
+    u, steps, _ = _solve_normal_map(sys.ic, a, w, a * sys.gains.kA,
+                                    0.5 * (sys.bounds.lower + sys.bounds.upper),
+                                    tol, 0, max_iter)
     return _finish_report(sys, u, steps, tol)
 
 
@@ -201,18 +207,29 @@ def find_equilibrium_coordinating(
     """An equilibrium of the coordinating loop: b(sat u) + w + a*kC*S = 0
     with S = sum(dz(u)), so every error equals -kC*S.
 
-    In the reduced variable S, u(S) solves b(sat u) + w + a*kC*(S + dz(u)) = 0
-    by the semismooth Newton of the decentralized loop, warm-started from the
-    previous S.  When u(0) carries no excess it is the equilibrium (the
-    disturbance is rejectable).  Otherwise S is the root of a slack that is
-    the largest excess while one remains and minus the smallest distance to
-    the saturating bound after, bracketed between 0 and the largest |S| that
-    aggregate monotonicity allows (:func:`~capnet.core.bracketed_root`); S
-    is then put on the agents at that bound.  Returns :class:`NoEquilibrium`
-    with the reason when the reduced problem shows there is none.
-    ``max_iter`` bounds the Newton steps of all reduced solves together;
-    exhausting it or the root search's budget, or a stationarity residual
-    max(|dx|, |dz|) not below ``tol`` at the end, raises EquilibriumError.
+    In the reduced variable S, u(S) solves b(sat u) + w + a*kC*S + d*dz(u) = 0
+    by the semismooth Newton of the decentralized loop.  The excess scale d
+    is |diag db/dv| at the middle of the box (at least a*kC), from one
+    linearization before the first reduced solve: a saturated agent's column
+    of the generalized Jacobian is then about as steep as a free one's, so
+    Newton steps do not overshoot on it.  The sat u of each reduced solution
+    does not depend on d, and at the root no agent carries excess, so
+    neither does the equilibrium.  When u(0) carries no excess it is the
+    equilibrium (the disturbance is rejectable).  Otherwise S is the root of
+    a slack that is the largest excess while one remains and minus the
+    smallest distance to the saturating bound after, bracketed between 0
+    and the largest |S| that aggregate monotonicity allows, by
+    :func:`~capnet.core.bracketed_newton`: its slope du/dS = -G^-1 a*kC comes
+    from the generalized Jacobian G at the end of the reduced solve, and
+    each reduced solve starts from the predictor u + du/dS*dS off the
+    nearest S solved.  S is then split evenly between the agents at that
+    bound, to within the reduced solve's tolerance 0.01*tol.  Returns
+    :class:`NoEquilibrium` with the reason when the reduced problem shows
+    there is none; its ``best_u`` is a reduced solution with the excess
+    read on the loop's own scale a*kC.  ``max_iter`` bounds the Newton steps
+    of all reduced solves together; exhausting it or the root search's
+    budget, or a stationarity residual max(|dx|, |dz|) not below ``tol`` at
+    the end, raises EquilibriumError.
     """
     if sys.gains.mode != COORDINATING:
         raise ValueError("system gains are not coordinating")
@@ -220,28 +237,42 @@ def find_equilibrium_coordinating(
     w = sys.agents.constant_w("find_equilibrium_coordinating")
     lo, hi = sys.bounds.lower, sys.bounds.upper
     c = a * kC
-    u = 0.5 * (lo + hi)
+    middle = 0.5 * (lo + hi)
+    scale = np.maximum(np.abs(np.diag(ic.linearize(middle)[1])), c)
     steps = 0
-    solved = {}  # S -> u(S)
+    solved = {}  # S -> (u(S), du/dS)
 
     def solve_at(S):
-        nonlocal u, steps
+        nonlocal steps
         if S not in solved:
+            u = middle
+            if solved:  # the predictor off the nearest S solved
+                near = min(solved, key=lambda t: abs(t - S))
+                u, du = solved[near]
+                u = u + du * (S - near)
             # inner tolerance leaves room for the excess left at the root
-            u, steps = _solve_normal_map(ic, a, w + c * S, c, u, 0.01 * tol,
-                                         steps, max_iter)
-            solved[S] = u
+            u, steps, G = _solve_normal_map(ic, a, w + c * S, scale, u, 0.01 * tol,
+                                            steps, max_iter)
+            try:
+                du = -np.linalg.solve(G, c)
+            except np.linalg.LinAlgError:  # no slope: the root search bisects
+                du = np.zeros_like(u)
+            solved[S] = u, du
         return solved[S]
 
     def residual(u):  # of the coordinating loop, over the errors
         v = np.clip(u, lo, hi)
         return float(np.max(np.abs((ic(v) + w) / a + kC * np.sum(u - v))))
 
+    def on_loop_scale(u):  # the same sat u, its excess read on the scale a*kC
+        v = np.clip(u, lo, hi)
+        return v + scale / c * (u - v)
+
     def no_equilibrium(message):
-        best = min(solved.values(), key=residual)
+        best = min((on_loop_scale(u) for u, _ in solved.values()), key=residual)
         return NoEquilibrium(best, residual(best), steps, message)
 
-    u0 = solve_at(0.0)
+    u0 = solve_at(0.0)[0]
     excess = u0 - np.clip(u0, lo, hi)
     if not np.any(excess):
         return _finish_report(sys, u0, steps, tol)
@@ -250,28 +281,38 @@ def find_equilibrium_coordinating(
     sgn = 1.0 if np.any(excess > 0) else -1.0
     bound = hi if sgn > 0 else lo
 
+    # the slack and its Newton step: the step to the largest S at which some
+    # agent's linear model meets the bound, the last one to leave saturation
     def slack(s):
-        return float(np.max(sgn * (solve_at(sgn * s) - bound)))
+        u, du = solve_at(sgn * s)
+        gap = sgn * (u - bound)
+        falling = du < 0.0
+        step = float(np.max(-gap[falling] / du[falling], initial=-np.inf))
+        return float(np.max(gap)), step
 
     # an equilibrium has eta.(b(v) + w) = -kC*S*eta.a with eta.b increasing on
     # the box, so |S| cannot exceed the value at the opposite corner
     corner = lo if sgn > 0 else hi
     s_max = -sgn * float(ic.eta @ (ic(corner) + w)) / (kC * float(ic.eta @ a))
-    if not s_max > 0.0 or slack(s_max) > 0.0:
+    if not s_max > 0.0 or slack(s_max)[0] > 0.0:
         return no_equilibrium(f"no excess sum up to {max(s_max, 0.0):.6g} clears "
                               f"the excess")
+
     def fail(iterations):
+        u = on_loop_scale(next(reversed(solved.values()))[0])  # the last S solved
         return _unconverged(f"excess-sum search stopped after {iterations} iterations",
                             residual(u), tol, steps, u, sys.bounds)
 
-    s_root = bracketed_root(slack, 0.0, s_max, fail, xtol=4 * np.finfo(float).eps * s_max)
+    s_root = bracketed_newton(slack, 0.0, s_max, fail, 4 * np.finfo(float).eps * s_max)
     S = sgn * s_root
-    u_S = solve_at(S)
+    u_S = solve_at(S)[0]
     v = np.clip(u_S, lo, hi)
     if np.any(sgn * (u_S - v) < 0):
         return no_equilibrium(f"excess of both signs at S = {S:.6g}")
+    # agents within the reduced solve's tolerance of the closest one's
+    # distance to the bound (mirrored branches tie to rounding) share S
     distance = sgn * (bound - v)
-    binding = distance <= np.min(distance)
+    binding = distance <= np.min(distance) + 0.01 * tol
     u = v.copy()
     u[binding] = bound[binding] + S / np.count_nonzero(binding)
     return _finish_report(sys, u, steps, tol)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import capnet as cp
-from capnet.errors import DimensionError, VaryingDisturbanceError
+from capnet import core
+from capnet.errors import DimensionError, EquilibriumError, VaryingDisturbanceError
 
 
 class Ramp:
@@ -219,3 +220,40 @@ class TestCoordinatingTuning:
         gains = cp.ControllerGains(kP=[1.0], kI=[kI], mode="coordinating",
                                    kC=0.5, alpha=1.0)
         assert cp.validate_coordinating_tuning(agents, gains).passed
+
+
+class TestBracketedNewton:
+    """core.bracketed_newton takes the caller's step while it stays in the
+    bracket and shrinks, and bisects otherwise, within ROOT_MAX_ITER."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def wrapper(x):
+            calls.append(x)
+            return f(x)
+        return wrapper, calls
+
+    @staticmethod
+    def fail(iterations):
+        return EquilibriumError("root search out of budget", iterations=iterations)
+
+    def test_newton_steps_converge_quadratically(self):
+        f, calls = self.counted(lambda x: (2.0 - x * x, (2.0 - x * x) / (2.0 * x)))
+        root = core.bracketed_newton(f, 0.5, 4.0, self.fail, 1e-15)
+        assert root == pytest.approx(np.sqrt(2.0), abs=4e-16)
+        assert len(calls) <= 8
+
+    def test_steps_out_of_the_bracket_bisect(self):
+        # a step that always leaves the bracket still ends on the root
+        f, calls = self.counted(lambda x: (0.3 - x, np.inf))
+        root = core.bracketed_newton(f, 0.0, 1.0, self.fail, 1e-12)
+        assert root == pytest.approx(0.3, abs=1e-12)
+        assert len(calls) <= 42
+
+    def test_exhausted_budget_raises_callers_error(self, monkeypatch):
+        monkeypatch.setattr(core, "ROOT_MAX_ITER", 3)
+        with pytest.raises(EquilibriumError, match="out of budget") as info:
+            core.bracketed_newton(lambda x: (0.3 - x, np.inf), 0.0, 1.0, self.fail, 1e-12)
+        assert info.value.iterations == 3

@@ -96,10 +96,12 @@ def test_setup_probe_builds_both_configs(capsys):
 
 def test_root_search_and_line_search_live_in_core_only():
     # every damped Newton runs core.damped_newton and every scalar root
-    # search core.bracketed_root: no other module names brentq or the
-    # line search's budget
-    shared = {"brentq", "MAX_BACKTRACKS"}
-    users = {}
+    # search core.bracketed_root or core.bracketed_newton: no other module
+    # names brentq or the budgets of the line search and the root searches,
+    # or defines a search of those names
+    shared = {"brentq", "MAX_BACKTRACKS", "ROOT_MAX_ITER"}
+    searches = {"damped_newton", "bracketed_root", "bracketed_newton"}
+    users, owners = {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = (node.id if isinstance(node, ast.Name)
@@ -107,7 +109,10 @@ def test_root_search_and_line_search_live_in_core_only():
                     else node.name if isinstance(node, ast.alias) else None)
             if name in shared:
                 users.setdefault(name, set()).add(path.name)
+            if isinstance(node, ast.FunctionDef) and node.name in searches:
+                owners.setdefault(node.name, set()).add(path.name)
     assert users == {name: {"core.py"} for name in shared}
+    assert owners == {name: {"core.py"} for name in searches}
 
 
 def test_rosenbrock_integrator_is_generic_and_inverts_nothing():
